@@ -11,7 +11,6 @@ ROUGE-1/2/SU4, silhouette, Mann-Whitney U, and Krippendorff's alpha.
 from .alignment import AlignedPair, LabeledCluster, align_clusters, label_vector
 from .annotate import (
     Gazetteer,
-    RemoteAnnotator,
     SynonymTable,
     TermAnnotation,
     annotate_sentence,

@@ -3,8 +3,7 @@
 A flat gazetteer of climate-change terms stands in for the live annotation
 service: matching is greedy left-to-right longest-match over token sequences,
 case-insensitive and non-overlapping, which is how a GATE-style gazetteer
-behaves by default. A remote HTTP annotator can be plugged in through
-RemoteAnnotator; it falls back to the local gazetteer on any failure.
+behaves by default.
 
 Synonym handling: terms connected through the synonym table form an
 equivalence class whose lexicographically smallest member is the canonical
@@ -13,13 +12,10 @@ label. canonical_label is idempotent and order-independent.
 
 from __future__ import annotations
 
-import json
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import Sentence, token_spans, tokenize
+from .corpus import Sentence, tokenize
 from .errors import ParseError, ValidationError
 
 Term = tuple[str, ...]
@@ -165,52 +161,3 @@ def canonical_label(term: Term, table: SynonymTable) -> Term:
     cls = table.equivalence_class(tuple(term))
     return min(cls, key=term_text)
 
-
-class RemoteAnnotator:
-    """Client for an HTTP annotation service, with local gazetteer fallback.
-
-    Contract: POST ``{"text": ...}`` as JSON; the service answers
-    ``{"annotations": [{"term", "start_char", "end_char"}]}`` with character
-    offsets into the posted text. Offsets are mapped onto token spans; any
-    transport error, timeout, non-200 status, or malformed payload falls back
-    to the local gazetteer.
-    """
-
-    def __init__(self, url: str, fallback: Gazetteer, timeout: float = 5.0):
-        self.url = url
-        self.fallback = fallback
-        self.timeout = timeout
-
-    def annotate(self, sentence: Sentence) -> list[TermAnnotation]:
-        try:
-            payload = json.dumps({"text": sentence.text}).encode("utf-8")
-            request = urllib.request.Request(
-                self.url, data=payload, headers={"Content-Type": "application/json"}
-            )
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                if response.status != 200:
-                    raise OSError(f"status {response.status}")
-                body = json.loads(response.read().decode("utf-8"))
-            return self._map_spans(sentence, body["annotations"])
-        except (OSError, ValueError, KeyError, TypeError):
-            return annotate_sentence(sentence, self.fallback)
-
-    def _map_spans(self, sentence: Sentence, raw: list[dict]) -> list[TermAnnotation]:
-        spans = token_spans(sentence.text)
-        annotations: list[TermAnnotation] = []
-        occupied_until = 0
-        for item in sorted(raw, key=lambda r: (int(r["start_char"]), -int(r["end_char"]))):
-            start_char = int(item["start_char"])
-            end_char = int(item["end_char"])
-            covered = [
-                i for i, (_, s, e) in enumerate(spans) if s >= start_char and e <= end_char
-            ]
-            if not covered:
-                continue
-            start, end = covered[0], covered[-1] + 1
-            if start < occupied_until:  # keep annotations non-overlapping
-                continue
-            term = tuple(sentence.tokens[start:end])
-            annotations.append(TermAnnotation(sentence.id, term, start, end))
-            occupied_until = end
-        return annotations

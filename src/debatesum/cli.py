@@ -1,13 +1,15 @@
 """Command-line entry points, one subcommand per pipeline stage.
 
 Every subcommand takes ``--config`` plus optional overrides (``--seed``,
-``--jobs``, ``--out``); flags win over config values. Stage subcommands read
-the previous stage's artifact from the output directory (overridable) and
-write their own, so the pipeline can be driven step by step or in one go
-with ``pipeline``.
+``--out``); flags win over config values, and a relative ``--out`` resolves
+against the working directory. The stage subcommands come from the stage
+table (``debatesum.pipeline.STAGES``): each reads the artifacts its row
+needs from the output directory, or from the path given by the flag named
+after the artifact (``--clusters``, ``--labels``, ...), and writes its own,
+so the pipeline can be driven step by step or in one go with ``pipeline``.
 
-Exit codes: 0 success, 2 config error, 3 data validation error,
-4 computation error.
+Exit codes: 0 success, 2 config error (also a missing artifact), 3 data
+validation error (also a malformed artifact), 4 computation error.
 """
 
 from __future__ import annotations
@@ -19,24 +21,31 @@ from pathlib import Path
 from .errors import ComputationError, ConfigError, DebatesumError, ParseError, ValidationError
 from .evalkit import krippendorff_alpha, mann_whitney_u
 from .pipeline import (
+    CLUSTER_METHODS,
+    LABEL_METHODS,
+    STAGE,
+    STAGES,
     PipelineConfig,
-    compute_alignment,
-    compute_annotations,
-    compute_charts,
-    compute_clusters,
-    compute_labels,
+    Stage,
+    artifact_files,
+    check_artifact,
     compute_rouge_table,
-    compute_salient,
     compute_silhouette_report,
     dump_debug_matrices,
     load_config,
     load_inputs,
     read_json,
-    render_chart,
     run_pipeline,
-    slugify,
     to_json_bytes,
     write_json,
+)
+
+# Not called here: the stage rows call them through debatesum.pipeline. They
+# stay importable from this module because bench/tracing.py wraps them by
+# name on it as well.
+from .pipeline import (  # noqa: F401
+    compute_alignment, compute_annotations, compute_charts, compute_clusters, compute_labels,
+    compute_salient, render_chart,
 )
 
 EXIT_OK = 0
@@ -44,12 +53,29 @@ EXIT_CONFIG = 2
 EXIT_VALIDATION = 3
 EXIT_COMPUTATION = 4
 
+# The evaluation row runs as the ``eval rouge`` and ``eval silhouette``
+# subcommands, which write their own files.
+STAGE_COMMANDS = {s.command: s for s in STAGES if s.artifact != "evaluation"}
+
+# stage subcommand -> config key its --method flag overrides, and the choices
+METHOD_FLAGS = {
+    "cluster": ("clustering_method", CLUSTER_METHODS),
+    "label": ("labeling_method", LABEL_METHODS),
+}
+
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", required=True, help="pipeline config JSON")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--jobs", type=int, default=None, help="parallel topics limit")
     parser.add_argument("--out", default=None, help="override the output directory")
+
+
+def _add_artifact_flags(parser: argparse.ArgumentParser, needs: tuple[str, ...]) -> None:
+    for name in needs:
+        parser.add_argument(
+            f"--{name}", default=None,
+            help=f"{name}.json path (default: the one in the output directory)",
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -59,43 +85,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    _add_common(sub.add_parser("annotate", help="annotate sentences with ontology terms"))
-    _add_common(sub.add_parser("select", help="select salient sentences per comment"))
+    for stage in STAGE_COMMANDS.values():
+        p = sub.add_parser(stage.command, help=stage.help)
+        _add_common(p)
+        if stage.command in METHOD_FLAGS:
+            p.add_argument("--method", choices=METHOD_FLAGS[stage.command][1], default=None)
+        _add_artifact_flags(p, stage.needs)
+        if stage.command == "cluster":
+            p.add_argument(
+                "--dump-matrix", action="store_true",
+                help="also write similarity matrices and reduced points per topic and side",
+            )
 
-    p = sub.add_parser("cluster", help="cluster the salient sentences of each side")
-    _add_common(p)
-    p.add_argument("--method", choices=("term", "xmeans"), default=None)
-    p.add_argument("--annotations", default=None, help="annotations.json path")
-    p.add_argument("--salient", default=None, help="salient.json path")
-    p.add_argument(
-        "--dump-matrix", action="store_true",
-        help="also write similarity matrices and reduced points per topic and side",
-    )
-
-    p = sub.add_parser("label", help="label every cluster")
-    _add_common(p)
-    p.add_argument("--method", choices=("shared", "tfidf", "mi"), default=None)
-    p.add_argument("--clusters", default=None, help="clusters.json path")
-    p.add_argument("--annotations", default=None, help="annotations.json path")
-
-    p = sub.add_parser("align", help="align agree and disagree clusters by label")
-    _add_common(p)
-    p.add_argument("--clusters", default=None)
-    p.add_argument("--labels", default=None)
-
-    p = sub.add_parser("chart", help="render the Chart Summary per topic")
-    _add_common(p)
-    p.add_argument("--clusters", default=None)
-    p.add_argument("--labels", default=None)
-    p.add_argument("--alignment", default=None)
-
-    p = sub.add_parser("eval", help="evaluation metrics")
+    p = sub.add_parser("eval", help=STAGE["evaluation"].help)
     eval_sub = p.add_subparsers(dest="metric", required=True)
     _add_common(eval_sub.add_parser("rouge", help="per-feature ROUGE table against gold"))
     pe = eval_sub.add_parser("silhouette", help="silhouette of a clustering artifact")
     _add_common(pe)
-    pe.add_argument("--clusters", default=None)
-    pe.add_argument("--annotations", default=None)
+    _add_artifact_flags(pe, STAGE["evaluation"].needs)
     ps = eval_sub.add_parser("stats", help="Mann-Whitney U and Krippendorff's alpha")
     ps.add_argument("--ratings", required=True, help="ratings JSON file")
     ps.add_argument("--out", default=None, help="write the report here instead of stdout")
@@ -108,21 +115,37 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
     overrides: dict[str, object] = {}
     if args.seed is not None:
         overrides["seed"] = args.seed
-    if args.jobs is not None:
-        overrides["jobs"] = args.jobs
     if args.out is not None:
-        overrides["output_dir"] = args.out
+        overrides["output_dir"] = str(Path(args.out).absolute())
     if getattr(args, "method", None) is not None:
-        if args.command == "cluster":
-            overrides["clustering_method"] = args.method
-        elif args.command == "label":
-            overrides["labeling_method"] = args.method
+        overrides[METHOD_FLAGS[args.command][0]] = args.method
     return load_config(args.config, overrides)
 
 
-def _artifact(args: argparse.Namespace, attr: str, config: PipelineConfig, default: str) -> Path:
-    value = getattr(args, attr, None)
-    return Path(value) if value else Path(config.output_dir) / default
+def _read_needs(args: argparse.Namespace, config: PipelineConfig, needs: tuple[str, ...]) -> dict:
+    """Artifact stem -> document, from its flag's path or the output directory.
+
+    A missing file is a ConfigError, bad JSON a ParseError and a wrong
+    structure a ValidationError, each naming the file.
+    """
+    docs = {}
+    for name in needs:
+        path = getattr(args, name) or Path(config.output_dir) / f"{name}.json"
+        docs[name] = read_json(path)
+        check_artifact(docs[name], name, path)
+    return docs
+
+
+def _run_stage(args: argparse.Namespace, stage: Stage, config: PipelineConfig, out: Path) -> int:
+    docs = _read_needs(args, config, stage.needs)
+    inputs = load_inputs(config) if stage.uses_inputs else None
+    for name, data in artifact_files(stage.artifact, stage.compute(config, inputs, docs)).items():
+        (out / name).write_bytes(data)
+        print(f"wrote {out / name}")
+    if getattr(args, "dump_matrix", False):
+        written = dump_debug_matrices(inputs, docs["annotations"], docs["salient"], config, out)
+        print(f"wrote {len(written)} matrix dumps to {out}")
+    return EXIT_OK
 
 
 def _dispatch(args: argparse.Namespace) -> int:
@@ -138,95 +161,29 @@ def _dispatch(args: argparse.Namespace) -> int:
         print(f"wrote {len(manifest['artifacts']) + 1} artifacts to {out}")
         return EXIT_OK
 
-    if args.command == "annotate":
+    if args.command == "eval" and args.metric == "rouge":
         inputs = load_inputs(config)
-        doc = compute_annotations(inputs.corpus, inputs.gazetteer, inputs.synonyms, config.seed)
-        write_json(out / "annotations.json", doc)
-        print(f"wrote {out / 'annotations.json'}")
-        return EXIT_OK
-
-    if args.command == "select":
-        inputs = load_inputs(config)
-        doc = compute_salient(
-            inputs.corpus, inputs.lexicons, config.feature, config.ratio,
-            config.signature_threshold, config.seed,
+        if not inputs.gold:
+            raise ConfigError("eval rouge needs gold_path in the config")
+        table = compute_rouge_table(
+            inputs.corpus, inputs.gold, inputs.lexicons,
+            ratio=config.ratio, signature_threshold=config.signature_threshold,
         )
-        write_json(out / "salient.json", doc)
-        print(f"wrote {out / 'salient.json'}")
+        write_json(out / "evaluation_rouge.json", {"rouge": table, "seed": config.seed})
+        print(f"wrote {out / 'evaluation_rouge.json'}")
         return EXIT_OK
 
-    if args.command == "cluster":
+    if args.command == "eval":  # silhouette
+        docs = _read_needs(args, config, STAGE["evaluation"].needs)
         inputs = load_inputs(config)
-        annotations = read_json(_artifact(args, "annotations", config, "annotations.json"))
-        salient = read_json(_artifact(args, "salient", config, "salient.json"))
-        doc = compute_clusters(
-            inputs.corpus, annotations, salient, inputs.synonyms, inputs.gazetteer, config
+        report = compute_silhouette_report(
+            docs["clusters"], docs["annotations"], inputs.gazetteer, inputs.synonyms
         )
-        write_json(out / "clusters.json", doc)
-        print(f"wrote {out / 'clusters.json'}")
-        if args.dump_matrix:
-            written = dump_debug_matrices(
-                inputs.corpus, annotations, salient, inputs.synonyms, inputs.gazetteer,
-                config, out,
-            )
-            print(f"wrote {len(written)} matrix dumps to {out}")
+        write_json(out / "evaluation_silhouette.json", {"silhouette": report, "seed": config.seed})
+        print(f"wrote {out / 'evaluation_silhouette.json'}")
         return EXIT_OK
 
-    if args.command == "label":
-        annotations = read_json(_artifact(args, "annotations", config, "annotations.json"))
-        clusters = read_json(_artifact(args, "clusters", config, "clusters.json"))
-        doc = compute_labels(clusters, annotations, config.labeling_method, config.seed)
-        write_json(out / "labels.json", doc)
-        print(f"wrote {out / 'labels.json'}")
-        return EXIT_OK
-
-    if args.command == "align":
-        inputs = load_inputs(config)
-        clusters = read_json(_artifact(args, "clusters", config, "clusters.json"))
-        labels = read_json(_artifact(args, "labels", config, "labels.json"))
-        doc = compute_alignment(
-            clusters, labels, inputs.synonyms, config.alignment_threshold, config.seed
-        )
-        write_json(out / "alignment.json", doc)
-        print(f"wrote {out / 'alignment.json'}")
-        return EXIT_OK
-
-    if args.command == "chart":
-        clusters = read_json(_artifact(args, "clusters", config, "clusters.json"))
-        labels = read_json(_artifact(args, "labels", config, "labels.json"))
-        alignment = read_json(_artifact(args, "alignment", config, "alignment.json"))
-        charts = compute_charts(clusters, alignment, labels)
-        for topic_id, chart in charts.items():
-            slug = slugify(topic_id)
-            (out / f"chart_{slug}.json").write_bytes(render_chart(chart, "json"))
-            (out / f"chart_{slug}.html").write_bytes(render_chart(chart, "html"))
-            print(f"wrote chart_{slug}.json and chart_{slug}.html in {out}")
-        return EXIT_OK
-
-    if args.command == "eval":
-        if args.metric == "rouge":
-            inputs = load_inputs(config)
-            if not inputs.gold:
-                raise ConfigError("eval rouge needs gold_path in the config")
-            table = compute_rouge_table(
-                inputs.corpus, inputs.gold, inputs.lexicons,
-                ratio=config.ratio, signature_threshold=config.signature_threshold,
-            )
-            write_json(out / "evaluation_rouge.json", {"rouge": table, "seed": config.seed})
-            print(f"wrote {out / 'evaluation_rouge.json'}")
-            return EXIT_OK
-        if args.metric == "silhouette":
-            inputs = load_inputs(config)
-            annotations = read_json(_artifact(args, "annotations", config, "annotations.json"))
-            clusters = read_json(_artifact(args, "clusters", config, "clusters.json"))
-            report = compute_silhouette_report(
-                clusters, annotations, inputs.gazetteer, inputs.synonyms
-            )
-            write_json(out / "evaluation_silhouette.json", {"silhouette": report, "seed": config.seed})
-            print(f"wrote {out / 'evaluation_silhouette.json'}")
-            return EXIT_OK
-
-    raise ConfigError(f"unknown command {args.command!r}")
+    return _run_stage(args, STAGE_COMMANDS[args.command], config, out)
 
 
 def _cmd_eval_stats(args: argparse.Namespace) -> int:
@@ -236,10 +193,7 @@ def _cmd_eval_stats(args: argparse.Namespace) -> int:
     Mann-Whitney U test and/or ``ratings`` (coder-by-item matrix, null for
     missing) with an optional ``metric`` for Krippendorff's alpha.
     """
-    path = Path(args.ratings)
-    if not path.is_file():
-        raise ConfigError(f"ratings file not found: {path}")
-    doc = read_json(path)
+    doc = read_json(args.ratings)
     report: dict = {"mann_whitney": None, "krippendorff_alpha": None}
     if "samples" in doc:
         samples = doc["samples"]

@@ -36,15 +36,6 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-def token_spans(text: str) -> list[tuple[str, int, int]]:
-    """Tokens with their character offsets in the original (un-lowercased) text.
-
-    Offsets refer to ``text`` as given; the returned token strings are
-    lowercased. Used to map character-offset annotations onto token indices.
-    """
-    return [(m.group(0).lower(), m.start(), m.end()) for m in _TOKEN_RE.finditer(text)]
-
-
 def salient_count(n_sentences: int, ratio: float = 0.2) -> int:
     """Number of sentences a 20%-style selection keeps: ceil(ratio*n), min 1."""
     return max(1, math.ceil(ratio * n_sentences))

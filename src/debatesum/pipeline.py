@@ -16,6 +16,9 @@ Artifacts written into the output directory:
     chart_<topic>.json / .html   the Chart Summary per topic
     evaluation.json    ROUGE table per feature and silhouette per method
     manifest.json      config echo plus sha256 of every artifact
+
+The stage table STAGES drives both run_pipeline, which walks it in memory,
+and the CLI, whose stage subcommands each run one row from disk.
 """
 
 from __future__ import annotations
@@ -24,10 +27,9 @@ import hashlib
 import json
 import re
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -44,7 +46,7 @@ from .annotate import (
 from .assets import default_stopwords
 from .chart import AlignedPair, ChartSummary, build_chart, render_chart
 from .corpus import DebateTopic, Side, load_corpus, load_gold
-from .errors import ComputationError, ConfigError, DebatesumError
+from .errors import ComputationError, ConfigError, DebatesumError, ParseError, ValidationError
 from .evalkit import RougeVariant, rouge, silhouette
 from .labeling import UNLABELED, mi_label, shared_term_label, tfidf_labels
 from .saliency import (
@@ -82,7 +84,6 @@ class PipelineConfig:
     k_min: int = 2
     k_max: int = 25
     seed: int = 0
-    jobs: int = 1
 
     def echo(self) -> dict:
         out = asdict(self)
@@ -94,12 +95,7 @@ class PipelineConfig:
         return out
 
 
-_CONFIG_KEYS = {
-    "corpus_path", "gold_path", "gazetteer_path", "synonyms_path", "embeddings_path",
-    "feature", "ratio", "signature_threshold", "clustering_method", "labeling_method",
-    "alignment_threshold", "variance_target", "k_min", "k_max", "seed", "jobs",
-    "output_dir",
-}
+_CONFIG_KEYS = {f.name for f in fields(PipelineConfig)}
 
 
 def load_config(path: str | Path, overrides: Mapping[str, object] | None = None) -> PipelineConfig:
@@ -154,7 +150,6 @@ def load_config(path: str | Path, overrides: Mapping[str, object] | None = None)
         k_min=int(merged.get("k_min", 2)),
         k_max=int(merged.get("k_max", 25)),
         seed=int(merged.get("seed", 0)),
-        jobs=int(merged.get("jobs", 1)),
     )
     validate_config(config)
     return config
@@ -181,8 +176,6 @@ def validate_config(config: PipelineConfig) -> None:
         raise ConfigError("variance_target must be in (0, 1]")
     if not 1 <= config.k_min <= config.k_max:
         raise ConfigError("need 1 <= k_min <= k_max")
-    if config.jobs < 1:
-        raise ConfigError("jobs must be >= 1")
 
 
 @dataclass
@@ -342,6 +335,31 @@ def _cluster_side_term(
     }
 
 
+def _vocabulary(gazetteer: Gazetteer, synonyms: SynonymTable) -> list[tuple[str, ...]]:
+    """Canonical gazetteer terms in text order: the axes of every term vector."""
+    return sorted({canonical_label(t, synonyms) for t in gazetteer.terms}, key=term_text)
+
+
+def _side_space(
+    sentence_ids: list[str],
+    terms: dict[str, list[tuple[str, ...]]],
+    vocabulary: list[tuple[str, ...]],
+    variance_target: float,
+):
+    """Term vectors of one side, their cosine similarity matrix and its PCA reduction.
+
+    Returns ``(vectors, excluded, matrix, reduced)``; ``matrix`` and
+    ``reduced`` are None when fewer than two sentences have a term vector.
+    """
+    terms_by_sentence = {sid: terms.get(sid, []) for sid in sentence_ids}
+    vectors, excluded = build_term_vectors(terms_by_sentence, vocabulary)
+    if len(vectors) < 2:
+        return vectors, excluded, None, None
+    matrix = build_similarity_matrix(vectors)
+    _, reduced = pca_fit_transform(matrix.values, variance_target=variance_target)
+    return vectors, excluded, matrix, reduced
+
+
 def _cluster_side_xmeans(
     topic_id: str,
     side: Side,
@@ -350,24 +368,14 @@ def _cluster_side_xmeans(
     vocabulary: list[tuple[str, ...]],
     config: PipelineConfig,
 ) -> dict:
-    terms_by_sentence = {sid: terms.get(sid, []) for sid in sentence_ids}
-    vectors, excluded = build_term_vectors(terms_by_sentence, vocabulary)
+    vectors, excluded, matrix, reduced = _side_space(
+        sentence_ids, terms, vocabulary, config.variance_target
+    )
     prefix = f"{topic_id}/{side.value}:x"
     if len(vectors) == 0:
         return {"clusters": [], "unclustered": excluded, "k": 0, "bic": None, "points": None}
-    if len(vectors) == 1:
-        return {
-            "clusters": [
-                {"cluster_id": prefix + "0", "label": None, "members": [vectors[0].sentence_id]}
-            ],
-            "unclustered": excluded,
-            "k": 1,
-            "bic": None,
-            "points": {vectors[0].sentence_id: [0.0, 0.0]},
-        }
-    matrix = build_similarity_matrix(vectors)
-    _, reduced = pca_fit_transform(matrix.values, variance_target=config.variance_target)
-    if reduced.shape[1] == 0:  # all similarity profiles identical: a single cluster
+    # one sentence, or all similarity profiles identical: a single cluster
+    if matrix is None or reduced.shape[1] == 0:
         return {
             "clusters": [
                 {
@@ -414,11 +422,9 @@ def compute_clusters(
 ) -> dict:
     terms = _canonical_terms_by_sentence(annotations_doc)
     salient = _salient_by_topic_side(salient_doc)
-    vocabulary = sorted(
-        {canonical_label(t, synonyms) for t in gazetteer.terms}, key=term_text
-    )
-
-    def one_topic(topic: DebateTopic) -> dict:
+    vocabulary = _vocabulary(gazetteer, synonyms)
+    topics = []
+    for topic in corpus:
         sides = {}
         for side in Side:
             ids = salient.get(topic.id, {}).get(side.value, [])
@@ -430,13 +436,7 @@ def compute_clusters(
                 )
         counts = {side.value: len(sides[side.value]["clusters"]) for side in Side}
         counts["pooled"] = sum(counts.values())
-        return {"topic_id": topic.id, "sides": sides, "cluster_counts": counts}
-
-    if config.jobs > 1 and len(corpus) > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            topics = list(pool.map(one_topic, corpus))
-    else:
-        topics = [one_topic(t) for t in corpus]
+        topics.append({"topic_id": topic.id, "sides": sides, "cluster_counts": counts})
     return {
         "method": config.clustering_method,
         "seed": config.seed,
@@ -448,11 +448,9 @@ def compute_clusters(
 
 
 def dump_debug_matrices(
-    corpus: list[DebateTopic],
+    inputs: PipelineInputs,
     annotations_doc: dict,
     salient_doc: dict,
-    synonyms: SynonymTable,
-    gazetteer: Gazetteer,
     config: PipelineConfig,
     out_dir: str | Path,
 ) -> list[Path]:
@@ -465,19 +463,15 @@ def dump_debug_matrices(
 
     terms = _canonical_terms_by_sentence(annotations_doc)
     salient = _salient_by_topic_side(salient_doc)
-    vocabulary = sorted({canonical_label(t, synonyms) for t in gazetteer.terms}, key=term_text)
+    vocabulary = _vocabulary(inputs.gazetteer, inputs.synonyms)
     out = Path(out_dir)
     written: list[Path] = []
-    for topic in corpus:
+    for topic in inputs.corpus:
         for side in Side:
             ids = salient.get(topic.id, {}).get(side.value, [])
-            vectors, _ = build_term_vectors(
-                {sid: terms.get(sid, []) for sid in ids}, vocabulary
-            )
-            if len(vectors) < 2:
+            _, _, matrix, reduced = _side_space(ids, terms, vocabulary, config.variance_target)
+            if matrix is None:
                 continue
-            matrix = build_similarity_matrix(vectors)
-            _, reduced = pca_fit_transform(matrix.values, variance_target=config.variance_target)
             slug = f"{slugify(topic.id)}_{side.value}"
             matrix_path = out / f"similarity_{slug}.json"
             write_json(matrix_path, similarity_to_jsonable(matrix))
@@ -694,7 +688,7 @@ def compute_silhouette_report(
     clusters are scored on their reduced points with Euclidean distance.
     """
     terms = _canonical_terms_by_sentence(annotations_doc)
-    vocabulary = sorted({canonical_label(t, synonyms) for t in gazetteer.terms}, key=term_text)
+    vocabulary = _vocabulary(gazetteer, synonyms)
     index = {t: i for i, t in enumerate(vocabulary)}
     method = clusters_doc["method"]
     entries = []
@@ -775,11 +769,141 @@ def write_json(path: str | Path, doc: dict) -> None:
 
 
 def read_json(path: str | Path) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    """Parse a JSON file: ConfigError if it cannot be read, ParseError if it is not JSON."""
+    path = Path(path)
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
+    try:
+        return json.loads(data.decode("utf-8"))
+    except ValueError as exc:
+        raise ParseError(f"not valid JSON: {exc}", source=str(path)) from exc
+
+
+# What the stages read from each artifact on disk: a dict lists required keys
+# (others may be present), a one-item list is a list of that shape, a
+# frozenset the allowed strings, anything else a type for isinstance.
+_STR_OR_NONE = (str, type(None))
+_CLUSTER_SIDE = {
+    "clusters": [{"cluster_id": str, "label": _STR_OR_NONE, "members": [str]}],
+    "points": (dict, type(None)),
+}
+_ARTIFACT_SHAPES = {
+    "annotations": {
+        "topics": [{"sentences": [{"sentence_id": str, "annotations": [{"canonical": str}]}]}]
+    },
+    "salient": {"topics": [{"topic_id": str, "comments": [
+        {"side": frozenset(s.value for s in Side), "sentence_ids": [str]}
+    ]}]},
+    "clusters": {"method": str, "topics": [
+        {"topic_id": str, "sides": {s.value: _CLUSTER_SIDE for s in Side}}
+    ]},
+    "labels": {"clusters": [{"cluster_id": str, "label": str}]},
+    "alignment": {"topics": [{"topic_id": str, "pairs": [{
+        "label": str, "agree_cluster_id": str, "disagree_cluster_id": str,
+        "similarity": (int, float),
+    }]}]},
+}
+
+
+def _check_shape(value, shape, path: Path, where: str = "$") -> None:
+    """Raise ValidationError at the first place where ``value`` departs from ``shape``."""
+
+    def fail(problem: str):
+        raise ValidationError(f"malformed artifact {path}: {where} {problem}")
+
+    if isinstance(shape, dict):
+        if not isinstance(value, dict):
+            fail("is not an object")
+        for key, inner in shape.items():
+            if key not in value:
+                fail(f"has no {key!r}")
+            _check_shape(value[key], inner, path, f"{where}.{key}")
+    elif isinstance(shape, list):
+        if not isinstance(value, list):
+            fail("is not a list")
+        for i, item in enumerate(value):
+            _check_shape(item, shape[0], path, f"{where}[{i}]")
+    elif isinstance(shape, frozenset):
+        if not (isinstance(value, str) and value in shape):
+            fail(f"is not one of {sorted(shape)}")
+    elif not isinstance(value, shape):
+        fail("has the wrong type")
+
+
+def check_artifact(doc, artifact: str, path: str | Path) -> None:
+    """Raise ValidationError, naming ``path``, unless ``doc`` has the structure
+    the stages read from the ``artifact`` document."""
+    _check_shape(doc, _ARTIFACT_SHAPES[artifact], Path(path))
 
 
 def slugify(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9_-]+", "_", name)
+
+
+@dataclass(frozen=True)
+class Stage:
+    """One row of the stage table: ``compute(config, inputs, docs)`` returns the
+    stage's document from the loaded inputs (None unless ``uses_inputs``) and
+    ``docs``, which maps artifact stems to earlier documents."""
+
+    command: str  # CLI subcommand; names the stage in error messages
+    artifact: str  # stem of the artifact it writes; the stage key
+    needs: tuple[str, ...]  # earlier artifacts it reads
+    uses_inputs: bool  # whether it needs the corpus, lexicons and term tables
+    help: str
+    compute: Callable[[PipelineConfig, PipelineInputs | None, dict], object]
+
+
+# The rows call compute_* through this module's globals at run time, so a
+# wrapper installed on the module (bench/tracing.py) sees every call.
+STAGES = (
+    Stage("annotate", "annotations", (), True, "annotate sentences with ontology terms",
+          lambda config, inputs, docs: compute_annotations(
+              inputs.corpus, inputs.gazetteer, inputs.synonyms, config.seed)),
+    Stage("select", "salient", (), True, "select salient sentences per comment",
+          lambda config, inputs, docs: compute_salient(
+              inputs.corpus, inputs.lexicons, config.feature, config.ratio,
+              config.signature_threshold, config.seed)),
+    Stage("cluster", "clusters", ("annotations", "salient"), True,
+          "cluster the salient sentences of each side",
+          lambda config, inputs, docs: compute_clusters(
+              inputs.corpus, docs["annotations"], docs["salient"], inputs.synonyms,
+              inputs.gazetteer, config)),
+    Stage("label", "labels", ("clusters", "annotations"), False, "label every cluster",
+          lambda config, inputs, docs: compute_labels(
+              docs["clusters"], docs["annotations"], config.labeling_method, config.seed)),
+    Stage("align", "alignment", ("clusters", "labels"), True,
+          "align agree and disagree clusters by label",
+          lambda config, inputs, docs: compute_alignment(
+              docs["clusters"], docs["labels"], inputs.synonyms, config.alignment_threshold,
+              config.seed)),
+    Stage("chart", "charts", ("clusters", "labels", "alignment"), False,
+          "render the Chart Summary per topic",
+          lambda config, inputs, docs: compute_charts(
+              docs["clusters"], docs["alignment"], docs["labels"])),
+    Stage("eval", "evaluation", ("clusters", "annotations"), True, "evaluation metrics",
+          lambda config, inputs, docs: compute_evaluation(
+              inputs, docs["clusters"], docs["annotations"], config)),
+)
+STAGE = {stage.artifact: stage for stage in STAGES}
+
+
+def artifact_files(artifact: str, doc) -> dict[str, bytes]:
+    """File name -> bytes for one stage's document.
+
+    Charts become ``chart_<topic>.json`` and ``.html``; every other
+    document is ``<artifact>.json``.
+    """
+    if artifact != "charts":
+        return {f"{artifact}.json": to_json_bytes(doc)}
+    files: dict[str, bytes] = {}
+    for topic_id, chart in doc.items():
+        slug = slugify(topic_id)
+        files[f"chart_{slug}.json"] = render_chart(chart, "json")
+        files[f"chart_{slug}.html"] = render_chart(chart, "html")
+    return files
 
 
 def _stage(name: str, fn, *args, **kwargs):
@@ -796,39 +920,12 @@ def run_pipeline(config: PipelineConfig) -> dict:
     written artifacts are removed and the error propagates.
     """
     inputs = _stage("load", load_inputs, config)
-    annotations = _stage(
-        "annotate", compute_annotations, inputs.corpus, inputs.gazetteer, inputs.synonyms,
-        config.seed,
-    )
-    salient = _stage(
-        "select", compute_salient, inputs.corpus, inputs.lexicons,
-        config.feature, config.ratio, config.signature_threshold, config.seed,
-    )
-    clusters = _stage(
-        "cluster", compute_clusters, inputs.corpus, annotations, salient,
-        inputs.synonyms, inputs.gazetteer, config,
-    )
-    labeling_method = config.labeling_method
-    labels = _stage("label", compute_labels, clusters, annotations, labeling_method, config.seed)
-    aligned = _stage(
-        "align", compute_alignment, clusters, labels, inputs.synonyms,
-        config.alignment_threshold, config.seed,
-    )
-    charts = _stage("chart", compute_charts, clusters, aligned, labels)
-    evaluation = _stage("eval", compute_evaluation, inputs, clusters, annotations, config)
-
-    artifacts: dict[str, bytes] = {
-        "annotations.json": to_json_bytes(annotations),
-        "salient.json": to_json_bytes(salient),
-        "clusters.json": to_json_bytes(clusters),
-        "labels.json": to_json_bytes(labels),
-        "alignment.json": to_json_bytes(aligned),
-        "evaluation.json": to_json_bytes(evaluation),
-    }
-    for topic_id, chart in charts.items():
-        slug = slugify(topic_id)
-        artifacts[f"chart_{slug}.json"] = render_chart(chart, "json")
-        artifacts[f"chart_{slug}.html"] = render_chart(chart, "html")
+    docs: dict = {}
+    for stage in STAGES:
+        docs[stage.artifact] = _stage(stage.command, stage.compute, config, inputs, docs)
+    artifacts: dict[str, bytes] = {}
+    for stage in STAGES:
+        artifacts.update(artifact_files(stage.artifact, docs[stage.artifact]))
 
     manifest = {
         "config": config.echo(),

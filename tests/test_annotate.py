@@ -1,13 +1,9 @@
-import json
 import random
-import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
 from debatesum.annotate import (
     Gazetteer,
-    RemoteAnnotator,
     SynonymTable,
     annotate_sentence,
     canonical_label,
@@ -161,65 +157,7 @@ class TestCanonicalLabel:
                     assert same_class == (y in component(x))
 
 
-class _AnnotationHandler(BaseHTTPRequestHandler):
-    response_body: bytes = b"{}"
-    status: int = 200
 
-    def do_POST(self):
-        length = int(self.headers.get("Content-Length", 0))
-        self.rfile.read(length)
-        self.send_response(self.status)
-        self.send_header("Content-Type", "application/json")
-        self.end_headers()
-        self.wfile.write(self.response_body)
-
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture()
-def annotation_server():
-    server = HTTPServer(("127.0.0.1", 0), _AnnotationHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield server, f"http://127.0.0.1:{server.server_port}/"
-    server.shutdown()
-
-
-class TestRemoteAnnotator:
-    def test_maps_char_offsets_to_token_spans(self, annotation_server):
-        server, url = annotation_server
-        text = "Global warming is real"
-        _AnnotationHandler.status = 200
-        _AnnotationHandler.response_body = json.dumps(
-            {"annotations": [{"term": "global warming", "start_char": 0, "end_char": 14}]}
-        ).encode()
-        client = RemoteAnnotator(url, fallback=Gazetteer({("ozone",)}), timeout=5.0)
-        anns = client.annotate(sent(text))
-        assert [(a.term, a.start, a.end) for a in anns] == [(("global", "warming"), 0, 2)]
-
-    def test_malformed_payload_falls_back_to_gazetteer(self, annotation_server):
-        server, url = annotation_server
-        _AnnotationHandler.status = 200
-        _AnnotationHandler.response_body = b"this is not json"
-        client = RemoteAnnotator(url, fallback=Gazetteer({("warming",)}), timeout=5.0)
-        anns = client.annotate(sent("Global warming is real"))
-        assert [a.term for a in anns] == [("warming",)]
-
-    def test_http_error_falls_back(self, annotation_server):
-        server, url = annotation_server
-        _AnnotationHandler.status = 500
-        _AnnotationHandler.response_body = b"{}"
-        client = RemoteAnnotator(url, fallback=Gazetteer({("warming",)}), timeout=5.0)
-        anns = client.annotate(sent("Global warming is real"))
-        assert [a.term for a in anns] == [("warming",)]
-
-    def test_unreachable_server_falls_back(self):
-        client = RemoteAnnotator(
-            "http://127.0.0.1:1/", fallback=Gazetteer({("warming",)}), timeout=0.2
-        )
-        anns = client.annotate(sent("Global warming is real"))
-        assert [a.term for a in anns] == [("warming",)]
-
+class TestTermText:
     def test_term_order_string(self):
         assert term_text(("sea", "ice")) == "sea ice"

@@ -80,11 +80,6 @@ class TestRunPipeline:
             bytes_b = (Path(config_b.output_dir) / name).read_bytes()
             assert bytes_a == bytes_b, name
 
-    def test_jobs_do_not_change_output(self, tmp_path):
-        serial = load_config(make_config(tmp_path, output_dir=str(tmp_path / "o1"), jobs=1))
-        parallel = load_config(make_config(tmp_path, output_dir=str(tmp_path / "o2"), jobs=4))
-        assert run_pipeline(serial)["artifacts"] == run_pipeline(parallel)["artifacts"]
-
     def test_evaluation_has_rouge_and_silhouette(self, tmp_path):
         config = load_config(make_config(tmp_path))
         run_pipeline(config)
@@ -211,16 +206,69 @@ class TestCli:
             ["label", "--config", str(config_path)],
             ["align", "--config", str(config_path)],
             ["chart", "--config", str(config_path)],
+            ["eval", "silhouette", "--config", str(config_path)],
         ):
             assert main(argv) == 0
-        staged = {
-            name: (tmp_path / "out" / name).read_bytes()
-            for name in ("annotations.json", "clusters.json", "labels.json", "alignment.json")
-        }
+        staged_out = tmp_path / "out"
         full_out = tmp_path / "full"
         assert main(["pipeline", "--config", str(config_path), "--out", str(full_out)]) == 0
-        for name, data in staged.items():
-            assert (full_out / name).read_bytes() == data, name
+        charts = sorted(p.name for p in full_out.glob("chart_*"))
+        assert charts
+        assert sorted(p.name for p in staged_out.glob("chart_*")) == charts
+        for name in (
+            "annotations.json", "salient.json", "clusters.json", "labels.json",
+            "alignment.json", *charts,
+        ):
+            assert (full_out / name).read_bytes() == (staged_out / name).read_bytes(), name
+        staged_silhouette = read_json(staged_out / "evaluation_silhouette.json")["silhouette"]
+        assert staged_silhouette == read_json(full_out / "evaluation.json")["silhouette"]
+
+    def test_artifact_flags_read_paths_outside_out(self, tmp_path):
+        config_path = make_config(tmp_path)
+        full_out = tmp_path / "full"
+        assert main(["pipeline", "--config", str(config_path), "--out", str(full_out)]) == 0
+        clusters = shutil.copy(full_out / "clusters.json", tmp_path / "c.json")
+        annotations = shutil.copy(full_out / "annotations.json", tmp_path / "a.json")
+        out = tmp_path / "labels_only"
+        assert main([
+            "label", "--config", str(config_path), "--out", str(out),
+            "--clusters", str(clusters), "--annotations", str(annotations),
+        ]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["labels.json"]
+        assert (out / "labels.json").read_bytes() == (full_out / "labels.json").read_bytes()
+
+    def test_missing_artifact_exit_2(self, tmp_path, capsys):
+        config_path = make_config(tmp_path)
+        assert main(["pipeline", "--config", str(config_path)]) == 0
+        (tmp_path / "out" / "annotations.json").unlink()
+        capsys.readouterr()
+        assert main(["label", "--config", str(config_path)]) == 2
+        assert "annotations.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("corrupt", ["drop_sides", "not_json"])
+    def test_malformed_artifact_exit_3(self, tmp_path, capsys, corrupt):
+        config_path = make_config(tmp_path)
+        assert main(["pipeline", "--config", str(config_path)]) == 0
+        clusters = tmp_path / "out" / "clusters.json"
+        if corrupt == "drop_sides":
+            doc = read_json(clusters)
+            del doc["topics"][0]["sides"]
+            clusters.write_text(json.dumps(doc), encoding="utf-8")
+        else:
+            clusters.write_text("{", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["label", "--config", str(config_path)]) == 3
+        assert "clusters.json" in capsys.readouterr().err
+
+    def test_relative_out_resolves_against_working_directory(self, tmp_path, monkeypatch):
+        config_path = make_config(tmp_path, output_dir="config_out")
+        monkeypatch.chdir(tmp_path)
+        assert main(["annotate", "--config", str(config_path), "--out", "rel_out"]) == 0
+        assert (tmp_path / "rel_out" / "annotations.json").is_file()
+        assert not (config_path.parent / "rel_out").exists()
+        # an output_dir inside the config file stays relative to the config
+        assert main(["annotate", "--config", str(config_path)]) == 0
+        assert (config_path.parent / "config_out" / "annotations.json").is_file()
 
     def test_cluster_dump_matrix_flag(self, tmp_path):
         config_path = make_config(tmp_path)
