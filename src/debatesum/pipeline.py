@@ -133,6 +133,13 @@ def load_config(path: str | Path, overrides: Mapping[str, object] | None = None)
             p = base / p
         return p
 
+    def _value(key: str, cast: Callable, default: object):
+        value = merged.get(key, default)
+        try:
+            return cast(value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"config key {key!r} has an invalid value: {value!r}") from exc
+
     config = PipelineConfig(
         corpus_path=_path("corpus_path", True),
         gazetteer_path=_path("gazetteer_path", True),
@@ -140,16 +147,16 @@ def load_config(path: str | Path, overrides: Mapping[str, object] | None = None)
         output_dir=_path("output_dir", True),
         gold_path=_path("gold_path", False),
         embeddings_path=_path("embeddings_path", False),
-        feature=Feature(str(merged.get("feature", "SP")).upper()),
-        ratio=float(merged.get("ratio", 0.2)),
-        signature_threshold=float(merged.get("signature_threshold", LLR_THRESHOLD_P001)),
+        feature=_value("feature", lambda v: Feature(str(v).upper()), "SP"),
+        ratio=_value("ratio", float, 0.2),
+        signature_threshold=_value("signature_threshold", float, LLR_THRESHOLD_P001),
         clustering_method=str(merged.get("clustering_method", "xmeans")),
         labeling_method=str(merged.get("labeling_method", "mi")),
-        alignment_threshold=float(merged.get("alignment_threshold", 0.6)),
-        variance_target=float(merged.get("variance_target", 0.95)),
-        k_min=int(merged.get("k_min", 2)),
-        k_max=int(merged.get("k_max", 25)),
-        seed=int(merged.get("seed", 0)),
+        alignment_threshold=_value("alignment_threshold", float, 0.6),
+        variance_target=_value("variance_target", float, 0.95),
+        k_min=_value("k_min", int, 2),
+        k_max=_value("k_max", int, 25),
+        seed=_value("seed", int, 0),
     )
     validate_config(config)
     return config
@@ -176,6 +183,8 @@ def validate_config(config: PipelineConfig) -> None:
         raise ConfigError("variance_target must be in (0, 1]")
     if not 1 <= config.k_min <= config.k_max:
         raise ConfigError("need 1 <= k_min <= k_max")
+    if config.seed < 0:
+        raise ConfigError("seed must be >= 0")
 
 
 @dataclass
@@ -350,6 +359,9 @@ def _side_space(
 
     Returns ``(vectors, excluded, matrix, reduced)``; ``matrix`` and
     ``reduced`` are None when fewer than two sentences have a term vector.
+    Proportional term vectors have one similarity profile, so every sentence
+    gets the reduced row of the first sentence with its vector's direction:
+    copies are then bitwise equal rather than equal up to float noise.
     """
     terms_by_sentence = {sid: terms.get(sid, []) for sid in sentence_ids}
     vectors, excluded = build_term_vectors(terms_by_sentence, vocabulary)
@@ -357,6 +369,11 @@ def _side_space(
         return vectors, excluded, None, None
     matrix = build_similarity_matrix(vectors)
     _, reduced = pca_fit_transform(matrix.values, variance_target=variance_target)
+    first: dict[tuple[int, ...], int] = {}
+    for i, v in enumerate(vectors):
+        counts = v.counts.astype(np.int64)
+        direction = tuple((counts // np.gcd.reduce(counts)).tolist())
+        reduced[i] = reduced[first.setdefault(direction, i)]
     return vectors, excluded, matrix, reduced
 
 

@@ -6,6 +6,13 @@ reduces the similarity rows (each sentence represented by its similarity
 profile). X-means then grows k from k_min by splitting any cluster whose
 two-way split improves the local Bayesian Information Criterion, up to k_max.
 
+X-means clusters the distinct rows of its input, each weighted by how many
+rows share it (weighted k-means++ seeding, weighted Lloyd, and a BIC whose n
+is the total weight), so identical rows always share a cluster. Its BIC
+floors the pooled variance at VARIANCE_FLOOR times the variance of the whole
+input: float noise never counts as variance, and a split of two or more
+distinct points into zero-variance children is accepted.
+
 Everything here is deterministic given (inputs, seed): k-means++ draws from a
 seeded generator, split seeds lie on the cluster's principal axis, and ties
 resolve by lowest index.
@@ -13,6 +20,7 @@ resolve by lowest index.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -23,6 +31,7 @@ from .annotate import Term
 from .errors import ComputationError
 
 SPLIT_SEED_FRACTION = 0.5  # children start at +/- this fraction of the cluster radius
+VARIANCE_FLOOR = 1e-12     # X-means BIC variance floor, relative to the input's variance
 
 
 @dataclass(frozen=True)
@@ -60,7 +69,9 @@ class ClusteringResult:
     k: int
     assignments: np.ndarray  # (n,) cluster index per point
     centroids: np.ndarray    # (k, d)
-    bic: float               # global BIC; NaN when undefined (n == k or zero variance)
+    # global BIC; xmeans scores its distinct points weighted by multiplicity (n is the
+    # row count) with the variance floored; NaN when undefined (n == k, zero variance)
+    bic: float
     iterations: int
     seed: int
     distortion_history: tuple[float, ...] = ()
@@ -190,36 +201,60 @@ def pca_fit_transform(
     return model, centered @ vt[:n_keep].T
 
 
-def _distortion(points: np.ndarray, centroids: np.ndarray, assignments: np.ndarray) -> float:
-    return float(np.sum((points - centroids[assignments]) ** 2))
+def _collapse(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bitwise-distinct rows in first-occurrence order, their multiplicities,
+    and the index of each input row among the distinct ones."""
+    points = points + 0.0  # -0.0 and 0.0 are one coordinate
+    first: dict[bytes, int] = {}
+    inverse = np.array(
+        [first.setdefault(row.tobytes(), len(first)) for row in points], dtype=np.intp
+    )
+    _, rows = np.unique(inverse, return_index=True)
+    return points[rows], np.bincount(inverse).astype(float), inverse
+
+
+def _distortion(
+    points: np.ndarray, weights: np.ndarray, centroids: np.ndarray, assignments: np.ndarray
+) -> float:
+    return float(weights @ ((points - centroids[assignments]) ** 2).sum(axis=1))
 
 
 def _assign(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    distances = np.sum((points[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
-    return np.argmin(distances, axis=1)
+    distances = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    return distances.argmin(axis=1)
+
+
+def _centroids(
+    points: np.ndarray, weights: np.ndarray, assignments: np.ndarray, k: int
+) -> np.ndarray:
+    """Weighted cluster means; every cluster must own a point."""
+    sums = np.zeros((k, points.shape[1]))
+    np.add.at(sums, assignments, weights[:, None] * points)
+    return sums / np.bincount(assignments, weights=weights, minlength=k)[:, None]
 
 
 def _reseed_empties(points: np.ndarray, centroids: np.ndarray, assignments: np.ndarray, k: int) -> None:
-    """Force one point into every empty cluster: each takes the point currently
-    farthest from its own centroid. Mutates ``assignments`` in place."""
+    """Force one point into every empty cluster: each takes the point farthest
+    from its own centroid among clusters that keep a point after giving one
+    up. Needs k <= len(points). Mutates ``assignments`` in place."""
     counts = np.bincount(assignments, minlength=k)
-    taken: set[int] = set()
     for j in np.flatnonzero(counts == 0):
         residuals = np.linalg.norm(points - centroids[assignments], axis=1)
-        for idx in taken:
-            residuals[idx] = -1.0
+        residuals[counts[assignments] < 2] = -1.0
         far = int(np.argmax(residuals))
+        counts[assignments[far]] -= 1
+        counts[j] = 1
         assignments[far] = j
-        taken.add(far)
 
 
 def _lloyd(
     points: np.ndarray,
+    weights: np.ndarray,
     centroids: np.ndarray,
     max_iter: int,
 ) -> tuple[np.ndarray, np.ndarray, int, list[float]]:
-    """Lloyd iterations to an assignment fixpoint; empty clusters reseed to the
-    point currently farthest from its own centroid."""
+    """Weighted Lloyd iterations to an assignment fixpoint; empty clusters
+    reseed to the point currently farthest from its own centroid."""
     k = centroids.shape[0]
     assignments = _assign(points, centroids)
     history: list[float] = []
@@ -228,9 +263,9 @@ def _lloyd(
         iterations += 1
         # reseed empties before the mean update so every cluster stays nonempty
         _reseed_empties(points, centroids, assignments, k)
-        centroids = np.stack([points[assignments == j].mean(axis=0) for j in range(k)])
+        centroids = _centroids(points, weights, assignments, k)
         new_assignments = _assign(points, centroids)
-        history.append(_distortion(points, centroids, new_assignments))
+        history.append(_distortion(points, weights, centroids, new_assignments))
         if np.array_equal(new_assignments, assignments):
             assignments = new_assignments
             break
@@ -238,22 +273,31 @@ def _lloyd(
     if np.any(np.bincount(assignments, minlength=k) == 0):
         # max_iter exhausted mid-cycle: repair so every cluster owns a point
         _reseed_empties(points, centroids, assignments, k)
-        centroids = np.stack([points[assignments == j].mean(axis=0) for j in range(k)])
-        history.append(_distortion(points, centroids, assignments))
+        centroids = _centroids(points, weights, assignments, k)
+        history.append(_distortion(points, weights, centroids, assignments))
     return assignments, centroids, iterations, history
 
 
-def _kmeans_plusplus_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _kmeans_plusplus_init(
+    points: np.ndarray, weights: np.ndarray, k: int, rng: np.random.Generator
+) -> np.ndarray:
+    """k-means++ seeds drawn with probability proportional to weight times the
+    squared distance to the nearest seed; equal weights draw the first seed
+    uniformly, as the unweighted algorithm does."""
     n = points.shape[0]
-    chosen = [int(rng.integers(n))]
-    closest = np.sum((points - points[chosen[0]]) ** 2, axis=1)
+    if np.all(weights == weights[0]):
+        chosen = [int(rng.integers(n))]
+    else:
+        chosen = [int(rng.choice(n, p=weights / weights.sum()))]
+    closest = ((points - points[chosen[0]]) ** 2).sum(axis=1)
     for _ in range(1, k):
-        total = float(closest.sum())
+        mass = weights * closest
+        total = float(mass.sum())
         if total == 0.0:
             chosen.append(int(rng.integers(n)))
         else:
-            chosen.append(int(rng.choice(n, p=closest / total)))
-        closest = np.minimum(closest, np.sum((points - points[chosen[-1]]) ** 2, axis=1))
+            chosen.append(int(rng.choice(n, p=mass / total)))
+        closest = np.minimum(closest, ((points - points[chosen[-1]]) ** 2).sum(axis=1))
     return points[chosen].astype(float).copy()
 
 
@@ -266,7 +310,9 @@ def kmeans(
     """Seeded k-means++ initialization followed by Lloyd iterations.
 
     Deterministic given (points, k, seed). The per-iteration distortions in
-    ``distortion_history`` never increase.
+    ``distortion_history`` never increase. Every row is its own point:
+    identical rows may land in different clusters when k exceeds the number
+    of distinct rows.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
@@ -276,14 +322,15 @@ def kmeans(
         raise ComputationError(f"k must be >= 1, got {k}")
     if k > n:
         raise ComputationError(f"k={k} exceeds point count n={n}")
+    weights = np.ones(n)
     rng = np.random.default_rng(seed)
-    centroids = _kmeans_plusplus_init(points, k, rng)
-    assignments, centroids, iterations, history = _lloyd(points, centroids, max_iter)
+    centroids = _kmeans_plusplus_init(points, weights, k, rng)
+    assignments, centroids, iterations, history = _lloyd(points, weights, centroids, max_iter)
     return ClusteringResult(
         k=k,
         assignments=assignments,
         centroids=centroids,
-        bic=_safe_bic(points, assignments, centroids, k),
+        bic=_safe_bic(points, weights, assignments, centroids, k),
         iterations=iterations,
         seed=seed,
         distortion_history=tuple(history),
@@ -298,36 +345,54 @@ def bic_score(points: np.ndarray, result: ClusteringResult) -> float:
     undefined and zero variance is degenerate; both raise.
     """
     points = np.asarray(points, dtype=float)
-    return _bic(points, result.assignments, result.centroids, result.k)
+    return _bic(points, np.ones(len(points)), result.assignments, result.centroids, result.k)
 
 
-def _bic(points: np.ndarray, assignments: np.ndarray, centroids: np.ndarray, k: int) -> float:
-    n, d = points.shape
+def _bic(
+    points: np.ndarray,
+    weights: np.ndarray,
+    assignments: np.ndarray,
+    centroids: np.ndarray,
+    k: int,
+    floor: float = 0.0,
+) -> float:
+    """BIC of weighted points: n is the total weight, and cluster sizes and
+    the SSE are weighted. The pooled variance is raised to ``floor``."""
+    n = float(weights.sum())
+    d = points.shape[1]
     if n == k:
         raise ComputationError("BIC undefined for n == k (variance estimate has 0 dof)")
-    sse = float(np.sum((points - centroids[assignments]) ** 2))
-    variance = sse / (n - k)
+    sse = _distortion(points, weights, centroids, assignments)
+    variance = max(sse / (n - k), floor)
     if variance <= 0.0:
         raise ComputationError("BIC degenerate: zero pooled variance")
-    sizes = np.bincount(assignments, minlength=k).astype(float)
+    sizes = np.bincount(assignments, weights=weights, minlength=k)
     log_likelihood = (
         float(np.sum(sizes * np.log(sizes)))
         - n * math.log(n)
         - n * d / 2.0 * math.log(2.0 * math.pi * variance)
-        - (n - k) / 2.0
+        - sse / (2.0 * variance)
     )
     return log_likelihood - (k * (d + 1) / 2.0) * math.log(n)
 
 
-def _safe_bic(points: np.ndarray, assignments: np.ndarray, centroids: np.ndarray, k: int) -> float:
+def _safe_bic(
+    points: np.ndarray,
+    weights: np.ndarray,
+    assignments: np.ndarray,
+    centroids: np.ndarray,
+    k: int,
+    floor: float = 0.0,
+) -> float:
     try:
-        return _bic(points, assignments, centroids, k)
+        return _bic(points, weights, assignments, centroids, k, floor)
     except ComputationError:
         return float("nan")
 
 
-def _principal_direction(points: np.ndarray) -> np.ndarray:
-    centered = points - points.mean(axis=0)
+def _principal_direction(points: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    mean = weights @ points / weights.sum()
+    centered = (points - mean) * np.sqrt(weights)[:, None]
     _, _, vt = np.linalg.svd(centered, full_matrices=False)
     direction = vt[0]
     pivot = int(np.argmax(np.abs(direction)))
@@ -338,51 +403,52 @@ def _principal_direction(points: np.ndarray) -> np.ndarray:
 
 def _try_split(
     members: np.ndarray,
+    weights: np.ndarray,
     centroid: np.ndarray,
     max_iter: int,
     restart_seed: tuple[int, ...],
+    floor: float,
     n_restarts: int = 3,
 ) -> np.ndarray | None:
-    """Local 2-means on one cluster; returns the two child centroids when the
-    split improves the local BIC, else None.
+    """Local weighted 2-means on one cluster of distinct points; returns the
+    two child centroids when the split improves the local BIC, else None.
 
     The first candidate seeding splits the centroid along the cluster's
     principal axis at +/- a fixed fraction of the radius; a few deterministic
     k-means++ restarts guard against its symmetric local optima, and the
-    lowest-distortion split enters the BIC comparison.
+    lowest-distortion split enters the BIC comparison; a zero-distortion
+    split ends the search. Both BICs floor the pooled variance at ``floor``.
     """
-    n = members.shape[0]
-    if n < 3:  # children need n - 2 >= 1 for their variance estimate
+    n = float(weights.sum())
+    if len(members) < 2 or n < 3:  # children need n - 2 >= 1 for their variance estimate
         return None
+    parent = np.zeros(len(members), dtype=int)
     try:
-        parent_bic = _bic(members, np.zeros(n, dtype=int), members.mean(axis=0)[None, :], 1)
+        parent_bic = _bic(members, weights, parent, (weights @ members / n)[None, :], 1, floor)
     except ComputationError:
-        return None  # zero-variance cluster: nothing to split
-    direction = _principal_direction(members)
+        return None  # zero variance: nothing to split
     radius = float(np.max(np.linalg.norm(members - centroid, axis=1)))
     if radius == 0.0:
         return None
-    offset = SPLIT_SEED_FRACTION * radius * direction
-    seedings = [np.stack([centroid + offset, centroid - offset])]
-    rng = np.random.default_rng(restart_seed)
-    seedings.extend(_kmeans_plusplus_init(members, 2, rng) for _ in range(n_restarts))
+    offset = SPLIT_SEED_FRACTION * radius * _principal_direction(members, weights)
+
+    def restarts():
+        rng = np.random.default_rng(restart_seed)
+        for _ in range(n_restarts):
+            yield _kmeans_plusplus_init(members, weights, 2, rng)
+
+    seedings = itertools.chain([np.stack([centroid + offset, centroid - offset])], restarts())
 
     best: tuple[float, np.ndarray, np.ndarray] | None = None
     for seeds in seedings:
-        assignments, centroids, _, _ = _lloyd(members, seeds, max_iter)
-        if len(np.unique(assignments)) < 2:
-            continue
-        distortion = _distortion(members, centroids, assignments)
+        assignments, centroids, _, _ = _lloyd(members, weights, seeds, max_iter)
+        distortion = _distortion(members, weights, centroids, assignments)
         if best is None or distortion < best[0]:
             best = (distortion, assignments, centroids)
-    if best is None:
-        return None
+        if distortion == 0.0:  # no restart can fit better
+            break
     _, assignments, centroids = best
-    try:
-        children_bic = _bic(members, assignments, centroids, 2)
-    except ComputationError:
-        return None
-    if children_bic > parent_bic:
+    if _bic(members, weights, assignments, centroids, 2, floor) > parent_bic:
         return centroids
     return None
 
@@ -396,11 +462,15 @@ def xmeans(
 ) -> ClusteringResult:
     """Grow k from k_min by BIC-accepted centroid splits, then refine globally.
 
-    Each round tries to split every current cluster with a local 2-means
+    X-means runs on the distinct rows, each weighted by its multiplicity, so
+    identical rows always share a cluster; k_min and k_max are clamped to the
+    number of distinct rows and the assignments are expanded back to every
+    row. Each round tries to split every current cluster with a local 2-means
     (principal-axis seeding plus deterministic restarts, see _try_split); a
-    split is kept iff the children's local BIC beats the parent's. Rounds end
-    when nothing splits or k reaches k_max, and every accepted round is
-    followed by a global Lloyd refinement pass.
+    split is kept iff the children's local BIC beats the parent's, with the
+    pooled variance floored at VARIANCE_FLOOR times the input's variance.
+    Rounds end when nothing splits or k reaches k_max, and every accepted
+    round is followed by a global Lloyd refinement pass.
     """
     points = np.asarray(points, dtype=float)
     n = points.shape[0]
@@ -409,22 +479,28 @@ def xmeans(
     if k_max > n:
         raise ComputationError(f"k_max={k_max} exceeds point count n={n}")
 
-    state = kmeans(points, k_min, seed=seed, max_iter=max_iter)
-    assignments, centroids = state.assignments, state.centroids
-    k = state.k
-    iterations = state.iterations
-    history = list(state.distortion_history)
+    distinct, weights, inverse = _collapse(points)
+    k_min = min(k_min, len(distinct))
+    k_max = min(k_max, len(distinct))
+    mean = weights @ distinct / n
+    floor = VARIANCE_FLOOR * float(weights @ ((distinct - mean) ** 2).sum(axis=1)) / n
+
+    rng = np.random.default_rng(seed)
+    centroids = _kmeans_plusplus_init(distinct, weights, k_min, rng)
+    assignments, centroids, iterations, history = _lloyd(distinct, weights, centroids, max_iter)
+    k = k_min
 
     round_index = 0
     while k < k_max:
         new_centroids: list[np.ndarray] = []
         split_count = 0
         for j in range(k):
-            members = points[assignments == j]
             children = None
             if k + split_count < k_max:
+                mask = assignments == j
                 children = _try_split(
-                    members, centroids[j], max_iter, restart_seed=(seed, round_index, j)
+                    distinct[mask], weights[mask], centroids[j], max_iter,
+                    restart_seed=(seed, round_index, j), floor=floor,
                 )
             if children is None:
                 new_centroids.append(centroids[j])
@@ -435,15 +511,17 @@ def xmeans(
             break
         k += split_count
         round_index += 1
-        assignments, centroids, its, hist = _lloyd(points, np.stack(new_centroids), max_iter)
+        assignments, centroids, its, hist = _lloyd(
+            distinct, weights, np.stack(new_centroids), max_iter
+        )
         iterations += its
         history.extend(hist)
 
     return ClusteringResult(
         k=k,
-        assignments=assignments,
+        assignments=assignments[inverse],
         centroids=centroids,
-        bic=_safe_bic(points, assignments, centroids, k),
+        bic=_safe_bic(distinct, weights, assignments, centroids, k, floor),
         iterations=iterations,
         seed=seed,
         distortion_history=tuple(history),

@@ -13,6 +13,7 @@ import os
 import random
 import shutil
 import time
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -29,6 +30,7 @@ from debatesum.pipeline import (
 )
 from debatesum.saliency import default_lexicons
 from debatesum.term_clustering import cluster_by_shared_term
+from debatesum import vector_clustering
 from debatesum.vector_clustering import (
     bic_score,
     build_similarity_matrix,
@@ -457,3 +459,41 @@ def test_criterion_6_invariant_suites(tmp_path):
            f"{len(checks)} checks, failing={failing or 'none'}, {elapsed:.1f}s")
     assert not failing
     assert elapsed < 120.0
+
+
+# ---------------------------------------------------------------------------
+# criterion 7: X-means on duplicate points
+# ---------------------------------------------------------------------------
+
+
+def test_criterion_7_duplicate_blobs(monkeypatch):
+    start = time.perf_counter()
+    rng = np.random.default_rng(7)
+    distinct = rng.normal(0.0, 5.0, size=(3, 4))
+    group = rng.permutation(np.repeat(np.arange(3), 10))
+    points = distinct[group]
+
+    lloyd_runs = []
+    lloyd = vector_clustering._lloyd
+
+    def recording_lloyd(*args):
+        result = lloyd(*args)
+        lloyd_runs.append((result[2], args[-1]))  # (iterations, max_iter)
+        return result
+
+    monkeypatch.setattr(vector_clustering, "_lloyd", recording_lloyd)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = xmeans(points, k_min=2, k_max=25, seed=0)
+    copies_together = all(
+        len(set(result.assignments[group == g].tolist())) == 1 for g in range(3)
+    )
+    exhausted = sum(1 for iterations, max_iter in lloyd_runs if iterations >= max_iter)
+    elapsed = time.perf_counter() - start
+    ok = result.k == 3 and copies_together and lloyd_runs and exhausted == 0
+    report(7, "duplicate blobs", ok,
+           f"k={result.k}, copies together={copies_together}, no RuntimeWarning, "
+           f"{exhausted}/{len(lloyd_runs)} Lloyd runs at max_iter, {elapsed:.2f}s")
+    assert result.k == 3
+    assert copies_together
+    assert lloyd_runs and exhausted == 0

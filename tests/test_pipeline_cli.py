@@ -1,5 +1,7 @@
 import json
+import math
 import shutil
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -113,6 +115,80 @@ class TestRunPipeline:
             run_pipeline(config)
         out = Path(config.output_dir)
         assert not out.exists() or not any(out.iterdir())
+
+
+# (text, planted term vector) per sentence: copies and proportional vectors repeat
+DUPLICATE_SENTENCES = {
+    "agree": [
+        ["Methane and permafrost matter.", "Drought is here.", "Wildfire and arctic news.",
+         "Methane methane and permafrost permafrost matter."],
+        ["Drought is here.", "Methane and permafrost matter.", "Drought and drought again.",
+         "Nothing relevant here.", "Wildfire and arctic news.", "Drought is here."],
+    ],
+    "disagree": [
+        ["Albedo is fine.", "Ozone and aerosol talk.", "Albedo is fine.", "Ozone and aerosol talk."],
+        ["Albedo albedo.", "Ozone and aerosol talk.", "Hurricane season.", "Hurricane season."],
+    ],
+}
+
+
+def duplicate_vector_config(tmp_path: Path) -> Path:
+    comments = []
+    for side, texts_per_comment in DUPLICATE_SENTENCES.items():
+        for texts in texts_per_comment:
+            cid = f"t1-c{len(comments) + 1}"
+            comments.append({
+                "id": cid,
+                "side": side,
+                "sentences": [
+                    {"id": f"{cid}-s{i + 1}", "position": i + 1, "text": text}
+                    for i, text in enumerate(texts)
+                ],
+            })
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps({"topics": [
+        {"id": "t1", "title": "Is the climate changing?", "comments": comments}
+    ]}), encoding="utf-8")
+    config = {
+        "corpus_path": str(corpus),
+        "gazetteer_path": str(SAMPLE_DIR / "gazetteer.txt"),
+        "synonyms_path": str(SAMPLE_DIR / "synonyms.tsv"),
+        "clustering_method": "xmeans",
+        "labeling_method": "mi",
+        "ratio": 1.0,
+        "output_dir": str(tmp_path / "out"),
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    return path
+
+
+class TestXmeansDuplicateVectors:
+    def test_copies_and_proportional_vectors_share_a_cluster(self, tmp_path):
+        config = load_config(duplicate_vector_config(tmp_path))
+        run_pipeline(config)
+        out = Path(config.output_dir)
+        clusters = read_json(out / "clusters.json")
+        annotations = read_json(out / "annotations.json")
+        terms = {
+            s["sentence_id"]: Counter(a["canonical"] for a in s["annotations"])
+            for t in annotations["topics"] for s in t["sentences"]
+        }
+        for side, side_doc in clusters["topics"][0]["sides"].items():
+            assert all(c["members"] for c in side_doc["clusters"]), side
+            cluster_of = {sid: j for j, c in enumerate(side_doc["clusters"]) for sid in c["members"]}
+            groups: dict = {}
+            for sid in cluster_of:
+                counts = terms[sid]
+                scale = math.gcd(*counts.values())
+                groups.setdefault(frozenset((t, n // scale) for t, n in counts.items()), []).append(sid)
+            assert any(len(g) > 1 for g in groups.values()), side
+            for group in groups.values():
+                assert len({cluster_of[sid] for sid in group}) == 1, group
+                assert len({tuple(side_doc["points"][sid]) for sid in group}) == 1, group
+        labels = read_json(out / "labels.json")
+        assert labels["clusters"]
+        assert all(e["label"] != "(unlabeled)" for e in labels["clusters"])
 
 
 class TestStageDocs:
@@ -295,6 +371,21 @@ class TestCli:
 
     def test_missing_config_file_exit_2(self, tmp_path, capsys):
         assert main(["pipeline", "--config", str(tmp_path / "nope.json")]) == 2
+
+    @pytest.mark.parametrize("key, value", [
+        ("ratio", "abc"),
+        ("k_min", None),
+        ("k_max", [3]),
+        ("feature", "XYZ"),
+        ("seed", -1),
+    ])
+    def test_malformed_config_value_exit_2(self, tmp_path, capsys, key, value):
+        config_path = make_config(tmp_path)
+        raw = json.loads(config_path.read_text())
+        raw[key] = value
+        config_path.write_text(json.dumps(raw))
+        assert main(["pipeline", "--config", str(config_path)]) == 2
+        assert key in capsys.readouterr().err
 
     def test_validation_error_exit_3(self, tmp_path, capsys):
         config_path = make_config(tmp_path)

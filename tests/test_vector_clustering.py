@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from debatesum.errors import ComputationError
 from debatesum.vector_clustering import (
@@ -316,3 +320,51 @@ class TestXmeans:
             xmeans(np.zeros((5, 2)), k_min=3, k_max=2, seed=0)
         with pytest.raises(ComputationError):
             xmeans(np.zeros((5, 2)), k_min=1, k_max=9, seed=0)
+
+
+@st.composite
+def duplicated_rows(draw):
+    """Distinct small-integer rows, each repeated 1-5 times, in shuffled order.
+    Returns (points, group) where group[i] names row i's distinct row."""
+    d = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * d), min_size=1, max_size=8, unique=True))
+    copies = draw(st.lists(st.integers(1, 5), min_size=len(rows), max_size=len(rows)))
+    group = [g for g, c in enumerate(copies) for _ in range(c)]
+    group = draw(st.permutations(group))
+    return np.array([rows[g] for g in group], dtype=float), np.array(group)
+
+
+class TestXmeansDuplicates:
+    @settings(max_examples=50, deadline=None, database=None)
+    @given(data=duplicated_rows(), seed=st.integers(0, 2**16), k_min=st.integers(1, 3))
+    def test_identical_rows_share_a_cluster(self, data, seed, k_min):
+        """Copies of a row always land in one cluster, no cluster is empty and
+        k never exceeds the distinct count.
+
+        Deliberately not checked: that duplicating every point leaves the
+        partition unchanged. Doubling n raises the BIC's (p/2) log n penalty
+        and the weight behind each split, so a correct weighted BIC may split
+        differently."""
+        points, group = data
+        n, distinct = len(points), len(set(group.tolist()))
+        k_min = min(k_min, n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = xmeans(points, k_min=k_min, k_max=min(8, n), seed=seed)
+        for g in set(group.tolist()):
+            assert len(set(result.assignments[group == g].tolist())) == 1
+        assert set(result.assignments.tolist()) == set(range(result.k))
+        assert result.k <= distinct
+        assert result.centroids.shape == (result.k, points.shape[1])
+
+    def test_collapse_keeps_first_occurrence_order(self):
+        from debatesum.vector_clustering import _collapse
+
+        points = np.array([[2.0, 0.0], [1.0, 1.0], [2.0, -0.0], [0.0, 5.0], [1.0, 1.0]])
+        distinct, weights, inverse = _collapse(points)
+        assert distinct.tolist() == [[2.0, 0.0], [1.0, 1.0], [0.0, 5.0]]
+        assert weights.tolist() == [2.0, 2.0, 1.0]
+        assert inverse.tolist() == [0, 1, 0, 2, 1]
+        unique_rows = np.arange(12.0).reshape(6, 2)
+        distinct, weights, _ = _collapse(unique_rows)
+        assert np.array_equal(distinct, unique_rows) and weights.tolist() == [1.0] * 6
