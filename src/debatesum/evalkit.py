@@ -58,9 +58,8 @@ def skip_bigram_counts(tokens: Sequence[str], max_skip: int = 4) -> Counter:
     max_skip = 0 reduces to ordinary bigrams.
     """
     counts: Counter = Counter()
-    for i in range(len(tokens)):
-        for j in range(i + 1, min(i + max_skip + 2, len(tokens))):
-            counts[(tokens[i], tokens[j])] += 1
+    for gap in range(1, max_skip + 2):
+        counts.update(zip(tokens, tokens[gap:]))
     return counts
 
 
@@ -71,7 +70,7 @@ def _su4_units(tokens: Sequence[str]) -> Counter:
 
 
 def _clipped_overlap(system: Counter, reference: Counter) -> int:
-    return sum(min(count, reference[gram]) for gram, count in system.items() if gram in reference)
+    return sum(min(system[gram], reference[gram]) for gram in system.keys() & reference.keys())
 
 
 def _score(system: Counter, reference: Counter, variant: RougeVariant) -> RougeScore:
@@ -84,26 +83,31 @@ def _score(system: Counter, reference: Counter, variant: RougeVariant) -> RougeS
     return RougeScore(variant=variant, recall=recall, precision=precision, f1=f1)
 
 
-def rouge(
-    system: Sequence[str],
-    references: Sequence[Sequence[str]],
+def rouge_units(tokens: Sequence[str], variant: RougeVariant) -> Counter:
+    """The units ROUGE counts for ``variant``: unigrams, bigrams, or SU4's
+    skip-bigrams plus unigrams."""
+    variant = RougeVariant(variant)
+    if variant is RougeVariant.R1:
+        return ngram_counts(tokens, 1)
+    if variant is RougeVariant.R2:
+        return ngram_counts(tokens, 2)
+    return _su4_units(tokens)
+
+
+def rouge_from_units(
+    system: Counter,
+    references: Sequence[Counter],
     variant: RougeVariant = RougeVariant.R1,
     aggregate: str = "mean",
 ) -> RougeScore:
-    """ROUGE score of a system token sequence against one or more references."""
+    """ROUGE score from unit counts made by ``rouge_units``, so a text scored
+    many times has its units counted once."""
     if not references:
         raise ComputationError("ROUGE needs at least one reference summary")
     if aggregate not in ("mean", "max"):
         raise ComputationError(f"unknown ROUGE aggregation {aggregate!r}")
     variant = RougeVariant(variant)
-    if variant is RougeVariant.R1:
-        units = lambda toks: ngram_counts(toks, 1)  # noqa: E731
-    elif variant is RougeVariant.R2:
-        units = lambda toks: ngram_counts(toks, 2)  # noqa: E731
-    else:
-        units = _su4_units
-    system_units = units(system)
-    scores = [_score(system_units, units(ref), variant) for ref in references]
+    scores = [_score(system, ref, variant) for ref in references]
     if aggregate == "max":
         return RougeScore(
             variant=variant,
@@ -117,6 +121,21 @@ def rouge(
         recall=sum(s.recall for s in scores) / k,
         precision=sum(s.precision for s in scores) / k,
         f1=sum(s.f1 for s in scores) / k,
+    )
+
+
+def rouge(
+    system: Sequence[str],
+    references: Sequence[Sequence[str]],
+    variant: RougeVariant = RougeVariant.R1,
+    aggregate: str = "mean",
+) -> RougeScore:
+    """ROUGE score of a system token sequence against one or more references."""
+    return rouge_from_units(
+        rouge_units(system, variant),
+        [rouge_units(ref, variant) for ref in references],
+        variant,
+        aggregate,
     )
 
 

@@ -28,6 +28,7 @@ import json
 import re
 from collections import Counter
 from dataclasses import asdict, dataclass, fields
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Mapping
 
@@ -47,7 +48,7 @@ from .assets import default_stopwords
 from .chart import AlignedPair, ChartSummary, build_chart, render_chart
 from .corpus import DebateTopic, Side, load_corpus, load_gold
 from .errors import ComputationError, ConfigError, DebatesumError, ParseError, ValidationError
-from .evalkit import RougeVariant, rouge, silhouette
+from .evalkit import RougeScore, RougeVariant, rouge_from_units, rouge_units, silhouette
 from .labeling import UNLABELED, mi_label, shared_term_label, tfidf_labels
 from .saliency import (
     Feature,
@@ -61,6 +62,10 @@ from .saliency import (
 )
 from .term_clustering import TermCluster, cluster_by_shared_term, merge_synonymous_clusters
 from .vector_clustering import build_similarity_matrix, build_term_vectors, pca_fit_transform, xmeans
+
+# Not called here: the ROUGE table scores from unit counts. It stays importable
+# from this module because bench/tracing.py wraps it by name on it.
+from .evalkit import rouge  # noqa: F401
 
 CLUSTER_METHODS = ("term", "xmeans")
 LABEL_METHODS = ("shared", "tfidf", "mi")
@@ -135,6 +140,10 @@ def load_config(path: str | Path, overrides: Mapping[str, object] | None = None)
 
     def _value(key: str, cast: Callable, default: object):
         value = merged.get(key, default)
+        if cast in (int, float) and isinstance(value, (bool, str)):
+            raise ConfigError(f"config key {key!r} must be a number, not {value!r}")
+        if cast is int and isinstance(value, float) and not value.is_integer():
+            raise ConfigError(f"config key {key!r} must be a whole number, not {value!r}")
         try:
             return cast(value)
         except (TypeError, ValueError) as exc:
@@ -187,31 +196,44 @@ def validate_config(config: PipelineConfig) -> None:
         raise ConfigError("seed must be >= 0")
 
 
-@dataclass
 class PipelineInputs:
-    corpus: list[DebateTopic]
-    gazetteer: Gazetteer
-    synonyms: SynonymTable
-    lexicons: Lexicons
-    gold: list | None = None
+    """What the stages read from the config's input files.
+
+    The gazetteer and synonym table load at once. The corpus, gold and
+    lexicons load on first access, so a stage that needs only the term tables
+    (cluster, align, eval silhouette) never parses the corpus. ``selection_cache``
+    holds ``comment_selections`` results for this corpus, which the select
+    stage and the ROUGE table share.
+    """
+
+    def __init__(self, config: PipelineConfig):
+        self.config = config
+        self.gazetteer = load_gazetteer(config.gazetteer_path)
+        self.synonyms = load_synonyms(config.synonyms_path)
+        self.selection_cache: dict = {}
+
+    @cached_property
+    def corpus(self) -> list[DebateTopic]:
+        return load_corpus(self.config.corpus_path)
+
+    @cached_property
+    def gold(self) -> list | None:
+        return load_gold(self.config.gold_path, self.corpus) if self.config.gold_path else None
+
+    @cached_property
+    def lexicons(self) -> Lexicons:
+        path = self.config.embeddings_path
+        return Lexicons(
+            conjunctive_adverbs=load_lexicon_terms(
+                Path(__file__).parent / "data" / "conjunctive_adverbs.txt"
+            ),
+            climate_terms=load_lexicon_terms(self.config.gazetteer_path),
+            embeddings=load_embeddings(path) if path else None,
+        )
 
 
 def load_inputs(config: PipelineConfig) -> PipelineInputs:
-    corpus = load_corpus(config.corpus_path)
-    gazetteer = load_gazetteer(config.gazetteer_path)
-    synonyms = load_synonyms(config.synonyms_path)
-    embeddings = load_embeddings(config.embeddings_path) if config.embeddings_path else None
-    lexicons = Lexicons(
-        conjunctive_adverbs=load_lexicon_terms(
-            Path(__file__).parent / "data" / "conjunctive_adverbs.txt"
-        ),
-        climate_terms=load_lexicon_terms(config.gazetteer_path),
-        embeddings=embeddings,
-    )
-    gold = load_gold(config.gold_path, corpus) if config.gold_path else None
-    return PipelineInputs(
-        corpus=corpus, gazetteer=gazetteer, synonyms=synonyms, lexicons=lexicons, gold=gold
-    )
+    return PipelineInputs(config)
 
 
 # ---------------------------------------------------------------------------
@@ -249,30 +271,64 @@ def compute_annotations(
     return {"seed": seed, "topics": topics}
 
 
+def _token_counts(topics: list[DebateTopic]) -> Counter:
+    return Counter(
+        t for topic in topics for c in topic.comments for s in c.sentences for t in s.tokens
+    )
+
+
 def topic_signatures_for(
     corpus: list[DebateTopic],
     topic: DebateTopic,
     threshold: float,
+    corpus_counts: Counter | None = None,
 ) -> list:
     """Leave-one-out topic signatures: this topic's tokens vs all other topics'.
 
-    A single-topic corpus has no background, which disables the feature
-    (empty signature list, COS_TPS scores 0).
+    The background is the corpus token counts minus this topic's, so passing
+    ``corpus_counts`` (``_token_counts(corpus)``) makes each call linear in
+    the topic's size. A single-topic corpus has no background, which disables
+    the feature (empty signature list, COS_TPS scores 0).
     """
-    foreground = [t for c in topic.comments for s in c.sentences for t in s.tokens]
-    background = [
-        t
-        for other in corpus
-        if other.id != topic.id
-        for c in other.comments
-        for s in c.sentences
-        for t in s.tokens
-    ]
+    if corpus_counts is None:
+        corpus_counts = _token_counts(corpus)
+    foreground = _token_counts([topic])
+    background = corpus_counts - foreground
     if not foreground or not background:
         return []
     return extract_topic_signatures(
         foreground, background, threshold=threshold, stopwords=default_stopwords()
     )
+
+
+def comment_selections(
+    corpus: list[DebateTopic],
+    lexicons: Lexicons,
+    ratio: float = 0.2,
+    signature_threshold: float = LLR_THRESHOLD_P001,
+    cache: dict | None = None,
+) -> dict[str, dict[Feature, tuple[str, ...]]]:
+    """comment id -> feature -> ids of the sentences the feature selects.
+
+    Each topic's signatures are computed once and each comment is scored
+    once; only the selected ids are kept. ``cache`` maps (ratio, threshold)
+    to earlier results for the same corpus and lexicons, and is filled here.
+    """
+    key = (ratio, signature_threshold)
+    if cache is not None and key in cache:
+        return cache[key]
+    corpus_counts = _token_counts(corpus)
+    selections = {}
+    for topic in corpus:
+        signatures = topic_signatures_for(corpus, topic, signature_threshold, corpus_counts)
+        for comment in topic.comments:
+            scores = score_comment(comment, topic, lexicons, signatures)
+            selections[comment.id] = {
+                f: tuple(select_salient(comment, scores, feature=f, ratio=ratio)) for f in Feature
+            }
+    if cache is not None:
+        cache[key] = selections
+    return selections
 
 
 def compute_salient(
@@ -282,17 +338,21 @@ def compute_salient(
     ratio: float = 0.2,
     signature_threshold: float = LLR_THRESHOLD_P001,
     seed: int = 0,
+    cache: dict | None = None,
 ) -> dict:
+    """Salient sentence ids per comment for ``feature``; ``cache`` as in
+    ``comment_selections``."""
+    selections = comment_selections(corpus, lexicons, ratio, signature_threshold, cache)
     topics = []
     for topic in corpus:
-        signatures = topic_signatures_for(corpus, topic, signature_threshold)
-        comments = []
-        for comment in topic.comments:
-            scores = score_comment(comment, topic, lexicons, signatures)
-            selected = select_salient(comment, scores, feature=feature, ratio=ratio)
-            comments.append(
-                {"comment_id": comment.id, "side": comment.side.value, "sentence_ids": selected}
-            )
+        comments = [
+            {
+                "comment_id": comment.id,
+                "side": comment.side.value,
+                "sentence_ids": list(selections[comment.id][feature]),
+            }
+            for comment in topic.comments
+        ]
         topics.append({"topic_id": topic.id, "comments": comments})
     return {"feature": feature.value, "ratio": ratio, "seed": seed, "topics": topics}
 
@@ -430,30 +490,31 @@ def _cluster_side_xmeans(
 
 
 def compute_clusters(
-    corpus: list[DebateTopic],
     annotations_doc: dict,
     salient_doc: dict,
     synonyms: SynonymTable,
     gazetteer: Gazetteer,
     config: PipelineConfig,
 ) -> dict:
+    """Clusters per topic and side of the salient sentences, topics in the
+    salient document's order (the corpus order), so no corpus is needed."""
     terms = _canonical_terms_by_sentence(annotations_doc)
     salient = _salient_by_topic_side(salient_doc)
     vocabulary = _vocabulary(gazetteer, synonyms)
     topics = []
-    for topic in corpus:
+    for topic_id, side_ids in salient.items():
         sides = {}
         for side in Side:
-            ids = salient.get(topic.id, {}).get(side.value, [])
+            ids = side_ids[side.value]
             if config.clustering_method == "term":
-                sides[side.value] = _cluster_side_term(topic.id, side, ids, terms, synonyms)
+                sides[side.value] = _cluster_side_term(topic_id, side, ids, terms, synonyms)
             else:
                 sides[side.value] = _cluster_side_xmeans(
-                    topic.id, side, ids, terms, vocabulary, config
+                    topic_id, side, ids, terms, vocabulary, config
                 )
         counts = {side.value: len(sides[side.value]["clusters"]) for side in Side}
         counts["pooled"] = sum(counts.values())
-        topics.append({"topic_id": topic.id, "sides": sides, "cluster_counts": counts})
+        topics.append({"topic_id": topic_id, "sides": sides, "cluster_counts": counts})
     return {
         "method": config.clustering_method,
         "seed": config.seed,
@@ -483,13 +544,13 @@ def dump_debug_matrices(
     vocabulary = _vocabulary(inputs.gazetteer, inputs.synonyms)
     out = Path(out_dir)
     written: list[Path] = []
-    for topic in inputs.corpus:
+    for topic_id, side_ids in salient.items():
         for side in Side:
-            ids = salient.get(topic.id, {}).get(side.value, [])
+            ids = side_ids[side.value]
             _, _, matrix, reduced = _side_space(ids, terms, vocabulary, config.variance_target)
             if matrix is None:
                 continue
-            slug = f"{slugify(topic.id)}_{side.value}"
+            slug = f"{slugify(topic_id)}_{side.value}"
             matrix_path = out / f"similarity_{slug}.json"
             write_json(matrix_path, similarity_to_jsonable(matrix))
             points_path = out / f"reduced_{slug}.json"
@@ -646,36 +707,48 @@ def compute_rouge_table(
     ratio: float = 0.2,
     signature_threshold: float = LLR_THRESHOLD_P001,
     aggregate: str = "mean",
+    cache: dict | None = None,
 ) -> dict:
-    """Per-feature ROUGE-1/2/SU4 against the gold selections (Table-1 shape)."""
+    """Per-feature ROUGE-1/2/SU4 against the gold selections (Table-1 shape).
+
+    Each reference's units are counted once per variant, and each distinct
+    selection of a comment is scored once per variant; every feature that
+    chose it gets that score. ``cache`` as in ``comment_selections``.
+    """
     gold_by_comment: dict[str, list[frozenset[str]]] = {}
     for annotation in gold:
         gold_by_comment.setdefault(annotation.comment_id, []).append(
             annotation.selected_sentence_ids
         )
+    selections = comment_selections(corpus, lexicons, ratio, signature_threshold, cache)
+
+    def tokens(comment, ids) -> list[str]:
+        return [t for s in comment.sentences if s.id in ids for t in s.tokens]
 
     table: dict[str, dict] = {}
     per_feature_scores: dict[Feature, dict[RougeVariant, list]] = {
         f: {v: [] for v in RougeVariant} for f in Feature
     }
     for topic in corpus:
-        signatures = topic_signatures_for(corpus, topic, signature_threshold)
         for comment in topic.comments:
             refs_ids = gold_by_comment.get(comment.id)
             if not refs_ids:
                 continue
-            references = [
-                [t for s in comment.sentences if s.id in ids for t in s.tokens]
-                for ids in refs_ids
-            ]
-            scores = score_comment(comment, topic, lexicons, signatures)
-            for feature in Feature:
-                selected = set(select_salient(comment, scores, feature=feature, ratio=ratio))
-                system = [t for s in comment.sentences if s.id in selected for t in s.tokens]
+            references = {
+                v: [rouge_units(tokens(comment, ids), v) for ids in refs_ids]
+                for v in RougeVariant
+            }
+            by_selection: dict[tuple[str, ...], dict[RougeVariant, RougeScore]] = {}
+            for feature, selected in selections[comment.id].items():
+                scores = by_selection.get(selected)
+                if scores is None:
+                    system = tokens(comment, set(selected))
+                    scores = by_selection[selected] = {
+                        v: rouge_from_units(rouge_units(system, v), references[v], v, aggregate)
+                        for v in RougeVariant
+                    }
                 for variant in RougeVariant:
-                    per_feature_scores[feature][variant].append(
-                        rouge(system, references, variant, aggregate=aggregate)
-                    )
+                    per_feature_scores[feature][variant].append(scores[variant])
     for feature in Feature:
         table[feature.value] = {}
         for variant in RougeVariant:
@@ -765,6 +838,7 @@ def compute_evaluation(
             inputs.lexicons,
             ratio=config.ratio,
             signature_threshold=config.signature_threshold,
+            cache=inputs.selection_cache,
         )
     silhouette_report = compute_silhouette_report(
         clusters_doc, annotations_doc, inputs.gazetteer, inputs.synonyms
@@ -868,7 +942,7 @@ class Stage:
     command: str  # CLI subcommand; names the stage in error messages
     artifact: str  # stem of the artifact it writes; the stage key
     needs: tuple[str, ...]  # earlier artifacts it reads
-    uses_inputs: bool  # whether it needs the corpus, lexicons and term tables
+    uses_inputs: bool  # whether it reads the config's input files (PipelineInputs)
     help: str
     compute: Callable[[PipelineConfig, PipelineInputs | None, dict], object]
 
@@ -882,12 +956,11 @@ STAGES = (
     Stage("select", "salient", (), True, "select salient sentences per comment",
           lambda config, inputs, docs: compute_salient(
               inputs.corpus, inputs.lexicons, config.feature, config.ratio,
-              config.signature_threshold, config.seed)),
+              config.signature_threshold, config.seed, inputs.selection_cache)),
     Stage("cluster", "clusters", ("annotations", "salient"), True,
           "cluster the salient sentences of each side",
           lambda config, inputs, docs: compute_clusters(
-              inputs.corpus, docs["annotations"], docs["salient"], inputs.synonyms,
-              inputs.gazetteer, config)),
+              docs["annotations"], docs["salient"], inputs.synonyms, inputs.gazetteer, config)),
     Stage("label", "labels", ("clusters", "annotations"), False, "label every cluster",
           lambda config, inputs, docs: compute_labels(
               docs["clusters"], docs["annotations"], config.labeling_method, config.seed)),
@@ -937,9 +1010,12 @@ def run_pipeline(config: PipelineConfig) -> dict:
     written artifacts are removed and the error propagates.
     """
     inputs = _stage("load", load_inputs, config)
+    # a full run parses every input file before the first stage, as the load stage
+    _stage("load", lambda: (inputs.corpus, inputs.lexicons, inputs.gold))
     docs: dict = {}
     for stage in STAGES:
         docs[stage.artifact] = _stage(stage.command, stage.compute, config, inputs, docs)
+    del inputs  # free the corpus and the shared selections before serializing
     artifacts: dict[str, bytes] = {}
     for stage in STAGES:
         artifacts.update(artifact_files(stage.artifact, docs[stage.artifact]))

@@ -23,6 +23,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -70,6 +71,16 @@ class Lexicons:
     conjunctive_adverbs: frozenset[tuple[str, ...]]
     climate_terms: frozenset[tuple[str, ...]]
     embeddings: dict[str, np.ndarray] | None = None
+
+    @cached_property
+    def climate_tokens(self) -> frozenset[str]:
+        """Every token of every climate term, built once per lexicon set."""
+        return frozenset(t for term in self.climate_terms for t in term)
+
+    @cached_property
+    def conjunctive_adverb_lengths(self) -> frozenset[int]:
+        """The distinct token counts of the conjunctive adverbs."""
+        return frozenset(len(entry) for entry in self.conjunctive_adverbs)
 
 
 @dataclass(frozen=True)
@@ -211,16 +222,13 @@ def extract_topic_signatures(
     return signatures
 
 
-def _set_cosine(token_counts: Counter, token_set: frozenset[str] | set[str]) -> float:
-    """Cosine between a term-frequency vector and the binary vector of a set."""
-    if not token_counts or not token_set:
+def _set_cosine(token_counts: Counter, norm: float, token_set: frozenset[str] | set[str]) -> float:
+    """Cosine between a term-frequency vector of Euclidean norm ``norm`` and
+    the binary vector of a set."""
+    if not token_counts or not token_set or norm == 0.0:
         return 0.0
     dot = sum(c for t, c in token_counts.items() if t in token_set)
-    norm_s = math.sqrt(sum(c * c for c in token_counts.values()))
-    norm_b = math.sqrt(len(token_set))
-    if norm_s == 0.0 or norm_b == 0.0:
-        return 0.0
-    return dot / (norm_s * norm_b)
+    return dot / (norm * math.sqrt(len(token_set)))
 
 
 def _mean_embedding(tokens: tuple[str, ...], embeddings: dict[str, np.ndarray]) -> np.ndarray | None:
@@ -230,8 +238,8 @@ def _mean_embedding(tokens: tuple[str, ...], embeddings: dict[str, np.ndarray]) 
     return np.mean(vecs, axis=0)
 
 
-def _starts_with_conjunctive_adverb(tokens: tuple[str, ...], lexicon: frozenset[tuple[str, ...]]) -> bool:
-    return any(tokens[: len(entry)] == entry for entry in lexicon)
+def _starts_with_conjunctive_adverb(tokens: tuple[str, ...], lexicons: Lexicons) -> bool:
+    return any(tokens[:k] in lexicons.conjunctive_adverbs for k in lexicons.conjunctive_adverb_lengths)
 
 
 def score_comment(
@@ -251,7 +259,7 @@ def score_comment(
     n = len(comment.sentences)
     title_tokens = frozenset(topic.title_tokens)
     signature_terms = frozenset(s.term for s in signatures)
-    climate_tokens = frozenset(t for term in lexicons.climate_terms for t in term)
+    climate_tokens = lexicons.climate_tokens
     embeddings = lexicons.embeddings
 
     title_emb = None
@@ -261,6 +269,7 @@ def score_comment(
     raws: dict[str, dict[Feature, float]] = {}
     for sentence in comment.sentences:
         counts = Counter(sentence.tokens)
+        norm = math.sqrt(sum(c * c for c in counts.values()))
         raw: dict[Feature, float] = {
             Feature.SP: 1.0 - (sentence.position - 1) / n,
             Feature.SL: float(len(sentence.tokens)),
@@ -269,12 +278,10 @@ def score_comment(
                 if title_tokens
                 else 0.0
             ),
-            Feature.CJ: float(
-                _starts_with_conjunctive_adverb(sentence.tokens, lexicons.conjunctive_adverbs)
-            ),
-            Feature.COS_TPS: _set_cosine(counts, signature_terms),
-            Feature.COS_CCTS: _set_cosine(counts, climate_tokens),
-            Feature.COS_TTS: _set_cosine(counts, title_tokens),
+            Feature.CJ: float(_starts_with_conjunctive_adverb(sentence.tokens, lexicons)),
+            Feature.COS_TPS: _set_cosine(counts, norm, signature_terms),
+            Feature.COS_CCTS: _set_cosine(counts, norm, climate_tokens),
+            Feature.COS_TTS: _set_cosine(counts, norm, title_tokens),
         }
         if embeddings is not None and title_emb is not None:
             sent_emb = _mean_embedding(sentence.tokens, embeddings)

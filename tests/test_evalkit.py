@@ -1,8 +1,12 @@
 import math
 import random
 
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from debatesum.errors import ComputationError
 from debatesum.evalkit import (
@@ -10,6 +14,8 @@ from debatesum.evalkit import (
     krippendorff_alpha,
     mann_whitney_u,
     rouge,
+    rouge_from_units,
+    rouge_units,
     silhouette,
     skip_bigram_counts,
 )
@@ -55,6 +61,15 @@ def rouge_oracle(system, reference, variant):
     precision = match / len(sys_units) if sys_units else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
     return recall, precision, f1
+
+
+def skip_bigram_oracle(tokens: list, max_skip: int) -> Counter:
+    """Every in-order pair at most ``max_skip`` words apart, one pair at a time."""
+    counts: Counter = Counter()
+    for i in range(len(tokens)):
+        for j in range(i + 1, min(i + max_skip + 2, len(tokens))):
+            counts[(tokens[i], tokens[j])] += 1
+    return counts
 
 
 def mann_whitney_pair_oracle(a, b):
@@ -130,6 +145,43 @@ class TestRouge:
                 assert score.recall == pytest.approx(recall, abs=1e-12)
                 assert score.precision == pytest.approx(precision, abs=1e-12)
                 assert score.f1 == pytest.approx(f1, abs=1e-12)
+
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(
+        tokens=st.lists(st.sampled_from("abcd"), max_size=14),
+        max_skip=st.integers(0, 6),
+    )
+    def test_skip_bigram_counts_match_nested_loop_oracle(self, tokens, max_skip):
+        assert skip_bigram_counts(tokens, max_skip) == skip_bigram_oracle(tokens, max_skip)
+        assert skip_bigram_counts(tuple(tokens), max_skip) == skip_bigram_oracle(tokens, max_skip)
+
+    @pytest.mark.parametrize("tokens", [[], ["a"]])
+    @pytest.mark.parametrize("max_skip", range(7))
+    def test_skip_bigram_counts_short_inputs(self, tokens, max_skip):
+        assert skip_bigram_counts(tokens, max_skip) == Counter()
+
+    def test_rouge_from_units_equals_rouge(self):
+        rng = random.Random(5)
+        vocab = list("abcdef")
+        for _ in range(100):
+            sys = [rng.choice(vocab) for _ in range(rng.randint(0, 10))]
+            refs = [[rng.choice(vocab) for _ in range(rng.randint(1, 10))] for _ in range(3)]
+            for variant in RougeVariant:
+                for aggregate in ("mean", "max"):
+                    assert rouge_from_units(
+                        rouge_units(sys, variant),
+                        [rouge_units(r, variant) for r in refs],
+                        variant,
+                        aggregate,
+                    ) == rouge(sys, refs, variant, aggregate)
+
+    def test_rouge_from_units_rejects_bad_arguments(self):
+        units = rouge_units(["a"], RougeVariant.R1)
+        with pytest.raises(ComputationError):
+            rouge_from_units(units, [], RougeVariant.R1)
+        with pytest.raises(ComputationError):
+            rouge_from_units(units, [units], RougeVariant.R1, aggregate="median")
 
 
 class TestSilhouette:

@@ -336,6 +336,28 @@ class TestCli:
         assert main(["label", "--config", str(config_path)]) == 3
         assert "clusters.json" in capsys.readouterr().err
 
+    def test_stages_that_need_no_corpus_do_not_parse_it(self, tmp_path):
+        config_path = make_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["pipeline", "--config", str(config_path)]) == 0
+        clusters = (out / "clusters.json").read_bytes()
+        (config_path.parent / "corpus.json").write_text("{", encoding="utf-8")
+        for argv in (["cluster", "--dump-matrix"], ["align"], ["eval", "silhouette"]):
+            assert main([*argv, "--config", str(config_path)]) == 0, argv
+        assert (out / "clusters.json").read_bytes() == clusters
+        for argv in (["annotate"], ["select"], ["eval", "rouge"], ["pipeline"]):
+            assert main([*argv, "--config", str(config_path)]) == 3, argv
+
+    def test_missing_corpus_exit_2_on_every_command(self, tmp_path):
+        config_path = make_config(tmp_path)
+        assert main(["pipeline", "--config", str(config_path)]) == 0
+        (config_path.parent / "corpus.json").unlink()
+        for argv in (
+            ["annotate"], ["select"], ["cluster"], ["label"], ["align"], ["chart"],
+            ["eval", "rouge"], ["eval", "silhouette"], ["pipeline"],
+        ):
+            assert main([*argv, "--config", str(config_path)]) == 2, argv
+
     def test_relative_out_resolves_against_working_directory(self, tmp_path, monkeypatch):
         config_path = make_config(tmp_path, output_dir="config_out")
         monkeypatch.chdir(tmp_path)
@@ -378,6 +400,9 @@ class TestCli:
         ("k_max", [3]),
         ("feature", "XYZ"),
         ("seed", -1),
+        ("k_max", 2.7),
+        ("ratio", True),
+        ("k_min", "3"),
     ])
     def test_malformed_config_value_exit_2(self, tmp_path, capsys, key, value):
         config_path = make_config(tmp_path)
