@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .errors import ComputationError
 
 

@@ -32,8 +32,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Callable, Mapping
 
-import numpy as np
-
+from ._numpy import np
 from .alignment import LabeledCluster, align_clusters
 from .annotate import (
     Gazetteer,

@@ -26,8 +26,7 @@ from enum import Enum
 from functools import cached_property
 from pathlib import Path
 
-import numpy as np
-
+from ._numpy import np
 from .assets import (
     default_conjunctive_adverbs_path,
     default_gazetteer_path,

@@ -25,8 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .annotate import Term
 from .errors import ComputationError
 
@@ -254,24 +253,31 @@ def _lloyd(
     max_iter: int,
 ) -> tuple[np.ndarray, np.ndarray, int, list[float]]:
     """Weighted Lloyd iterations to an assignment fixpoint; empty clusters
-    reseed to the point currently farthest from its own centroid."""
+    reseed to the point currently farthest from its own centroid.
+
+    Also stops when a pass returns the assignments and centroids it started
+    from (a reseed that the update and assignment undo): every later pass
+    would repeat it exactly, so the result is the one max_iter passes give."""
     k = centroids.shape[0]
     assignments = _assign(points, centroids)
     history: list[float] = []
     iterations = 0
     for _ in range(max_iter):
         iterations += 1
+        before = assignments.copy()
         # reseed empties before the mean update so every cluster stays nonempty
         _reseed_empties(points, centroids, assignments, k)
-        centroids = _centroids(points, weights, assignments, k)
-        new_assignments = _assign(points, centroids)
-        history.append(_distortion(points, weights, centroids, new_assignments))
-        if np.array_equal(new_assignments, assignments):
-            assignments = new_assignments
+        new_centroids = _centroids(points, weights, assignments, k)
+        new_assignments = _assign(points, new_centroids)
+        history.append(_distortion(points, weights, new_centroids, new_assignments))
+        done = np.array_equal(new_assignments, assignments) or (
+            np.array_equal(new_assignments, before) and np.array_equal(new_centroids, centroids)
+        )
+        centroids, assignments = new_centroids, new_assignments
+        if done:
             break
-        assignments = new_assignments
     if np.any(np.bincount(assignments, minlength=k) == 0):
-        # max_iter exhausted mid-cycle: repair so every cluster owns a point
+        # stopped in a cycle or at max_iter: repair so every cluster owns a point
         _reseed_empties(points, centroids, assignments, k)
         centroids = _centroids(points, weights, assignments, k)
         history.append(_distortion(points, weights, centroids, assignments))

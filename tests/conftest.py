@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import os
+import shutil
 from pathlib import Path
 
 import pytest
@@ -9,6 +11,12 @@ from debatesum.corpus import Comment, DebateTopic, Sentence, Side
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SAMPLE_DIR = REPO_ROOT / "data" / "sample"
+
+
+def src_env() -> dict:
+    """The environment for a fresh interpreter that imports this checkout's package."""
+    paths = [str(REPO_ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
 
 
 @pytest.fixture(scope="session")
@@ -62,3 +70,28 @@ def simple_topic_dict(
             }
         )
     return {"id": tid, "title": f"Title of {tid}", "comments": comments}
+
+
+def make_config(tmp_path: Path, **overrides) -> Path:
+    """Copy the sample inputs next to a fresh config so relative paths resolve."""
+    work = tmp_path / "inputs"
+    work.mkdir(exist_ok=True)
+    for name in ("corpus.json", "gold.json", "gazetteer.txt", "synonyms.tsv", "embeddings.txt"):
+        shutil.copy(SAMPLE_DIR / name, work / name)
+    config = {
+        "corpus_path": "corpus.json",
+        "gold_path": "gold.json",
+        "gazetteer_path": "gazetteer.txt",
+        "synonyms_path": "synonyms.tsv",
+        "embeddings_path": "embeddings.txt",
+        "feature": "SP",
+        "clustering_method": "xmeans",
+        "labeling_method": "mi",
+        "seed": 42,
+        "output_dir": str(tmp_path / "out"),
+    }
+    config.update(overrides)
+    config = {k: v for k, v in config.items() if v is not None}
+    path = work / "config.json"
+    path.write_text(json.dumps(config, indent=2), encoding="utf-8")
+    return path

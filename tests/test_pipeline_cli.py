@@ -10,32 +10,7 @@ from debatesum.cli import main
 from debatesum.errors import ConfigError
 from debatesum.pipeline import load_config, read_json, run_pipeline
 
-from conftest import SAMPLE_DIR
-
-
-def make_config(tmp_path: Path, **overrides) -> Path:
-    """Copy the sample inputs next to a fresh config so relative paths resolve."""
-    work = tmp_path / "inputs"
-    work.mkdir(exist_ok=True)
-    for name in ("corpus.json", "gold.json", "gazetteer.txt", "synonyms.tsv", "embeddings.txt"):
-        shutil.copy(SAMPLE_DIR / name, work / name)
-    config = {
-        "corpus_path": "corpus.json",
-        "gold_path": "gold.json",
-        "gazetteer_path": "gazetteer.txt",
-        "synonyms_path": "synonyms.tsv",
-        "embeddings_path": "embeddings.txt",
-        "feature": "SP",
-        "clustering_method": "xmeans",
-        "labeling_method": "mi",
-        "seed": 42,
-        "output_dir": str(tmp_path / "out"),
-    }
-    config.update(overrides)
-    config = {k: v for k, v in config.items() if v is not None}
-    path = work / "config.json"
-    path.write_text(json.dumps(config, indent=2), encoding="utf-8")
-    return path
+from conftest import SAMPLE_DIR, make_config
 
 
 EXPECTED_ARTIFACTS = (

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -232,6 +233,18 @@ class TestKmeans:
         points = np.vstack([np.zeros((30, 2)), np.ones((2, 2))])
         result = kmeans(points, k=4, seed=0)
         assert set(result.assignments.tolist()) == set(range(4))
+
+    def test_reseed_cycle_stops_with_the_max_iter_result(self):
+        # two empty clusters take a zero point each and lose it again to the tied
+        # first centroid: every pass repeats the last, so Lloyd stops at once and
+        # returns what running all 300 passes returns
+        points = np.vstack([np.zeros((30, 2)), np.ones((2, 2))])
+        result = kmeans(points, k=4, seed=0)
+        assert result.iterations < 300
+        assert result.assignments.tolist() == [2, 3] + [0] * 28 + [1, 1]
+        assert np.bincount(result.assignments).tolist() == [28, 2, 1, 1]
+        assert result.centroids.tolist() == [[0.0, 0.0], [1.0, 1.0], [0.0, 0.0], [0.0, 0.0]]
+        assert math.isnan(result.bic)
 
     def test_k_greater_than_n_rejected(self):
         with pytest.raises(ComputationError):
