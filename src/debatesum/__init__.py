@@ -70,7 +70,6 @@ from .saliency import (
     extract_topic_signatures,
     load_embeddings,
     score_comment,
-    score_features,
     select_salient,
 )
 from .term_clustering import TermCluster, cluster_by_shared_term, merge_synonymous_clusters

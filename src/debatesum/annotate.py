@@ -67,13 +67,12 @@ class Gazetteer:
         return None
 
 
-def load_gazetteer(path: str | Path) -> Gazetteer:
-    """Read a one-term-per-line lexicon file; '#' lines are comments.
+def load_lexicon_terms(path: str | Path) -> frozenset[Term]:
+    """Lexicon file: one (possibly multiword) entry per line, '#' comments.
 
-    Terms are tokenized and lowercased, duplicates collapse. An empty
-    gazetteer is an error: it would make every downstream stage vacuous.
+    Terms are tokenized and lowercased, duplicates collapse.
     """
-    terms: set[Term] = set()
+    terms = set()
     for line in Path(path).read_text(encoding="utf-8").splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
@@ -81,6 +80,14 @@ def load_gazetteer(path: str | Path) -> Gazetteer:
         term = _normalize_term(line)
         if term:
             terms.add(term)
+    return frozenset(terms)
+
+
+def load_gazetteer(path: str | Path) -> Gazetteer:
+    """Read a lexicon file (``load_lexicon_terms``) as a gazetteer. An empty
+    gazetteer is an error: it would make every downstream stage vacuous.
+    """
+    terms = load_lexicon_terms(path)
     if not terms:
         raise ValidationError(f"gazetteer file {path} contains no terms")
     return Gazetteer(terms)

@@ -31,7 +31,6 @@ from .pipeline import (
     check_artifact,
     compute_rouge_table,
     compute_silhouette_report,
-    dump_debug_matrices,
     load_config,
     load_inputs,
     read_json,
@@ -91,11 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
         if stage.command in METHOD_FLAGS:
             p.add_argument("--method", choices=METHOD_FLAGS[stage.command][1], default=None)
         _add_artifact_flags(p, stage.needs)
-        if stage.command == "cluster":
-            p.add_argument(
-                "--dump-matrix", action="store_true",
-                help="also write similarity matrices and reduced points per topic and side",
-            )
 
     p = sub.add_parser("eval", help=STAGE["evaluation"].help)
     eval_sub = p.add_subparsers(dest="metric", required=True)
@@ -142,9 +136,6 @@ def _run_stage(args: argparse.Namespace, stage: Stage, config: PipelineConfig, o
     for name, data in artifact_files(stage.artifact, stage.compute(config, inputs, docs)).items():
         (out / name).write_bytes(data)
         print(f"wrote {out / name}")
-    if getattr(args, "dump_matrix", False):
-        written = dump_debug_matrices(inputs, docs["annotations"], docs["salient"], config, out)
-        print(f"wrote {len(written)} matrix dumps to {out}")
     return EXIT_OK
 
 

@@ -11,7 +11,7 @@ Gold annotations (one selection per annotator per comment)::
     {"annotations": [{"annotator_id", "comment_id", "selected": [sentence ids]}]}
 
 Loaded structures are immutable values; everything downstream treats them as
-read-only and may share them across workers.
+read-only, so the stages of one run share them.
 """
 
 from __future__ import annotations

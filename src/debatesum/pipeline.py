@@ -26,8 +26,9 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+import sys
 from collections import Counter
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from functools import cached_property
 from pathlib import Path
 from typing import Callable, Mapping
@@ -40,10 +41,11 @@ from .annotate import (
     annotate_sentence,
     canonical_label,
     load_gazetteer,
+    load_lexicon_terms,
     load_synonyms,
     term_text,
 )
-from .assets import default_stopwords
+from .assets import default_conjunctive_adverbs_path, default_stopwords
 from .chart import AlignedPair, ChartSummary, build_chart, render_chart
 from .corpus import DebateTopic, Side, load_corpus, load_gold
 from .errors import ComputationError, ConfigError, DebatesumError, ParseError, ValidationError
@@ -55,7 +57,6 @@ from .saliency import (
     Lexicons,
     extract_topic_signatures,
     load_embeddings,
-    load_lexicon_terms,
     score_comment,
     select_salient,
 )
@@ -102,10 +103,30 @@ class PipelineConfig:
 _CONFIG_KEYS = {f.name for f in fields(PipelineConfig)}
 
 
+def _config_value(key: str, kind: str, value: object, base: Path):
+    """A file or flag value for the field ``key`` annotated ``kind``; a
+    relative path resolves against ``base``."""
+    if kind.startswith("Path"):
+        path = Path(str(value))
+        return path if path.is_absolute() else base / path
+    if kind == "str":
+        return str(value)
+    if kind in ("int", "float") and isinstance(value, (bool, str)):
+        raise ConfigError(f"config key {key!r} must be a number, not {value!r}")
+    if kind == "int" and isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"config key {key!r} must be a whole number, not {value!r}")
+    cast = {"int": int, "float": float, "Feature": lambda v: Feature(str(v).upper())}[kind]
+    try:
+        return cast(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config key {key!r} has an invalid value: {value!r}") from exc
+
+
 def load_config(path: str | Path, overrides: Mapping[str, object] | None = None) -> PipelineConfig:
     """Read a JSON config; relative paths resolve against the config file.
 
-    ``overrides`` (command-line flags) win over file values.
+    ``overrides`` (command-line flags) win over file values. A key that is
+    absent, or a path key that is null, takes its field's default.
     """
     path = Path(path)
     if not path.is_file():
@@ -124,48 +145,14 @@ def load_config(path: str | Path, overrides: Mapping[str, object] | None = None)
         if value is not None:
             merged[key] = value
 
-    base = path.parent
-
-    def _path(key: str, required: bool) -> Path | None:
-        value = merged.get(key)
-        if value is None:
-            if required:
-                raise ConfigError(f"config key {key!r} is required")
-            return None
-        p = Path(str(value))
-        if not p.is_absolute():
-            p = base / p
-        return p
-
-    def _value(key: str, cast: Callable, default: object):
-        value = merged.get(key, default)
-        if cast in (int, float) and isinstance(value, (bool, str)):
-            raise ConfigError(f"config key {key!r} must be a number, not {value!r}")
-        if cast is int and isinstance(value, float) and not value.is_integer():
-            raise ConfigError(f"config key {key!r} must be a whole number, not {value!r}")
-        try:
-            return cast(value)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"config key {key!r} has an invalid value: {value!r}") from exc
-
-    config = PipelineConfig(
-        corpus_path=_path("corpus_path", True),
-        gazetteer_path=_path("gazetteer_path", True),
-        synonyms_path=_path("synonyms_path", True),
-        output_dir=_path("output_dir", True),
-        gold_path=_path("gold_path", False),
-        embeddings_path=_path("embeddings_path", False),
-        feature=_value("feature", lambda v: Feature(str(v).upper()), "SP"),
-        ratio=_value("ratio", float, 0.2),
-        signature_threshold=_value("signature_threshold", float, LLR_THRESHOLD_P001),
-        clustering_method=str(merged.get("clustering_method", "xmeans")),
-        labeling_method=str(merged.get("labeling_method", "mi")),
-        alignment_threshold=_value("alignment_threshold", float, 0.6),
-        variance_target=_value("variance_target", float, 0.95),
-        k_min=_value("k_min", int, 2),
-        k_max=_value("k_max", int, 25),
-        seed=_value("seed", int, 0),
-    )
+    values = {}
+    for f in fields(PipelineConfig):  # f.type is the annotation's text
+        if f.name not in merged or (merged[f.name] is None and f.type.startswith("Path")):
+            if f.default is MISSING:
+                raise ConfigError(f"config key {f.name!r} is required")
+            continue
+        values[f.name] = _config_value(f.name, f.type, merged[f.name], path.parent)
+    config = PipelineConfig(**values)
     validate_config(config)
     return config
 
@@ -223,10 +210,8 @@ class PipelineInputs:
     def lexicons(self) -> Lexicons:
         path = self.config.embeddings_path
         return Lexicons(
-            conjunctive_adverbs=load_lexicon_terms(
-                Path(__file__).parent / "data" / "conjunctive_adverbs.txt"
-            ),
-            climate_terms=load_lexicon_terms(self.config.gazetteer_path),
+            conjunctive_adverbs=load_lexicon_terms(default_conjunctive_adverbs_path()),
+            climate_terms=self.gazetteer.terms,
             embeddings=load_embeddings(path) if path else None,
         )
 
@@ -524,40 +509,6 @@ def compute_clusters(
     }
 
 
-def dump_debug_matrices(
-    inputs: PipelineInputs,
-    annotations_doc: dict,
-    salient_doc: dict,
-    config: PipelineConfig,
-    out_dir: str | Path,
-) -> list[Path]:
-    """Write the cosine-similarity matrix and reduced points per (topic, side).
-
-    Debugging aid for the xmeans branch; files follow the
-    {"n", "labels", "values"} dump schema.
-    """
-    from .vector_clustering import points_to_jsonable, similarity_to_jsonable
-
-    terms = _canonical_terms_by_sentence(annotations_doc)
-    salient = _salient_by_topic_side(salient_doc)
-    vocabulary = _vocabulary(inputs.gazetteer, inputs.synonyms)
-    out = Path(out_dir)
-    written: list[Path] = []
-    for topic_id, side_ids in salient.items():
-        for side in Side:
-            ids = side_ids[side.value]
-            _, _, matrix, reduced = _side_space(ids, terms, vocabulary, config.variance_target)
-            if matrix is None:
-                continue
-            slug = f"{slugify(topic_id)}_{side.value}"
-            matrix_path = out / f"similarity_{slug}.json"
-            write_json(matrix_path, similarity_to_jsonable(matrix))
-            points_path = out / f"reduced_{slug}.json"
-            write_json(points_path, points_to_jsonable(matrix.labels, reduced))
-            written.extend((matrix_path, points_path))
-    return written
-
-
 def compute_labels(clusters_doc: dict, annotations_doc: dict, method: str, seed: int = 0) -> dict:
     if method not in LABEL_METHODS:
         raise ConfigError(f"labeling_method must be one of {LABEL_METHODS}")
@@ -705,7 +656,6 @@ def compute_rouge_table(
     lexicons: Lexicons,
     ratio: float = 0.2,
     signature_threshold: float = LLR_THRESHOLD_P001,
-    aggregate: str = "mean",
     cache: dict | None = None,
 ) -> dict:
     """Per-feature ROUGE-1/2/SU4 against the gold selections (Table-1 shape).
@@ -743,7 +693,7 @@ def compute_rouge_table(
                 if scores is None:
                     system = tokens(comment, set(selected))
                     scores = by_selection[selected] = {
-                        v: rouge_from_units(rouge_units(system, v), references[v], v, aggregate)
+                        v: rouge_from_units(rouge_units(system, v), references[v], v)
                         for v in RougeVariant
                     }
                 for variant in RougeVariant:
@@ -922,10 +872,40 @@ def _check_shape(value, shape, path: Path, where: str = "$") -> None:
         fail("has the wrong type")
 
 
+def _check_points(clusters_doc: dict, path: Path) -> None:
+    """Raise ValidationError unless, on every side with ``points``, each member
+    has a point: a list of finite numbers, as long as the side's other points."""
+    for topic in clusters_doc["topics"]:
+        for side in Side:
+            side_doc = topic["sides"][side.value]
+            if side_doc["points"] is None:
+                continue
+            length = None
+            for cluster in side_doc["clusters"]:
+                for sid in cluster["members"]:
+                    point = side_doc["points"].get(sid)
+                    # finite: NaN fails the comparison, and so does an int too large for a float
+                    if not isinstance(point, list) or not all(
+                        type(x) in (int, float) and abs(x) <= sys.float_info.max for x in point
+                    ):
+                        problem = f"has no point of finite numbers: {point!r}"
+                    elif length is not None and len(point) != length:
+                        problem = f"has a point of length {len(point)}, not {length}"
+                    else:
+                        length = len(point)
+                        continue
+                    raise ValidationError(
+                        f"malformed artifact {path}: member {sid!r} of "
+                        f"{topic['topic_id']}/{side.value} {problem}"
+                    )
+
+
 def check_artifact(doc, artifact: str, path: str | Path) -> None:
     """Raise ValidationError, naming ``path``, unless ``doc`` has the structure
     the stages read from the ``artifact`` document."""
     _check_shape(doc, _ARTIFACT_SHAPES[artifact], Path(path))
+    if artifact == "clusters":
+        _check_points(doc, Path(path))
 
 
 def slugify(name: str) -> str:

@@ -27,11 +27,12 @@ from functools import cached_property
 from pathlib import Path
 
 from ._numpy import np
+from .annotate import load_lexicon_terms
 from .assets import (
     default_conjunctive_adverbs_path,
     default_gazetteer_path,
 )
-from .corpus import Comment, DebateTopic, Sentence, salient_count, tokenize
+from .corpus import Comment, DebateTopic, salient_count
 from .errors import ComputationError, ParseError
 
 # chi-squared critical value (1 dof, p < 0.001); default signature cutoff
@@ -94,19 +95,6 @@ class FeatureVector:
         if feature is Feature.CB:
             return self.cb
         return self.raw[feature]
-
-
-def load_lexicon_terms(path: str | Path) -> frozenset[tuple[str, ...]]:
-    """Lexicon file: one (possibly multiword) entry per line, '#' comments."""
-    terms = set()
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        term = tuple(tokenize(line))
-        if term:
-            terms.add(term)
-    return frozenset(terms)
 
 
 def load_embeddings(path: str | Path) -> dict[str, np.ndarray]:
@@ -246,14 +234,12 @@ def score_comment(
     topic: DebateTopic,
     lexicons: Lexicons,
     signatures: list[TopicSignature],
-    cb_weights: dict[Feature, float] | None = None,
 ) -> dict[str, FeatureVector]:
     """Feature vectors for every sentence of a comment.
 
     Normalization is min-max within the comment; a feature constant across
     the comment normalizes to 0 everywhere. CB averages the normalized
-    features that are available (COS_STT only when embeddings are loaded);
-    ``cb_weights`` replaces the unweighted mean with a weighted one.
+    features that are available (COS_STT only when embeddings are loaded).
     """
     n = len(comment.sentences)
     title_tokens = frozenset(topic.title_tokens)
@@ -296,41 +282,22 @@ def score_comment(
         raws[sentence.id] = raw
 
     available = [f for f in BASE_FEATURES if f is not Feature.COS_STT or embeddings is not None]
-    weights = {f: 1.0 for f in available}
-    if cb_weights:
-        weights = {f: float(cb_weights.get(f, 0.0)) for f in available}
-        if sum(weights.values()) <= 0:
-            raise ComputationError("cb_weights must give positive total weight")
 
     lo = {f: min(raws[s.id][f] for s in comment.sentences) for f in BASE_FEATURES}
     hi = {f: max(raws[s.id][f] for s in comment.sentences) for f in BASE_FEATURES}
 
     vectors: dict[str, FeatureVector] = {}
-    total_weight = sum(weights.values())
     for sentence in comment.sentences:
         raw = raws[sentence.id]
         normalized = {}
         for f in BASE_FEATURES:
             span = hi[f] - lo[f]
             normalized[f] = (raw[f] - lo[f]) / span if span > 0 else 0.0
-        cb = sum(weights[f] * normalized[f] for f in available) / total_weight
+        cb = sum(normalized[f] for f in available) / len(available)
         vectors[sentence.id] = FeatureVector(
             sentence_id=sentence.id, raw=raw, normalized=normalized, cb=cb
         )
     return vectors
-
-
-def score_features(
-    sentence: Sentence,
-    comment: Comment,
-    topic: DebateTopic,
-    lexicons: Lexicons,
-    signatures: list[TopicSignature],
-) -> FeatureVector:
-    """Feature vector for one sentence (normalized against its comment)."""
-    if sentence.id not in {s.id for s in comment.sentences}:
-        raise ComputationError(f"sentence {sentence.id!r} is not part of comment {comment.id!r}")
-    return score_comment(comment, topic, lexicons, signatures)[sentence.id]
 
 
 def select_salient(

@@ -76,24 +76,6 @@ class ClusteringResult:
     distortion_history: tuple[float, ...] = ()
 
 
-def similarity_to_jsonable(matrix: SimilarityMatrix) -> dict:
-    """Debug-dump schema: {"n", "labels", "values"}."""
-    return {
-        "n": matrix.n,
-        "labels": list(matrix.labels),
-        "values": [[float(x) for x in row] for row in matrix.values],
-    }
-
-
-def points_to_jsonable(labels: Sequence[str], points: np.ndarray) -> dict:
-    """Reduced-points dump in the same shape as the similarity dump."""
-    return {
-        "n": len(labels),
-        "labels": list(labels),
-        "values": [[float(x) for x in row] for row in np.asarray(points, dtype=float)],
-    }
-
-
 def build_term_vectors(
     terms_by_sentence: Mapping[str, Sequence[Term]],
     vocabulary: Sequence[Term],

@@ -8,7 +8,7 @@ import pytest
 
 from debatesum.cli import main
 from debatesum.errors import ConfigError
-from debatesum.pipeline import load_config, read_json, run_pipeline
+from debatesum.pipeline import PipelineConfig, load_config, read_json, run_pipeline
 
 from conftest import SAMPLE_DIR, make_config
 
@@ -311,13 +311,32 @@ class TestCli:
         assert main(["label", "--config", str(config_path)]) == 3
         assert "clusters.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("point", [None, [math.nan, 0.0], [0.0], [True, 0.0]])
+    def test_member_without_usable_point_exit_3(self, tmp_path, capsys, point):
+        config_path = make_config(tmp_path)
+        assert main(["pipeline", "--config", str(config_path)]) == 0
+        clusters = tmp_path / "out" / "clusters.json"
+        doc = read_json(clusters)
+        side = doc["topics"][0]["sides"]["agree"]
+        assert len(side["clusters"]) >= 2  # so that the silhouette reads the points
+        member = side["clusters"][-1]["members"][-1]  # checked last
+        if point is None:
+            del side["points"][member]
+        else:
+            side["points"][member] = point
+        clusters.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["eval", "silhouette", "--config", str(config_path)]) == 3
+        err = capsys.readouterr().err
+        assert "clusters.json" in err and member in err
+
     def test_stages_that_need_no_corpus_do_not_parse_it(self, tmp_path):
         config_path = make_config(tmp_path)
         out = tmp_path / "out"
         assert main(["pipeline", "--config", str(config_path)]) == 0
         clusters = (out / "clusters.json").read_bytes()
         (config_path.parent / "corpus.json").write_text("{", encoding="utf-8")
-        for argv in (["cluster", "--dump-matrix"], ["align"], ["eval", "silhouette"]):
+        for argv in (["cluster"], ["align"], ["eval", "silhouette"]):
             assert main([*argv, "--config", str(config_path)]) == 0, argv
         assert (out / "clusters.json").read_bytes() == clusters
         for argv in (["annotate"], ["select"], ["eval", "rouge"], ["pipeline"]):
@@ -343,20 +362,6 @@ class TestCli:
         assert main(["annotate", "--config", str(config_path)]) == 0
         assert (config_path.parent / "config_out" / "annotations.json").is_file()
 
-    def test_cluster_dump_matrix_flag(self, tmp_path):
-        config_path = make_config(tmp_path)
-        assert main(["annotate", "--config", str(config_path)]) == 0
-        assert main(["select", "--config", str(config_path)]) == 0
-        assert main(["cluster", "--config", str(config_path), "--dump-matrix"]) == 0
-        out = tmp_path / "out"
-        dumps = sorted(p.name for p in out.glob("similarity_*.json"))
-        assert dumps, "expected similarity dumps"
-        doc = read_json(out / dumps[0])
-        assert set(doc) == {"n", "labels", "values"}
-        assert len(doc["values"]) == doc["n"]
-        reduced = sorted(p.name for p in out.glob("reduced_*.json"))
-        assert len(reduced) == len(dumps)
-
     def test_cluster_counts_reported_per_side_and_pooled(self, tmp_path):
         config = load_config(make_config(tmp_path))
         run_pipeline(config)
@@ -365,6 +370,35 @@ class TestCli:
             counts = topic["cluster_counts"]
             assert counts["pooled"] == counts["agree"] + counts["disagree"]
             assert counts["agree"] == len(topic["sides"]["agree"]["clusters"])
+
+    def test_config_of_required_paths_takes_every_default(self, tmp_path):
+        config_path = make_config(tmp_path, output_dir="out")
+        raw = json.loads(config_path.read_text())
+        required = ("corpus_path", "gazetteer_path", "synonyms_path", "output_dir")
+        config_path.write_text(json.dumps({key: raw[key] for key in required}))
+        base = config_path.parent
+        config = load_config(config_path)
+        assert config == PipelineConfig(
+            base / "corpus.json", base / "gazetteer.txt", base / "synonyms.tsv", base / "out"
+        )
+        assert config.echo() == {
+            "corpus_path": str(base / "corpus.json"),
+            "gazetteer_path": str(base / "gazetteer.txt"),
+            "synonyms_path": str(base / "synonyms.tsv"),
+            "output_dir": str(base / "out"),
+            "gold_path": None,
+            "embeddings_path": None,
+            "feature": "SP",
+            "ratio": 0.2,
+            "signature_threshold": 10.83,
+            "clustering_method": "xmeans",
+            "labeling_method": "mi",
+            "alignment_threshold": 0.6,
+            "variance_target": 0.95,
+            "k_min": 2,
+            "k_max": 25,
+            "seed": 0,
+        }
 
     def test_missing_config_file_exit_2(self, tmp_path, capsys):
         assert main(["pipeline", "--config", str(tmp_path / "nope.json")]) == 2

@@ -18,7 +18,6 @@ from debatesum.saliency import (
     load_embeddings,
     log_likelihood_ratio,
     score_comment,
-    score_features,
     select_salient,
 )
 
@@ -189,26 +188,6 @@ class TestScoreFeatures:
             if f not in (Feature.CB, Feature.COS_STT)
         ) / 7
         assert scores["c1-s1"].cb == pytest.approx(expected)
-
-    def test_cb_weights(self):
-        comment = make_comment("c1", Side.AGREE, ["global warming here", "short"])
-        topic = make_topic("t1", "global warming", [comment])
-        weighted = score_comment(
-            comment, topic, plain_lexicons(), [], cb_weights={Feature.TT: 1.0}
-        )
-        # with all weight on TT, CB equals normalized TT
-        for fv in weighted.values():
-            assert fv.cb == pytest.approx(fv.normalized[Feature.TT])
-        with pytest.raises(ComputationError):
-            score_comment(comment, topic, plain_lexicons(), [], cb_weights={Feature.SP: 0.0})
-
-    def test_score_features_single_sentence_view(self):
-        comment, topic = self.make_simple()
-        fv = score_features(comment.sentences[0], comment, topic, plain_lexicons(), [])
-        assert fv.sentence_id == "c1-s1"
-        with pytest.raises(ComputationError):
-            stranger = make_comment("cX", Side.AGREE, ["foreign"]).sentences[0]
-            score_features(stranger, comment, topic, plain_lexicons(), [])
 
 
 class TestSelectSalient:

@@ -5,11 +5,12 @@ round: a token-list background per topic, and ``rouge()`` on every
 (feature, variant) pair with every comment scored again.
 """
 
+import json
 from collections import Counter
 
 import pytest
 
-from conftest import SAMPLE_DIR, make_comment, make_topic
+from conftest import SAMPLE_DIR, make_comment, make_topic, simple_topic_dict, write_corpus_json
 
 import debatesum.pipeline as pipeline
 from debatesum.assets import default_stopwords
@@ -20,6 +21,7 @@ from debatesum.pipeline import (
     compute_rouge_table,
     compute_salient,
     load_config,
+    load_inputs,
     run_pipeline,
     topic_signatures_for,
 )
@@ -214,3 +216,24 @@ def test_compute_salient_matches_per_feature_selection(feature):
         for comment, comment_doc in zip(topic.comments, topic_doc["comments"]):
             vectors = score_comment(comment, topic, lexicons, signatures)
             assert comment_doc["sentence_ids"] == select_salient(comment, vectors, feature=feature)
+
+
+def test_cos_ccts_reads_the_config_gazetteer(tmp_path):
+    """COS_CCTS scores against the config's gazetteer, not the packaged term list."""
+    (tmp_path / "gazetteer.txt").write_text("zorblax\n", encoding="utf-8")
+    (tmp_path / "synonyms.tsv").write_text("", encoding="utf-8")
+    topic = simple_topic_dict(n_comments=1, n_sentences=3)
+    topic["comments"][0]["sentences"][1]["text"] = "The zorblax grows."
+    write_corpus_json(tmp_path / "corpus.json", [topic])
+    (tmp_path / "config.json").write_text(json.dumps({
+        "corpus_path": "corpus.json", "gazetteer_path": "gazetteer.txt",
+        "synonyms_path": "synonyms.tsv", "output_dir": "out",
+    }))
+    inputs = load_inputs(load_config(tmp_path / "config.json"))
+    assert ("zorblax",) not in default_lexicons().climate_terms
+    comment = inputs.corpus[0].comments[0]
+    scores = score_comment(comment, inputs.corpus[0], inputs.lexicons, [])
+    assert scores["t1-c1-s2"].raw[Feature.COS_CCTS] > 0.0
+    # one of three sentences is selected; with every score 0 it would be the first
+    doc = compute_salient(inputs.corpus, inputs.lexicons, Feature.COS_CCTS, ratio=0.2)
+    assert doc["topics"][0]["comments"][0]["sentence_ids"] == ["t1-c1-s2"]

@@ -15,8 +15,6 @@ from debatesum.vector_clustering import (
     cosine,
     kmeans,
     pca_fit_transform,
-    points_to_jsonable,
-    similarity_to_jsonable,
     xmeans,
 )
 
@@ -104,17 +102,6 @@ class TestSimilarityMatrix:
     def test_fewer_than_two_rejected(self):
         with pytest.raises(ComputationError):
             build_similarity_matrix(self.vectors([[1, 2]]))
-
-    def test_dump_schema(self):
-        m = build_similarity_matrix(self.vectors([[1, 0], [0, 1], [1, 1]]))
-        doc = similarity_to_jsonable(m)
-        assert set(doc) == {"n", "labels", "values"}
-        assert doc["n"] == 3
-        assert doc["labels"] == ["s0", "s1", "s2"]
-        assert len(doc["values"]) == 3 and len(doc["values"][0]) == 3
-        points = points_to_jsonable(m.labels, np.zeros((3, 2)))
-        assert set(points) == {"n", "labels", "values"}
-        assert points["values"] == [[0.0, 0.0]] * 3
 
 
 class TestPca:
