@@ -9,7 +9,8 @@ after the artifact (``--clusters``, ``--labels``, ...), and writes its own,
 so the pipeline can be driven step by step or in one go with ``pipeline``.
 
 Exit codes: 0 success, 2 config error (also a missing artifact), 3 data
-validation error (also a malformed artifact), 4 computation error.
+validation error (also a malformed or inconsistent artifact), 4 computation
+error.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .pipeline import (
     Stage,
     artifact_files,
     check_artifact,
+    check_consistency,
     compute_rouge_table,
     compute_silhouette_report,
     load_config,
@@ -119,14 +121,16 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
 def _read_needs(args: argparse.Namespace, config: PipelineConfig, needs: tuple[str, ...]) -> dict:
     """Artifact stem -> document, from its flag's path or the output directory.
 
-    A missing file is a ConfigError, bad JSON a ParseError and a wrong
-    structure a ValidationError, each naming the file.
+    A missing file is a ConfigError, bad JSON a ParseError, and a wrong
+    structure or documents that disagree (``check_consistency``) a
+    ValidationError, each naming the file.
     """
-    docs = {}
+    docs, paths = {}, {}
     for name in needs:
-        path = getattr(args, name) or Path(config.output_dir) / f"{name}.json"
+        path = paths[name] = getattr(args, name) or Path(config.output_dir) / f"{name}.json"
         docs[name] = read_json(path)
         check_artifact(docs[name], name, path)
+    check_consistency(docs, paths)
     return docs
 
 

@@ -72,13 +72,16 @@ def _clipped_overlap(system: Counter, reference: Counter) -> int:
     return sum(min(system[gram], reference[gram]) for gram in system.keys() & reference.keys())
 
 
-def _score(system: Counter, reference: Counter, variant: RougeVariant) -> RougeScore:
-    match = _clipped_overlap(system, reference)
-    total_ref = sum(reference.values())
-    total_sys = sum(system.values())
+def _recall_precision_f1(match: int, total_sys: int, total_ref: int) -> tuple[float, float, float]:
     recall = match / total_ref if total_ref else 0.0
     precision = match / total_sys if total_sys else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    return recall, precision, f1
+
+
+def _mean_score(variant: RougeVariant, scores: Sequence[tuple[float, float, float]]) -> RougeScore:
+    """The mean over references of (recall, precision, f1) triples."""
+    recall, precision, f1 = (sum(column) / len(scores) for column in zip(*scores))
     return RougeScore(variant=variant, recall=recall, precision=precision, f1=f1)
 
 
@@ -106,21 +109,14 @@ def rouge_from_units(
     if aggregate not in ("mean", "max"):
         raise ComputationError(f"unknown ROUGE aggregation {aggregate!r}")
     variant = RougeVariant(variant)
-    scores = [_score(system, ref, variant) for ref in references]
+    total_sys = sum(system.values())
+    scores = [
+        _recall_precision_f1(_clipped_overlap(system, ref), total_sys, sum(ref.values()))
+        for ref in references
+    ]
     if aggregate == "max":
-        return RougeScore(
-            variant=variant,
-            recall=max(s.recall for s in scores),
-            precision=max(s.precision for s in scores),
-            f1=max(s.f1 for s in scores),
-        )
-    k = len(scores)
-    return RougeScore(
-        variant=variant,
-        recall=sum(s.recall for s in scores) / k,
-        precision=sum(s.precision for s in scores) / k,
-        f1=sum(s.f1 for s in scores) / k,
-    )
+        return RougeScore(variant, *(max(s[i] for s in scores) for i in range(3)))
+    return _mean_score(variant, scores)
 
 
 def rouge(
@@ -136,6 +132,56 @@ def rouge(
         variant,
         aggregate,
     )
+
+
+def _unit_keys(ids: np.ndarray, rows: np.ndarray, vocab_size: int):
+    """int64 keys of every variant's units and the sequence each comes from.
+
+    A token pair (a, b) is a * vocab_size + b and an SU4 unigram
+    vocab_size**2 + id, so one variant's keys lie below ``span``; variant t
+    (in ``RougeVariant`` order) adds t * span. Returns ``(keys, rows, span)``.
+    """
+    span = vocab_size * (vocab_size + 1)
+    pairs, pair_rows = [], []
+    for gap in range(1, 6):
+        same = rows[:-gap] == rows[gap:]  # both tokens in one sequence
+        pairs.append(ids[:-gap][same] * vocab_size + ids[gap:][same])
+        pair_rows.append(rows[:-gap][same])
+    unigrams = ids + (2 * span + vocab_size * vocab_size)
+    keys = [ids, pairs[0] + span, *(k + 2 * span for k in pairs), unigrams]
+    return np.concatenate(keys), np.concatenate([rows, pair_rows[0], *pair_rows, rows]), span
+
+
+def rouge_batch(
+    ids: np.ndarray, rows: np.ndarray, n_rows: int, n_systems: int, vocab_size: int
+) -> dict[RougeVariant, list[RougeScore]]:
+    """Mean ROUGE of each of the first ``n_systems`` of ``n_rows`` token
+    sequences against every later one, per variant: what ``rouge`` gives.
+
+    ``ids`` (int64) holds the sequences' token ids, each below ``vocab_size``,
+    one sequence after another; ``rows`` (int64) the sequence of each.
+    """
+    keys, key_rows, span = _unit_keys(ids, rows, vocab_size)
+    units, inverse = np.unique(keys, return_inverse=True)
+    counts = np.bincount(
+        key_rows * len(units) + inverse, minlength=n_rows * len(units)
+    ).reshape(n_rows, len(units))
+    minima = np.minimum(counts[:n_systems, None], counts[None, n_systems:])
+    # units sort by variant: each variant's units are one run of columns
+    bounds = np.searchsorted(units, [0, span, 2 * span, 3 * span]).tolist()
+    out = {}
+    for variant, lo, hi in zip(RougeVariant, bounds, bounds[1:]):
+        match = minima[..., lo:hi].sum(-1).tolist()
+        totals = counts[:, lo:hi].sum(1).tolist()
+        ref_totals = totals[n_systems:]
+        out[variant] = [
+            _mean_score(variant, [
+                _recall_precision_f1(m, total_sys, total_ref)
+                for m, total_ref in zip(matches, ref_totals)
+            ])
+            for matches, total_sys in zip(match, totals)
+        ]
+    return out
 
 
 def _distance_matrix(points: np.ndarray, metric: str) -> np.ndarray:
@@ -171,22 +217,23 @@ def silhouette(
         raise ComputationError("silhouette undefined for k = 1")
     distances = _distance_matrix(points, metric)
 
-    per_point = []
-    for i in range(points.shape[0]):
-        own = assignments == assignments[i]
-        own_size = int(own.sum())
-        if own_size == 1:
-            per_point.append(0.0)
-            continue
-        a = float(distances[i, own].sum() - distances[i, i]) / (own_size - 1)
-        b = min(
-            float(distances[i, assignments == other].mean())
-            for other in labels
-            if other != assignments[i]
-        )
-        denom = max(a, b)
-        per_point.append((b - a) / denom if denom > 0 else 0.0)
-    return SilhouetteReport(per_point=tuple(per_point), mean=float(np.mean(per_point)))
+    # Each cluster's columns are copied to a C-contiguous block: its row sums
+    # then add in the order a 1-D sum of one row's members does, where the
+    # strided block that the mask gives can round differently.
+    own = np.searchsorted(labels, assignments)
+    sizes = np.bincount(own)
+    sums = np.stack([
+        np.ascontiguousarray(distances[:, assignments == label]).sum(axis=1) for label in labels
+    ])
+    n = points.shape[0]
+    everyone = np.arange(n)
+    a = (sums[own, everyone] - distances[everyone, everyone]) / np.maximum(sizes[own] - 1, 1)
+    means = sums / sizes[:, None]
+    means[own, everyone] = np.inf  # b is the nearest other cluster
+    b = means.min(axis=0)
+    denom = np.maximum(a, b)
+    per_point = np.divide(b - a, denom, out=np.zeros(n), where=(sizes[own] > 1) & (denom > 0))
+    return SilhouetteReport(per_point=tuple(per_point.tolist()), mean=float(np.mean(per_point)))
 
 
 def mann_whitney_u(sample_a: Sequence[float], sample_b: Sequence[float]) -> MannWhitneyResult:

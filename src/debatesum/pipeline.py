@@ -49,7 +49,7 @@ from .assets import default_conjunctive_adverbs_path, default_stopwords
 from .chart import AlignedPair, ChartSummary, build_chart, render_chart
 from .corpus import DebateTopic, Side, load_corpus, load_gold
 from .errors import ComputationError, ConfigError, DebatesumError, ParseError, ValidationError
-from .evalkit import RougeScore, RougeVariant, rouge_from_units, rouge_units, silhouette
+from .evalkit import RougeVariant, rouge_batch, silhouette
 from .labeling import UNLABELED, mi_label, shared_term_label, tfidf_labels
 from .saliency import (
     Feature,
@@ -660,9 +660,9 @@ def compute_rouge_table(
 ) -> dict:
     """Per-feature ROUGE-1/2/SU4 against the gold selections (Table-1 shape).
 
-    Each reference's units are counted once per variant, and each distinct
-    selection of a comment is scored once per variant; every feature that
-    chose it gets that score. ``cache`` as in ``comment_selections``.
+    Each comment's distinct selections and references are scored in one
+    batch (``rouge_batch``); every feature that chose a selection gets its
+    score. ``cache`` as in ``comment_selections``.
     """
     gold_by_comment: dict[str, list[frozenset[str]]] = {}
     for annotation in gold:
@@ -670,9 +670,6 @@ def compute_rouge_table(
             annotation.selected_sentence_ids
         )
     selections = comment_selections(corpus, lexicons, ratio, signature_threshold, cache)
-
-    def tokens(comment, ids) -> list[str]:
-        return [t for s in comment.sentences if s.id in ids for t in s.tokens]
 
     table: dict[str, dict] = {}
     per_feature_scores: dict[Feature, dict[RougeVariant, list]] = {
@@ -683,21 +680,25 @@ def compute_rouge_table(
             refs_ids = gold_by_comment.get(comment.id)
             if not refs_ids:
                 continue
-            references = {
-                v: [rouge_units(tokens(comment, ids), v) for ids in refs_ids]
-                for v in RougeVariant
-            }
-            by_selection: dict[tuple[str, ...], dict[RougeVariant, RougeScore]] = {}
+            vocab: dict[str, int] = {}
+            ids = np.array(
+                [vocab.setdefault(t, len(vocab)) for s in comment.sentences for t in s.tokens],
+                dtype=np.int64,
+            )
+            distinct = list(dict.fromkeys(selections[comment.id].values()))
+            # sequence x sentence membership, spread to a sequence x token mask
+            mask = np.repeat(
+                [[s.id in chosen for s in comment.sentences]
+                 for chosen in [*map(set, distinct), *refs_ids]],
+                [len(s.tokens) for s in comment.sentences],
+                axis=1,
+            )
+            rows, positions = np.nonzero(mask)
+            scores = rouge_batch(ids[positions], rows, len(mask), len(distinct), len(vocab))
+            index = {selected: i for i, selected in enumerate(distinct)}
             for feature, selected in selections[comment.id].items():
-                scores = by_selection.get(selected)
-                if scores is None:
-                    system = tokens(comment, set(selected))
-                    scores = by_selection[selected] = {
-                        v: rouge_from_units(rouge_units(system, v), references[v], v)
-                        for v in RougeVariant
-                    }
-                for variant in RougeVariant:
-                    per_feature_scores[feature][variant].append(scores[variant])
+                for variant, batch in scores.items():
+                    per_feature_scores[feature][variant].append(batch[index[selected]])
     for feature in Feature:
         table[feature.value] = {}
         for variant in RougeVariant:
@@ -737,28 +738,22 @@ def compute_silhouette_report(
             clusters = side_doc["clusters"]
             if len(clusters) < 2:
                 continue
+            members = [sid for c in clusters for sid in c["members"]]
+            assignments = [j for j, c in enumerate(clusters) for _ in c["members"]]
             if method == "term":
-                points = []
-                assignments = []
-                for j, c in enumerate(clusters):
-                    for sid in c["members"]:
-                        row = np.zeros(len(vocabulary))
-                        for t in terms.get(sid, []):
-                            i = index.get(tuple(t))
-                            if i is not None:
-                                row[i] += 1.0
-                        points.append(row)
-                        assignments.append(j)
-                report = silhouette(np.stack(points), assignments, metric="cosine_distance")
+                # one row per membership: its (row, term) cells counted into one matrix
+                width = len(vocabulary)
+                cells = [
+                    i * width + index[t]
+                    for i, sid in enumerate(members)
+                    for t in terms.get(sid, [])
+                    if t in index
+                ]
+                points = np.bincount(cells, minlength=len(members) * width).reshape(-1, width)
+                report = silhouette(points.astype(float), assignments, metric="cosine_distance")
             else:
-                point_map = side_doc["points"]
-                points = []
-                assignments = []
-                for j, c in enumerate(clusters):
-                    for sid in c["members"]:
-                        points.append(point_map[sid])
-                        assignments.append(j)
-                report = silhouette(np.array(points, dtype=float), assignments, metric="euclidean")
+                points = np.array([side_doc["points"][sid] for sid in members], dtype=float)
+                report = silhouette(points, assignments, metric="euclidean")
             entries.append(
                 {
                     "topic_id": topic["topic_id"],
@@ -898,6 +893,52 @@ def _check_points(clusters_doc: dict, path: Path) -> None:
                         f"malformed artifact {path}: member {sid!r} of "
                         f"{topic['topic_id']}/{side.value} {problem}"
                     )
+
+
+def check_consistency(docs: dict, paths: dict) -> None:
+    """Raise ValidationError, naming the file, where the artifacts in ``docs``
+    (stem -> document read from ``paths[stem]``) disagree: a salient or member
+    id that no annotated sentence has, a cluster with no label, or an aligned
+    pair that names no labeled cluster of its topic and side."""
+
+    def fail(artifact: str, problem: str):
+        raise ValidationError(f"inconsistent artifact {paths[artifact]}: {problem}")
+
+    clusters = [
+        (topic["topic_id"], side.value, c)
+        for topic in docs["clusters"]["topics"]
+        for side in Side
+        for c in topic["sides"][side.value]["clusters"]
+    ] if "clusters" in docs else []
+    if "annotations" in docs:
+        annotated = {
+            s["sentence_id"] for t in docs["annotations"]["topics"] for s in t["sentences"]
+        }
+        ids = [("clusters", sid) for _, _, c in clusters for sid in c["members"]]
+        ids += [("salient", sid) for t in docs.get("salient", {"topics": []})["topics"]
+                for comment in t["comments"] for sid in comment["sentence_ids"]]
+        for artifact, sid in ids:
+            if sid not in annotated:
+                fail(artifact, f"sentence id {sid!r} is not in {paths['annotations']}")
+    if "labels" in docs:
+        label_by_id = {e["cluster_id"]: e["label"] for e in docs["labels"]["clusters"]}
+        for _, _, c in clusters:
+            if c["label"] is None and c["cluster_id"] not in label_by_id:
+                fail("labels", f"cluster {c['cluster_id']!r} has no label")
+    if "alignment" in docs:
+        sentinel = term_text(UNLABELED)
+        pairable = {
+            (topic_id, side, c["cluster_id"])
+            for topic_id, side, c in clusters
+            if (c["label"] if c["label"] is not None else label_by_id[c["cluster_id"]]) != sentinel
+        }
+        for topic in docs["alignment"]["topics"]:
+            for pair in topic["pairs"]:
+                for side in Side:
+                    cluster_id = pair[f"{side.value}_cluster_id"]
+                    if (topic["topic_id"], side.value, cluster_id) not in pairable:
+                        fail("alignment", f"pair {pair['label']!r} names {cluster_id!r}, "
+                             f"no labeled {side.value} cluster of topic {topic['topic_id']!r}")
 
 
 def check_artifact(doc, artifact: str, path: str | Path) -> None:

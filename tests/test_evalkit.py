@@ -5,12 +5,14 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from debatesum.errors import ComputationError
 from debatesum.evalkit import (
     RougeVariant,
+    SilhouetteReport,
+    _distance_matrix,
     krippendorff_alpha,
     mann_whitney_u,
     rouge,
@@ -235,6 +237,67 @@ class TestSilhouette:
     def test_cosine_zero_vector_rejected(self):
         with pytest.raises(ComputationError):
             silhouette(np.array([[0.0, 0.0], [1.0, 0.0]]), [0, 1], metric="cosine_distance")
+
+
+def per_point_silhouette(points, assignments, metric="euclidean") -> SilhouetteReport:
+    """The silhouette point by point, one numpy reduction per point and per
+    other cluster: the reference ``silhouette`` must match bit for bit."""
+    points = np.asarray(points, dtype=float)
+    if points.ndim == 1:
+        points = points[:, None]
+    assignments = np.asarray(assignments, dtype=int)
+    labels = np.unique(assignments)
+    if len(labels) < 2:
+        raise ComputationError("silhouette undefined for k = 1")
+    distances = _distance_matrix(points, metric)
+
+    per_point = []
+    for i in range(points.shape[0]):
+        own = assignments == assignments[i]
+        own_size = int(own.sum())
+        if own_size == 1:
+            per_point.append(0.0)
+            continue
+        a = float(distances[i, own].sum() - distances[i, i]) / (own_size - 1)
+        b = min(
+            float(distances[i, assignments == other].mean())
+            for other in labels
+            if other != assignments[i]
+        )
+        denom = max(a, b)
+        per_point.append((b - a) / denom if denom > 0 else 0.0)
+    return SilhouetteReport(per_point=tuple(per_point), mean=float(np.mean(per_point)))
+
+
+# singletons, clusters below and above numpy's 8-wide unrolled sums, and
+# clusters past its 128-element pairwise-summation block
+CLUSTER_SIZES = st.lists(
+    st.sampled_from([1, 2, 3, 7, 8, 9, 31, 128, 129, 200]), min_size=2, max_size=4
+).filter(lambda sizes: sum(sizes) <= 400)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    sizes=CLUSTER_SIZES,
+    dim=st.integers(1, 6),
+    metric=st.sampled_from(["euclidean", "cosine_distance"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(sizes=[1, 9, 129], dim=3, metric="euclidean", seed=0)
+@example(sizes=[1, 9, 129], dim=3, metric="cosine_distance", seed=0)
+def test_silhouette_bitwise_equals_per_point_loop(sizes, dim, metric, seed):
+    rng = np.random.default_rng(seed)
+    labels = rng.choice(50, size=len(sizes), replace=False)
+    assignments = rng.permutation(np.repeat(labels, sizes))
+    if metric == "cosine_distance":  # term-count rows: small non-negative integers
+        points = rng.integers(0, 4, size=(len(assignments), dim)).astype(float)
+        points[points.sum(axis=1) == 0, 0] = 1.0
+    else:
+        points = rng.normal(scale=rng.choice([1e-3, 1.0, 1e3]), size=(len(assignments), dim))
+    expected = per_point_silhouette(points, assignments, metric)
+    report = silhouette(points, assignments, metric)
+    assert report.per_point == expected.per_point
+    assert report.mean == expected.mean
 
 
 class TestMannWhitney:

@@ -330,6 +330,62 @@ class TestCli:
         err = capsys.readouterr().err
         assert "clusters.json" in err and member in err
 
+    @pytest.mark.parametrize("command", [["label"], ["eval", "silhouette"]])
+    def test_member_id_without_sentence_exit_3(self, tmp_path, capsys, command):
+        config_path = make_config(tmp_path)
+        assert main(["pipeline", "--config", str(config_path)]) == 0
+        clusters = tmp_path / "out" / "clusters.json"
+        doc = read_json(clusters)
+        side = doc["topics"][0]["sides"]["agree"]
+        member = side["clusters"][0]["members"][0]
+        side["clusters"][0]["members"][0] = "ghost"
+        side["points"]["ghost"] = side["points"].pop(member)  # the points still agree
+        clusters.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert main([*command, "--config", str(config_path)]) == 3
+        err = capsys.readouterr().err
+        assert "clusters.json" in err and "'ghost'" in err
+
+    def test_salient_id_without_sentence_exit_3(self, tmp_path, capsys):
+        config_path = make_config(tmp_path)
+        assert main(["pipeline", "--config", str(config_path)]) == 0
+        salient = tmp_path / "out" / "salient.json"
+        doc = read_json(salient)
+        doc["topics"][0]["comments"][0]["sentence_ids"][0] = "ghost"
+        salient.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["cluster", "--config", str(config_path)]) == 3
+        err = capsys.readouterr().err
+        assert "salient.json" in err and "'ghost'" in err
+
+    @pytest.mark.parametrize("command", ["align", "chart"])
+    def test_cluster_without_label_exit_3(self, tmp_path, capsys, command):
+        config_path = make_config(tmp_path)
+        assert main(["pipeline", "--config", str(config_path)]) == 0
+        labels = tmp_path / "out" / "labels.json"
+        doc = read_json(labels)
+        dropped = doc["clusters"].pop(0)["cluster_id"]
+        labels.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert main([command, "--config", str(config_path)]) == 3
+        err = capsys.readouterr().err
+        assert "labels.json" in err and repr(dropped) in err
+
+    @pytest.mark.parametrize("cluster_id", ["nope", "t1/disagree:x0", "t2/agree:x0"])
+    def test_pair_naming_no_cluster_of_its_side_exit_3(self, tmp_path, capsys, cluster_id):
+        config_path = make_config(tmp_path)
+        assert main(["pipeline", "--config", str(config_path)]) == 0
+        alignment = tmp_path / "out" / "alignment.json"
+        doc = read_json(alignment)
+        pair = doc["topics"][0]["pairs"][0]
+        assert doc["topics"][0]["topic_id"] == "t1" and pair["agree_cluster_id"] != cluster_id
+        pair["agree_cluster_id"] = cluster_id
+        alignment.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["chart", "--config", str(config_path)]) == 3
+        err = capsys.readouterr().err
+        assert "alignment.json" in err and repr(cluster_id) in err
+
     def test_stages_that_need_no_corpus_do_not_parse_it(self, tmp_path):
         config_path = make_config(tmp_path)
         out = tmp_path / "out"

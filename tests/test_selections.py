@@ -9,6 +9,8 @@ import json
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import SAMPLE_DIR, make_comment, make_topic, simple_topic_dict, write_corpus_json
 
@@ -180,6 +182,71 @@ class TestRougeTable:
             corpus, gold, lexicons
         )
         assert salient == compute_salient(corpus, lexicons, Feature.TT)
+
+
+WORDS = ("ice", "sea", "carbon", "tax", "the")
+# sentences of zero to three tokens ("..." has none)
+SENTENCE_TEXTS = st.lists(st.sampled_from(WORDS), max_size=3).map(
+    lambda words: " ".join(words) + "." if words else "..."
+)
+# a reference: the sentences a feature selects, the others, or any subset
+REFERENCE_SPECS = st.one_of(
+    st.tuples(st.sampled_from(["selection", "complement"]), st.sampled_from(list(Feature))),
+    st.tuples(st.just("subset"), st.lists(st.booleans(), max_size=8).map(tuple)),
+)
+
+
+@st.composite
+def gold_corpora(draw):
+    """Two topics of short comments, and per comment up to three reference specs."""
+    corpus, specs = [], {}
+    for t in (1, 2):
+        comments = []
+        for c in range(1, draw(st.integers(1, 3)) + 1):
+            texts = draw(st.lists(SENTENCE_TEXTS, min_size=1, max_size=8))
+            comment = make_comment(f"t{t}-c{c}", Side.AGREE if c % 2 else Side.DISAGREE, texts)
+            comments.append(comment)
+            specs[comment.id] = draw(st.lists(REFERENCE_SPECS, max_size=3))
+        corpus.append(make_topic(f"t{t}", "Debate on carbon and ice", comments))
+    return corpus, specs
+
+
+def one_token_sentences_case():
+    """SU4 windows over runs of one-token sentences, with an empty one among them."""
+    texts = ["Ice.", "Sea.", "...", "Ice.", "The.", "Carbon.", "Ice.", "Tax."]
+    corpus = [
+        make_topic("t1", "Ice", [make_comment("t1-c1", Side.AGREE, texts)]),
+        make_topic("t2", "Tax", [make_comment("t2-c1", Side.DISAGREE, ["The tax.", "Sea ice."])]),
+    ]
+    specs = {
+        "t1-c1": [("selection", Feature.SP), ("complement", Feature.SP), ("subset", (True,) * 8)],
+        "t2-c1": [("subset", (False, True))],
+    }
+    return corpus, specs
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(case=gold_corpora(), ratio=st.sampled_from([0.2, 0.5, 0.9]))
+@example(case=one_token_sentences_case(), ratio=0.5)
+def test_rouge_table_matches_naive_oracle_on_generated_comments(case, ratio):
+    corpus, specs = case
+    lexicons = default_lexicons()
+    selections = comment_selections(corpus, lexicons, ratio)
+    gold = []
+    for topic in corpus:
+        for comment in topic.comments:
+            ids = [s.id for s in comment.sentences]
+            for k, (kind, arg) in enumerate(specs[comment.id]):
+                if kind == "subset":
+                    chosen = {sid for sid, keep in zip(ids, arg) if keep}
+                else:
+                    chosen = set(selections[comment.id][arg])
+                    if kind == "complement":
+                        chosen = set(ids) - chosen
+                gold.append(GoldAnnotation(f"a{k}", comment.id, frozenset(chosen)))
+    assert compute_rouge_table(corpus, gold, lexicons, ratio=ratio) == naive_rouge_table(
+        corpus, gold, lexicons, ratio=ratio
+    )
 
 
 def test_pipeline_scores_each_comment_once_and_each_topic_once(tmp_path, monkeypatch):

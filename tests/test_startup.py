@@ -42,6 +42,7 @@ def test_numpy_loads_only_for_numeric_stages(tmp_path):
         ["chart"],
         ["cluster", "--method", "xmeans"],
         ["eval", "silhouette"],
+        ["eval", "rouge"],
     ):
         loaded[" ".join(command)] = numpy_loaded(RUN_COMMAND, *command, "--config", config)
     assert loaded == {
@@ -54,4 +55,5 @@ def test_numpy_loads_only_for_numeric_stages(tmp_path):
         "chart": False,
         "cluster --method xmeans": True,
         "eval silhouette": True,
+        "eval rouge": True,
     }
