@@ -171,38 +171,6 @@ def load_corpus(path: str | Path) -> list[DebateTopic]:
     return topics
 
 
-def corpus_to_jsonable(topics: list[DebateTopic]) -> dict:
-    return {
-        "topics": [
-            {
-                "id": t.id,
-                "title": t.title,
-                "comments": [
-                    {
-                        "id": c.id,
-                        "side": c.side.value,
-                        "sentences": [
-                            {"id": s.id, "position": s.position, "text": s.text}
-                            for s in c.sentences
-                        ],
-                    }
-                    for c in t.comments
-                ],
-            }
-            for t in topics
-        ]
-    }
-
-
-def dump_corpus(topics: list[DebateTopic], path: str | Path) -> None:
-    """Serialize with canonical (sorted) key order; round-trips byte-identically."""
-    Path(path).write_text(
-        json.dumps(corpus_to_jsonable(topics), sort_keys=True, ensure_ascii=False, indent=2)
-        + "\n",
-        encoding="utf-8",
-    )
-
-
 def load_gold(path: str | Path, corpus: list[DebateTopic]) -> list[GoldAnnotation]:
     """Load gold salient-sentence selections and cross-validate against the corpus.
 

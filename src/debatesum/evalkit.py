@@ -2,7 +2,7 @@
 
 ROUGE uses clipped n-gram counts per reference; the SU4 variant counts
 skip-bigrams with up to four intervening words plus unigrams. Scores against
-multiple references aggregate by mean (max available via ``aggregate``).
+multiple references aggregate by mean.
 No stemming or stopword removal happens here: tokens are compared as given.
 """
 
@@ -85,53 +85,25 @@ def _mean_score(variant: RougeVariant, scores: Sequence[tuple[float, float, floa
     return RougeScore(variant=variant, recall=recall, precision=precision, f1=f1)
 
 
-def rouge_units(tokens: Sequence[str], variant: RougeVariant) -> Counter:
-    """The units ROUGE counts for ``variant``: unigrams, bigrams, or SU4's
-    skip-bigrams plus unigrams."""
-    variant = RougeVariant(variant)
-    if variant is RougeVariant.R1:
-        return ngram_counts(tokens, 1)
-    if variant is RougeVariant.R2:
-        return ngram_counts(tokens, 2)
-    return _su4_units(tokens)
-
-
-def rouge_from_units(
-    system: Counter,
-    references: Sequence[Counter],
-    variant: RougeVariant = RougeVariant.R1,
-    aggregate: str = "mean",
-) -> RougeScore:
-    """ROUGE score from unit counts made by ``rouge_units``, so a text scored
-    many times has its units counted once."""
-    if not references:
-        raise ComputationError("ROUGE needs at least one reference summary")
-    if aggregate not in ("mean", "max"):
-        raise ComputationError(f"unknown ROUGE aggregation {aggregate!r}")
-    variant = RougeVariant(variant)
-    total_sys = sum(system.values())
-    scores = [
-        _recall_precision_f1(_clipped_overlap(system, ref), total_sys, sum(ref.values()))
-        for ref in references
-    ]
-    if aggregate == "max":
-        return RougeScore(variant, *(max(s[i] for s in scores) for i in range(3)))
-    return _mean_score(variant, scores)
-
-
 def rouge(
     system: Sequence[str],
     references: Sequence[Sequence[str]],
     variant: RougeVariant = RougeVariant.R1,
-    aggregate: str = "mean",
 ) -> RougeScore:
-    """ROUGE score of a system token sequence against one or more references."""
-    return rouge_from_units(
-        rouge_units(system, variant),
-        [rouge_units(ref, variant) for ref in references],
-        variant,
-        aggregate,
+    """Mean ROUGE score of a system token sequence over one or more references."""
+    if not references:
+        raise ComputationError("ROUGE needs at least one reference summary")
+    variant = RougeVariant(variant)
+    n = {RougeVariant.R1: 1, RougeVariant.R2: 2}.get(variant)  # None: SU4
+    system_units, *reference_units = (
+        _su4_units(tokens) if n is None else ngram_counts(tokens, n)
+        for tokens in (system, *references)
     )
+    total_sys = sum(system_units.values())
+    return _mean_score(variant, [
+        _recall_precision_f1(_clipped_overlap(system_units, ref), total_sys, sum(ref.values()))
+        for ref in reference_units
+    ])
 
 
 def _unit_keys(ids: np.ndarray, rows: np.ndarray, vocab_size: int):

@@ -168,13 +168,12 @@ def mi_label(
     target_cluster: Collection[str],
     all_clusters: Sequence[Collection[str]],
     terms_by_sentence: Mapping[str, Collection[Term]],
-    candidate_terms: Collection[Term] | None = None,
 ) -> LabelCandidate:
     """Highest-MI candidate term for one cluster.
 
     The universe is every sentence appearing in any cluster (counted once);
-    the class is membership in the target cluster. Candidates default to the
-    terms occurring in the target cluster's sentences. Ties break by higher
+    the class is membership in the target cluster. Candidates are the terms
+    occurring in the target cluster's sentences. Ties break by higher
     in-cluster presence count, then lexicographically.
     """
     universe: list[str] = []
@@ -188,12 +187,7 @@ def mi_label(
     if not set(target) <= seen:
         raise ComputationError("target cluster must be one of the provided clusters")
 
-    if candidate_terms is None:
-        candidates: set[Term] = set()
-        for sid in target:
-            candidates.update(tuple(t) for t in terms_by_sentence.get(sid, ()))
-    else:
-        candidates = {tuple(t) for t in candidate_terms}
+    candidates = {tuple(t) for sid in target for t in terms_by_sentence.get(sid, ())}
     if not candidates:
         return LabelCandidate(UNLABELED, 0.0, LabelMethod.MI)
 

@@ -107,7 +107,9 @@ def _config_value(key: str, kind: str, value: object, base: Path):
     """A file or flag value for the field ``key`` annotated ``kind``; a
     relative path resolves against ``base``."""
     if kind.startswith("Path"):
-        path = Path(str(value))
+        if not isinstance(value, str):
+            raise ConfigError(f"config key {key!r} must be a path string, not {value!r}")
+        path = Path(value)
         return path if path.is_absolute() else base / path
     if kind == "str":
         return str(value)
@@ -897,9 +899,10 @@ def _check_points(clusters_doc: dict, path: Path) -> None:
 
 def check_consistency(docs: dict, paths: dict) -> None:
     """Raise ValidationError, naming the file, where the artifacts in ``docs``
-    (stem -> document read from ``paths[stem]``) disagree: a salient or member
-    id that no annotated sentence has, a cluster with no label, or an aligned
-    pair that names no labeled cluster of its topic and side."""
+    (stem -> document read from ``paths[stem]``) disagree: a cluster id used
+    twice, a salient or member id that no annotated sentence has, a cluster
+    with no label or with two, a label for no cluster, or an aligned pair
+    that names no labeled cluster of its topic and side."""
 
     def fail(artifact: str, problem: str):
         raise ValidationError(f"inconsistent artifact {paths[artifact]}: {problem}")
@@ -910,6 +913,11 @@ def check_consistency(docs: dict, paths: dict) -> None:
         for side in Side
         for c in topic["sides"][side.value]["clusters"]
     ] if "clusters" in docs else []
+    cluster_ids: set[str] = set()
+    for _, _, c in clusters:
+        if c["cluster_id"] in cluster_ids:
+            fail("clusters", f"cluster id {c['cluster_id']!r} is used twice")
+        cluster_ids.add(c["cluster_id"])
     if "annotations" in docs:
         annotated = {
             s["sentence_id"] for t in docs["annotations"]["topics"] for s in t["sentences"]
@@ -921,7 +929,14 @@ def check_consistency(docs: dict, paths: dict) -> None:
             if sid not in annotated:
                 fail(artifact, f"sentence id {sid!r} is not in {paths['annotations']}")
     if "labels" in docs:
-        label_by_id = {e["cluster_id"]: e["label"] for e in docs["labels"]["clusters"]}
+        label_by_id = {}
+        for entry in docs["labels"]["clusters"]:
+            cluster_id = entry["cluster_id"]
+            if cluster_id not in cluster_ids:
+                fail("labels", f"entry {cluster_id!r} names no cluster")
+            if cluster_id in label_by_id:
+                fail("labels", f"cluster {cluster_id!r} has two entries")
+            label_by_id[cluster_id] = entry["label"]
         for _, _, c in clusters:
             if c["label"] is None and c["cluster_id"] not in label_by_id:
                 fail("labels", f"cluster {c['cluster_id']!r} has no label")

@@ -104,19 +104,6 @@ def build_term_vectors(
     return vectors, excluded
 
 
-def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """dot(u, v) / (|u||v|), clamped to [-1, 1]. Zero vectors are a domain error."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != v.shape:
-        raise ComputationError(f"cosine dimensions differ: {u.shape} vs {v.shape}")
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        raise ComputationError("cosine undefined for zero vectors; filter them out first")
-    return float(np.clip(float(u @ v) / (nu * nv), -1.0, 1.0))
-
-
 def build_similarity_matrix(vectors: Sequence[SentenceVector]) -> SimilarityMatrix:
     """Pairwise cosine similarities; exact symmetry and a unit diagonal."""
     if len(vectors) < 2:

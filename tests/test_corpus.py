@@ -4,7 +4,6 @@ import pytest
 
 from debatesum.corpus import (
     GoldCountWarning,
-    dump_corpus,
     load_corpus,
     load_gold,
     salient_count,
@@ -108,14 +107,6 @@ class TestLoadCorpus:
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(ParseError):
             load_corpus(path)
-
-    def test_round_trip_byte_identical(self, sample_corpus_path, tmp_path):
-        topics = load_corpus(sample_corpus_path)
-        first = tmp_path / "first.json"
-        second = tmp_path / "second.json"
-        dump_corpus(topics, first)
-        dump_corpus(load_corpus(first), second)
-        assert first.read_bytes() == second.read_bytes()
 
 
 class TestLoadGold:

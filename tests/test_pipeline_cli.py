@@ -371,6 +371,36 @@ class TestCli:
         err = capsys.readouterr().err
         assert "labels.json" in err and repr(dropped) in err
 
+    @pytest.mark.parametrize("command", [["label"], ["align"], ["chart"], ["eval", "silhouette"]])
+    def test_duplicate_cluster_id_exit_3(self, tmp_path, capsys, command):
+        config_path = make_config(tmp_path)
+        assert main(["pipeline", "--config", str(config_path)]) == 0
+        clusters = tmp_path / "out" / "clusters.json"
+        doc = read_json(clusters)
+        agree = doc["topics"][0]["sides"]["agree"]["clusters"]
+        duplicate = agree[1]["cluster_id"] = agree[0]["cluster_id"]
+        clusters.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert main([*command, "--config", str(config_path)]) == 3
+        err = capsys.readouterr().err
+        assert "clusters.json" in err and repr(duplicate) in err
+
+    @pytest.mark.parametrize("command", ["align", "chart"])
+    @pytest.mark.parametrize("cluster_id", ["ghost", None])  # None: a second entry
+    def test_label_entry_naming_no_new_cluster_exit_3(self, tmp_path, capsys, command, cluster_id):
+        config_path = make_config(tmp_path)
+        assert main(["pipeline", "--config", str(config_path)]) == 0
+        labels = tmp_path / "out" / "labels.json"
+        doc = read_json(labels)
+        first = doc["clusters"][0]
+        cluster_id = cluster_id or first["cluster_id"]
+        doc["clusters"].append({**first, "cluster_id": cluster_id, "label": "sea level"})
+        labels.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert main([command, "--config", str(config_path)]) == 3
+        err = capsys.readouterr().err
+        assert "labels.json" in err and repr(cluster_id) in err
+
     @pytest.mark.parametrize("cluster_id", ["nope", "t1/disagree:x0", "t2/agree:x0"])
     def test_pair_naming_no_cluster_of_its_side_exit_3(self, tmp_path, capsys, cluster_id):
         config_path = make_config(tmp_path)
@@ -468,6 +498,9 @@ class TestCli:
         ("k_max", 2.7),
         ("ratio", True),
         ("k_min", "3"),
+        ("output_dir", ["x"]),
+        ("output_dir", True),
+        ("output_dir", 7),
     ])
     def test_malformed_config_value_exit_2(self, tmp_path, capsys, key, value):
         config_path = make_config(tmp_path)

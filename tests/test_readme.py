@@ -1,6 +1,9 @@
-"""The README's command lines parse with the CLI's own parser, so the docs
-cannot keep showing a flag that has gone."""
+"""The README's command lines parse with the CLI's own parser, and every
+library name it lists resolves in its module, so the docs cannot keep showing
+a flag or a function that has gone."""
 
+import importlib
+import re
 import shlex
 
 from conftest import REPO_ROOT
@@ -8,9 +11,13 @@ from conftest import REPO_ROOT
 from debatesum.cli import build_parser
 
 
-def readme_command_lines() -> list[str]:
+def readme_section(heading: str) -> str:
     text = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
-    block = text.split("## Command line", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    return text.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def readme_command_lines() -> list[str]:
+    block = readme_section("Command line").split("```bash\n", 1)[1].split("```", 1)[0]
     return [line for line in block.splitlines() if line.startswith("debatesum ")]
 
 
@@ -22,3 +29,14 @@ def test_readme_command_lines_parse():
             build_parser().parse_args(shlex.split(line)[1:])
         except SystemExit:
             raise AssertionError(f"README command does not parse: {line}") from None
+
+
+def test_readme_library_names_resolve():
+    names = re.findall(r"`debatesum\.(\w+)\.(\w+)`", readme_section("Library"))
+    assert names
+    missing = [
+        f"debatesum.{module}.{name}"
+        for module, name in names
+        if not callable(getattr(importlib.import_module(f"debatesum.{module}"), name, None))
+    ]
+    assert missing == []

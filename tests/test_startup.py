@@ -1,4 +1,5 @@
-"""What a fresh interpreter loads: stages without numeric work start without numpy."""
+"""What a fresh interpreter loads: stages without numeric work start without
+numpy, and importing one module loads only the modules it imports."""
 
 import subprocess
 import sys
@@ -20,14 +21,36 @@ debatesum.cli.load_config(sys.argv[1])
 print("numpy" in sys.modules)
 """
 
+LOADED_MODULES = """
+import importlib, sys
+importlib.import_module(sys.argv[1])
+print(" ".join(m for m in sys.modules if m.split(".")[0] == "debatesum"))
+"""
 
-def numpy_loaded(script: str, *args: str) -> bool:
+
+def fresh_stdout(script: str, *args: str) -> str:
     done = subprocess.run(
         [sys.executable, "-c", script, *args],
         env=src_env(), capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, (args, done.stderr)
-    return done.stdout.splitlines()[-1] == "True"
+    return done.stdout
+
+
+def debatesum_modules(module: str) -> set[str]:
+    return set(fresh_stdout(LOADED_MODULES, module).split())
+
+
+def test_a_module_loads_only_what_it_imports():
+    # the package root imports nothing, so a module pays only for its own imports
+    assert debatesum_modules("debatesum.corpus") == {
+        "debatesum", "debatesum.corpus", "debatesum.errors",
+    }
+    assert "debatesum.pipeline" not in debatesum_modules("debatesum.evalkit")
+
+
+def numpy_loaded(script: str, *args: str) -> bool:
+    return fresh_stdout(script, *args).splitlines()[-1] == "True"
 
 
 def test_numpy_loads_only_for_numeric_stages(tmp_path):

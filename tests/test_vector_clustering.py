@@ -12,7 +12,6 @@ from debatesum.vector_clustering import (
     bic_score,
     build_similarity_matrix,
     build_term_vectors,
-    cosine,
     kmeans,
     pca_fit_transform,
     xmeans,
@@ -44,25 +43,6 @@ class TestBuildTermVectors:
         vocab = [(f"term{i}",) for i in range(64)]
         vectors, _ = build_term_vectors({"s1": [("term3",)], "s2": [("term10",)]}, vocab)
         assert all(v.counts.shape == (64,) for v in vectors)
-
-
-class TestCosine:
-    def test_collinear(self):
-        assert cosine(np.array([1, 2, 2]), np.array([2, 4, 4])) == pytest.approx(1.0)
-
-    def test_orthogonal(self):
-        assert cosine(np.array([1, 0]), np.array([0, 1])) == 0.0
-
-    def test_half(self):
-        assert cosine(np.array([1, 1, 0]), np.array([1, 0, 1])) == pytest.approx(0.5)
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(ComputationError):
-            cosine(np.zeros(3), np.ones(3))
-
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ComputationError):
-            cosine(np.ones(2), np.ones(3))
 
 
 class TestSimilarityMatrix:
