@@ -20,7 +20,6 @@ import sys
 from pathlib import Path
 
 from .errors import ComputationError, ConfigError, DebatesumError, ParseError, ValidationError
-from .evalkit import krippendorff_alpha, mann_whitney_u
 from .pipeline import (
     CLUSTER_METHODS,
     LABEL_METHODS,
@@ -188,6 +187,7 @@ def _cmd_eval_stats(args: argparse.Namespace) -> int:
     Mann-Whitney U test and/or ``ratings`` (coder-by-item matrix, null for
     missing) with an optional ``metric`` for Krippendorff's alpha.
     """
+    from .evalkit import krippendorff_alpha, mann_whitney_u
     doc = read_json(args.ratings)
     report: dict = {"mann_whitney": None, "krippendorff_alpha": None}
     if "samples" in doc:

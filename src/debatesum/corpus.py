@@ -175,7 +175,8 @@ def load_gold(path: str | Path, corpus: list[DebateTopic]) -> list[GoldAnnotatio
     """Load gold salient-sentence selections and cross-validate against the corpus.
 
     A selection count different from ceil(0.2 * n) raises a GoldCountWarning
-    (recorded, not fatal); dangling comment or sentence ids are errors.
+    (recorded, not fatal); dangling comment or sentence ids, and a file with
+    no annotations, are errors.
     Output is ordered by corpus comment order, then annotator id.
     """
     path = Path(path)
@@ -220,5 +221,7 @@ def load_gold(path: str | Path, corpus: list[DebateTopic]) -> list[GoldAnnotatio
                 selected_sentence_ids=frozenset(str(s) for s in selected),
             )
         )
+    if not annotations:
+        raise ValidationError(f"gold file {path} has no annotations")
     annotations.sort(key=lambda g: (order[g.comment_id], g.annotator_id))
     return annotations

@@ -23,18 +23,17 @@ and the CLI, whose stage subcommands each run one row from disk.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import re
 import sys
 from collections import Counter
 from dataclasses import MISSING, asdict, dataclass, fields
 from functools import cached_property
+from importlib import import_module
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping
 
 from ._numpy import np
-from .alignment import LabeledCluster, align_clusters
 from .annotate import (
     Gazetteer,
     SynonymTable,
@@ -46,11 +45,8 @@ from .annotate import (
     term_text,
 )
 from .assets import default_conjunctive_adverbs_path, default_stopwords
-from .chart import AlignedPair, ChartSummary, build_chart, render_chart
 from .corpus import DebateTopic, Side, load_corpus, load_gold
 from .errors import ComputationError, ConfigError, DebatesumError, ParseError, ValidationError
-from .evalkit import RougeVariant, rouge_batch, silhouette
-from .labeling import UNLABELED, mi_label, shared_term_label, tfidf_labels
 from .saliency import (
     Feature,
     LLR_THRESHOLD_P001,
@@ -60,12 +56,34 @@ from .saliency import (
     score_comment,
     select_salient,
 )
-from .term_clustering import TermCluster, cluster_by_shared_term, merge_synonymous_clusters
-from .vector_clustering import build_similarity_matrix, build_term_vectors, pca_fit_transform, xmeans
 
-# Not called here: the ROUGE table scores from unit counts. It stays importable
-# from this module because bench/tracing.py wraps it by name on it.
-from .evalkit import rouge  # noqa: F401
+if TYPE_CHECKING:  # annotations only: the modules load when a stage first calls them
+    from .alignment import LabeledCluster
+    from .chart import ChartSummary
+
+# Algorithm functions by module: each name is a global that imports its module when
+# called and forwards the call, so a CLI process loads only its stage's algorithms.
+# Call them through these globals: bench/tracing.py wraps them by name on this module
+# (``rouge`` only for that: no stage calls it).
+_DEFERRED = {
+    "alignment": ("align_clusters",),
+    "chart": ("build_chart", "render_chart"),
+    "evalkit": ("rouge", "rouge_batch", "silhouette"),
+    "labeling": ("mi_label", "shared_term_label", "tfidf_labels"),
+    "term_clustering": ("cluster_by_shared_term", "merge_synonymous_clusters"),
+    "vector_clustering": ("build_similarity_matrix", "build_term_vectors", "pca_fit_transform", "xmeans"),
+}
+
+
+def _deferred(module: str, name: str) -> Callable:
+    def forward(*args, **kwargs):
+        return getattr(sys.modules.get(module) or import_module(module), name)(*args, **kwargs)
+
+    return forward
+
+
+for _module, _names in _DEFERRED.items():
+    globals().update({name: _deferred(f"{__package__}.{_module}", name) for name in _names})
 
 CLUSTER_METHODS = ("term", "xmeans")
 LABEL_METHODS = ("shared", "tfidf", "mi")
@@ -523,6 +541,7 @@ def compute_labels(clusters_doc: dict, annotations_doc: dict, method: str, seed:
             if not clusters:
                 continue
             if method == "shared":
+                from .term_clustering import TermCluster
                 for c in clusters:
                     if c["label"] is None:
                         raise ComputationError(
@@ -570,6 +589,8 @@ def _labeled_clusters(
     (there is no label content to compare); they are returned separately so
     the alignment stage can report them as dropped.
     """
+    from .alignment import LabeledCluster
+    from .labeling import UNLABELED
     label_by_id = {e["cluster_id"]: e["label"] for e in labels_doc["clusters"]}
     sentinel = term_text(UNLABELED)
     out: dict[str, tuple[list[LabeledCluster], list[LabeledCluster]]] = {}
@@ -633,6 +654,7 @@ def compute_alignment(
 
 
 def compute_charts(clusters_doc: dict, alignment_doc: dict, labels_doc: dict) -> dict[str, ChartSummary]:
+    from .chart import AlignedPair
     labeled = _labeled_clusters(clusters_doc, labels_doc)
     charts: dict[str, ChartSummary] = {}
     for topic in alignment_doc["topics"]:
@@ -666,6 +688,7 @@ def compute_rouge_table(
     batch (``rouge_batch``); every feature that chose a selection gets its
     score. ``cache`` as in ``comment_selections``.
     """
+    from .evalkit import RougeVariant
     gold_by_comment: dict[str, list[frozenset[str]]] = {}
     for annotation in gold:
         gold_by_comment.setdefault(annotation.comment_id, []).append(
@@ -828,7 +851,9 @@ _CLUSTER_SIDE = {
 }
 _ARTIFACT_SHAPES = {
     "annotations": {
-        "topics": [{"sentences": [{"sentence_id": str, "annotations": [{"canonical": str}]}]}]
+        "topics": [{"topic_id": str, "sentences": [
+            {"sentence_id": str, "annotations": [{"canonical": str}]}
+        ]}]
     },
     "salient": {"topics": [{"topic_id": str, "comments": [
         {"side": frozenset(s.value for s in Side), "sentence_ids": [str]}
@@ -900,9 +925,10 @@ def _check_points(clusters_doc: dict, path: Path) -> None:
 def check_consistency(docs: dict, paths: dict) -> None:
     """Raise ValidationError, naming the file, where the artifacts in ``docs``
     (stem -> document read from ``paths[stem]``) disagree: a cluster id used
-    twice, a salient or member id that no annotated sentence has, a cluster
-    with no label or with two, a label for no cluster, or an aligned pair
-    that names no labeled cluster of its topic and side."""
+    twice, a member of clusters on two topics or sides, a salient or member id
+    that is no annotated sentence of its topic, a cluster with no label or with
+    two, a label for no cluster, or an aligned pair that names no labeled
+    cluster of its topic and side."""
 
     def fail(artifact: str, problem: str):
         raise ValidationError(f"inconsistent artifact {paths[artifact]}: {problem}")
@@ -914,20 +940,28 @@ def check_consistency(docs: dict, paths: dict) -> None:
         for c in topic["sides"][side.value]["clusters"]
     ] if "clusters" in docs else []
     cluster_ids: set[str] = set()
-    for _, _, c in clusters:
+    home: dict[str, str] = {}  # member id -> "topic/side" of its first cluster
+    for topic_id, side, c in clusters:
         if c["cluster_id"] in cluster_ids:
             fail("clusters", f"cluster id {c['cluster_id']!r} is used twice")
         cluster_ids.add(c["cluster_id"])
+        where = f"{topic_id}/{side}"
+        for sid in c["members"]:  # a sentence has one comment, so one topic and side
+            if home.setdefault(sid, where) != where:
+                fail("clusters", f"sentence id {sid!r} is a member on {home[sid]} and on {where}")
     if "annotations" in docs:
         annotated = {
-            s["sentence_id"] for t in docs["annotations"]["topics"] for s in t["sentences"]
+            t["topic_id"]: {s["sentence_id"] for s in t["sentences"]}
+            for t in docs["annotations"]["topics"]
         }
-        ids = [("clusters", sid) for _, _, c in clusters for sid in c["members"]]
-        ids += [("salient", sid) for t in docs.get("salient", {"topics": []})["topics"]
+        ids = [("clusters", topic_id, sid) for topic_id, _, c in clusters for sid in c["members"]]
+        ids += [("salient", t["topic_id"], sid)
+                for t in docs.get("salient", {"topics": []})["topics"]
                 for comment in t["comments"] for sid in comment["sentence_ids"]]
-        for artifact, sid in ids:
-            if sid not in annotated:
-                fail(artifact, f"sentence id {sid!r} is not in {paths['annotations']}")
+        for artifact, topic_id, sid in ids:
+            if sid not in annotated.get(topic_id, ()):
+                fail(artifact, f"sentence id {sid!r} is not a sentence of topic {topic_id!r} "
+                     f"in {paths['annotations']}")
     if "labels" in docs:
         label_by_id = {}
         for entry in docs["labels"]["clusters"]:
@@ -941,6 +975,7 @@ def check_consistency(docs: dict, paths: dict) -> None:
             if c["label"] is None and c["cluster_id"] not in label_by_id:
                 fail("labels", f"cluster {c['cluster_id']!r} has no label")
     if "alignment" in docs:
+        from .labeling import UNLABELED
         sentinel = term_text(UNLABELED)
         pairable = {
             (topic_id, side, c["cluster_id"])
@@ -1044,6 +1079,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
     Returns the manifest document. On any stage failure the partially
     written artifacts are removed and the error propagates.
     """
+    import hashlib
     inputs = _stage("load", load_inputs, config)
     # a full run parses every input file before the first stage, as the load stage
     _stage("load", lambda: (inputs.corpus, inputs.lexicons, inputs.gold))

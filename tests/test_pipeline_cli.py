@@ -1,6 +1,8 @@
 import json
 import math
 import shutil
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -10,7 +12,27 @@ from debatesum.cli import main
 from debatesum.errors import ConfigError
 from debatesum.pipeline import PipelineConfig, load_config, read_json, run_pipeline
 
-from conftest import SAMPLE_DIR, make_config
+from conftest import SAMPLE_DIR, make_config, src_env
+
+
+def assert_staged_run_matches_pipeline(config_path: Path, tmp_path: Path, commands, run) -> None:
+    """Run each stage command with ``run(argv) -> exit code`` into ``tmp_path/out``,
+    then check that ``pipeline`` writes the same bytes."""
+    for command in commands:
+        assert run([*command, "--config", str(config_path)]) == 0, command
+    staged_out = tmp_path / "out"
+    full_out = tmp_path / "full"
+    assert main(["pipeline", "--config", str(config_path), "--out", str(full_out)]) == 0
+    charts = sorted(p.name for p in full_out.glob("chart_*"))
+    assert charts
+    assert sorted(p.name for p in staged_out.glob("chart_*")) == charts
+    for name in (
+        "annotations.json", "salient.json", "clusters.json", "labels.json",
+        "alignment.json", *charts,
+    ):
+        assert (full_out / name).read_bytes() == (staged_out / name).read_bytes(), name
+    staged_silhouette = read_json(staged_out / "evaluation_silhouette.json")["silhouette"]
+    assert staged_silhouette == read_json(full_out / "evaluation.json")["silhouette"]
 
 
 EXPECTED_ARTIFACTS = (
@@ -249,30 +271,27 @@ class TestCli:
             assert (out / name).is_file(), name
 
     def test_staged_run_matches_pipeline_artifacts(self, tmp_path):
-        config_path = make_config(tmp_path)
-        for argv in (
-            ["annotate", "--config", str(config_path)],
-            ["select", "--config", str(config_path)],
-            ["cluster", "--config", str(config_path)],
-            ["label", "--config", str(config_path)],
-            ["align", "--config", str(config_path)],
-            ["chart", "--config", str(config_path)],
-            ["eval", "silhouette", "--config", str(config_path)],
-        ):
-            assert main(argv) == 0
-        staged_out = tmp_path / "out"
-        full_out = tmp_path / "full"
-        assert main(["pipeline", "--config", str(config_path), "--out", str(full_out)]) == 0
-        charts = sorted(p.name for p in full_out.glob("chart_*"))
-        assert charts
-        assert sorted(p.name for p in staged_out.glob("chart_*")) == charts
-        for name in (
-            "annotations.json", "salient.json", "clusters.json", "labels.json",
-            "alignment.json", *charts,
-        ):
-            assert (full_out / name).read_bytes() == (staged_out / name).read_bytes(), name
-        staged_silhouette = read_json(staged_out / "evaluation_silhouette.json")["silhouette"]
-        assert staged_silhouette == read_json(full_out / "evaluation.json")["silhouette"]
+        commands = [
+            ["annotate"], ["select"], ["cluster"], ["label"], ["align"], ["chart"],
+            ["eval", "silhouette"],
+        ]
+        assert_staged_run_matches_pipeline(make_config(tmp_path), tmp_path, commands, main)
+
+    def test_staged_run_in_fresh_processes_matches_pipeline_artifacts(self, tmp_path):
+        # the benchmark's xmeans-staged commands, each in a new interpreter, so every
+        # algorithm module is first imported by the stage that calls it
+        def run(argv: list[str]) -> int:
+            return subprocess.run(
+                [sys.executable, "-m", "debatesum.cli", *argv],
+                env=src_env(), capture_output=True, timeout=120,
+            ).returncode
+
+        commands = [
+            ["annotate"], ["select"], ["cluster", "--method", "xmeans"],
+            ["label", "--method", "tfidf"], ["align"], ["chart"], ["eval", "silhouette"],
+        ]
+        config_path = make_config(tmp_path, labeling_method="tfidf")
+        assert_staged_run_matches_pipeline(config_path, tmp_path, commands, run)
 
     def test_artifact_flags_read_paths_outside_out(self, tmp_path):
         config_path = make_config(tmp_path)
@@ -357,6 +376,74 @@ class TestCli:
         assert main(["cluster", "--config", str(config_path)]) == 3
         err = capsys.readouterr().err
         assert "salient.json" in err and "'ghost'" in err
+
+    @pytest.mark.parametrize("command", [["label"], ["align"], ["chart"], ["eval", "silhouette"]])
+    def test_member_of_another_topics_cluster_exit_3(self, tmp_path, capsys, command):
+        config_path = make_config(tmp_path)
+        assert main(["pipeline", "--config", str(config_path)]) == 0
+        clusters = tmp_path / "out" / "clusters.json"
+        doc = read_json(clusters)
+        t1, t2 = doc["topics"]
+        assert "t1-c4-s1" in t1["sides"]["disagree"]["clusters"][0]["members"]
+        side = t2["sides"]["agree"]
+        cluster = side["clusters"][1]
+        assert cluster["cluster_id"] == "t2/agree:x1"
+        member = cluster["members"][0]
+        cluster["members"][0] = "t1-c4-s1"
+        side["points"]["t1-c4-s1"] = side["points"].pop(member)  # the points still agree
+        clusters.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert main([*command, "--config", str(config_path)]) == 3
+        err = capsys.readouterr().err
+        assert "clusters.json" in err and "'t1-c4-s1'" in err and "t2/agree" in err
+
+    @pytest.mark.parametrize("command, artifact", [
+        (["label"], "clusters"), (["eval", "silhouette"], "clusters"), (["cluster"], "salient"),
+    ])
+    def test_sentence_of_another_topic_exit_3(self, tmp_path, capsys, command, artifact):
+        # t1-c1-s2 is annotated in t1 but is in no salient list and no cluster
+        config_path = make_config(tmp_path)
+        assert main(["pipeline", "--config", str(config_path)]) == 0
+        out = tmp_path / "out"
+        assert "t1-c1-s2" not in (out / "clusters.json").read_text(encoding="utf-8")
+        assert "t1-c1-s2" not in (out / "salient.json").read_text(encoding="utf-8")
+        doc = read_json(out / f"{artifact}.json")
+        t2 = doc["topics"][1]
+        assert t2["topic_id"] == "t2"
+        if artifact == "clusters":
+            side = t2["sides"]["agree"]
+            member = side["clusters"][0]["members"][0]
+            side["clusters"][0]["members"][0] = "t1-c1-s2"
+            side["points"]["t1-c1-s2"] = side["points"].pop(member)
+        else:
+            t2["comments"][0]["sentence_ids"][0] = "t1-c1-s2"
+        (out / f"{artifact}.json").write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert main([*command, "--config", str(config_path)]) == 3
+        err = capsys.readouterr().err
+        assert f"{artifact}.json" in err and "'t1-c1-s2'" in err and "topic 't2'" in err
+
+    def test_annotations_without_topic_id_exit_3(self, tmp_path, capsys):
+        config_path = make_config(tmp_path)
+        assert main(["pipeline", "--config", str(config_path)]) == 0
+        annotations = tmp_path / "out" / "annotations.json"
+        doc = read_json(annotations)
+        del doc["topics"][1]["topic_id"]
+        annotations.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["label", "--config", str(config_path)]) == 3
+        err = capsys.readouterr().err
+        assert "annotations.json" in err and "'topic_id'" in err
+
+    @pytest.mark.parametrize("command", [["eval", "rouge"], ["pipeline"]])
+    def test_gold_file_without_annotations_exit_3(self, tmp_path, capsys, command):
+        config_path = make_config(tmp_path)
+        gold = config_path.parent / "gold.json"
+        gold.write_text(json.dumps({"annotations": []}), encoding="utf-8")
+        assert main([*command, "--config", str(config_path)]) == 3
+        err = capsys.readouterr().err
+        assert "validation error" in err and str(gold) in err and "no annotations" in err
+        assert not (tmp_path / "out" / "evaluation.json").exists()
 
     @pytest.mark.parametrize("command", ["align", "chart"])
     def test_cluster_without_label_exit_3(self, tmp_path, capsys, command):

@@ -1,5 +1,6 @@
 """What a fresh interpreter loads: stages without numeric work start without
-numpy, and importing one module loads only the modules it imports."""
+numpy, each command loads only its own stage's algorithm modules, and
+importing one module loads only the modules it imports."""
 
 import subprocess
 import sys
@@ -10,7 +11,7 @@ RUN_COMMAND = """
 import sys
 from debatesum.cli import main
 code = main(sys.argv[1:])
-print("numpy" in sys.modules)
+print(" ".join(sys.modules))
 sys.exit(code)
 """
 
@@ -18,7 +19,7 @@ LOAD_CONFIG = """
 import sys
 import debatesum.cli
 debatesum.cli.load_config(sys.argv[1])
-print("numpy" in sys.modules)
+print(" ".join(sys.modules))
 """
 
 LOADED_MODULES = """
@@ -49,8 +50,13 @@ def test_a_module_loads_only_what_it_imports():
     assert "debatesum.pipeline" not in debatesum_modules("debatesum.evalkit")
 
 
+def modules_loaded(script: str, *args: str) -> set[str]:
+    """Names in ``sys.modules`` after ``script`` ran, from its last output line."""
+    return set(fresh_stdout(script, *args).splitlines()[-1].split())
+
+
 def numpy_loaded(script: str, *args: str) -> bool:
-    return fresh_stdout(script, *args).splitlines()[-1] == "True"
+    return "numpy" in modules_loaded(script, *args)
 
 
 def test_numpy_loads_only_for_numeric_stages(tmp_path):
@@ -80,3 +86,56 @@ def test_numpy_loads_only_for_numeric_stages(tmp_path):
         "eval silhouette": True,
         "eval rouge": True,
     }
+
+
+# the modules of the stage algorithms, which the CLI imports when a stage first calls one
+ALGORITHMS = {
+    "term_clustering", "vector_clustering", "labeling", "alignment", "chart", "evalkit",
+}
+
+
+def algorithms_loaded(script: str, *args: str) -> set[str]:
+    return {m for m in ALGORITHMS if f"debatesum.{m}" in modules_loaded(script, *args)}
+
+
+def test_start_up_loads_no_algorithm_and_no_hashlib(tmp_path):
+    # hashlib serves only the manifest that ``pipeline`` writes
+    loaded = modules_loaded(LOAD_CONFIG, str(make_config(tmp_path)))
+    assert {f"debatesum.{m}" for m in ALGORITHMS} & loaded == set()
+    assert "hashlib" not in loaded
+
+
+def test_each_command_loads_only_its_own_algorithms(tmp_path):
+    config = str(make_config(tmp_path))
+    loaded = {}
+    for command in (
+        ["annotate"],
+        ["select"],
+        ["cluster", "--method", "term"],
+        ["cluster", "--method", "xmeans"],
+        ["label"],
+        ["align"],
+        ["chart"],
+        ["eval", "silhouette"],
+    ):
+        loaded[" ".join(command)] = algorithms_loaded(
+            RUN_COMMAND, *command, "--config", config
+        )
+    allowed = {
+        "annotate": set(),
+        "select": set(),
+        "cluster --method term": {"term_clustering"},
+        "cluster --method xmeans": {"vector_clustering"},
+        "label": {"labeling", "term_clustering"},
+        "align": ALGORITHMS - {"vector_clustering", "evalkit"},
+        "chart": ALGORITHMS - {"vector_clustering", "evalkit"},
+        "eval silhouette": {"evalkit"},
+    }
+    assert {c: modules - allowed[c] for c, modules in loaded.items()} == {c: set() for c in loaded}
+    # and each stage loads the module that holds its algorithm
+    assert {"term_clustering"} <= loaded["cluster --method term"]
+    assert {"vector_clustering"} <= loaded["cluster --method xmeans"]
+    assert {"labeling"} <= loaded["label"]
+    assert {"alignment"} <= loaded["align"]
+    assert {"chart"} <= loaded["chart"]
+    assert {"evalkit"} <= loaded["eval silhouette"]
