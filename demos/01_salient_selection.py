@@ -32,15 +32,16 @@ def main():
     comment = topic.comments[2]  # the five-sentence agree comment
     print(f"\ncomment {comment.id} ({comment.side.value}, {len(comment.sentences)} sentences)")
     scores = score_comment(comment, topic, lexicons, signatures)
+    # one column per feature, in sentence order
     header = f"{'sentence':<10} {'SP':>5} {'SL':>5} {'TT':>5} {'CJ':>3} {'TTS':>6} {'CB':>6}"
     print(header)
-    for s in comment.sentences:
-        fv = scores[s.id]
-        print(
-            f"{s.id:<10} {fv.raw[Feature.SP]:>5.2f} {fv.raw[Feature.SL]:>5.0f} "
-            f"{fv.raw[Feature.TT]:>5.2f} {fv.raw[Feature.CJ]:>3.0f} "
-            f"{fv.raw[Feature.COS_TTS]:>6.3f} {fv.cb:>6.3f}"
-        )
+    rows = zip(
+        comment.sentences,
+        *(scores.column(f) for f in (Feature.SP, Feature.SL, Feature.TT, Feature.CJ, Feature.COS_TTS)),
+        scores.cb,
+    )
+    for s, sp, sl, tt, cj, tts, cb in rows:
+        print(f"{s.id:<10} {sp:>5.2f} {sl:>5.0f} {tt:>5.2f} {cj:>3.0f} {tts:>6.3f} {cb:>6.3f}")
 
     for feature in (Feature.SP, Feature.CB, Feature.COS_TTS):
         selected = select_salient(comment, scores, feature=feature)

@@ -50,6 +50,7 @@ class Gazetteer:
                 raise ValidationError(f"gazetteer term too long ({len(t)} tokens)", record=term_text(t))
         self.terms = frozenset(terms)
         self._max_len = max((len(t) for t in terms), default=0)
+        self._first_tokens = frozenset(t[0] for t in terms)
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -59,6 +60,8 @@ class Gazetteer:
 
     def match_at(self, tokens: tuple[str, ...] | list[str], start: int) -> Term | None:
         """Longest gazetteer term starting at token index ``start``, if any."""
+        if start >= len(tokens) or tokens[start] not in self._first_tokens:
+            return None
         limit = min(self._max_len, len(tokens) - start)
         for length in range(limit, 0, -1):
             candidate = tuple(tokens[start : start + length])

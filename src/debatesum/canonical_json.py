@@ -1,0 +1,86 @@
+"""Canonical JSON bytes, the one encoding of every artifact.
+
+``to_json_bytes(doc)`` writes exactly ``(json.dumps(doc, sort_keys=True,
+ensure_ascii=False, indent=2) + "\\n").encode("utf-8")`` in one pass, where
+``json`` with ``indent`` falls back to its pure-Python generator encoder.
+"""
+
+from __future__ import annotations
+
+import io
+from itertools import repeat
+from json.encoder import encode_basestring as _quote
+
+# what json writes for the non-finite floats, by their repr
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _float_text(x: float) -> str:
+    text = float.__repr__(x)
+    return _NON_FINITE.get(text, text)
+
+
+def _scalar_text(value) -> str | None:
+    """The JSON text of a string, number, bool or None (subclasses such as
+    str-Enums and numpy floats too, tested in json's order); None otherwise."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None or value is True or value is False:
+        return _CONSTANTS[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float_text(value)
+    return None
+
+
+def _key_text(key) -> str:
+    """A key as json writes it: a number, bool or None becomes a string."""
+    text = key if isinstance(key, str) else _scalar_text(key)
+    if text is None:
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+    return _quote(text)
+
+
+def _write(value, write, newline: str) -> None:
+    """Write ``value``; ``newline`` is the line break plus the indent of its line."""
+    if isinstance(value, (list, tuple)):
+        pairs, keyed, brackets = zip(repeat(""), value), False, "[]"
+    elif isinstance(value, dict):
+        pairs, keyed, brackets = sorted(value.items()), True, "{}"
+    else:
+        text = _scalar_text(value)
+        if text is None:
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        write(text)
+        return
+    if not value:
+        write(brackets)
+        return
+    inner = newline + "  "
+    separator, comma = brackets[0] + inner, "," + inner
+    for key, item in pairs:
+        if keyed:
+            key = (_quote(key) if type(key) is str else _key_text(key)) + ": "
+        kind = type(item)  # exact types first: they are nearly every scalar
+        if kind is str:
+            write(separator + key + _quote(item))
+        elif kind is int:
+            write(separator + key + int.__repr__(item))
+        elif kind is float:
+            write(separator + key + _float_text(item))
+        elif (text := _scalar_text(item)) is not None:
+            write(separator + key + text)
+        else:
+            write(separator + key)
+            _write(item, write, inner)
+        separator = comma
+    write(newline + brackets[1])
+
+
+def to_json_bytes(doc) -> bytes:
+    out = io.StringIO()
+    _write(doc, out.write, "\n")
+    out.write("\n")
+    return out.getvalue().encode("utf-8")

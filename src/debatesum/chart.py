@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .alignment import AlignedPair, LabeledCluster
+from .canonical_json import to_json_bytes
 from .errors import ComputationError, ParseError
 
 AGREE_COLOR = "#2b7bba"
@@ -115,10 +116,7 @@ def parse_chart_json(data: bytes | str) -> ChartSummary:
 def render_chart(chart: ChartSummary, format: str = "json") -> bytes:
     """Serialize a chart to canonical JSON or a self-contained HTML page."""
     if format == "json":
-        return (
-            json.dumps(chart_to_jsonable(chart), sort_keys=True, ensure_ascii=False, indent=2)
-            + "\n"
-        ).encode("utf-8")
+        return to_json_bytes(chart_to_jsonable(chart))
     if format == "html":
         return _render_html(chart).encode("utf-8")
     raise ComputationError(f"unknown chart format {format!r} (expected 'json' or 'html')")

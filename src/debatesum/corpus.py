@@ -100,6 +100,23 @@ def _require(obj: dict, key: str, kind: type, record: str) -> object:
     return value
 
 
+def _record_id(obj: dict, what: str, parent: str | None, path: Path) -> str:
+    """The id of a topic, comment or sentence record: a nonempty string that
+    encodes as UTF-8, since every artifact names records by id."""
+    record = f"{parent}/<{what}>" if parent else f"<{what}>"
+    rid = str(_require(obj, "id", str, record))
+    if not rid:
+        raise ValidationError(f"{what} id must be nonempty", record=parent or record)
+    try:
+        rid.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ParseError(
+            f"{what} id {rid!r} in record {parent or record} is not valid UTF-8 (lone surrogate)",
+            source=str(path),
+        ) from None
+    return rid
+
+
 def load_corpus(path: str | Path) -> list[DebateTopic]:
     """Load and validate a corpus file, tokenizing every sentence.
 
@@ -120,9 +137,7 @@ def load_corpus(path: str | Path) -> list[DebateTopic]:
     sentence_ids: set[str] = set()
 
     for t in topics_raw:
-        tid = str(_require(t, "id", str, "<topic>"))
-        if not tid:
-            raise ValidationError("topic id must be nonempty", record="<topic>")
+        tid = _record_id(t, "topic", None, path)
         if tid in topic_ids:
             raise ValidationError("duplicate topic id", record=tid)
         topic_ids.add(tid)
@@ -133,9 +148,7 @@ def load_corpus(path: str | Path) -> list[DebateTopic]:
 
         comments: list[Comment] = []
         for c in comments_raw:
-            cid = str(_require(c, "id", str, f"{tid}/<comment>"))
-            if not cid:
-                raise ValidationError("comment id must be nonempty", record=tid)
+            cid = _record_id(c, "comment", tid, path)
             if cid in comment_ids:
                 raise ValidationError("duplicate comment id", record=cid)
             comment_ids.add(cid)
@@ -152,9 +165,7 @@ def load_corpus(path: str | Path) -> list[DebateTopic]:
 
             sentences: list[Sentence] = []
             for i, s in enumerate(sentences_raw):
-                sid = str(_require(s, "id", str, f"{cid}/<sentence>"))
-                if not sid:
-                    raise ValidationError("sentence id must be nonempty", record=cid)
+                sid = _record_id(s, "sentence", cid, path)
                 if sid in sentence_ids:
                     raise ValidationError("duplicate sentence id", record=sid)
                 sentence_ids.add(sid)

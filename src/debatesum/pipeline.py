@@ -45,6 +45,7 @@ from .annotate import (
     term_text,
 )
 from .assets import default_conjunctive_adverbs_path, default_stopwords
+from .canonical_json import to_json_bytes
 from .corpus import DebateTopic, Side, load_corpus, load_gold
 from .errors import ComputationError, ConfigError, DebatesumError, ParseError, ValidationError
 from .saliency import (
@@ -818,10 +819,6 @@ def compute_evaluation(
 # ---------------------------------------------------------------------------
 # artifact I/O
 # ---------------------------------------------------------------------------
-
-
-def to_json_bytes(doc: dict) -> bytes:
-    return (json.dumps(doc, sort_keys=True, ensure_ascii=False, indent=2) + "\n").encode("utf-8")
 
 
 def write_json(path: str | Path, doc: dict) -> None:

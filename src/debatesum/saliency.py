@@ -84,17 +84,16 @@ class Lexicons:
 
 
 @dataclass(frozen=True)
-class FeatureVector:
-    sentence_id: str
-    raw: dict[Feature, float]
-    normalized: dict[Feature, float]
-    cb: float
+class CommentScores:
+    """Per-feature columns of one comment, each in ``comment.sentences`` order."""
 
-    def score(self, feature: Feature) -> float:
-        """Raw value used for ranking; CB ranks by the combined mean."""
-        if feature is Feature.CB:
-            return self.cb
-        return self.raw[feature]
+    raw: dict[Feature, list[float]]
+    normalized: dict[Feature, list[float]]
+    cb: list[float]
+
+    def column(self, feature: Feature) -> list[float]:
+        """Values used for ranking: raw scores, or the combined mean for CB."""
+        return self.cb if feature is Feature.CB else self.raw[feature]
 
 
 def load_embeddings(path: str | Path) -> dict[str, np.ndarray]:
@@ -126,6 +125,8 @@ def load_embeddings(path: str | Path) -> dict[str, np.ndarray]:
             raise ParseError(f"bad embedding value: {exc}", source=str(path), line=lineno) from exc
         if vec.size == 0:
             raise ParseError("embedding line has no values", source=str(path), line=lineno)
+        if not np.isfinite(vec).all():
+            raise ParseError("embedding value is not finite", source=str(path), line=lineno)
         if dim is None:
             dim = vec.size
         elif vec.size != dim:
@@ -209,15 +210,6 @@ def extract_topic_signatures(
     return signatures
 
 
-def _set_cosine(token_counts: Counter, norm: float, token_set: frozenset[str] | set[str]) -> float:
-    """Cosine between a term-frequency vector of Euclidean norm ``norm`` and
-    the binary vector of a set."""
-    if not token_counts or not token_set or norm == 0.0:
-        return 0.0
-    dot = sum(c for t, c in token_counts.items() if t in token_set)
-    return dot / (norm * math.sqrt(len(token_set)))
-
-
 def _mean_embedding(tokens: tuple[str, ...], embeddings: dict[str, np.ndarray]) -> np.ndarray | None:
     vecs = [embeddings[t] for t in tokens if t in embeddings]
     if not vecs:
@@ -234,8 +226,8 @@ def score_comment(
     topic: DebateTopic,
     lexicons: Lexicons,
     signatures: list[TopicSignature],
-) -> dict[str, FeatureVector]:
-    """Feature vectors for every sentence of a comment.
+) -> CommentScores:
+    """Feature columns for the sentences of a comment.
 
     Normalization is min-max within the comment; a feature constant across
     the comment normalizes to 0 everywhere. CB averages the normalized
@@ -245,64 +237,58 @@ def score_comment(
     title_tokens = frozenset(topic.title_tokens)
     signature_terms = frozenset(s.term for s in signatures)
     climate_tokens = lexicons.climate_tokens
+    # Euclidean norms of the binary set vectors; 0.0 for an empty set
+    tps_norm, ccts_norm, tts_norm = (math.sqrt(len(s)) for s in (signature_terms, climate_tokens, title_tokens))
     embeddings = lexicons.embeddings
+    title_emb = None if embeddings is None else _mean_embedding(topic.title_tokens, embeddings)
+    title_norm = 0.0 if title_emb is None else math.sqrt(title_emb @ title_emb)
 
-    title_emb = None
-    if embeddings is not None:
-        title_emb = _mean_embedding(topic.title_tokens, embeddings)
-
-    raws: dict[str, dict[Feature, float]] = {}
+    columns: list[list[float]] = [[] for _ in BASE_FEATURES]
+    sp, sl, tt, cj, cos_tps, cos_ccts, cos_tts, cos_stt = columns
     for sentence in comment.sentences:
         counts = Counter(sentence.tokens)
         norm = math.sqrt(sum(c * c for c in counts.values()))
-        raw: dict[Feature, float] = {
-            Feature.SP: 1.0 - (sentence.position - 1) / n,
-            Feature.SL: float(len(sentence.tokens)),
-            Feature.TT: (
-                len(set(sentence.tokens) & title_tokens) / len(title_tokens)
-                if title_tokens
-                else 0.0
-            ),
-            Feature.CJ: float(_starts_with_conjunctive_adverb(sentence.tokens, lexicons)),
-            Feature.COS_TPS: _set_cosine(counts, norm, signature_terms),
-            Feature.COS_CCTS: _set_cosine(counts, norm, climate_tokens),
-            Feature.COS_TTS: _set_cosine(counts, norm, title_tokens),
-        }
-        if embeddings is not None and title_emb is not None:
-            sent_emb = _mean_embedding(sentence.tokens, embeddings)
-            if sent_emb is None:
-                raw[Feature.COS_STT] = 0.0
-            else:
-                denom = float(np.linalg.norm(sent_emb) * np.linalg.norm(title_emb))
-                raw[Feature.COS_STT] = (
-                    0.0 if denom == 0.0 else float(np.clip(sent_emb @ title_emb / denom, -1.0, 1.0))
-                )
+        in_title = tps = ccts = tts = 0
+        for token, c in counts.items():
+            if token in signature_terms:
+                tps += c
+            if token in climate_tokens:
+                ccts += c
+            if token in title_tokens:
+                in_title += 1
+                tts += c
+        sp.append(1.0 - (sentence.position - 1) / n)
+        sl.append(float(len(sentence.tokens)))
+        tt.append(in_title / len(title_tokens) if title_tokens else 0.0)
+        cj.append(float(_starts_with_conjunctive_adverb(sentence.tokens, lexicons)))
+        cos_tps.append(tps / (norm * tps_norm) if tps_norm and norm else 0.0)
+        cos_ccts.append(ccts / (norm * ccts_norm) if ccts_norm and norm else 0.0)
+        cos_tts.append(tts / (norm * tts_norm) if tts_norm and norm else 0.0)
+        sent_emb = None if title_emb is None else _mean_embedding(sentence.tokens, embeddings)
+        if sent_emb is None:
+            cos_stt.append(0.0)
         else:
-            raw[Feature.COS_STT] = 0.0
-        raws[sentence.id] = raw
+            denom = math.sqrt(sent_emb @ sent_emb) * title_norm
+            cosine = float(sent_emb @ title_emb) / denom if denom else 0.0
+            cos_stt.append(max(-1.0, min(1.0, cosine)))
 
-    available = [f for f in BASE_FEATURES if f is not Feature.COS_STT or embeddings is not None]
-
-    lo = {f: min(raws[s.id][f] for s in comment.sentences) for f in BASE_FEATURES}
-    hi = {f: max(raws[s.id][f] for s in comment.sentences) for f in BASE_FEATURES}
-
-    vectors: dict[str, FeatureVector] = {}
-    for sentence in comment.sentences:
-        raw = raws[sentence.id]
-        normalized = {}
-        for f in BASE_FEATURES:
-            span = hi[f] - lo[f]
-            normalized[f] = (raw[f] - lo[f]) / span if span > 0 else 0.0
-        cb = sum(normalized[f] for f in available) / len(available)
-        vectors[sentence.id] = FeatureVector(
-            sentence_id=sentence.id, raw=raw, normalized=normalized, cb=cb
-        )
-    return vectors
+    normalized = []
+    for column in columns:
+        lo, hi = min(column), max(column)
+        span = hi - lo
+        normalized.append([(v - lo) / span for v in column] if span > 0 else [0.0] * n)
+    # COS_STT is the last base feature, so the available ones are a prefix
+    k = len(BASE_FEATURES) if embeddings is not None else len(BASE_FEATURES) - 1
+    return CommentScores(
+        raw=dict(zip(BASE_FEATURES, columns)),
+        normalized=dict(zip(BASE_FEATURES, normalized)),
+        cb=[sum(row) / k for row in zip(*normalized[:k])],
+    )
 
 
 def select_salient(
     comment: Comment,
-    scores: dict[str, FeatureVector],
+    scores: CommentScores,
     feature: Feature = Feature.SP,
     ratio: float = 0.2,
 ) -> list[str]:
@@ -313,9 +299,8 @@ def select_salient(
     """
     if not 0.0 < ratio <= 1.0:
         raise ComputationError(f"selection ratio must be in (0, 1], got {ratio}")
-    count = salient_count(len(comment.sentences), ratio)
-    ranked = sorted(
-        comment.sentences, key=lambda s: (-scores[s.id].score(feature), s.position)
-    )
-    chosen = {s.id for s in ranked[:count]}
-    return [s.id for s in comment.sentences if s.id in chosen]
+    sentences = comment.sentences
+    column = scores.column(feature)
+    ranked = sorted(range(len(sentences)), key=lambda i: (-column[i], sentences[i].position))
+    chosen = sorted(ranked[: salient_count(len(sentences), ratio)])
+    return [sentences[i].id for i in chosen]

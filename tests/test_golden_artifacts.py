@@ -6,7 +6,7 @@ to keep the bytes or update these hashes and declare the output change.
 """
 
 import hashlib
-from pathlib import Path
+import json
 
 import pytest
 
@@ -42,6 +42,26 @@ GOLDEN = {
     },
 }
 
+# The sample config without ``embeddings_path``: COS_STT is unavailable, so CB
+# is the mean of seven features; the ROUGE table in evaluation.json pins it.
+GOLDEN_WITHOUT_EMBEDDINGS = {
+    **_SHARED,
+    "alignment.json": "7e79477f6db2aa2d2ef0eda389aff59c17525da5c618b10c28e339788e14665d",
+    "chart_t1.html": "d5386145aac89974bc34d6446f13cb3e340c2937fc96b9e001e4bf0c441e43ee",
+    "chart_t1.json": "59983f420ad2cd8d6dcc28fa7c26acddbb50793a31a4936d460ccce78cbc4690",
+    "clusters.json": "3263430d6e59eab32c457d7517601607a2db1fbdd4b97ec097860076802867fd",
+    "evaluation.json": "abc7a0788f50ccfff30016977d72386367315a90c9c23799616a035e067e09db",
+    "labels.json": "9da0e41b74a8a3a65013cb8aff1be45626c1ee0dd52144c2e70db1ca1db6a8a9",
+}
+
+
+def _hashes(out_dir):
+    return {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in out_dir.iterdir()
+        if p.name != "manifest.json"
+    }
+
 
 @pytest.mark.parametrize("method, labeling", sorted(GOLDEN))
 def test_sample_artifacts_match_pinned_hashes(tmp_path, method, labeling):
@@ -50,9 +70,16 @@ def test_sample_artifacts_match_pinned_hashes(tmp_path, method, labeling):
         {"clustering_method": method, "labeling_method": labeling, "output_dir": str(tmp_path)},
     )
     run_pipeline(config)
-    written = {
-        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-        for p in tmp_path.iterdir()
-        if p.name != "manifest.json"
-    }
-    assert written == GOLDEN[(method, labeling)]
+    assert _hashes(tmp_path) == GOLDEN[(method, labeling)]
+
+
+def test_sample_artifacts_without_embeddings_match_pinned_hashes(tmp_path):
+    raw = json.loads((SAMPLE_DIR / "config.json").read_text(encoding="utf-8"))
+    del raw["embeddings_path"]
+    for key in ("corpus_path", "gold_path", "gazetteer_path", "synonyms_path"):
+        raw[key] = str(SAMPLE_DIR / raw[key])
+    raw["output_dir"] = str(tmp_path / "out")
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(raw), encoding="utf-8")
+    run_pipeline(load_config(config_path))
+    assert _hashes(tmp_path / "out") == GOLDEN_WITHOUT_EMBEDDINGS

@@ -605,6 +605,32 @@ class TestCli:
         corpus_path.write_text(json.dumps(raw))
         assert main(["pipeline", "--config", str(config_path)]) == 3
 
+    @pytest.mark.parametrize("command", ["pipeline", "select"])
+    @pytest.mark.parametrize("sentence_id, code", [("bad\ud800id", 3), ("naïve-é", 0)])
+    def test_id_that_is_not_utf8_exit_3(self, tmp_path, capsys, command, sentence_id, code):
+        # every artifact names sentences by id, and artifacts are UTF-8
+        config_path = make_config(tmp_path, gold_path=None)
+        corpus_path = config_path.parent / "corpus.json"
+        raw = json.loads(corpus_path.read_text())
+        raw["topics"][0]["comments"][0]["sentences"][0]["id"] = sentence_id
+        corpus_path.write_text(json.dumps(raw))  # ASCII escapes, so a lone surrogate parses
+        assert main([command, "--config", str(config_path)]) == code
+        if code:
+            err = capsys.readouterr().err
+            assert "corpus.json" in err and "'bad\\ud800id'" in err and "t1-c1" in err
+
+    @pytest.mark.parametrize("command", ["pipeline", "select"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+    def test_non_finite_embedding_exit_3(self, tmp_path, capsys, command, value):
+        config_path = make_config(tmp_path)
+        embeddings_path = config_path.parent / "embeddings.txt"
+        lines = embeddings_path.read_text().splitlines()
+        assert lines[1].startswith("a ")
+        lines[1] = f"a {value} " + lines[1].split(" ", 2)[2]
+        embeddings_path.write_text("\n".join(lines) + "\n")
+        assert main([command, "--config", str(config_path)]) == 3
+        assert "embeddings.txt:2" in capsys.readouterr().err
+
     def test_computation_error_exit_4(self, tmp_path):
         config_path = make_config(tmp_path, clustering_method="xmeans", labeling_method="shared")
         assert main(["pipeline", "--config", str(config_path)]) == 4

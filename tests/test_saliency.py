@@ -106,35 +106,34 @@ class TestScoreFeatures:
     def test_sp_first_sentence_is_one(self):
         comment, topic = self.make_simple()
         scores = score_comment(comment, topic, plain_lexicons(), [])
-        assert scores["c1-s1"].raw[Feature.SP] == 1.0
-        sp = [scores[s.id].raw[Feature.SP] for s in comment.sentences]
+        sp = scores.raw[Feature.SP]
+        assert sp[0] == 1.0
         assert sp == sorted(sp, reverse=True)
 
     def test_zero_title_overlap(self):
         comment, _ = self.make_simple()
         topic = make_topic("t1", "economy policy", [comment])
         scores = score_comment(comment, topic, plain_lexicons(), [])
-        assert scores["c1-s3"].raw[Feature.TT] == 0.0
-        assert scores["c1-s3"].raw[Feature.COS_TTS] == 0.0
+        assert scores.raw[Feature.TT][2] == 0.0
+        assert scores.raw[Feature.COS_TTS][2] == 0.0
 
     def test_identical_binary_vectors_give_cosine_one(self):
         comment = make_comment("c1", Side.AGREE, ["global warming", "other words entirely"])
         topic = make_topic("t1", "global warming", [comment])
         scores = score_comment(comment, topic, plain_lexicons(), [])
-        assert scores["c1-s1"].raw[Feature.COS_TTS] == pytest.approx(1.0)
+        assert scores.raw[Feature.COS_TTS][0] == pytest.approx(1.0)
 
     def test_tt_fraction(self):
         comment = make_comment("c1", Side.AGREE, ["global warming is real", "unrelated"])
         topic = make_topic("t1", "global warming hoax", [comment])
         scores = score_comment(comment, topic, plain_lexicons(), [])
-        assert scores["c1-s1"].raw[Feature.TT] == pytest.approx(2 / 3)
+        assert scores.raw[Feature.TT][0] == pytest.approx(2 / 3)
 
     def test_cj_prefix(self):
         comment, topic = self.make_simple()
         lex = plain_lexicons(conjunctive_adverbs=frozenset({("however",)}))
         scores = score_comment(comment, topic, lex, [])
-        assert scores["c1-s1"].raw[Feature.CJ] == 0.0
-        assert scores["c1-s2"].raw[Feature.CJ] == 1.0
+        assert scores.raw[Feature.CJ][:2] == [0.0, 1.0]
 
     def test_signature_cosine(self):
         comment, topic = self.make_simple()
@@ -143,20 +142,20 @@ class TestScoreFeatures:
         # s1 tokens: global warming is real; one of two signature terms present
         counts = Counter(["global", "warming", "is", "real"])
         expected = 1 / (math.sqrt(4) * math.sqrt(2))
-        assert scores["c1-s1"].raw[Feature.COS_TPS] == pytest.approx(expected)
+        assert scores.raw[Feature.COS_TPS][0] == pytest.approx(expected)
 
     def test_normalized_in_unit_interval_and_cb_mean(self):
         comment, topic = self.make_simple()
         scores = score_comment(comment, topic, default_lexicons(), [])
-        for fv in scores.values():
-            for value in fv.normalized.values():
-                assert 0.0 <= value <= 1.0
-            assert 0.0 <= fv.cb <= 1.0
+        for column in scores.normalized.values():
+            assert len(column) == len(comment.sentences)
+            assert all(0.0 <= value <= 1.0 for value in column)
+        assert all(0.0 <= value <= 1.0 for value in scores.cb)
 
     def test_cos_stt_zero_without_embeddings(self):
         comment, topic = self.make_simple()
         scores = score_comment(comment, topic, plain_lexicons(), [])
-        assert all(fv.raw[Feature.COS_STT] == 0.0 for fv in scores.values())
+        assert scores.raw[Feature.COS_STT] == [0.0] * len(comment.sentences)
 
     def test_cos_stt_with_embeddings(self):
         comment = make_comment("c1", Side.AGREE, ["global warming", "economy stuff"])
@@ -168,15 +167,14 @@ class TestScoreFeatures:
             "stuff": np.array([0.0, -1.0]),
         }
         scores = score_comment(comment, topic, plain_lexicons(embeddings=emb), [])
-        assert scores["c1-s1"].raw[Feature.COS_STT] == pytest.approx(1.0)
-        assert scores["c1-s2"].raw[Feature.COS_STT] == pytest.approx(-1.0)
+        assert scores.raw[Feature.COS_STT] == [pytest.approx(1.0), pytest.approx(-1.0)]
 
     def test_all_oov_sentence_scores_zero(self):
         comment = make_comment("c1", Side.AGREE, ["global warming", "zzz qqq"])
         topic = make_topic("t1", "global warming", [comment])
         emb = {"global": np.array([1.0, 0.0]), "warming": np.array([0.0, 1.0])}
         scores = score_comment(comment, topic, plain_lexicons(embeddings=emb), [])
-        assert scores["c1-s2"].raw[Feature.COS_STT] == 0.0
+        assert scores.raw[Feature.COS_STT][1] == 0.0
 
     def test_cb_excludes_cos_stt_when_embeddings_absent(self):
         comment = make_comment("c1", Side.AGREE, ["global warming", "other words"])
@@ -184,10 +182,11 @@ class TestScoreFeatures:
         scores = score_comment(comment, topic, plain_lexicons(), [])
         # 7 available features; normalized TT/COS_TTS/COS_CCTS/SP/SL/CJ/COS_TPS
         expected = sum(
-            scores["c1-s1"].normalized[f] for f in Feature
+            scores.normalized[f][0] for f in Feature
             if f not in (Feature.CB, Feature.COS_STT)
         ) / 7
-        assert scores["c1-s1"].cb == pytest.approx(expected)
+        assert scores.cb[0] == pytest.approx(expected)
+        assert scores.column(Feature.CB) is scores.cb
 
 
 class TestSelectSalient:

@@ -300,7 +300,7 @@ def test_cos_ccts_reads_the_config_gazetteer(tmp_path):
     assert ("zorblax",) not in default_lexicons().climate_terms
     comment = inputs.corpus[0].comments[0]
     scores = score_comment(comment, inputs.corpus[0], inputs.lexicons, [])
-    assert scores["t1-c1-s2"].raw[Feature.COS_CCTS] > 0.0
+    assert scores.raw[Feature.COS_CCTS][1] > 0.0  # sentence t1-c1-s2
     # one of three sentences is selected; with every score 0 it would be the first
     doc = compute_salient(inputs.corpus, inputs.lexicons, Feature.COS_CCTS, ratio=0.2)
     assert doc["topics"][0]["comments"][0]["sentence_ids"] == ["t1-c1-s2"]
