@@ -48,7 +48,7 @@ def main():
     tfidf = tfidf_labels(term_counts)
     print(f"{'cluster':<22} {'shared':<18} {'tfidf':<18} {'mi':<18}")
     for i, cluster in enumerate(clusters):
-        shared = shared_term_label(cluster)
+        shared = shared_term_label(cluster.label)
         mi = mi_label(cluster.members, member_sets, terms_by_sentence)
         print(
             f"{term_text(cluster.label):<22} {term_text(shared.term):<18} "

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import Sentence, tokenize
+from .corpus import Sentence, read_lines, tokenize
 from .errors import ParseError, ValidationError
 
 Term = tuple[str, ...]
@@ -75,15 +75,8 @@ def load_lexicon_terms(path: str | Path) -> frozenset[Term]:
 
     Terms are tokenized and lowercased, duplicates collapse.
     """
-    terms = set()
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        term = _normalize_term(line)
-        if term:
-            terms.add(term)
-    return frozenset(terms)
+    terms = (_normalize_term(line) for _, line in read_lines(path))
+    return frozenset(term for term in terms if term)
 
 
 def load_gazetteer(path: str | Path) -> Gazetteer:
@@ -152,12 +145,8 @@ def load_synonyms(path: str | Path) -> SynonymTable:
     symmetric by construction.
     """
     table = SynonymTable()
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        cells = [c.strip() for c in line.split("\t")]
-        terms = [_normalize_term(c) for c in cells if c.strip()]
-        terms = [t for t in terms if t]
+    for lineno, line in read_lines(path):
+        terms = [t for t in map(_normalize_term, line.split("\t")) if t]
         if len(terms) < 2:
             raise ParseError("synonym row needs at least two terms", source=str(path), line=lineno)
         for i in range(len(terms)):

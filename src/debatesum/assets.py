@@ -5,24 +5,17 @@ from __future__ import annotations
 from importlib import resources
 from pathlib import Path
 
+from .corpus import read_lines
+
 
 def asset_path(name: str) -> Path:
     """Filesystem path of a packaged data asset (stopwords, lexicons)."""
     return Path(str(resources.files("debatesum").joinpath("data", name)))
 
 
-def load_wordlist(path: str | Path) -> frozenset[str]:
-    """One entry per line, lowercased, '#' comments and blanks ignored."""
-    entries = set()
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        line = line.strip().lower()
-        if line and not line.startswith("#"):
-            entries.add(line)
-    return frozenset(entries)
-
-
 def default_stopwords() -> frozenset[str]:
-    return load_wordlist(asset_path("stopwords.txt"))
+    """The packaged stopword list, one lowercased entry per line."""
+    return frozenset(line.lower() for _, line in read_lines(asset_path("stopwords.txt")))
 
 
 def default_conjunctive_adverbs_path() -> Path:

@@ -8,9 +8,9 @@ needs from the output directory, or from the path given by the flag named
 after the artifact (``--clusters``, ``--labels``, ...), and writes its own,
 so the pipeline can be driven step by step or in one go with ``pipeline``.
 
-Exit codes: 0 success, 2 config error (also a missing artifact), 3 data
-validation error (also a malformed or inconsistent artifact), 4 computation
-error.
+Exit codes: 0 success, 2 config error (also a file that cannot be read), 3
+data validation error (also a file that is not UTF-8, and a malformed or
+inconsistent artifact), 4 computation error.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .pipeline import (
     STAGES,
     PipelineConfig,
     Stage,
+    _check_shape,
     artifact_files,
     check_artifact,
     check_consistency,
@@ -47,6 +48,13 @@ from .pipeline import (  # noqa: F401
     compute_alignment, compute_annotations, compute_charts, compute_clusters, compute_labels,
     compute_salient, render_chart,
 )
+
+# The keys of a ratings file that ``eval stats`` reads, each checked where present.
+RATINGS_SHAPE = {
+    "samples": {"a": [(int, float)], "b": [(int, float)]},
+    "ratings": [[(int, float, type(None))]],
+    "metric": frozenset(("nominal", "interval", "ordinal")),
+}
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -188,11 +196,14 @@ def _cmd_eval_stats(args: argparse.Namespace) -> int:
     missing) with an optional ``metric`` for Krippendorff's alpha.
     """
     from .evalkit import krippendorff_alpha, mann_whitney_u
-    doc = read_json(args.ratings)
+    path = Path(args.ratings)
+    doc = read_json(path)
+    _check_shape(doc, {}, path)
+    _check_shape(doc, {key: shape for key, shape in RATINGS_SHAPE.items() if key in doc}, path)
     report: dict = {"mann_whitney": None, "krippendorff_alpha": None}
     if "samples" in doc:
         samples = doc["samples"]
-        if not isinstance(samples, dict) or set(samples) != {"a", "b"}:
+        if set(samples) != {"a", "b"}:
             raise ValidationError('ratings "samples" must have exactly keys "a" and "b"')
         result = mann_whitney_u(samples["a"], samples["b"])
         report["mann_whitney"] = {

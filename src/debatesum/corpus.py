@@ -23,12 +23,43 @@ import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
+from typing import Iterator
 
-from .errors import ParseError, ValidationError
+from .errors import ConfigError, ParseError, ValidationError
 
 # Lowercase alphanumeric runs, keeping hyphens that sit between alphanumerics
 # ("sea-level" stays one token, underscores split).
 _TOKEN_RE = re.compile(r"[^\W_]+(?:-[^\W_]+)*", re.UNICODE)
+
+
+def read_text(path: str | Path) -> str:
+    """The file's text, newlines as written: ConfigError if it cannot be read,
+    ParseError naming the byte offset if it is not UTF-8."""
+    path = Path(path)
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not valid UTF-8 at byte {exc.start}", source=str(path)) from None
+
+
+def read_json(path: str | Path):
+    """Parse a JSON file: ``read_text``'s errors, or ParseError if it is not JSON."""
+    try:
+        return json.loads(read_text(path))
+    except ValueError as exc:
+        raise ParseError(f"not valid JSON: {exc}", source=str(path)) from exc
+
+
+def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """(line number, stripped line) for each line that is neither blank nor a '#' comment."""
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
+        line = line.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
 
 
 def tokenize(text: str) -> list[str]:
@@ -125,10 +156,7 @@ def load_corpus(path: str | Path) -> list[DebateTopic]:
     positions, empty comment lists).
     """
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}", source=str(path)) from exc
+    raw = read_json(path)
 
     topics_raw = _require(raw, "topics", list, "<root>")
     topics: list[DebateTopic] = []
@@ -191,10 +219,7 @@ def load_gold(path: str | Path, corpus: list[DebateTopic]) -> list[GoldAnnotatio
     Output is ordered by corpus comment order, then annotator id.
     """
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}", source=str(path)) from exc
+    raw = read_json(path)
 
     comments: dict[str, Comment] = {}
     order: dict[str, int] = {}
@@ -207,7 +232,10 @@ def load_gold(path: str | Path, corpus: list[DebateTopic]) -> list[GoldAnnotatio
     for a in _require(raw, "annotations", list, "<root>"):
         annotator = str(_require(a, "annotator_id", str, "<annotation>"))
         comment_id = str(_require(a, "comment_id", str, annotator))
-        selected = _require(a, "selected", list, f"{annotator}/{comment_id}")
+        record = f"{annotator}/{comment_id}"
+        selected = _require(a, "selected", list, record)
+        if not all(isinstance(sid, str) for sid in selected):
+            raise ParseError(f"key 'selected' must be a list of strings in record {record}")
         if comment_id not in comments:
             raise ValidationError("annotation references unknown comment", record=comment_id)
         comment = comments[comment_id]
@@ -229,7 +257,7 @@ def load_gold(path: str | Path, corpus: list[DebateTopic]) -> list[GoldAnnotatio
             GoldAnnotation(
                 annotator_id=annotator,
                 comment_id=comment_id,
-                selected_sentence_ids=frozenset(str(s) for s in selected),
+                selected_sentence_ids=frozenset(selected),
             )
         )
     if not annotations:

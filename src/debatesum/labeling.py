@@ -21,7 +21,6 @@ from typing import Collection, Mapping, Sequence
 
 from .annotate import Term, term_text
 from .errors import ComputationError
-from .term_clustering import TermCluster
 
 UNLABELED: Term = ("(unlabeled)",)
 
@@ -93,14 +92,14 @@ def mutual_information(counts: ContingencyCounts) -> float:
     return max(total, 0.0)
 
 
-def shared_term_label(cluster: TermCluster) -> LabelCandidate:
+def shared_term_label(label: Term) -> LabelCandidate:
     """The defining term of a shared-term cluster, score 1."""
-    if not isinstance(cluster, TermCluster) or not cluster.label:
+    if not label:
         raise ComputationError(
             "shared-term labeling needs a shared-term cluster; use MI labeling "
             "for clusters without a common defining term"
         )
-    return LabelCandidate(term=cluster.label, score=1.0, method=LabelMethod.SHARED_TERM)
+    return LabelCandidate(term=tuple(label), score=1.0, method=LabelMethod.SHARED_TERM)
 
 
 def _best_two(scored: list[tuple[float, float, Term]]) -> tuple[Term, float, tuple[Term, float] | None]:

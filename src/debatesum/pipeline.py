@@ -23,7 +23,6 @@ and the CLI, whose stage subcommands each run one row from disk.
 
 from __future__ import annotations
 
-import json
 import re
 import sys
 from collections import Counter
@@ -46,7 +45,7 @@ from .annotate import (
 )
 from .assets import default_conjunctive_adverbs_path, default_stopwords
 from .canonical_json import to_json_bytes
-from .corpus import DebateTopic, Side, load_corpus, load_gold
+from .corpus import DebateTopic, Side, load_corpus, load_gold, read_json
 from .errors import ComputationError, ConfigError, DebatesumError, ParseError, ValidationError
 from .saliency import (
     Feature,
@@ -150,12 +149,10 @@ def load_config(path: str | Path, overrides: Mapping[str, object] | None = None)
     absent, or a path key that is null, takes its field's default.
     """
     path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        raw = read_json(path)
+    except ParseError as exc:
+        raise ConfigError(f"config is {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     unknown = set(raw) - _CONFIG_KEYS
@@ -542,17 +539,13 @@ def compute_labels(clusters_doc: dict, annotations_doc: dict, method: str, seed:
             if not clusters:
                 continue
             if method == "shared":
-                from .term_clustering import TermCluster
                 for c in clusters:
                     if c["label"] is None:
                         raise ComputationError(
                             f"cluster {c['cluster_id']} has no shared term; "
                             "use tfidf or mi labeling for xmeans clusters"
                         )
-                    term_cluster = TermCluster(
-                        label=tuple(c["label"].split()), side=side, members=tuple(c["members"])
-                    )
-                    candidate = shared_term_label(term_cluster)
+                    candidate = shared_term_label(tuple(c["label"].split()))
                     entries.append(_label_entry(c["cluster_id"], candidate))
             elif method == "tfidf":
                 counts = [
@@ -823,19 +816,6 @@ def compute_evaluation(
 
 def write_json(path: str | Path, doc: dict) -> None:
     Path(path).write_bytes(to_json_bytes(doc))
-
-
-def read_json(path: str | Path) -> dict:
-    """Parse a JSON file: ConfigError if it cannot be read, ParseError if it is not JSON."""
-    path = Path(path)
-    try:
-        data = path.read_bytes()
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
-    try:
-        return json.loads(data.decode("utf-8"))
-    except ValueError as exc:
-        raise ParseError(f"not valid JSON: {exc}", source=str(path)) from exc
 
 
 # What the stages read from each artifact on disk: a dict lists required keys

@@ -32,7 +32,7 @@ from .assets import (
     default_conjunctive_adverbs_path,
     default_gazetteer_path,
 )
-from .corpus import Comment, DebateTopic, salient_count
+from .corpus import Comment, DebateTopic, read_text, salient_count
 from .errors import ComputationError, ParseError
 
 # chi-squared critical value (1 dof, p < 0.001); default signature cutoff
@@ -104,7 +104,7 @@ def load_embeddings(path: str | Path) -> dict[str, np.ndarray]:
     """
     vectors: dict[str, np.ndarray] = {}
     dim: int | None = None
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = read_text(path).splitlines()
     start = 0
     if lines:
         head = lines[0].split()

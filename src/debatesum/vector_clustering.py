@@ -31,6 +31,8 @@ from .errors import ComputationError
 
 SPLIT_SEED_FRACTION = 0.5  # children start at +/- this fraction of the cluster radius
 VARIANCE_FLOOR = 1e-12     # X-means BIC variance floor, relative to the input's variance
+MAX_ITER = 300             # Lloyd passes per k-means or X-means refinement
+SPLIT_RESTARTS = 3         # k-means++ restarts after the principal-axis seeding of a split
 
 
 @dataclass(frozen=True)
@@ -280,7 +282,6 @@ def kmeans(
     points: np.ndarray,
     k: int,
     seed: int = 0,
-    max_iter: int = 300,
 ) -> ClusteringResult:
     """Seeded k-means++ initialization followed by Lloyd iterations.
 
@@ -300,7 +301,7 @@ def kmeans(
     weights = np.ones(n)
     rng = np.random.default_rng(seed)
     centroids = _kmeans_plusplus_init(points, weights, k, rng)
-    assignments, centroids, iterations, history = _lloyd(points, weights, centroids, max_iter)
+    assignments, centroids, iterations, history = _lloyd(points, weights, centroids, MAX_ITER)
     return ClusteringResult(
         k=k,
         assignments=assignments,
@@ -380,10 +381,8 @@ def _try_split(
     members: np.ndarray,
     weights: np.ndarray,
     centroid: np.ndarray,
-    max_iter: int,
     restart_seed: tuple[int, ...],
     floor: float,
-    n_restarts: int = 3,
 ) -> np.ndarray | None:
     """Local weighted 2-means on one cluster of distinct points; returns the
     two child centroids when the split improves the local BIC, else None.
@@ -409,14 +408,14 @@ def _try_split(
 
     def restarts():
         rng = np.random.default_rng(restart_seed)
-        for _ in range(n_restarts):
+        for _ in range(SPLIT_RESTARTS):
             yield _kmeans_plusplus_init(members, weights, 2, rng)
 
     seedings = itertools.chain([np.stack([centroid + offset, centroid - offset])], restarts())
 
     best: tuple[float, np.ndarray, np.ndarray] | None = None
     for seeds in seedings:
-        assignments, centroids, _, _ = _lloyd(members, weights, seeds, max_iter)
+        assignments, centroids, _, _ = _lloyd(members, weights, seeds, MAX_ITER)
         distortion = _distortion(members, weights, centroids, assignments)
         if best is None or distortion < best[0]:
             best = (distortion, assignments, centroids)
@@ -433,7 +432,6 @@ def xmeans(
     k_min: int = 2,
     k_max: int = 25,
     seed: int = 0,
-    max_iter: int = 300,
 ) -> ClusteringResult:
     """Grow k from k_min by BIC-accepted centroid splits, then refine globally.
 
@@ -462,7 +460,7 @@ def xmeans(
 
     rng = np.random.default_rng(seed)
     centroids = _kmeans_plusplus_init(distinct, weights, k_min, rng)
-    assignments, centroids, iterations, history = _lloyd(distinct, weights, centroids, max_iter)
+    assignments, centroids, iterations, history = _lloyd(distinct, weights, centroids, MAX_ITER)
     k = k_min
 
     round_index = 0
@@ -474,7 +472,7 @@ def xmeans(
             if k + split_count < k_max:
                 mask = assignments == j
                 children = _try_split(
-                    distinct[mask], weights[mask], centroids[j], max_iter,
+                    distinct[mask], weights[mask], centroids[j],
                     restart_seed=(seed, round_index, j), floor=floor,
                 )
             if children is None:
@@ -487,7 +485,7 @@ def xmeans(
         k += split_count
         round_index += 1
         assignments, centroids, its, hist = _lloyd(
-            distinct, weights, np.stack(new_centroids), max_iter
+            distinct, weights, np.stack(new_centroids), MAX_ITER
         )
         iterations += its
         history.extend(hist)

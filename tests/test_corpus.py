@@ -181,6 +181,20 @@ class TestLoadGold:
         with pytest.raises(ValidationError):
             load_gold(gold_path, corpus)
 
+    @pytest.mark.parametrize("entry", [["t1-c1-s1"], {"a": 1}, 3])
+    def test_selected_entry_that_is_not_a_string_rejected(self, tmp_path, entry):
+        topic = simple_topic_dict(n_comments=1, n_sentences=3)
+        corpus = load_corpus(write_corpus_json(tmp_path / "c.json", [topic]))
+        gold_path = tmp_path / "g.json"
+        gold_path.write_text(
+            json.dumps(
+                {"annotations": [{"annotator_id": "a1", "comment_id": "t1-c1", "selected": [entry]}]}
+            ),
+            encoding="utf-8",
+        )
+        with pytest.raises(ParseError, match="a1/t1-c1"):
+            load_gold(gold_path, corpus)
+
     def test_three_sentence_comment_one_selection_ok(self, tmp_path):
         topic = simple_topic_dict(n_comments=1, n_sentences=3)
         corpus = load_corpus(write_corpus_json(tmp_path / "c.json", [topic]))

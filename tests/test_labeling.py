@@ -92,19 +92,18 @@ class TestMutualInformation:
 
 class TestSharedTermLabel:
     def test_identity(self):
-        cluster = TermCluster(label=("ice",), side=Side.AGREE, members=("s1",))
-        candidate = shared_term_label(cluster)
+        candidate = shared_term_label(("ice",))
         assert candidate.term == ("ice",)
         assert candidate.score == 1.0
         assert candidate.method is LabelMethod.SHARED_TERM
 
     def test_merged_cluster_keeps_canonical_label(self):
         cluster = TermCluster(label=("carbon", "dioxide"), side=Side.AGREE, members=("s1", "s2"))
-        assert shared_term_label(cluster).term == ("carbon", "dioxide")
+        assert shared_term_label(cluster.label).term == ("carbon", "dioxide")
 
-    def test_non_term_cluster_rejected(self):
+    def test_empty_label_rejected(self):
         with pytest.raises(ComputationError):
-            shared_term_label(object())
+            shared_term_label(())
 
 
 class TestTfidfLabels:

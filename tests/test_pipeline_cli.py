@@ -573,6 +573,39 @@ class TestCli:
             "seed": 0,
         }
 
+    @pytest.mark.parametrize("name, stage, code", [
+        ("corpus.json", ["annotate"], 3),
+        ("gold.json", ["eval", "rouge"], 3),
+        ("gazetteer.txt", ["annotate"], 3),
+        ("synonyms.tsv", ["annotate"], 3),
+        ("embeddings.txt", ["eval", "rouge"], 3),
+        ("config.json", ["annotate"], 2),
+    ])
+    def test_input_that_is_not_utf8_names_file_and_offset(self, tmp_path, capsys, name, stage, code):
+        config_path = make_config(tmp_path)
+        path = config_path.parent / name
+        data = bytearray(path.read_bytes())
+        data[20] = 0xFF
+        path.write_bytes(bytes(data))
+        for argv in (["pipeline"], stage):
+            capsys.readouterr()
+            assert main([*argv, "--config", str(config_path)]) == code, argv
+            assert f"not valid UTF-8 at byte 20 [{path}]" in capsys.readouterr().err, argv
+
+    @pytest.mark.parametrize("newline", [b"\r\n", b"\r"])
+    def test_term_files_with_cr_newlines_give_the_same_annotations(self, tmp_path, newline):
+        outputs = []
+        for variant in ("lf", "cr"):
+            (tmp_path / variant).mkdir()
+            config_path = make_config(tmp_path / variant)
+            if variant == "cr":
+                for name in ("gazetteer.txt", "synonyms.tsv"):
+                    path = config_path.parent / name
+                    path.write_bytes(path.read_bytes().replace(b"\n", newline))
+            assert main(["annotate", "--config", str(config_path)]) == 0
+            outputs.append((tmp_path / variant / "out" / "annotations.json").read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_missing_config_file_exit_2(self, tmp_path, capsys):
         assert main(["pipeline", "--config", str(tmp_path / "nope.json")]) == 2
 
@@ -676,3 +709,17 @@ class TestCli:
         ratings = tmp_path / "ratings.json"
         ratings.write_text(json.dumps({"something_else": 1}), encoding="utf-8")
         assert main(["eval", "stats", "--ratings", str(ratings)]) == 3
+
+    @pytest.mark.parametrize("doc", [
+        {"samples": {"a": "x", "b": [1]}},
+        {"samples": {"a": [1, "2"], "b": [1]}},
+        {"ratings": [[1, 2], [1, "z"]]},
+        {"ratings": 5},
+        {"ratings": [[1, 2], [1, 2]], "metric": "bogus"},
+        5,
+    ])
+    def test_eval_stats_malformed_ratings_exit_3(self, tmp_path, capsys, doc):
+        ratings = tmp_path / "ratings.json"
+        ratings.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["eval", "stats", "--ratings", str(ratings)]) == 3
+        assert str(ratings) in capsys.readouterr().err
