@@ -21,7 +21,6 @@ class LabeledCluster:
     cluster_id: str
     side: Side
     label: Term
-    members: tuple[str, ...]
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,9 @@ from .errors import ParseError, ValidationError
 
 Term = tuple[str, ...]
 
+# The label of a cluster no term describes; alignment drops such clusters.
+UNLABELED: Term = ("(unlabeled)",)
+
 
 def _normalize_term(text: str) -> Term:
     return tuple(tokenize(text))

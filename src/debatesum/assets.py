@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from functools import cache
 from importlib import resources
 from pathlib import Path
 
@@ -13,8 +14,9 @@ def asset_path(name: str) -> Path:
     return Path(str(resources.files("debatesum").joinpath("data", name)))
 
 
+@cache
 def default_stopwords() -> frozenset[str]:
-    """The packaged stopword list, one lowercased entry per line."""
+    """The packaged stopword list, one lowercased entry per line, read once per process."""
     return frozenset(line.lower() for _, line in read_lines(asset_path("stopwords.txt")))
 
 

@@ -9,10 +9,9 @@ a data-table fallback. Both renderings are byte-deterministic.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
-from .alignment import AlignedPair, LabeledCluster
 from .canonical_json import to_json_bytes
 from .errors import ComputationError, ParseError
 
@@ -34,44 +33,26 @@ class ChartSummary:
     bars: tuple[Bar, ...]
 
 
-def build_chart(
-    topic_id: str,
-    pairs: Sequence[AlignedPair],
-    clusters: Sequence[LabeledCluster] | Mapping[str, LabeledCluster],
-) -> ChartSummary:
-    """One bar per aligned pair, counting each cluster's member sentences.
+def build_chart(topic_id: str, pairs: Sequence[Mapping], sizes: Mapping[str, int]) -> ChartSummary:
+    """One bar per aligned pair (an ``alignment.json`` pair entry), its heights
+    the member counts (``sizes``: cluster id -> count) of the pair's clusters.
 
     Bars sort by total count descending (ties alphabetical); duplicate
     display labels get a numeric suffix so labels stay unique.
     """
-    if not isinstance(clusters, Mapping):
-        clusters = {c.cluster_id: c for c in clusters}
     bars: list[Bar] = []
     for pair in pairs:
-        if pair.agree_cluster_id not in clusters or pair.disagree_cluster_id not in clusters:
-            raise ComputationError(
-                f"aligned pair {pair.label!r} references an unknown cluster id"
-            )
-        bars.append(
-            Bar(
-                label=pair.label,
-                agree_count=len(clusters[pair.agree_cluster_id].members),
-                disagree_count=len(clusters[pair.disagree_cluster_id].members),
-                similarity=pair.similarity,
-            )
-        )
+        agree, disagree = pair["agree_cluster_id"], pair["disagree_cluster_id"]
+        if agree not in sizes or disagree not in sizes:
+            raise ComputationError(f"aligned pair {pair['label']!r} references an unknown cluster id")
+        bars.append(Bar(pair["label"], sizes[agree], sizes[disagree], float(pair["similarity"])))
     bars.sort(key=lambda b: (-(b.agree_count + b.disagree_count), b.label))
     seen: dict[str, int] = {}
     unique: list[Bar] = []
     for bar in bars:
         seen[bar.label] = seen.get(bar.label, 0) + 1
         if seen[bar.label] > 1:
-            bar = Bar(
-                label=f"{bar.label} ({seen[bar.label]})",
-                agree_count=bar.agree_count,
-                disagree_count=bar.disagree_count,
-                similarity=bar.similarity,
-            )
+            bar = replace(bar, label=f"{bar.label} ({seen[bar.label]})")
         unique.append(bar)
     return ChartSummary(topic_id=topic_id, bars=tuple(unique))
 

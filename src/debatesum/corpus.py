@@ -30,6 +30,8 @@ from .errors import ConfigError, ParseError, ValidationError
 # Lowercase alphanumeric runs, keeping hyphens that sit between alphanumerics
 # ("sea-level" stays one token, underscores split).
 _TOKEN_RE = re.compile(r"[^\W_]+(?:-[^\W_]+)*", re.UNICODE)
+# The JSON escape of a UTF-16 surrogate; a string can hold a lone one only through it.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 
 
 def read_text(path: str | Path) -> str:
@@ -46,12 +48,42 @@ def read_text(path: str | Path) -> str:
         raise ParseError(f"not valid UTF-8 at byte {exc.start}", source=str(path)) from None
 
 
+def _unwritable(value, where: str) -> tuple[str, object] | None:
+    """(where, value) of the first NaN, infinity or string with a lone
+    surrogate in ``value``, keys included; None if there is none."""
+    if isinstance(value, str):
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            return where, value
+    elif isinstance(value, float) and not math.isfinite(value):
+        return where, value
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            if found := _unwritable(item, f"{where}[{i}]"):
+                return found
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            if found := _unwritable(key, where) or _unwritable(item, f"{where}.{key}"):
+                return found
+    return None
+
+
 def read_json(path: str | Path):
-    """Parse a JSON file: ``read_text``'s errors, or ParseError if it is not JSON."""
+    """Parse a JSON file: ``read_text``'s errors, or ParseError if it is not
+    JSON, or holds NaN, Infinity or a string with a lone surrogate."""
+    text = read_text(path)
+    constants: list[str] = []  # NaN, Infinity and -Infinity, as they occur
     try:
-        return json.loads(read_text(path))
+        doc = json.loads(text, parse_constant=lambda token: constants.append(token) or float(token))
     except ValueError as exc:
         raise ParseError(f"not valid JSON: {exc}", source=str(path)) from exc
+    # only these tokens and escapes make values that the walk looks for
+    if (constants or _SURROGATE_ESCAPE.search(text)) and (found := _unwritable(doc, "$")):
+        where, value = found
+        problem = "holds a lone surrogate" if isinstance(value, str) else "is not a finite number"
+        raise ParseError(f"{value!r} at {where} {problem}", source=str(path))
+    return doc
 
 
 def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
@@ -131,20 +163,12 @@ def _require(obj: dict, key: str, kind: type, record: str) -> object:
     return value
 
 
-def _record_id(obj: dict, what: str, parent: str | None, path: Path) -> str:
-    """The id of a topic, comment or sentence record: a nonempty string that
-    encodes as UTF-8, since every artifact names records by id."""
+def _record_id(obj: dict, what: str, parent: str | None) -> str:
+    """The id of a topic, comment or sentence record: a nonempty string."""
     record = f"{parent}/<{what}>" if parent else f"<{what}>"
     rid = str(_require(obj, "id", str, record))
     if not rid:
         raise ValidationError(f"{what} id must be nonempty", record=parent or record)
-    try:
-        rid.encode("utf-8")
-    except UnicodeEncodeError:
-        raise ParseError(
-            f"{what} id {rid!r} in record {parent or record} is not valid UTF-8 (lone surrogate)",
-            source=str(path),
-        ) from None
     return rid
 
 
@@ -165,7 +189,7 @@ def load_corpus(path: str | Path) -> list[DebateTopic]:
     sentence_ids: set[str] = set()
 
     for t in topics_raw:
-        tid = _record_id(t, "topic", None, path)
+        tid = _record_id(t, "topic", None)
         if tid in topic_ids:
             raise ValidationError("duplicate topic id", record=tid)
         topic_ids.add(tid)
@@ -176,7 +200,7 @@ def load_corpus(path: str | Path) -> list[DebateTopic]:
 
         comments: list[Comment] = []
         for c in comments_raw:
-            cid = _record_id(c, "comment", tid, path)
+            cid = _record_id(c, "comment", tid)
             if cid in comment_ids:
                 raise ValidationError("duplicate comment id", record=cid)
             comment_ids.add(cid)
@@ -193,7 +217,7 @@ def load_corpus(path: str | Path) -> list[DebateTopic]:
 
             sentences: list[Sentence] = []
             for i, s in enumerate(sentences_raw):
-                sid = _record_id(s, "sentence", cid, path)
+                sid = _record_id(s, "sentence", cid)
                 if sid in sentence_ids:
                     raise ValidationError("duplicate sentence id", record=sid)
                 sentence_ids.add(sid)

@@ -19,10 +19,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Collection, Mapping, Sequence
 
-from .annotate import Term, term_text
+from .annotate import UNLABELED, Term, term_text
 from .errors import ComputationError
-
-UNLABELED: Term = ("(unlabeled)",)
 
 
 class LabelMethod(str, Enum):

@@ -30,12 +30,14 @@ from dataclasses import MISSING, asdict, dataclass, fields
 from functools import cached_property
 from importlib import import_module
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Mapping
+from typing import Callable, Mapping
 
 from ._numpy import np
 from .annotate import (
+    UNLABELED,
     Gazetteer,
     SynonymTable,
+    Term,
     annotate_sentence,
     canonical_label,
     load_gazetteer,
@@ -57,16 +59,12 @@ from .saliency import (
     select_salient,
 )
 
-if TYPE_CHECKING:  # annotations only: the modules load when a stage first calls them
-    from .alignment import LabeledCluster
-    from .chart import ChartSummary
-
-# Algorithm functions by module: each name is a global that imports its module when
-# called and forwards the call, so a CLI process loads only its stage's algorithms.
-# Call them through these globals: bench/tracing.py wraps them by name on this module
-# (``rouge`` only for that: no stage calls it).
+# Algorithm functions (and the one class a stage builds) by module: each name is a
+# global that imports its module when called and forwards the call, so a CLI process
+# loads only its stage's algorithms. Call them through these globals: bench/tracing.py
+# wraps them by name on this module (``rouge`` only for that: no stage calls it).
 _DEFERRED = {
-    "alignment": ("align_clusters",),
+    "alignment": ("LabeledCluster", "align_clusters"),
     "chart": ("build_chart", "render_chart"),
     "evalkit": ("rouge", "rouge_batch", "silhouette"),
     "labeling": ("mi_label", "shared_term_label", "tfidf_labels"),
@@ -574,98 +572,59 @@ def _label_entry(cluster_id: str, candidate) -> dict:
     }
 
 
-def _labeled_clusters(
-    clusters_doc: dict, labels_doc: dict
-) -> dict[str, tuple[list[LabeledCluster], list[LabeledCluster]]]:
-    """topic id -> (alignable clusters, sentinel-labeled clusters).
-
-    Clusters that ended up with the "(unlabeled)" sentinel cannot be aligned
-    (there is no label content to compare); they are returned separately so
-    the alignment stage can report them as dropped.
-    """
-    from .alignment import LabeledCluster
-    from .labeling import UNLABELED
-    label_by_id = {e["cluster_id"]: e["label"] for e in labels_doc["clusters"]}
-    sentinel = term_text(UNLABELED)
-    out: dict[str, tuple[list[LabeledCluster], list[LabeledCluster]]] = {}
-    for topic in clusters_doc["topics"]:
-        rows: list[LabeledCluster] = []
-        unlabeled: list[LabeledCluster] = []
-        for side in Side:
-            for c in topic["sides"][side.value]["clusters"]:
-                label = c["label"] if c["label"] is not None else label_by_id.get(c["cluster_id"])
-                if label is None:
-                    raise ComputationError(f"cluster {c['cluster_id']} has no label")
-                cluster = LabeledCluster(
-                    cluster_id=c["cluster_id"],
-                    side=side,
-                    label=tuple(label.split()),
-                    members=tuple(c["members"]),
-                )
-                (unlabeled if label == sentinel else rows).append(cluster)
-        out[topic["topic_id"]] = (rows, unlabeled)
-    return out
+def _cluster_label(cluster: dict, label_by_id: Mapping[str, str]) -> Term | None:
+    """A cluster's label as a term: its own (a shared-term cluster's), else its
+    ``labels.json`` entry in ``label_by_id``; None if it has neither."""
+    label = cluster["label"] if cluster["label"] is not None else label_by_id.get(cluster["cluster_id"])
+    return None if label is None else tuple(label.split())
 
 
 def compute_alignment(
-    clusters_doc: dict,
-    labels_doc: dict,
-    synonyms: SynonymTable,
-    threshold: float = 0.6,
-    seed: int = 0,
+    clusters_doc: dict, labels_doc: dict, synonyms: SynonymTable, threshold: float = 0.6, seed: int = 0
 ) -> dict:
-    labeled = _labeled_clusters(clusters_doc, labels_doc)
+    """Aligned pairs and dropped clusters per topic. A cluster labeled
+    "(unlabeled)" has no label content to compare, so it is dropped unaligned."""
+    label_by_id = {e["cluster_id"]: e["label"] for e in labels_doc["clusters"]}
     topics = []
     for topic in clusters_doc["topics"]:
-        rows, unlabeled = labeled[topic["topic_id"]]
-        agree = [c for c in rows if c.side is Side.AGREE]
-        disagree = [c for c in rows if c.side is Side.DISAGREE]
-        pairs, dropped = align_clusters(agree, disagree, synonyms, threshold=threshold)
-        dropped = dropped + unlabeled
+        sides: dict[Side, list] = {side: [] for side in Side}
+        unlabeled = []
+        for side in Side:
+            for c in topic["sides"][side.value]["clusters"]:
+                label = _cluster_label(c, label_by_id)
+                cluster = LabeledCluster(cluster_id=c["cluster_id"], side=side, label=label)
+                (unlabeled if label == UNLABELED else sides[side]).append(cluster)
+        pairs, dropped = align_clusters(sides[Side.AGREE], sides[Side.DISAGREE], synonyms, threshold)
         topics.append(
             {
                 "topic_id": topic["topic_id"],
                 "pairs": [
-                    {
-                        "label": p.label,
-                        "agree_cluster_id": p.agree_cluster_id,
-                        "disagree_cluster_id": p.disagree_cluster_id,
-                        "similarity": p.similarity,
-                    }
+                    {"label": p.label, "agree_cluster_id": p.agree_cluster_id,
+                     "disagree_cluster_id": p.disagree_cluster_id, "similarity": p.similarity}
                     for p in pairs
                 ],
                 "dropped": [
-                    {
-                        "cluster_id": c.cluster_id,
-                        "side": c.side.value,
-                        "label": term_text(c.label),
-                    }
-                    for c in dropped
+                    {"cluster_id": c.cluster_id, "side": c.side.value, "label": term_text(c.label)}
+                    for c in dropped + unlabeled
                 ],
             }
         )
     return {"threshold": threshold, "seed": seed, "topics": topics}
 
 
-def compute_charts(clusters_doc: dict, alignment_doc: dict, labels_doc: dict) -> dict[str, ChartSummary]:
-    from .chart import AlignedPair
-    labeled = _labeled_clusters(clusters_doc, labels_doc)
-    charts: dict[str, ChartSummary] = {}
-    for topic in alignment_doc["topics"]:
-        topic_id = topic["topic_id"]
-        pairs = [
-            AlignedPair(
-                label=p["label"],
-                agree_cluster_id=p["agree_cluster_id"],
-                disagree_cluster_id=p["disagree_cluster_id"],
-                similarity=float(p["similarity"]),
-            )
-            for p in topic["pairs"]
-        ]
-        rows, _ = labeled.get(topic_id, ([], []))
-        clusters = {c.cluster_id: c for c in rows}
-        charts[topic_id] = build_chart(topic_id, pairs, clusters)
-    return charts
+def compute_charts(clusters_doc: dict, alignment_doc: dict) -> dict:
+    """Topic id -> ChartSummary of the topic's aligned pairs, each bar's
+    heights the member counts of its clusters."""
+    sizes = {
+        c["cluster_id"]: len(c["members"])
+        for topic in clusters_doc["topics"]
+        for side in Side
+        for c in topic["sides"][side.value]["clusters"]
+    }
+    return {
+        topic["topic_id"]: build_chart(topic["topic_id"], topic["pairs"], sizes)
+        for topic in alignment_doc["topics"]
+    }
 
 
 def compute_rouge_table(
@@ -835,7 +794,7 @@ _ARTIFACT_SHAPES = {
     "salient": {"topics": [{"topic_id": str, "comments": [
         {"side": frozenset(s.value for s in Side), "sentence_ids": [str]}
     ]}]},
-    "clusters": {"method": str, "topics": [
+    "clusters": {"method": frozenset(CLUSTER_METHODS), "topics": [
         {"topic_id": str, "sides": {s.value: _CLUSTER_SIDE for s in Side}}
     ]},
     "labels": {"clusters": [{"cluster_id": str, "label": str}]},
@@ -872,12 +831,16 @@ def _check_shape(value, shape, path: Path, where: str = "$") -> None:
 
 
 def _check_points(clusters_doc: dict, path: Path) -> None:
-    """Raise ValidationError unless, on every side with ``points``, each member
-    has a point: a list of finite numbers, as long as the side's other points."""
+    """Raise ValidationError unless every xmeans side with clusters has
+    ``points`` and, on every side with ``points``, each member has a point: a
+    list of finite numbers, as long as the side's other points."""
     for topic in clusters_doc["topics"]:
         for side in Side:
             side_doc = topic["sides"][side.value]
             if side_doc["points"] is None:
+                if clusters_doc["method"] == "xmeans" and side_doc["clusters"]:
+                    raise ValidationError(f"malformed artifact {path}: xmeans clusters of "
+                                          f"{topic['topic_id']}/{side.value} have no points")
                 continue
             length = None
             for cluster in side_doc["clusters"]:
@@ -903,9 +866,10 @@ def check_consistency(docs: dict, paths: dict) -> None:
     """Raise ValidationError, naming the file, where the artifacts in ``docs``
     (stem -> document read from ``paths[stem]``) disagree: a cluster id used
     twice, a member of clusters on two topics or sides, a salient or member id
-    that is no annotated sentence of its topic, a cluster with no label or with
-    two, a label for no cluster, or an aligned pair that names no labeled
-    cluster of its topic and side."""
+    that is no annotated sentence of its topic, a cluster with no member, a
+    member twice, no label or two labels, a label for no cluster, or an aligned
+    pair that names no labeled cluster of its topic and side or a cluster
+    another pair names."""
 
     def fail(artifact: str, problem: str):
         raise ValidationError(f"inconsistent artifact {paths[artifact]}: {problem}")
@@ -922,6 +886,8 @@ def check_consistency(docs: dict, paths: dict) -> None:
         if c["cluster_id"] in cluster_ids:
             fail("clusters", f"cluster id {c['cluster_id']!r} is used twice")
         cluster_ids.add(c["cluster_id"])
+        if not c["members"] or len(set(c["members"])) < len(c["members"]):
+            fail("clusters", f"cluster {c['cluster_id']!r} lists no member, or a member twice")
         where = f"{topic_id}/{side}"
         for sid in c["members"]:  # a sentence has one comment, so one topic and side
             if home.setdefault(sid, where) != where:
@@ -949,16 +915,15 @@ def check_consistency(docs: dict, paths: dict) -> None:
                 fail("labels", f"cluster {cluster_id!r} has two entries")
             label_by_id[cluster_id] = entry["label"]
         for _, _, c in clusters:
-            if c["label"] is None and c["cluster_id"] not in label_by_id:
+            if _cluster_label(c, label_by_id) is None:
                 fail("labels", f"cluster {c['cluster_id']!r} has no label")
     if "alignment" in docs:
-        from .labeling import UNLABELED
-        sentinel = term_text(UNLABELED)
         pairable = {
             (topic_id, side, c["cluster_id"])
             for topic_id, side, c in clusters
-            if (c["label"] if c["label"] is not None else label_by_id[c["cluster_id"]]) != sentinel
+            if _cluster_label(c, label_by_id) != UNLABELED
         }
+        paired: set[str] = set()
         for topic in docs["alignment"]["topics"]:
             for pair in topic["pairs"]:
                 for side in Side:
@@ -966,6 +931,9 @@ def check_consistency(docs: dict, paths: dict) -> None:
                     if (topic["topic_id"], side.value, cluster_id) not in pairable:
                         fail("alignment", f"pair {pair['label']!r} names {cluster_id!r}, "
                              f"no labeled {side.value} cluster of topic {topic['topic_id']!r}")
+                    if cluster_id in paired:
+                        fail("alignment", f"cluster {cluster_id!r} is in two pairs")
+                    paired.add(cluster_id)
 
 
 def check_artifact(doc, artifact: str, path: str | Path) -> None:
@@ -1016,10 +984,11 @@ STAGES = (
           lambda config, inputs, docs: compute_alignment(
               docs["clusters"], docs["labels"], inputs.synonyms, config.alignment_threshold,
               config.seed)),
+    # chart reads no label, but needs labels.json so that check_consistency
+    # rejects a pair naming an unlabeled cluster
     Stage("chart", "charts", ("clusters", "labels", "alignment"), False,
           "render the Chart Summary per topic",
-          lambda config, inputs, docs: compute_charts(
-              docs["clusters"], docs["alignment"], docs["labels"])),
+          lambda config, inputs, docs: compute_charts(docs["clusters"], docs["alignment"])),
     Stage("eval", "evaluation", ("clusters", "annotations"), True, "evaluation metrics",
           lambda config, inputs, docs: compute_evaluation(
               inputs, docs["clusters"], docs["annotations"], config)),

@@ -390,10 +390,10 @@ def test_criterion_6_invariant_suites(tmp_path):
     from debatesum.annotate import SynonymTable
 
     agree = [
-        LabeledCluster(f"a{i}", Side.AGREE, ("shared", "term"), ("m",)) for i in range(4)
+        LabeledCluster(f"a{i}", Side.AGREE, ("shared", "term")) for i in range(4)
     ]
     disagree = [
-        LabeledCluster(f"d{i}", Side.DISAGREE, ("shared", "term"), ("m",)) for i in range(3)
+        LabeledCluster(f"d{i}", Side.DISAGREE, ("shared", "term")) for i in range(3)
     ]
     pairs, _ = align_clusters(agree, disagree, SynonymTable(), threshold=0.5)
     ids = [p.agree_cluster_id for p in pairs] + [p.disagree_cluster_id for p in pairs]

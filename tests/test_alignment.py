@@ -7,13 +7,8 @@ from debatesum.annotate import SynonymTable
 from debatesum.corpus import Side
 
 
-def cluster(cid, side, label, n_members=2):
-    return LabeledCluster(
-        cluster_id=cid,
-        side=side,
-        label=tuple(label.split()),
-        members=tuple(f"{cid}-m{i}" for i in range(n_members)),
-    )
+def cluster(cid, side, label):
+    return LabeledCluster(cluster_id=cid, side=side, label=tuple(label.split()))
 
 
 CO2_TABLE = SynonymTable([(("co2",), ("carbon", "dioxide"))])

@@ -2,34 +2,20 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from debatesum.alignment import AlignedPair, LabeledCluster
 from debatesum.chart import Bar, ChartSummary, build_chart, parse_chart_json, render_chart
-from debatesum.corpus import Side
 from debatesum.errors import ComputationError
-
-
-def labeled(cid, side, label, n):
-    return LabeledCluster(
-        cluster_id=cid, side=side, label=tuple(label.split()),
-        members=tuple(f"{cid}-m{i}" for i in range(n)),
-    )
+from debatesum.pipeline import compute_charts
 
 
 def pair(label, a, d, sim=1.0):
-    return AlignedPair(label=label, agree_cluster_id=a, disagree_cluster_id=d, similarity=sim)
+    """An ``alignment.json`` pair entry."""
+    return {"label": label, "agree_cluster_id": a, "disagree_cluster_id": d, "similarity": sim}
 
 
 def three_bar_chart():
-    clusters = [
-        labeled("a1", Side.AGREE, "ice", 5),
-        labeled("a2", Side.AGREE, "co2", 2),
-        labeled("a3", Side.AGREE, "tax", 4),
-        labeled("d1", Side.DISAGREE, "ice", 3),
-        labeled("d2", Side.DISAGREE, "co2", 2),
-        labeled("d3", Side.DISAGREE, "tax", 1),
-    ]
+    sizes = {"a1": 5, "a2": 2, "a3": 4, "d1": 3, "d2": 2, "d3": 1}
     pairs = [pair("ice", "a1", "d1"), pair("co2", "a2", "d2"), pair("tax", "a3", "d3")]
-    return build_chart("t1", pairs, clusters)
+    return build_chart("t1", pairs, sizes)
 
 
 class TestBuildChart:
@@ -45,35 +31,32 @@ class TestBuildChart:
         assert [b.label for b in chart.bars] == ["ice", "tax", "co2"]
 
     def test_soft_membership_counts_once_per_bar(self):
-        # the same sentence sits in two agree clusters; each bar counts it
-        shared = ("s1", "s2")
-        clusters = [
-            LabeledCluster("a1", Side.AGREE, ("ice",), shared),
-            LabeledCluster("a2", Side.AGREE, ("sea",), shared),
-            LabeledCluster("d1", Side.DISAGREE, ("ice",), ("s3",)),
-            LabeledCluster("d2", Side.DISAGREE, ("sea",), ("s4",)),
-        ]
-        chart = build_chart(
-            "t", [pair("ice", "a1", "d1"), pair("sea", "a2", "d2")], clusters
-        )
-        assert all(b.agree_count == 2 for b in chart.bars)
+        # the same sentences sit in two agree clusters; each bar counts them
+        def side(members_by_id):
+            clusters = [{"cluster_id": c, "label": None, "members": m} for c, m in members_by_id.items()]
+            return {"clusters": clusters, "points": None}
+
+        clusters_doc = {"topics": [{"topic_id": "t", "sides": {
+            "agree": side({"a1": ["s1", "s2"], "a2": ["s1", "s2"]}),
+            "disagree": side({"d1": ["s3"], "d2": ["s4"]}),
+        }}]}
+        alignment_doc = {"topics": [
+            {"topic_id": "t", "pairs": [pair("ice", "a1", "d1"), pair("sea", "a2", "d2")]}
+        ]}
+        chart = compute_charts(clusters_doc, alignment_doc)["t"]
+        assert [(b.agree_count, b.disagree_count) for b in chart.bars] == [(2, 1), (2, 1)]
 
     def test_zero_pairs_is_valid_empty_chart(self):
-        chart = build_chart("t", [], [])
+        chart = build_chart("t", [], {})
         assert chart.bars == ()
 
     def test_dangling_reference_rejected(self):
         with pytest.raises(ComputationError):
-            build_chart("t", [pair("x", "missing-a", "missing-d")], [])
+            build_chart("t", [pair("x", "missing-a", "missing-d")], {})
 
     def test_duplicate_labels_disambiguated(self):
-        clusters = [
-            labeled("a1", Side.AGREE, "ice", 3),
-            labeled("a2", Side.AGREE, "ice", 2),
-            labeled("d1", Side.DISAGREE, "ice", 3),
-            labeled("d2", Side.DISAGREE, "ice", 2),
-        ]
-        chart = build_chart("t", [pair("ice", "a1", "d1"), pair("ice", "a2", "d2")], clusters)
+        sizes = {"a1": 3, "a2": 2, "d1": 3, "d2": 2}
+        chart = build_chart("t", [pair("ice", "a1", "d1"), pair("ice", "a2", "d2")], sizes)
         labels = [b.label for b in chart.bars]
         assert len(set(labels)) == len(labels)
 

@@ -349,6 +349,59 @@ class TestCli:
         err = capsys.readouterr().err
         assert "clusters.json" in err and member in err
 
+    @pytest.mark.parametrize("corrupt", ["null_points", "no_members"])
+    def test_xmeans_side_without_points_or_members_exit_3(self, tmp_path, capsys, corrupt):
+        config_path = make_config(tmp_path)
+        assert main(["pipeline", "--config", str(config_path)]) == 0
+        clusters = tmp_path / "out" / "clusters.json"
+        doc = read_json(clusters)
+        side = doc["topics"][0]["sides"]["agree"]
+        assert doc["method"] == "xmeans" and len(side["clusters"]) == 2
+        if corrupt == "null_points":
+            side["points"] = None
+            named = "t1/agree"
+        else:
+            side["clusters"][1]["members"] = []
+            named = repr(side["clusters"][1]["cluster_id"])
+        clusters.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["eval", "silhouette", "--config", str(config_path)]) == 3
+        err = capsys.readouterr().err
+        assert "clusters.json" in err and named in err
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_similarity_exit_3(self, tmp_path, capsys, value):
+        config_path = make_config(tmp_path)
+        assert main(["pipeline", "--config", str(config_path)]) == 0
+        alignment = tmp_path / "out" / "alignment.json"
+        doc = read_json(alignment)
+        doc["topics"][0]["pairs"][0]["similarity"] = value
+        alignment.write_text(json.dumps(doc), encoding="utf-8")  # NaN, Infinity, -Infinity
+        capsys.readouterr()
+        assert main(["chart", "--config", str(config_path)]) == 3
+        err = capsys.readouterr().err
+        assert "alignment.json" in err and "$.topics[0].pairs[0].similarity" in err
+
+    @pytest.mark.parametrize("command, artifact", [("label", "clusters"), ("chart", "alignment")])
+    def test_lone_surrogate_in_an_artifact_exit_3(self, tmp_path, capsys, command, artifact):
+        config_path = make_config(tmp_path)
+        assert main(["pipeline", "--config", str(config_path)]) == 0
+        path = tmp_path / "out" / f"{artifact}.json"
+        doc = read_json(path)
+        if artifact == "clusters":
+            entry = doc["topics"][0]["sides"]["agree"]["clusters"][0]
+            entry["cluster_id"] += "\ud800"
+            where = "$.topics[0].sides.agree.clusters[0].cluster_id"
+        else:
+            entry = doc["topics"][0]["pairs"][0]
+            entry["label"] += "\ud800"
+            where = "$.topics[0].pairs[0].label"
+        path.write_text(json.dumps(doc), encoding="utf-8")  # ASCII escapes, so it parses
+        capsys.readouterr()
+        assert main([command, "--config", str(config_path)]) == 3
+        err = capsys.readouterr().err
+        assert f"{artifact}.json" in err and where in err and "lone surrogate" in err
+
     @pytest.mark.parametrize("command", [["label"], ["eval", "silhouette"]])
     def test_member_id_without_sentence_exit_3(self, tmp_path, capsys, command):
         config_path = make_config(tmp_path)
@@ -503,6 +556,33 @@ class TestCli:
         err = capsys.readouterr().err
         assert "alignment.json" in err and repr(cluster_id) in err
 
+    def test_cluster_in_two_pairs_exit_3(self, tmp_path, capsys):
+        config_path = make_config(tmp_path)
+        assert main(["pipeline", "--config", str(config_path)]) == 0
+        alignment = tmp_path / "out" / "alignment.json"
+        doc = read_json(alignment)
+        pairs = doc["topics"][0]["pairs"]
+        pairs.append(dict(pairs[0]))
+        alignment.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["chart", "--config", str(config_path)]) == 3
+        err = capsys.readouterr().err
+        assert "alignment.json" in err and repr(pairs[0]["agree_cluster_id"]) in err
+
+    @pytest.mark.parametrize("command", [["label"], ["chart"], ["eval", "silhouette"]])
+    def test_member_listed_twice_exit_3(self, tmp_path, capsys, command):
+        config_path = make_config(tmp_path)
+        assert main(["pipeline", "--config", str(config_path)]) == 0
+        clusters = tmp_path / "out" / "clusters.json"
+        doc = read_json(clusters)
+        cluster = doc["topics"][0]["sides"]["disagree"]["clusters"][0]
+        cluster["members"].append(cluster["members"][0])
+        clusters.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert main([*command, "--config", str(config_path)]) == 3
+        err = capsys.readouterr().err
+        assert "clusters.json" in err and repr(cluster["cluster_id"]) in err
+
     def test_stages_that_need_no_corpus_do_not_parse_it(self, tmp_path):
         config_path = make_config(tmp_path)
         out = tmp_path / "out"
@@ -650,7 +730,8 @@ class TestCli:
         assert main([command, "--config", str(config_path)]) == code
         if code:
             err = capsys.readouterr().err
-            assert "corpus.json" in err and "'bad\\ud800id'" in err and "t1-c1" in err
+            where = "$.topics[0].comments[0].sentences[0].id"
+            assert "corpus.json" in err and "'bad\\ud800id'" in err and where in err
 
     @pytest.mark.parametrize("command", ["pipeline", "select"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
@@ -717,6 +798,8 @@ class TestCli:
         {"ratings": 5},
         {"ratings": [[1, 2], [1, 2]], "metric": "bogus"},
         5,
+        {"ratings": [[math.nan, 1], [math.nan, 1]]},  # json.dumps writes NaN
+        {"samples": {"a": [math.inf, 1], "b": [-math.inf, 2]}},
     ])
     def test_eval_stats_malformed_ratings_exit_3(self, tmp_path, capsys, doc):
         ratings = tmp_path / "ratings.json"

@@ -146,6 +146,23 @@ class TestTopicSignatures:
         assert signatures == list_background_signatures(corpus, own, 1.0)
         assert "glaciers" in {s.term for s in signatures}
 
+    def test_stopword_list_is_read_once_per_process(self, monkeypatch):
+        import debatesum.assets as assets
+
+        reads = []
+        real_read_lines = assets.read_lines
+
+        def counting_read_lines(path):
+            reads.append(path)
+            return real_read_lines(path)
+
+        monkeypatch.setattr(assets, "read_lines", counting_read_lines)
+        corpus = load_corpus(SAMPLE_DIR / "corpus.json")
+        for _ in range(2):
+            for topic in corpus:
+                topic_signatures_for(corpus, topic, 1.0)
+        assert len(reads) <= 1
+
     def test_single_topic_corpus_has_no_signatures(self):
         topic = make_topic("t1", "Alone", [make_comment("t1-c1", Side.AGREE, ["Only one topic."])])
         assert topic_signatures_for([topic], topic, 1.0) == []
