@@ -14,7 +14,14 @@ import numpy as np
 
 from debatesum.annotate import annotate_sentence, canonical_label, load_gazetteer, load_synonyms, term_text
 from debatesum.corpus import Side, load_corpus, salient_count
-from debatesum.labeling import ContingencyCounts, mi_label, mutual_information, shared_term_label, tfidf_labels
+from debatesum.labeling import (
+    ContingencyCounts,
+    mi_label,
+    mutual_information,
+    shared_term_label,
+    term_index,
+    tfidf_labels,
+)
 from debatesum.term_clustering import cluster_by_shared_term, merge_synonymous_clusters
 
 SAMPLE = Path(__file__).resolve().parents[1] / "data" / "sample"
@@ -41,7 +48,7 @@ def main():
     clusters = merge_synonymous_clusters(clusters, synonyms)
     print(f"{len(clusters)} term clusters on the disagree side of {topic.id!r}\n")
 
-    member_sets = [list(c.members) for c in clusters]
+    index = term_index([c.members for c in clusters], terms_by_sentence)
     term_counts = [
         Counter(t for sid in c.members for t in terms_by_sentence[sid]) for c in clusters
     ]
@@ -49,7 +56,7 @@ def main():
     print(f"{'cluster':<22} {'shared':<18} {'tfidf':<18} {'mi':<18}")
     for i, cluster in enumerate(clusters):
         shared = shared_term_label(cluster.label)
-        mi = mi_label(cluster.members, member_sets, terms_by_sentence)
+        mi = mi_label(cluster.members, index)
         print(
             f"{term_text(cluster.label):<22} {term_text(shared.term):<18} "
             f"{term_text(tfidf[i].term):<18} {term_text(mi.term)} ({mi.score:.3f} bits)"
@@ -76,8 +83,9 @@ def main():
             terms2[name] = ts
         clusters2.append(members)
     print("\nplanted labels, 90% coverage, noisy terms everywhere:")
+    index2 = term_index(clusters2, terms2)
     for i, members in enumerate(clusters2):
-        got = mi_label(members, clusters2, terms2)
+        got = mi_label(members, index2)
         print(f"  planted {term_text(planted[i]):<6} -> MI picks {term_text(got.term)}")
 
 

@@ -48,6 +48,13 @@ def _bag_cosine(a: dict[str, int], b: dict[str, int]) -> float:
     return min(dot / norm, 1.0) if norm else 0.0
 
 
+def _by_label(clusters: Sequence[LabeledCluster]) -> dict[Term, list[LabeledCluster]]:
+    out: dict[Term, list[LabeledCluster]] = {}
+    for c in clusters:
+        out.setdefault(tuple(c.label), []).append(c)
+    return out
+
+
 def align_clusters(
     agree: Sequence[LabeledCluster],
     disagree: Sequence[LabeledCluster],
@@ -62,13 +69,26 @@ def align_clusters(
     """
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"alignment threshold must be in (0, 1], got {threshold}")
-    vectors = {c.cluster_id: label_vector(c.label, table) for c in [*agree, *disagree]}
+    # clusters share labels: score each distinct label pair once, and expand
+    # only the pairs at or above the threshold into cluster pairs. Labels
+    # that share no token score 0, below every threshold, so each agree label
+    # is scored only against the disagree labels found by its tokens.
+    agree_by_label = _by_label(agree)
+    disagree_by_label = _by_label(disagree)
+    vectors = {label: label_vector(label, table) for label in {*agree_by_label, *disagree_by_label}}
+    holders: dict[str, list[Term]] = {}
+    for label in disagree_by_label:
+        for token in vectors[label]:
+            holders.setdefault(token, []).append(label)
     candidates = []
-    for a in agree:
-        for d in disagree:
-            similarity = _bag_cosine(vectors[a.cluster_id], vectors[d.cluster_id])
+    for agree_label, agree_clusters in agree_by_label.items():
+        sharing = dict.fromkeys(d for token in vectors[agree_label] for d in holders.get(token, ()))
+        for disagree_label in sharing:
+            similarity = _bag_cosine(vectors[agree_label], vectors[disagree_label])
             if similarity >= threshold:
-                candidates.append((similarity, a, d))
+                candidates += [
+                    (similarity, a, d) for a in agree_clusters for d in disagree_by_label[disagree_label]
+                ]
     candidates.sort(
         key=lambda c: (
             -c[0],

@@ -183,8 +183,8 @@ def silhouette(
     points = np.asarray(points, dtype=float)
     if points.ndim == 1:
         points = points[:, None]
-    assignments = np.asarray(assignments, dtype=int)
-    labels = np.unique(assignments)
+    # return_inverse: a plain np.unique imports numpy.ma (about 15 ms)
+    labels, own = np.unique(np.asarray(assignments, dtype=int), return_inverse=True)
     if len(labels) < 2:
         raise ComputationError("silhouette undefined for k = 1")
     distances = _distance_matrix(points, metric)
@@ -192,10 +192,9 @@ def silhouette(
     # Each cluster's columns are copied to a C-contiguous block: its row sums
     # then add in the order a 1-D sum of one row's members does, where the
     # strided block that the mask gives can round differently.
-    own = np.searchsorted(labels, assignments)
     sizes = np.bincount(own)
     sums = np.stack([
-        np.ascontiguousarray(distances[:, assignments == label]).sum(axis=1) for label in labels
+        np.ascontiguousarray(distances[:, own == j]).sum(axis=1) for j in range(len(labels))
     ])
     n = points.shape[0]
     everyone = np.arange(n)

@@ -6,7 +6,9 @@ Mutual information of term presence vs cluster membership is computed from a
     I = sum over cells of (N_cell/N) * log2(N * N_cell / (row_marg * col_marg))
 
 with the 0 * log(0) = 0 convention for empty cells and a clamp to >= 0
-against floating-point noise. Log base 2, so scores are in bits. The tf*idf
+against floating-point noise. Log base 2, so scores are in bits. Every table
+of one clustering reads from one ``TermIndex`` (the sentences that carry each
+term), so a table is set sizes and one intersection. The tf*idf
 baseline scores each candidate term by (occurrences in the cluster) *
 ln(cluster count / clusters containing the term).
 """
@@ -137,60 +139,61 @@ def tfidf_labels(term_counts: Sequence[Counter]) -> list[LabelCandidate]:
     return labels
 
 
-def contingency_counts(
-    term: Term,
-    target_members: Collection[str],
-    universe: Collection[str],
-    terms_by_sentence: Mapping[str, Collection[Term]],
-) -> ContingencyCounts:
-    """Tabulate term presence vs membership over the sentence universe."""
-    term = tuple(term)
-    target = set(target_members)
-    n11 = n10 = n01 = n00 = 0
-    for sid in universe:
-        present = term in {tuple(t) for t in terms_by_sentence.get(sid, ())}
-        if sid in target:
-            if present:
-                n11 += 1
-            else:
-                n01 += 1
-        elif present:
-            n10 += 1
-        else:
-            n00 += 1
-    return ContingencyCounts(n11=n11, n10=n10, n01=n01, n00=n00)
+@dataclass(frozen=True)
+class TermIndex:
+    """The sentence universe of one clustering, read by every contingency
+    table of it: each sentence's distinct terms, and each term's carriers
+    (the sentences that hold it)."""
+
+    terms: dict[str, frozenset[Term]]
+    carriers: dict[Term, set[str]]
 
 
-def mi_label(
-    target_cluster: Collection[str],
-    all_clusters: Sequence[Collection[str]],
-    terms_by_sentence: Mapping[str, Collection[Term]],
-) -> LabelCandidate:
-    """Highest-MI candidate term for one cluster.
+def term_index(
+    clusters: Sequence[Collection[str]], terms_by_sentence: Mapping[str, Collection[Term]]
+) -> TermIndex:
+    """The index of a clustering: its universe is every sentence appearing in
+    any cluster, counted once."""
+    terms: dict[str, frozenset[Term]] = {}
+    carriers: dict[Term, set[str]] = {}
+    for cluster in clusters:
+        for sid in cluster:
+            if sid not in terms:
+                terms[sid] = frozenset(tuple(t) for t in terms_by_sentence.get(sid, ()))
+                for term in terms[sid]:
+                    carriers.setdefault(term, set()).add(sid)
+    return TermIndex(terms, carriers)
 
-    The universe is every sentence appearing in any cluster (counted once);
-    the class is membership in the target cluster. Candidates are the terms
+
+def contingency_counts(term: Term, target: set[str], index: TermIndex) -> ContingencyCounts:
+    """Tabulate term presence vs membership in ``target``, a set of the
+    index's sentences, over the index's universe."""
+    carriers = index.carriers.get(tuple(term), ())
+    n11 = len(target.intersection(carriers))
+    n10 = len(carriers) - n11
+    n01 = len(target) - n11
+    return ContingencyCounts(n11=n11, n10=n10, n01=n01, n00=len(index.terms) - n11 - n10 - n01)
+
+
+def mi_label(target_cluster: Collection[str], index: TermIndex) -> LabelCandidate:
+    """Highest-MI candidate term for one cluster of the clustering ``index``
+    was built from.
+
+    The class is membership in the target cluster. Candidates are the terms
     occurring in the target cluster's sentences. Ties break by higher
     in-cluster presence count, then lexicographically.
     """
-    universe: list[str] = []
-    seen: set[str] = set()
-    for cluster in all_clusters:
-        for sid in cluster:
-            if sid not in seen:
-                seen.add(sid)
-                universe.append(sid)
-    target = [sid for sid in target_cluster]
-    if not set(target) <= seen:
+    target = set(target_cluster)
+    if not target <= index.terms.keys():
         raise ComputationError("target cluster must be one of the provided clusters")
 
-    candidates = {tuple(t) for sid in target for t in terms_by_sentence.get(sid, ())}
+    candidates = set().union(*(index.terms[sid] for sid in target))
     if not candidates:
         return LabelCandidate(UNLABELED, 0.0, LabelMethod.MI)
 
     scored = []
     for term in candidates:
-        counts = contingency_counts(term, target, universe, terms_by_sentence)
+        counts = contingency_counts(term, target, index)
         scored.append((mutual_information(counts), float(counts.n11), term))
     term, score, runner = _best_two(scored)
     return LabelCandidate(term, score, LabelMethod.MI, runner)

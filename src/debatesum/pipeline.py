@@ -67,7 +67,7 @@ _DEFERRED = {
     "alignment": ("LabeledCluster", "align_clusters"),
     "chart": ("build_chart", "render_chart"),
     "evalkit": ("rouge", "rouge_batch", "silhouette"),
-    "labeling": ("mi_label", "shared_term_label", "tfidf_labels"),
+    "labeling": ("mi_label", "shared_term_label", "term_index", "tfidf_labels"),
     "term_clustering": ("cluster_by_shared_term", "merge_synonymous_clusters"),
     "vector_clustering": ("build_similarity_matrix", "build_term_vectors", "pca_fit_transform", "xmeans"),
 }
@@ -247,19 +247,23 @@ def compute_annotations(
     synonyms: SynonymTable,
     seed: int = 0,
 ) -> dict:
+    canonical: dict[Term, str] = {}  # one synonym-class lookup per distinct term
     topics = []
     for topic in corpus:
         sentences = []
         for comment in topic.comments:
             for sentence in comment.sentences:
                 annotations = annotate_sentence(sentence, gazetteer)
+                for a in annotations:
+                    if a.term not in canonical:
+                        canonical[a.term] = term_text(canonical_label(a.term, synonyms))
                 sentences.append(
                     {
                         "sentence_id": sentence.id,
                         "annotations": [
                             {
                                 "term": term_text(a.term),
-                                "canonical": term_text(canonical_label(a.term, synonyms)),
+                                "canonical": canonical[a.term],
                                 "start": a.start,
                                 "end": a.end,
                             }
@@ -553,9 +557,9 @@ def compute_labels(clusters_doc: dict, annotations_doc: dict, method: str, seed:
                 for c, candidate in zip(clusters, tfidf_labels(counts)):
                     entries.append(_label_entry(c["cluster_id"], candidate))
             else:
-                member_sets = [c["members"] for c in clusters]
+                index = term_index([c["members"] for c in clusters], terms)
                 for c in clusters:
-                    candidate = mi_label(c["members"], member_sets, terms)
+                    candidate = mi_label(c["members"], index)
                     entries.append(_label_entry(c["cluster_id"], candidate))
     entries.sort(key=lambda e: e["cluster_id"])
     return {"seed": seed, "clusters": entries}
@@ -805,29 +809,37 @@ _ARTIFACT_SHAPES = {
 }
 
 
-def _check_shape(value, shape, path: Path, where: str = "$") -> None:
-    """Raise ValidationError at the first place where ``value`` departs from ``shape``."""
+def _shape_error(path: Path, where: tuple | None, problem: str) -> ValidationError:
+    steps = []
+    while where is not None:
+        where, key = where
+        steps.append(f"[{key}]" if isinstance(key, int) else f".{key}")
+    return ValidationError(f"malformed artifact {path}: ${''.join(reversed(steps))} {problem}")
 
-    def fail(problem: str):
-        raise ValidationError(f"malformed artifact {path}: {where} {problem}")
 
+def _check_shape(value, shape, path: Path, where: tuple | None = None) -> None:
+    """Raise ValidationError at the first place where ``value`` departs from ``shape``.
+
+    ``where`` leads to ``value`` as a chain of (parent chain, key or index)
+    pairs from the document root (None); it is spelled out only on failure.
+    """
     if isinstance(shape, dict):
         if not isinstance(value, dict):
-            fail("is not an object")
+            raise _shape_error(path, where, "is not an object")
         for key, inner in shape.items():
             if key not in value:
-                fail(f"has no {key!r}")
-            _check_shape(value[key], inner, path, f"{where}.{key}")
+                raise _shape_error(path, where, f"has no {key!r}")
+            _check_shape(value[key], inner, path, (where, key))
     elif isinstance(shape, list):
         if not isinstance(value, list):
-            fail("is not a list")
+            raise _shape_error(path, where, "is not a list")
         for i, item in enumerate(value):
-            _check_shape(item, shape[0], path, f"{where}[{i}]")
+            _check_shape(item, shape[0], path, (where, i))
     elif isinstance(shape, frozenset):
         if not (isinstance(value, str) and value in shape):
-            fail(f"is not one of {sorted(shape)}")
+            raise _shape_error(path, where, f"is not one of {sorted(shape)}")
     elif not isinstance(value, shape):
-        fail("has the wrong type")
+        raise _shape_error(path, where, "has the wrong type")
 
 
 def _check_points(clusters_doc: dict, path: Path) -> None:
@@ -864,15 +876,22 @@ def _check_points(clusters_doc: dict, path: Path) -> None:
 
 def check_consistency(docs: dict, paths: dict) -> None:
     """Raise ValidationError, naming the file, where the artifacts in ``docs``
-    (stem -> document read from ``paths[stem]``) disagree: a cluster id used
+    (stem -> document read from ``paths[stem]``) disagree: a topic id used
+    twice in one artifact, a sentence id annotated twice, a cluster id used
     twice, a member of clusters on two topics or sides, a salient or member id
-    that is no annotated sentence of its topic, a cluster with no member, a
-    member twice, no label or two labels, a label for no cluster, or an aligned
-    pair that names no labeled cluster of its topic and side or a cluster
-    another pair names."""
+    that is no annotated sentence of its topic, a member of a term cluster
+    without the cluster's term, a cluster with no member, a member twice, no
+    label or two labels, a label for no cluster, or an aligned pair that names
+    no labeled cluster of its topic and side or a cluster another pair names."""
 
     def fail(artifact: str, problem: str):
         raise ValidationError(f"inconsistent artifact {paths[artifact]}: {problem}")
+
+    for artifact in ("annotations", "salient", "clusters", "alignment"):
+        topic_ids = [t["topic_id"] for t in docs[artifact]["topics"]] if artifact in docs else []
+        if len(set(topic_ids)) < len(topic_ids):
+            repeated = Counter(topic_ids).most_common(1)[0][0]
+            fail(artifact, f"topic id {repeated!r} is used twice")
 
     clusters = [
         (topic["topic_id"], side.value, c)
@@ -897,6 +916,11 @@ def check_consistency(docs: dict, paths: dict) -> None:
             t["topic_id"]: {s["sentence_id"] for s in t["sentences"]}
             for t in docs["annotations"]["topics"]
         }
+        sentence_docs = [s for t in docs["annotations"]["topics"] for s in t["sentences"]]
+        sentences = {s["sentence_id"]: s for s in sentence_docs}
+        if len(sentences) < len(sentence_docs):
+            repeated = Counter(s["sentence_id"] for s in sentence_docs).most_common(1)[0][0]
+            fail("annotations", f"sentence id {repeated!r} is annotated twice")
         ids = [("clusters", topic_id, sid) for topic_id, _, c in clusters for sid in c["members"]]
         ids += [("salient", t["topic_id"], sid)
                 for t in docs.get("salient", {"topics": []})["topics"]
@@ -905,6 +929,16 @@ def check_consistency(docs: dict, paths: dict) -> None:
             if sid not in annotated.get(topic_id, ()):
                 fail(artifact, f"sentence id {sid!r} is not a sentence of topic {topic_id!r} "
                      f"in {paths['annotations']}")
+        is_term = docs.get("clusters", {}).get("method") == "term"
+        for _, _, c in clusters:  # a term cluster is the sentences that carry its term
+            if not is_term or c["label"] is None:
+                continue
+            label = tuple(c["label"].split())
+            for sid in c["members"]:
+                carried = {tuple(a["canonical"].split()) for a in sentences[sid]["annotations"]}
+                if label not in carried:
+                    fail("annotations", f"sentence {sid!r} lacks the term {c['label']!r} of its "
+                         f"cluster {c['cluster_id']!r} in {paths['clusters']}")
     if "labels" in docs:
         label_by_id = {}
         for entry in docs["labels"]["clusters"]:

@@ -82,6 +82,15 @@ class Lexicons:
         """The distinct token counts of the conjunctive adverbs."""
         return frozenset(len(entry) for entry in self.conjunctive_adverbs)
 
+    @cached_property
+    def embedding_rows(self) -> tuple[dict[str, int], np.ndarray]:
+        """Token -> row of one matrix of the embeddings, whose extra last row
+        is all -0.0 (``_mean_embeddings`` pads with it)."""
+        vectors = self.embeddings
+        dim = len(next(iter(vectors.values()))) if vectors else 0
+        matrix = np.vstack([*vectors.values(), np.full(dim, -0.0)])
+        return {token: i for i, token in enumerate(vectors)}, matrix
+
 
 @dataclass(frozen=True)
 class CommentScores:
@@ -210,11 +219,25 @@ def extract_topic_signatures(
     return signatures
 
 
-def _mean_embedding(tokens: tuple[str, ...], embeddings: dict[str, np.ndarray]) -> np.ndarray | None:
-    vecs = [embeddings[t] for t in tokens if t in embeddings]
-    if not vecs:
-        return None
-    return np.mean(vecs, axis=0)
+def _mean_embeddings(token_lists: list[tuple[str, ...]], lexicons: Lexicons) -> list[np.ndarray | None]:
+    """The mean embedding of each token sequence, None where no token has one.
+
+    One gather puts each sequence's vectors in a row of a grid padded with
+    -0.0, which leaves every sum unchanged. For two or more dimensions the
+    vectors then add in sequence as in ``np.mean``, so each mean equals it
+    bit for bit. (``np.mean`` adds more than eight one-dimensional vectors
+    pairwise, so a 1-d mean can differ in the last bit; a cosine of 1-d
+    vectors is -1, 0 or 1 either way.)
+    """
+    index, matrix = lexicons.embedding_rows
+    rows = [[index[t] for t in tokens if t in index] for tokens in token_lists]
+    width = max(map(len, rows))
+    if width == 0:
+        return [None] * len(rows)
+    pad = len(matrix) - 1
+    grid = matrix[[r + [pad] * (width - len(r)) for r in rows]]
+    means = np.add.reduce(grid, axis=1) / np.array([len(r) or 1 for r in rows])[:, None]
+    return [mean if r else None for mean, r in zip(means, rows)]
 
 
 def _starts_with_conjunctive_adverb(tokens: tuple[str, ...], lexicons: Lexicons) -> bool:
@@ -240,12 +263,17 @@ def score_comment(
     # Euclidean norms of the binary set vectors; 0.0 for an empty set
     tps_norm, ccts_norm, tts_norm = (math.sqrt(len(s)) for s in (signature_terms, climate_tokens, title_tokens))
     embeddings = lexicons.embeddings
-    title_emb = None if embeddings is None else _mean_embedding(topic.title_tokens, embeddings)
+    sentence_embs: list[np.ndarray | None] = [None] * n
+    title_emb = None
+    if embeddings is not None:
+        title_emb, *sentence_embs = _mean_embeddings(
+            [topic.title_tokens, *(s.tokens for s in comment.sentences)], lexicons
+        )
     title_norm = 0.0 if title_emb is None else math.sqrt(title_emb @ title_emb)
 
     columns: list[list[float]] = [[] for _ in BASE_FEATURES]
     sp, sl, tt, cj, cos_tps, cos_ccts, cos_tts, cos_stt = columns
-    for sentence in comment.sentences:
+    for sentence, sent_emb in zip(comment.sentences, sentence_embs):
         counts = Counter(sentence.tokens)
         norm = math.sqrt(sum(c * c for c in counts.values()))
         in_title = tps = ccts = tts = 0
@@ -264,8 +292,7 @@ def score_comment(
         cos_tps.append(tps / (norm * tps_norm) if tps_norm and norm else 0.0)
         cos_ccts.append(ccts / (norm * ccts_norm) if ccts_norm and norm else 0.0)
         cos_tts.append(tts / (norm * tts_norm) if tts_norm and norm else 0.0)
-        sent_emb = None if title_emb is None else _mean_embedding(sentence.tokens, embeddings)
-        if sent_emb is None:
+        if sent_emb is None or title_emb is None:
             cos_stt.append(0.0)
         else:
             denom = math.sqrt(sent_emb @ sent_emb) * title_norm

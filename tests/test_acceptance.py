@@ -22,7 +22,7 @@ from conftest import SAMPLE_DIR
 
 from debatesum.corpus import Side, load_corpus, load_gold
 from debatesum.evalkit import RougeVariant, rouge, silhouette
-from debatesum.labeling import ContingencyCounts, mi_label, mutual_information, tfidf_labels
+from debatesum.labeling import ContingencyCounts, mi_label, mutual_information, term_index, tfidf_labels
 from debatesum.pipeline import (
     compute_rouge_table,
     load_config,
@@ -337,9 +337,10 @@ def test_criterion_5_planted_label_recovery():
         clusters, terms, planted = planted_label_corpus(seed)
         term_counts = [Counter(t for s in c for t in terms[s]) for c in clusters]
         tf_labels = tfidf_labels(term_counts)
+        index = term_index(clusters, terms)
         for i, cluster in enumerate(clusters):
             total += 1
-            mi_hits += mi_label(cluster, clusters, terms).term == planted[i]
+            mi_hits += mi_label(cluster, index).term == planted[i]
             tf_hits += tf_labels[i].term == planted[i]
     elapsed = time.perf_counter() - start
     ok = mi_hits == total and tf_hits / total >= 0.9 and elapsed < 30.0

@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from debatesum.alignment import LabeledCluster, align_clusters, label_vector
+from debatesum.alignment import AlignedPair, LabeledCluster, _bag_cosine, align_clusters, label_vector
 from debatesum.annotate import SynonymTable
 from debatesum.corpus import Side
 
@@ -126,3 +128,54 @@ class TestAlignClusters:
     def test_bad_threshold_rejected(self):
         with pytest.raises(ValueError):
             align_clusters([], [], SynonymTable(), threshold=0.0)
+
+
+# --- the pairwise loop that label-pair scoring replaced, kept as the oracle --
+
+
+def oracle_align(agree, disagree, table, threshold):
+    vectors = {c.cluster_id: label_vector(c.label, table) for c in [*agree, *disagree]}
+    candidates = []
+    for a in agree:
+        for d in disagree:
+            similarity = _bag_cosine(vectors[a.cluster_id], vectors[d.cluster_id])
+            if similarity >= threshold:
+                candidates.append((similarity, a, d))
+    candidates.sort(key=lambda c: (-c[0], " ".join(c[1].label), " ".join(c[2].label),
+                                   c[1].cluster_id, c[2].cluster_id))
+    used: set = set()
+    pairs = []
+    for similarity, a, d in candidates:
+        if a.cluster_id not in used and d.cluster_id not in used:
+            used.update((a.cluster_id, d.cluster_id))
+            pairs.append(AlignedPair(" ".join(a.label), a.cluster_id, d.cluster_id, similarity))
+    return pairs, [c for c in [*agree, *disagree] if c.cluster_id not in used]
+
+
+LABELS = st.sampled_from(["ice", "sea ice", "co2", "carbon dioxide", "carbon tax", "tax", "heat"])
+SYNONYM_TABLES = st.sampled_from([
+    SynonymTable(),
+    CO2_TABLE,
+    SynonymTable([(("co2",), ("carbon", "dioxide")), (("tax",), ("carbon", "tax")),
+                  (("ice",), ("heat",))]),
+])
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    # few labels for many clusters, so clusters share labels, as in the pipeline
+    agree_labels=st.lists(LABELS, max_size=8),
+    disagree_labels=st.lists(LABELS, max_size=8),
+    table=SYNONYM_TABLES,
+    threshold=st.sampled_from([0.3, 0.5, 0.6, 1.0]),
+    seed=st.integers(0, 3),
+)
+def test_label_pair_alignment_equals_the_pairwise_loop(
+    agree_labels, disagree_labels, table, threshold, seed
+):
+    agree = [cluster(f"a{i}", Side.AGREE, label) for i, label in enumerate(agree_labels)]
+    disagree = [cluster(f"d{i}", Side.DISAGREE, label) for i, label in enumerate(disagree_labels)]
+    random.Random(seed).shuffle(disagree)  # cluster ids out of order
+    assert align_clusters(agree, disagree, table, threshold) == oracle_align(
+        agree, disagree, table, threshold
+    )

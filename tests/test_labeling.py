@@ -3,6 +3,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from debatesum.corpus import Side
 from debatesum.errors import ComputationError
@@ -14,6 +16,7 @@ from debatesum.labeling import (
     mi_label,
     mutual_information,
     shared_term_label,
+    term_index,
     tfidf_labels,
 )
 from debatesum.term_clustering import TermCluster
@@ -158,7 +161,7 @@ class TestMiLabel:
             "s3": [("co2",)],
             "s4": [("co2",)],
         }
-        candidate = mi_label(clusters[0], clusters, terms)
+        candidate = mi_label(clusters[0], term_index(clusters, terms))
         assert candidate.term == ("ice",)
         assert candidate.method is LabelMethod.MI
 
@@ -170,12 +173,12 @@ class TestMiLabel:
             "s3": [("noise",), ("co2",)],
             "s4": [("co2",), ("noise",)],
         }
-        candidate = mi_label(clusters[0], clusters, terms)
+        candidate = mi_label(clusters[0], term_index(clusters, terms))
         assert candidate.term == ("ice",)
 
     def test_empty_candidates_sentinel(self):
         clusters = [["s1"], ["s2"]]
-        candidate = mi_label(["s1"], clusters, {"s1": [], "s2": [("x",)]})
+        candidate = mi_label(["s1"], term_index(clusters, {"s1": [], "s2": [("x",)]}))
         assert candidate.term == UNLABELED
 
     def test_universe_duplication_invariance(self):
@@ -187,26 +190,26 @@ class TestMiLabel:
             "s4": [("dust",)],
             "s5": [("co2",), ("ice",)],
         }
-        base = mi_label(clusters[0], clusters, terms)
+        base = mi_label(clusters[0], term_index(clusters, terms))
         # duplicate the whole universe: every sentence twice under fresh ids
         dup_terms = dict(terms)
         for sid, ts in terms.items():
             dup_terms[sid + "dup"] = ts
         dup_clusters = [c + [sid + "dup" for sid in c] for c in clusters]
-        doubled = mi_label(dup_clusters[0], dup_clusters, dup_terms)
+        doubled = mi_label(dup_clusters[0], term_index(dup_clusters, dup_terms))
         assert doubled.term == base.term
         assert doubled.score == pytest.approx(base.score, abs=1e-12)
 
     def test_target_outside_universe_rejected(self):
         with pytest.raises(ComputationError):
-            mi_label(["sX"], [["s1"], ["s2"]], {"s1": [("a",)], "s2": [("b",)]})
+            mi_label(["sX"], term_index([["s1"], ["s2"]], {"s1": [("a",)], "s2": [("b",)]}))
 
     def test_planted_label_recovery_small(self):
         rng = random.Random(7)
         for _ in range(10):
             clusters, terms, planted = planted_corpus(rng, n_clusters=4, size=12)
             for i, cluster in enumerate(clusters):
-                got = mi_label(cluster, clusters, terms)
+                got = mi_label(cluster, term_index(clusters, terms))
                 assert got.term == planted[i]
 
 
@@ -240,12 +243,70 @@ def planted_corpus(rng, n_clusters=5, size=15, coverage=0.9, leakage=0.05, noise
 
 class TestContingencyCounts:
     def test_tabulation(self):
-        counts = contingency_counts(
-            ("ice",),
-            ["s1", "s2"],
-            ["s1", "s2", "s3", "s4"],
+        index = term_index(
+            [["s1", "s2", "s3", "s4"]],
             {"s1": [("ice",)], "s2": [], "s3": [("ice",)], "s4": []},
         )
+        counts = contingency_counts(("ice",), {"s1", "s2"}, index)
         assert (counts.n11, counts.n01, counts.n10, counts.n00) == (1, 1, 1, 1)
         assert counts.n == 4
         assert counts.n1dot == 2 and counts.ndot1 == 2
+
+
+# --- the per-table loop that TermIndex replaced, kept as the oracle ----------
+
+
+def oracle_contingency_counts(term, target_members, universe, terms_by_sentence):
+    target = set(target_members)
+    n11 = n10 = n01 = n00 = 0
+    for sid in universe:
+        present = term in {tuple(t) for t in terms_by_sentence.get(sid, ())}
+        if sid in target:
+            if present:
+                n11 += 1
+            else:
+                n01 += 1
+        elif present:
+            n10 += 1
+        else:
+            n00 += 1
+    return ContingencyCounts(n11=n11, n10=n10, n01=n01, n00=n00)
+
+
+def oracle_mi_label(target, all_clusters, terms_by_sentence):
+    """(term, score hex, runner-up) with every table tabulated over the universe."""
+    universe = list(dict.fromkeys(sid for cluster in all_clusters for sid in cluster))
+    candidates = {tuple(t) for sid in target for t in terms_by_sentence.get(sid, ())}
+    if not candidates:
+        return UNLABELED, float.hex(0.0), None
+    scored = []
+    for term in candidates:
+        counts = oracle_contingency_counts(term, target, universe, terms_by_sentence)
+        scored.append((mutual_information(counts), float(counts.n11), term))
+    ranked = sorted(scored, key=lambda e: (-e[0], -e[1], " ".join(e[2])))
+    runner = None if len(ranked) < 2 else (ranked[1][2], float.hex(ranked[1][0]))
+    return ranked[0][2], float.hex(ranked[0][0]), runner
+
+
+SENTENCES = [f"s{i}" for i in range(10)]
+TERMS = st.sampled_from([("ice",), ("sea", "level"), ("co2",), ("tax",), ("carbon", "tax")])
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    # soft clusters: a sentence may sit in several clusters, as term clusters do
+    clusters=st.lists(st.lists(st.sampled_from(SENTENCES), min_size=1, max_size=6), min_size=1,
+                      max_size=5),
+    # some sentences have no entry at all, some an empty or repeated term list
+    terms=st.dictionaries(st.sampled_from(SENTENCES), st.lists(TERMS, max_size=4)),
+)
+def test_mi_label_from_the_index_equals_the_per_table_loop(clusters, terms):
+    index = term_index(clusters, terms)
+    for cluster in clusters:
+        got = mi_label(cluster, index)
+        runner = None if got.runner_up is None else (got.runner_up[0], float.hex(got.runner_up[1]))
+        assert (got.term, float.hex(got.score), runner) == oracle_mi_label(cluster, clusters, terms)
+        for term in {tuple(t) for ts in terms.values() for t in ts}:
+            assert contingency_counts(term, set(cluster), index) == oracle_contingency_counts(
+                term, cluster, list(index.terms), terms
+            )

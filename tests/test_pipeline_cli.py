@@ -315,20 +315,29 @@ class TestCli:
         assert main(["label", "--config", str(config_path)]) == 2
         assert "annotations.json" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("corrupt", ["drop_sides", "not_json"])
+    @pytest.mark.parametrize("corrupt", ["drop_sides", "member_type", "not_json"])
     def test_malformed_artifact_exit_3(self, tmp_path, capsys, corrupt):
+        where = {
+            "drop_sides": "$.topics[0] has no 'sides'",
+            "member_type": "$.topics[0].sides.agree.clusters[1].members[0] has the wrong type",
+            "not_json": "",
+        }[corrupt]
         config_path = make_config(tmp_path)
         assert main(["pipeline", "--config", str(config_path)]) == 0
         clusters = tmp_path / "out" / "clusters.json"
-        if corrupt == "drop_sides":
-            doc = read_json(clusters)
-            del doc["topics"][0]["sides"]
-            clusters.write_text(json.dumps(doc), encoding="utf-8")
-        else:
+        if corrupt == "not_json":
             clusters.write_text("{", encoding="utf-8")
+        else:
+            doc = read_json(clusters)
+            if corrupt == "drop_sides":
+                del doc["topics"][0]["sides"]
+            else:
+                doc["topics"][0]["sides"]["agree"]["clusters"][1]["members"][0] = 7
+            clusters.write_text(json.dumps(doc), encoding="utf-8")
         capsys.readouterr()
         assert main(["label", "--config", str(config_path)]) == 3
-        assert "clusters.json" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "clusters.json" in err and where in err
 
     @pytest.mark.parametrize("point", [None, [math.nan, 0.0], [0.0], [True, 0.0]])
     def test_member_without_usable_point_exit_3(self, tmp_path, capsys, point):
@@ -582,6 +591,63 @@ class TestCli:
         assert main([*command, "--config", str(config_path)]) == 3
         err = capsys.readouterr().err
         assert "clusters.json" in err and repr(cluster["cluster_id"]) in err
+
+    @pytest.mark.parametrize("artifact, command", [
+        ("clusters", ["label"]), ("clusters", ["align"]), ("clusters", ["chart"]),
+        ("alignment", ["chart"]), ("salient", ["cluster"]), ("annotations", ["cluster"]),
+        ("annotations", ["eval", "silhouette"]),
+    ])
+    def test_topic_id_used_twice_exit_3(self, tmp_path, capsys, artifact, command):
+        # before, align and chart wrote one topic's pairs and charts over the other's
+        config_path = make_config(tmp_path)
+        assert main(["pipeline", "--config", str(config_path)]) == 0
+        path = tmp_path / "out" / f"{artifact}.json"
+        doc = read_json(path)
+        assert [t["topic_id"] for t in doc["topics"]] == ["t1", "t2"]
+        doc["topics"][1]["topic_id"] = "t1"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert main([*command, "--config", str(config_path)]) == 3
+        err = capsys.readouterr().err
+        assert f"{artifact}.json" in err and "topic id 't1' is used twice" in err
+
+    @pytest.mark.parametrize("command", [["cluster"], ["label"], ["eval", "silhouette"]])
+    def test_sentence_annotated_twice_exit_3(self, tmp_path, capsys, command):
+        # before, the later entry's terms won; t1-c1-s2 is in no salient list and no cluster
+        config_path = make_config(tmp_path)
+        assert main(["pipeline", "--config", str(config_path)]) == 0
+        annotations = tmp_path / "out" / "annotations.json"
+        doc = read_json(annotations)
+        sentences = doc["topics"][0]["sentences"]
+        assert [s["sentence_id"] for s in sentences[:2]] == ["t1-c1-s1", "t1-c1-s2"]
+        sentences[1]["sentence_id"] = "t1-c1-s1"
+        annotations.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert main([*command, "--config", str(config_path)]) == 3
+        err = capsys.readouterr().err
+        assert "annotations.json" in err and "'t1-c1-s1' is annotated twice" in err
+
+    @pytest.mark.parametrize("command", [["label"], ["eval", "silhouette"]])
+    @pytest.mark.parametrize("edit", ["empty", "other term"])
+    def test_term_cluster_member_without_its_term_exit_3(self, tmp_path, capsys, command, edit):
+        # before, eval silhouette exited 4: the member's term vector was zero
+        config_path = make_config(tmp_path, clustering_method="term")
+        assert main(["pipeline", "--config", str(config_path)]) == 0
+        out = tmp_path / "out"
+        cluster = read_json(out / "clusters.json")["topics"][0]["sides"]["agree"]["clusters"][0]
+        member = cluster["members"][0]
+        doc = read_json(out / "annotations.json")
+        sentence = next(s for s in doc["topics"][0]["sentences"] if s["sentence_id"] == member)
+        if edit == "empty":
+            sentence["annotations"] = []
+        else:
+            for a in sentence["annotations"]:
+                a["canonical"] = "ozone" if a["canonical"] == cluster["label"] else a["canonical"]
+        (out / "annotations.json").write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert main([*command, "--config", str(config_path)]) == 3
+        err = capsys.readouterr().err
+        assert "annotations.json" in err and repr(member) in err and repr(cluster["label"]) in err
 
     def test_stages_that_need_no_corpus_do_not_parse_it(self, tmp_path):
         config_path = make_config(tmp_path)

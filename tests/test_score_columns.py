@@ -166,6 +166,10 @@ EMBEDDINGS = {
 @example(["zzz the", "level however"], "zzz", {"zzz"}, EMBEDDINGS, 0.9)  # out of vocabulary only
 @example(["carbon warming sea"], "carbon", {"carbon"}, EMBEDDINGS, 0.2)  # one sentence
 @example(["", "ice ice ice ice", "sea sea"], "ice sea", {"ice"}, {}, 0.5)  # embeddings without hits
+# means whose value depends on the order the vectors add in
+@example(["carbon sea ice", "ice sea carbon", "sea carbon zzz ice"], "ice carbon", {"ice"},
+         {"carbon": np.array([1e16, 1.0, 3.0]), "sea": np.array([-1e16, 1.0, 2.0]),
+          "ice": np.array([1.0, 1e16, -2.0])}, 0.5)
 def test_columns_and_selections_equal_the_per_sentence_loop(
     texts, title, signature_terms, embeddings, ratio
 ):

@@ -242,9 +242,24 @@ def one_token_sentences_case():
     return corpus, specs
 
 
+def tokenless_comment_case():
+    """A comment whose sentences have no tokens, so every sequence scored
+    for it is empty, beside a comment with tokens."""
+    corpus = [
+        make_topic("t1", "Ice", [make_comment("t1-c1", Side.AGREE, ["...", "...", "..."])]),
+        make_topic("t2", "Tax", [make_comment("t2-c1", Side.DISAGREE, ["The tax.", "Sea ice."])]),
+    ]
+    specs = {
+        "t1-c1": [("selection", Feature.SP), ("complement", Feature.SP), ("subset", (True,) * 3)],
+        "t2-c1": [("subset", (True, False))],
+    }
+    return corpus, specs
+
+
 @settings(max_examples=40, deadline=None, database=None)
 @given(case=gold_corpora(), ratio=st.sampled_from([0.2, 0.5, 0.9]))
 @example(case=one_token_sentences_case(), ratio=0.5)
+@example(case=tokenless_comment_case(), ratio=0.5)
 def test_rouge_table_matches_naive_oracle_on_generated_comments(case, ratio):
     corpus, specs = case
     lexicons = default_lexicons()

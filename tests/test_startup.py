@@ -1,6 +1,7 @@
 """What a fresh interpreter loads: stages without numeric work start without
-numpy, each command loads only its own stage's algorithm modules, and
-importing one module loads only the modules it imports."""
+numpy, no command loads numpy.ma, each command loads only its own stage's
+algorithm modules, and importing one module loads only the modules it
+imports."""
 
 import subprocess
 import sys
@@ -55,13 +56,9 @@ def modules_loaded(script: str, *args: str) -> set[str]:
     return set(fresh_stdout(script, *args).splitlines()[-1].split())
 
 
-def numpy_loaded(script: str, *args: str) -> bool:
-    return "numpy" in modules_loaded(script, *args)
-
-
 def test_numpy_loads_only_for_numeric_stages(tmp_path):
     config = str(make_config(tmp_path, embeddings_path=None))
-    loaded = {"import + load_config": numpy_loaded(LOAD_CONFIG, config)}
+    loaded = {"import + load_config": modules_loaded(LOAD_CONFIG, config)}
     for command in (
         ["annotate"],
         ["select"],
@@ -73,8 +70,10 @@ def test_numpy_loads_only_for_numeric_stages(tmp_path):
         ["eval", "silhouette"],
         ["eval", "rouge"],
     ):
-        loaded[" ".join(command)] = numpy_loaded(RUN_COMMAND, *command, "--config", config)
-    assert loaded == {
+        loaded[" ".join(command)] = modules_loaded(RUN_COMMAND, *command, "--config", config)
+    # numpy.ma (about 15 ms to import) serves no command
+    assert [command for command, modules in loaded.items() if "numpy.ma" in modules] == []
+    assert {command: "numpy" in modules for command, modules in loaded.items()} == {
         "import + load_config": False,
         "annotate": False,
         "select": False,
@@ -92,11 +91,6 @@ def test_numpy_loads_only_for_numeric_stages(tmp_path):
 ALGORITHMS = {
     "term_clustering", "vector_clustering", "labeling", "alignment", "chart", "evalkit",
 }
-
-
-def algorithms_loaded(script: str, *args: str) -> set[str]:
-    loaded = modules_loaded(script, *args)
-    return {m for m in ALGORITHMS if f"debatesum.{m}" in loaded}
 
 
 def test_start_up_loads_no_algorithm_and_no_hashlib(tmp_path):
@@ -119,9 +113,9 @@ def test_each_command_loads_only_its_own_algorithms(tmp_path):
         ["chart"],
         ["eval", "silhouette"],
     ):
-        loaded[" ".join(command)] = algorithms_loaded(
-            RUN_COMMAND, *command, "--config", config
-        )
+        modules = modules_loaded(RUN_COMMAND, *command, "--config", config)
+        assert "numpy.ma" not in modules, command
+        loaded[" ".join(command)] = {m for m in ALGORITHMS if f"debatesum.{m}" in modules}
     allowed = {
         "annotate": set(),
         "select": set(),
