@@ -23,14 +23,6 @@ class LabeledCluster:
     label: Term
 
 
-@dataclass(frozen=True)
-class AlignedPair:
-    label: str  # display label, taken from the agree side
-    agree_cluster_id: str
-    disagree_cluster_id: str
-    similarity: float
-
-
 def label_vector(label: Term, table: SynonymTable) -> dict[str, int]:
     """Unit-count token bag of the label and every synonym in its class."""
     tokens: dict[str, int] = {}
@@ -60,12 +52,14 @@ def align_clusters(
     disagree: Sequence[LabeledCluster],
     table: SynonymTable,
     threshold: float = 0.6,
-) -> tuple[list[AlignedPair], list[LabeledCluster]]:
+) -> tuple[list[dict], list[LabeledCluster]]:
     """Greedy maximum-similarity matching between the two sides.
 
-    Returns (pairs, dropped). Every pair scores >= threshold; each cluster
-    appears in at most one pair; the result does not depend on input order
-    (ties resolve by label text, then cluster id).
+    Returns (pairs, dropped), each pair its ``alignment.json`` entry: the
+    display label (the agree side's), both cluster ids and the similarity.
+    Every pair scores >= threshold; each cluster appears in at most one pair;
+    the result does not depend on input order (ties resolve by label text,
+    then cluster id).
     """
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"alignment threshold must be in (0, 1], got {threshold}")
@@ -99,18 +93,12 @@ def align_clusters(
         )
     )
     used: set[str] = set()
-    pairs: list[AlignedPair] = []
+    pairs = []
     for similarity, a, d in candidates:
         if a.cluster_id in used or d.cluster_id in used:
             continue
         used.update((a.cluster_id, d.cluster_id))
-        pairs.append(
-            AlignedPair(
-                label=term_text(a.label),
-                agree_cluster_id=a.cluster_id,
-                disagree_cluster_id=d.cluster_id,
-                similarity=similarity,
-            )
-        )
+        pairs.append({"label": term_text(a.label), "agree_cluster_id": a.cluster_id,
+                      "disagree_cluster_id": d.cluster_id, "similarity": similarity})
     dropped = [c for c in [*agree, *disagree] if c.cluster_id not in used]
     return pairs, dropped

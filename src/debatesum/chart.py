@@ -8,98 +8,46 @@ a data-table fallback. Both renderings are byte-deterministic.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 from .canonical_json import to_json_bytes
-from .errors import ComputationError, ParseError
+from .errors import ComputationError
 
 AGREE_COLOR = "#2b7bba"
 DISAGREE_COLOR = "#d1495b"
 
 
-@dataclass(frozen=True)
-class Bar:
-    label: str
-    agree_count: int
-    disagree_count: int
-    similarity: float
-
-
-@dataclass(frozen=True)
-class ChartSummary:
-    topic_id: str
-    bars: tuple[Bar, ...]
-
-
-def build_chart(topic_id: str, pairs: Sequence[Mapping], sizes: Mapping[str, int]) -> ChartSummary:
-    """One bar per aligned pair (an ``alignment.json`` pair entry), its heights
-    the member counts (``sizes``: cluster id -> count) of the pair's clusters.
+def build_chart(topic_id: str, pairs: Sequence[Mapping], sizes: Mapping[str, int]) -> dict:
+    """The chart document ``chart_<topic>.json`` holds: one bar per aligned pair
+    (an ``alignment.json`` pair entry), its heights the member counts
+    (``sizes``: cluster id -> count) of the pair's clusters.
 
     Bars sort by total count descending (ties alphabetical); duplicate
     display labels get a numeric suffix so labels stay unique.
     """
-    bars: list[Bar] = []
+    bars = []
     for pair in pairs:
         agree, disagree = pair["agree_cluster_id"], pair["disagree_cluster_id"]
         if agree not in sizes or disagree not in sizes:
             raise ComputationError(f"aligned pair {pair['label']!r} references an unknown cluster id")
-        bars.append(Bar(pair["label"], sizes[agree], sizes[disagree], float(pair["similarity"])))
-    bars.sort(key=lambda b: (-(b.agree_count + b.disagree_count), b.label))
+        bars.append({"label": pair["label"], "agree_count": sizes[agree],
+                     "disagree_count": sizes[disagree], "similarity": float(pair["similarity"])})
+    bars.sort(key=lambda b: (-(b["agree_count"] + b["disagree_count"]), b["label"]))
     seen: dict[str, int] = {}
-    unique: list[Bar] = []
     for bar in bars:
-        seen[bar.label] = seen.get(bar.label, 0) + 1
-        if seen[bar.label] > 1:
-            bar = replace(bar, label=f"{bar.label} ({seen[bar.label]})")
-        unique.append(bar)
-    return ChartSummary(topic_id=topic_id, bars=tuple(unique))
+        label = bar["label"]
+        seen[label] = seen.get(label, 0) + 1
+        if seen[label] > 1:
+            bar["label"] = f"{label} ({seen[label]})"
+    return {"topic_id": topic_id, "bars": bars}
 
 
-def chart_to_jsonable(chart: ChartSummary) -> dict:
-    return {
-        "topic_id": chart.topic_id,
-        "bars": [
-            {
-                "label": b.label,
-                "agree_count": b.agree_count,
-                "disagree_count": b.disagree_count,
-                "similarity": b.similarity,
-            }
-            for b in chart.bars
-        ],
-    }
-
-
-def parse_chart_json(data: bytes | str) -> ChartSummary:
-    """Inverse of the JSON rendering; render/parse round-trips exactly."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    try:
-        raw = json.loads(data)
-        return ChartSummary(
-            topic_id=raw["topic_id"],
-            bars=tuple(
-                Bar(
-                    label=b["label"],
-                    agree_count=int(b["agree_count"]),
-                    disagree_count=int(b["disagree_count"]),
-                    similarity=float(b["similarity"]),
-                )
-                for b in raw["bars"]
-            ),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"not a chart summary document: {exc}") from exc
-
-
-def render_chart(chart: ChartSummary, format: str = "json") -> bytes:
-    """Serialize a chart to canonical JSON or a self-contained HTML page."""
+def render_chart(doc: Mapping, format: str = "json") -> bytes:
+    """Serialize a chart document to canonical JSON or a self-contained HTML page."""
     if format == "json":
-        return to_json_bytes(chart_to_jsonable(chart))
+        return to_json_bytes(doc)
     if format == "html":
-        return _render_html(chart).encode("utf-8")
+        return _render_html(doc).encode("utf-8")
     raise ComputationError(f"unknown chart format {format!r} (expected 'json' or 'html')")
 
 
@@ -109,15 +57,15 @@ def _escape(text: str) -> str:
     )
 
 
-def _render_svg(chart: ChartSummary) -> str:
+def _render_svg(bars: Sequence[Mapping]) -> str:
     margin_left, margin_top = 60.0, 30.0
     plot_w, plot_h = 640.0, 300.0
     label_band = 70.0
     width = margin_left + plot_w + 20.0
     height = margin_top + plot_h + label_band
 
-    n = len(chart.bars)
-    max_count = max(max(b.agree_count, b.disagree_count) for b in chart.bars)
+    n = len(bars)
+    max_count = max(max(b["agree_count"], b["disagree_count"]) for b in bars)
     max_count = max(max_count, 1)
     group_w = plot_w / n
     bar_w = group_w * 0.32
@@ -155,12 +103,12 @@ def _render_svg(chart: ChartSummary) -> str:
     parts.append("</g>")
 
     parts.append('<g class="plot">')
-    for i, bar in enumerate(chart.bars):
+    for i, bar in enumerate(bars):
         group_x = margin_left + i * group_w
         center = group_x + group_w / 2
         for offset, count, color in (
-            (-bar_w, bar.agree_count, AGREE_COLOR),
-            (0.0, bar.disagree_count, DISAGREE_COLOR),
+            (-bar_w, bar["agree_count"], AGREE_COLOR),
+            (0.0, bar["disagree_count"], DISAGREE_COLOR),
         ):
             h = count / max_count * plot_h
             parts.append(
@@ -171,11 +119,11 @@ def _render_svg(chart: ChartSummary) -> str:
     parts.append("</g>")
 
     parts.append('<g class="labels" font-size="11" font-family="sans-serif" fill="#222">')
-    for i, bar in enumerate(chart.bars):
+    for i, bar in enumerate(bars):
         center = margin_left + i * group_w + group_w / 2
         parts.append(
             f'<text x="{center:.2f}" y="{baseline + 14:.2f}" text-anchor="end" '
-            f'transform="rotate(-35 {center:.2f} {baseline + 14:.2f})">{_escape(bar.label)}</text>'
+            f'transform="rotate(-35 {center:.2f} {baseline + 14:.2f})">{_escape(bar["label"])}</text>'
         )
     parts.append("</g>")
 
@@ -192,14 +140,14 @@ def _render_svg(chart: ChartSummary) -> str:
     return "".join(parts)
 
 
-def _render_html(chart: ChartSummary) -> str:
-    title = f"Chart Summary: {_escape(chart.topic_id)}"
-    if chart.bars:
-        body = _render_svg(chart)
+def _render_html(doc: Mapping) -> str:
+    title = f"Chart Summary: {_escape(doc['topic_id'])}"
+    if doc["bars"]:
+        body = _render_svg(doc["bars"])
         rows = "\n".join(
-            f"<tr><td>{_escape(b.label)}</td><td>{b.agree_count}</td>"
-            f"<td>{b.disagree_count}</td><td>{b.similarity:.4f}</td></tr>"
-            for b in chart.bars
+            f"<tr><td>{_escape(b['label'])}</td><td>{b['agree_count']}</td>"
+            f"<td>{b['disagree_count']}</td><td>{b['similarity']:.4f}</td></tr>"
+            for b in doc["bars"]
         )
         table = (
             "<table>\n<thead><tr><th>label</th><th>agree</th><th>disagree</th>"

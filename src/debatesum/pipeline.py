@@ -136,7 +136,7 @@ def _config_value(key: str, kind: str, value: object, base: Path):
     cast = {"int": int, "float": float, "Feature": lambda v: Feature(str(v).upper())}[kind]
     try:
         return cast(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"config key {key!r} has an invalid value: {value!r}") from exc
 
 
@@ -504,7 +504,7 @@ def compute_clusters(
     salient document's order (the corpus order), so no corpus is needed."""
     terms = _canonical_terms_by_sentence(annotations_doc)
     salient = _salient_by_topic_side(salient_doc)
-    vocabulary = _vocabulary(gazetteer, synonyms)
+    vocabulary = _vocabulary(gazetteer, synonyms) if config.clustering_method == "xmeans" else []
     topics = []
     for topic_id, side_ids in salient.items():
         sides = {}
@@ -602,11 +602,7 @@ def compute_alignment(
         topics.append(
             {
                 "topic_id": topic["topic_id"],
-                "pairs": [
-                    {"label": p.label, "agree_cluster_id": p.agree_cluster_id,
-                     "disagree_cluster_id": p.disagree_cluster_id, "similarity": p.similarity}
-                    for p in pairs
-                ],
+                "pairs": pairs,
                 "dropped": [
                     {"cluster_id": c.cluster_id, "side": c.side.value, "label": term_text(c.label)}
                     for c in dropped + unlabeled
@@ -617,7 +613,7 @@ def compute_alignment(
 
 
 def compute_charts(clusters_doc: dict, alignment_doc: dict) -> dict:
-    """Topic id -> ChartSummary of the topic's aligned pairs, each bar's
+    """Topic id -> chart document of the topic's aligned pairs, each bar's
     heights the member counts of its clusters."""
     sizes = {
         c["cluster_id"]: len(c["members"])
@@ -710,9 +706,9 @@ def compute_silhouette_report(
     clusters are scored on their reduced points with Euclidean distance.
     """
     terms = _canonical_terms_by_sentence(annotations_doc)
-    vocabulary = _vocabulary(gazetteer, synonyms)
-    index = {t: i for i, t in enumerate(vocabulary)}
     method = clusters_doc["method"]
+    vocabulary = _vocabulary(gazetteer, synonyms) if method == "term" else []
+    index = {t: i for i, t in enumerate(vocabulary)}
     entries = []
     for topic in clusters_doc["topics"]:
         for side in Side:
@@ -840,6 +836,9 @@ def _check_shape(value, shape, path: Path, where: tuple | None = None) -> None:
             raise _shape_error(path, where, f"is not one of {sorted(shape)}")
     elif not isinstance(value, shape):
         raise _shape_error(path, where, "has the wrong type")
+    # a number leaf is finite: NaN fails the comparison, and so does an int too large for a float
+    elif shape is not str and type(value) in (int, float) and not abs(value) <= sys.float_info.max:
+        raise _shape_error(path, where, "is not a finite number")
 
 
 def _check_points(clusters_doc: dict, path: Path) -> None:

@@ -397,7 +397,7 @@ def test_criterion_6_invariant_suites(tmp_path):
         LabeledCluster(f"d{i}", Side.DISAGREE, ("shared", "term")) for i in range(3)
     ]
     pairs, _ = align_clusters(agree, disagree, SynonymTable(), threshold=0.5)
-    ids = [p.agree_cluster_id for p in pairs] + [p.disagree_cluster_id for p in pairs]
+    ids = [p["agree_cluster_id"] for p in pairs] + [p["disagree_cluster_id"] for p in pairs]
     checks["alignment_one_to_one"] = len(ids) == len(set(ids)) and len(pairs) == 3
 
     # Mann-Whitney pair-count identity
@@ -421,10 +421,13 @@ def test_criterion_6_invariant_suites(tmp_path):
     )
 
     # chart JSON round-trip
-    from debatesum.chart import Bar, ChartSummary, parse_chart_json, render_chart
+    from debatesum.chart import build_chart, render_chart
 
-    chart = ChartSummary("t", (Bar("ice", 4, 2, 0.8), Bar("co2", 1, 3, 1.0)))
-    checks["chart_round_trip"] = parse_chart_json(render_chart(chart, "json")) == chart
+    chart = build_chart("t", [
+        {"label": "ice", "agree_cluster_id": "a1", "disagree_cluster_id": "d1", "similarity": 0.8},
+        {"label": "co2", "agree_cluster_id": "a2", "disagree_cluster_id": "d2", "similarity": 2 / 3},
+    ], {"a1": 4, "d1": 2, "a2": 1, "d2": 3})
+    checks["chart_round_trip"] = json.loads(render_chart(chart, "json")) == chart
 
     # end-to-end byte determinism for a fixed seed
     work = tmp_path / "inputs"

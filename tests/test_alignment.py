@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from debatesum.alignment import AlignedPair, LabeledCluster, _bag_cosine, align_clusters, label_vector
+from debatesum.alignment import LabeledCluster, _bag_cosine, align_clusters, label_vector
 from debatesum.annotate import SynonymTable
 from debatesum.corpus import Side
 
@@ -35,8 +35,8 @@ class TestAlignClusters:
         disagree = [cluster("d1", Side.DISAGREE, "carbon dioxide")]
         pairs, dropped = align_clusters(agree, disagree, CO2_TABLE, threshold=0.6)
         assert len(pairs) == 1
-        assert pairs[0].similarity == pytest.approx(1.0)
-        assert pairs[0].label == "co2"  # display label from the agree side
+        assert pairs[0]["similarity"] == pytest.approx(1.0)
+        assert pairs[0]["label"] == "co2"  # display label from the agree side
         assert dropped == []
 
     def test_disjoint_labels_both_dropped(self):
@@ -50,7 +50,7 @@ class TestAlignClusters:
         agree = [cluster("a1", Side.AGREE, "sea ice")]
         disagree = [cluster("d1", Side.DISAGREE, "sea ice")]
         pairs, _ = align_clusters(agree, disagree, SynonymTable(), threshold=0.6)
-        assert pairs[0].similarity == pytest.approx(1.0)
+        assert pairs[0]["similarity"] == pytest.approx(1.0)
 
     def test_empty_side_drops_everything(self):
         agree = [cluster("a1", Side.AGREE, "ice")]
@@ -62,7 +62,7 @@ class TestAlignClusters:
         agree = [cluster(f"a{i}", Side.AGREE, "shared term") for i in range(3)]
         disagree = [cluster(f"d{i}", Side.DISAGREE, "shared term") for i in range(2)]
         pairs, dropped = align_clusters(agree, disagree, SynonymTable(), threshold=0.5)
-        ids = [p.agree_cluster_id for p in pairs] + [p.disagree_cluster_id for p in pairs]
+        ids = [p["agree_cluster_id"] for p in pairs] + [p["disagree_cluster_id"] for p in pairs]
         assert len(ids) == len(set(ids))
         assert len(pairs) == 2
         assert len(dropped) == 1
@@ -76,7 +76,7 @@ class TestAlignClusters:
             cluster("d2", Side.DISAGREE, "sea level rise"),
         ]
         pairs, _ = align_clusters(agree, disagree, table, threshold=0.3)
-        match = {p.agree_cluster_id: p.disagree_cluster_id for p in pairs}
+        match = {p["agree_cluster_id"]: p["disagree_cluster_id"] for p in pairs}
         assert match == {"a1": "d1", "a2": "d2"}
 
     def test_every_pair_meets_threshold(self):
@@ -90,9 +90,9 @@ class TestAlignClusters:
         ]
         pairs, dropped = align_clusters(agree, disagree, SynonymTable(), threshold=0.7)
         for p in pairs:
-            assert p.similarity >= 0.7
+            assert p["similarity"] >= 0.7
         # dropped clusters have no remaining candidate at the threshold
-        matched = {p.agree_cluster_id for p in pairs} | {p.disagree_cluster_id for p in pairs}
+        matched = {p["agree_cluster_id"] for p in pairs} | {p["disagree_cluster_id"] for p in pairs}
         vectors = {c.cluster_id: label_vector(c.label, SynonymTable()) for c in agree + disagree}
 
         def cos(u, v):
@@ -148,7 +148,8 @@ def oracle_align(agree, disagree, table, threshold):
     for similarity, a, d in candidates:
         if a.cluster_id not in used and d.cluster_id not in used:
             used.update((a.cluster_id, d.cluster_id))
-            pairs.append(AlignedPair(" ".join(a.label), a.cluster_id, d.cluster_id, similarity))
+            pairs.append({"label": " ".join(a.label), "agree_cluster_id": a.cluster_id,
+                          "disagree_cluster_id": d.cluster_id, "similarity": similarity})
     return pairs, [c for c in [*agree, *disagree] if c.cluster_id not in used]
 
 

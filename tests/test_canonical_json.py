@@ -96,8 +96,10 @@ def test_pipeline_and_chart_share_the_writer():
     from debatesum import chart
 
     assert pipeline.to_json_bytes is to_json_bytes
-    summary = chart.ChartSummary("t1", (chart.Bar("carbon dioxide", 3, 1, 0.75),))
-    assert chart.render_chart(summary, "json") == formula(chart.chart_to_jsonable(summary))
+    pair = {"label": "carbon dioxide", "agree_cluster_id": "a", "disagree_cluster_id": "d",
+            "similarity": 0.75}
+    doc = chart.build_chart("t1", [pair], {"a": 3, "d": 1})
+    assert chart.render_chart(doc, "json") == formula(doc)
 
 
 def test_chart_imports_the_writer_without_the_pipeline():

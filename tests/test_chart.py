@@ -1,8 +1,9 @@
+import json
 import xml.etree.ElementTree as ET
 
 import pytest
 
-from debatesum.chart import Bar, ChartSummary, build_chart, parse_chart_json, render_chart
+from debatesum.chart import build_chart, render_chart
 from debatesum.errors import ComputationError
 from debatesum.pipeline import compute_charts
 
@@ -21,14 +22,14 @@ def three_bar_chart():
 class TestBuildChart:
     def test_counts_from_member_sizes(self):
         chart = three_bar_chart()
-        by_label = {b.label: (b.agree_count, b.disagree_count) for b in chart.bars}
+        by_label = {b["label"]: (b["agree_count"], b["disagree_count"]) for b in chart["bars"]}
         assert by_label == {"ice": (5, 3), "co2": (2, 2), "tax": (4, 1)}
 
     def test_sorted_by_total_desc_then_label(self):
         chart = three_bar_chart()
-        totals = [b.agree_count + b.disagree_count for b in chart.bars]
+        totals = [b["agree_count"] + b["disagree_count"] for b in chart["bars"]]
         assert totals == sorted(totals, reverse=True)
-        assert [b.label for b in chart.bars] == ["ice", "tax", "co2"]
+        assert [b["label"] for b in chart["bars"]] == ["ice", "tax", "co2"]
 
     def test_soft_membership_counts_once_per_bar(self):
         # the same sentences sit in two agree clusters; each bar counts them
@@ -44,11 +45,10 @@ class TestBuildChart:
             {"topic_id": "t", "pairs": [pair("ice", "a1", "d1"), pair("sea", "a2", "d2")]}
         ]}
         chart = compute_charts(clusters_doc, alignment_doc)["t"]
-        assert [(b.agree_count, b.disagree_count) for b in chart.bars] == [(2, 1), (2, 1)]
+        assert [(b["agree_count"], b["disagree_count"]) for b in chart["bars"]] == [(2, 1), (2, 1)]
 
     def test_zero_pairs_is_valid_empty_chart(self):
-        chart = build_chart("t", [], {})
-        assert chart.bars == ()
+        assert build_chart("t", [], {}) == {"topic_id": "t", "bars": []}
 
     def test_dangling_reference_rejected(self):
         with pytest.raises(ComputationError):
@@ -57,14 +57,14 @@ class TestBuildChart:
     def test_duplicate_labels_disambiguated(self):
         sizes = {"a1": 3, "a2": 2, "d1": 3, "d2": 2}
         chart = build_chart("t", [pair("ice", "a1", "d1"), pair("ice", "a2", "d2")], sizes)
-        labels = [b.label for b in chart.bars]
-        assert len(set(labels)) == len(labels)
+        assert [b["label"] for b in chart["bars"]] == ["ice", "ice (2)"]
 
 
 class TestRenderChart:
     def test_json_round_trip(self):
-        chart = three_bar_chart()
-        assert parse_chart_json(render_chart(chart, "json")) == chart
+        sizes = {"a1": 2, "a2": 1, "d1": 1, "d2": 3}
+        chart = build_chart("t", [pair("ice", "a1", "d1", 0.8125), pair("co2", "a2", "d2", 2 / 3)], sizes)
+        assert json.loads(render_chart(chart, "json")) == chart
 
     def test_byte_deterministic(self):
         chart = three_bar_chart()
@@ -72,7 +72,7 @@ class TestRenderChart:
         assert render_chart(chart, "html") == render_chart(chart, "html")
 
     def test_empty_chart_html_has_empty_state(self):
-        html = render_chart(ChartSummary("t", ()), "html").decode("utf-8")
+        html = render_chart({"topic_id": "t", "bars": []}, "html").decode("utf-8")
         assert "empty-state" in html
         assert "<svg" not in html
 
@@ -119,7 +119,7 @@ class TestRenderChart:
             render_chart(three_bar_chart(), "png")
 
     def test_label_escaping(self):
-        chart = ChartSummary("t", (Bar('a<b>&"c', 1, 2, 0.5),))
+        chart = build_chart("t", [pair('a<b>&"c', "a1", "d1", 0.5)], {"a1": 1, "d1": 2})
         html = render_chart(chart, "html").decode("utf-8")
         assert "a<b>" not in html
         assert "a&lt;b&gt;" in html

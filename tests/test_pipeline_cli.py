@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from debatesum import pipeline
 from debatesum.cli import main
 from debatesum.errors import ConfigError
 from debatesum.pipeline import PipelineConfig, load_config, read_json, run_pipeline
@@ -378,18 +379,40 @@ class TestCli:
         err = capsys.readouterr().err
         assert "clusters.json" in err and named in err
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("value", [
+        math.nan, math.inf, -math.inf,
+        pytest.param(10**400, id="int-too-large-for-a-float"),
+        pytest.param("1e400", id="1e400"),  # JSON text: it parses to inf
+    ])
     def test_non_finite_similarity_exit_3(self, tmp_path, capsys, value):
         config_path = make_config(tmp_path)
         assert main(["pipeline", "--config", str(config_path)]) == 0
         alignment = tmp_path / "out" / "alignment.json"
         doc = read_json(alignment)
-        doc["topics"][0]["pairs"][0]["similarity"] = value
-        alignment.write_text(json.dumps(doc), encoding="utf-8")  # NaN, Infinity, -Infinity
+        doc["topics"][0]["pairs"][0]["similarity"] = "<similarity>"
+        text = value if isinstance(value, str) else json.dumps(value)  # NaN, Infinity, -Infinity
+        alignment.write_text(json.dumps(doc).replace('"<similarity>"', text), encoding="utf-8")
         capsys.readouterr()
         assert main(["chart", "--config", str(config_path)]) == 3
         err = capsys.readouterr().err
         assert "alignment.json" in err and "$.topics[0].pairs[0].similarity" in err
+
+    def test_term_vocabulary_built_only_where_read(self, tmp_path, monkeypatch):
+        # term clusters and xmeans silhouettes read no term-vector axes, so they
+        # canonicalize no gazetteer term; xmeans clusters do
+        config_path = make_config(tmp_path)
+        assert main(["pipeline", "--config", str(config_path)]) == 0
+        calls = []
+        canonical_label = pipeline.canonical_label
+        monkeypatch.setattr(pipeline, "canonical_label",
+                            lambda *args: calls.append(args) or canonical_label(*args))
+        counts = {}
+        for command in (["eval", "silhouette"], ["cluster", "--method", "term"], ["cluster"]):
+            calls.clear()
+            assert main([*command, "--config", str(config_path)]) == 0
+            counts[" ".join(command)] = len(calls)
+        assert counts["eval silhouette"] == counts["cluster --method term"] == 0
+        assert counts["cluster"] > 0
 
     @pytest.mark.parametrize("command, artifact", [("label", "clusters"), ("chart", "alignment")])
     def test_lone_surrogate_in_an_artifact_exit_3(self, tmp_path, capsys, command, artifact):
@@ -767,6 +790,8 @@ class TestCli:
         ("output_dir", ["x"]),
         ("output_dir", True),
         ("output_dir", 7),
+        pytest.param("ratio", 10**400, id="ratio-int-too-large"),
+        pytest.param("variance_target", 10**400, id="variance_target-int-too-large"),
     ])
     def test_malformed_config_value_exit_2(self, tmp_path, capsys, key, value):
         config_path = make_config(tmp_path)
@@ -866,9 +891,12 @@ class TestCli:
         5,
         {"ratings": [[math.nan, 1], [math.nan, 1]]},  # json.dumps writes NaN
         {"samples": {"a": [math.inf, 1], "b": [-math.inf, 2]}},
+        pytest.param('{"ratings": [[1e400, 1], [1e400, 1]]}', id="1e400"),  # JSON text
+        pytest.param({"ratings": [[10**400, 1], [1, 1]]}, id="ratings-int-too-large"),
+        pytest.param({"samples": {"a": [10**400, 1], "b": [1, 2]}}, id="samples-int-too-large"),
     ])
     def test_eval_stats_malformed_ratings_exit_3(self, tmp_path, capsys, doc):
         ratings = tmp_path / "ratings.json"
-        ratings.write_text(json.dumps(doc), encoding="utf-8")
+        ratings.write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
         assert main(["eval", "stats", "--ratings", str(ratings)]) == 3
         assert str(ratings) in capsys.readouterr().err
