@@ -9,15 +9,13 @@ clusters left without a partner at the threshold are reported as dropped.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .annotate import SynonymTable, Term, term_text
 from .corpus import Side
 
 
-@dataclass(frozen=True)
-class LabeledCluster:
+class LabeledCluster(NamedTuple):
     cluster_id: str
     side: Side
     label: Term

@@ -12,8 +12,8 @@ label. canonical_label is idempotent and order-independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .corpus import Sentence, read_lines, tokenize
 from .errors import ParseError, ValidationError
@@ -32,8 +32,7 @@ def term_text(term: Term) -> str:
     return " ".join(term)
 
 
-@dataclass(frozen=True)
-class TermAnnotation:
+class TermAnnotation(NamedTuple):
     sentence_id: str
     term: Term
     start: int  # token index, inclusive

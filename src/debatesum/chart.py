@@ -22,8 +22,9 @@ def build_chart(topic_id: str, pairs: Sequence[Mapping], sizes: Mapping[str, int
     (an ``alignment.json`` pair entry), its heights the member counts
     (``sizes``: cluster id -> count) of the pair's clusters.
 
-    Bars sort by total count descending (ties alphabetical); duplicate
-    display labels get a numeric suffix so labels stay unique.
+    Bars sort by total count descending (ties alphabetical); a label that an
+    earlier bar shows gets the first numeric suffix that no bar's label takes,
+    so labels stay unique.
     """
     bars = []
     for pair in pairs:
@@ -33,12 +34,16 @@ def build_chart(topic_id: str, pairs: Sequence[Mapping], sizes: Mapping[str, int
         bars.append({"label": pair["label"], "agree_count": sizes[agree],
                      "disagree_count": sizes[disagree], "similarity": float(pair["similarity"])})
     bars.sort(key=lambda b: (-(b["agree_count"] + b["disagree_count"]), b["label"]))
-    seen: dict[str, int] = {}
+    taken = {bar["label"] for bar in bars}
+    shown: set[str] = set()
     for bar in bars:
-        label = bar["label"]
-        seen[label] = seen.get(label, 0) + 1
-        if seen[label] > 1:
-            bar["label"] = f"{label} ({seen[label]})"
+        label, n = bar["label"], 2
+        if label in shown:
+            while f"{label} ({n})" in taken:
+                n += 1
+            bar["label"] = f"{label} ({n})"
+            taken.add(bar["label"])
+        shown.add(bar["label"])
     return {"topic_id": topic_id, "bars": bars}
 
 

@@ -198,8 +198,9 @@ def _cmd_eval_stats(args: argparse.Namespace) -> int:
     from .evalkit import krippendorff_alpha, mann_whitney_u
     path = Path(args.ratings)
     doc = read_json(path)
-    _check_shape(doc, {}, path)
-    _check_shape(doc, {key: shape for key, shape in RATINGS_SHAPE.items() if key in doc}, path)
+    source = f"ratings file {path}"
+    _check_shape(doc, {}, source)
+    _check_shape(doc, {key: shape for key, shape in RATINGS_SHAPE.items() if key in doc}, source)
     report: dict = {"mann_whitney": None, "krippendorff_alpha": None}
     if "samples" in doc:
         samples = doc["samples"]

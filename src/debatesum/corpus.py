@@ -20,10 +20,9 @@ import json
 import math
 import re
 import warnings
-from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import ConfigError, ParseError, ValidationError
 
@@ -109,27 +108,42 @@ class Side(str, Enum):
     DISAGREE = "disagree"
 
 
-@dataclass(frozen=True)
-class Sentence:
+# chi-squared critical value (1 dof, p < 0.001); default signature cutoff
+LLR_THRESHOLD_P001 = 10.83
+
+
+class Feature(str, Enum):
+    """The salience features of ``debatesum.saliency``, which scores them."""
+
+    SP = "SP"
+    SL = "SL"
+    TT = "TT"
+    CJ = "CJ"
+    COS_TPS = "COS_TPS"
+    COS_CCTS = "COS_CCTS"
+    COS_TTS = "COS_TTS"
+    COS_STT = "COS_STT"
+    CB = "CB"
+
+
+class Sentence(NamedTuple):
     id: str
     position: int  # 1-based index within its comment
     text: str
-    tokens: tuple[str, ...] = field(default=())
+    tokens: tuple[str, ...] = ()
 
     @staticmethod
     def make(id: str, position: int, text: str) -> "Sentence":
         return Sentence(id=id, position=position, text=text, tokens=tuple(tokenize(text)))
 
 
-@dataclass(frozen=True)
-class Comment:
+class Comment(NamedTuple):
     id: str
     side: Side
     sentences: tuple[Sentence, ...]
 
 
-@dataclass(frozen=True)
-class DebateTopic:
+class DebateTopic(NamedTuple):
     id: str
     title: str
     comments: tuple[Comment, ...]
@@ -139,8 +153,7 @@ class DebateTopic:
         return tuple(tokenize(self.title))
 
 
-@dataclass(frozen=True)
-class GoldAnnotation:
+class GoldAnnotation(NamedTuple):
     annotator_id: str
     comment_id: str
     selected_sentence_ids: frozenset[str]

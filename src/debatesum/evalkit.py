@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from ._numpy import np
 from .errors import ComputationError
@@ -24,22 +23,19 @@ class RougeVariant(str, Enum):
     RSU4 = "RSU4"
 
 
-@dataclass(frozen=True)
-class RougeScore:
+class RougeScore(NamedTuple):
     variant: RougeVariant
     recall: float
     precision: float
     f1: float
 
 
-@dataclass(frozen=True)
-class SilhouetteReport:
+class SilhouetteReport(NamedTuple):
     per_point: tuple[float, ...]
     mean: float
 
 
-@dataclass(frozen=True)
-class MannWhitneyResult:
+class MannWhitneyResult(NamedTuple):
     u_a: float
     u_b: float
     z: float

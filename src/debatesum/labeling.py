@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
-from typing import Collection, Mapping, Sequence
+from typing import Collection, Mapping, NamedTuple, Sequence
 
 from .annotate import UNLABELED, Term, term_text
 from .errors import ComputationError
@@ -31,8 +30,7 @@ class LabelMethod(str, Enum):
     MI = "mi"
 
 
-@dataclass(frozen=True)
-class ContingencyCounts:
+class ContingencyCounts(NamedTuple):
     """Sentence counts for one (term, cluster) pair.
 
     n11 contains-term and in-cluster, n10 contains-term outside, n01 lacks
@@ -65,8 +63,7 @@ class ContingencyCounts:
         return self.n10 + self.n00
 
 
-@dataclass(frozen=True)
-class LabelCandidate:
+class LabelCandidate(NamedTuple):
     term: Term
     score: float
     method: LabelMethod
@@ -139,8 +136,7 @@ def tfidf_labels(term_counts: Sequence[Counter]) -> list[LabelCandidate]:
     return labels
 
 
-@dataclass(frozen=True)
-class TermIndex:
+class TermIndex(NamedTuple):
     """The sentence universe of one clustering, read by every contingency
     table of it: each sentence's distinct terms, and each term's carriers
     (the sentences that hold it)."""

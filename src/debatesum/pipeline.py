@@ -26,11 +26,10 @@ from __future__ import annotations
 import re
 import sys
 from collections import Counter
-from dataclasses import MISSING, asdict, dataclass, fields
 from functools import cached_property
 from importlib import import_module
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from ._numpy import np
 from .annotate import (
@@ -47,19 +46,10 @@ from .annotate import (
 )
 from .assets import default_conjunctive_adverbs_path, default_stopwords
 from .canonical_json import to_json_bytes
-from .corpus import DebateTopic, Side, load_corpus, load_gold, read_json
+from .corpus import LLR_THRESHOLD_P001, DebateTopic, Feature, Side, load_corpus, load_gold, read_json
 from .errors import ComputationError, ConfigError, DebatesumError, ParseError, ValidationError
-from .saliency import (
-    Feature,
-    LLR_THRESHOLD_P001,
-    Lexicons,
-    extract_topic_signatures,
-    load_embeddings,
-    score_comment,
-    select_salient,
-)
 
-# Algorithm functions (and the one class a stage builds) by module: each name is a
+# Algorithm functions (and the classes a stage builds) by module: each name is a
 # global that imports its module when called and forwards the call, so a CLI process
 # loads only its stage's algorithms. Call them through these globals: bench/tracing.py
 # wraps them by name on this module (``rouge`` only for that: no stage calls it).
@@ -68,6 +58,7 @@ _DEFERRED = {
     "chart": ("build_chart", "render_chart"),
     "evalkit": ("rouge", "rouge_batch", "silhouette"),
     "labeling": ("mi_label", "shared_term_label", "term_index", "tfidf_labels"),
+    "saliency": ("Lexicons", "extract_topic_signatures", "load_embeddings", "score_comment", "select_salient"),
     "term_clustering": ("cluster_by_shared_term", "merge_synonymous_clusters"),
     "vector_clustering": ("build_similarity_matrix", "build_term_vectors", "pca_fit_transform", "xmeans"),
 }
@@ -87,8 +78,7 @@ CLUSTER_METHODS = ("term", "xmeans")
 LABEL_METHODS = ("shared", "tfidf", "mi")
 
 
-@dataclass
-class PipelineConfig:
+class PipelineConfig(NamedTuple):
     corpus_path: Path
     gazetteer_path: Path
     synonyms_path: Path
@@ -107,7 +97,7 @@ class PipelineConfig:
     seed: int = 0
 
     def echo(self) -> dict:
-        out = asdict(self)
+        out = self._asdict()
         for key, value in out.items():
             if isinstance(value, Path):
                 out[key] = str(value)
@@ -116,7 +106,7 @@ class PipelineConfig:
         return out
 
 
-_CONFIG_KEYS = {f.name for f in fields(PipelineConfig)}
+_CONFIG_KEYS = PipelineConfig._fields
 
 
 def _config_value(key: str, kind: str, value: object, base: Path):
@@ -153,7 +143,7 @@ def load_config(path: str | Path, overrides: Mapping[str, object] | None = None)
         raise ConfigError(f"config is {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    unknown = set(raw) - _CONFIG_KEYS
+    unknown = set(raw).difference(_CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     merged = dict(raw)
@@ -162,12 +152,13 @@ def load_config(path: str | Path, overrides: Mapping[str, object] | None = None)
             merged[key] = value
 
     values = {}
-    for f in fields(PipelineConfig):  # f.type is the annotation's text
-        if f.name not in merged or (merged[f.name] is None and f.type.startswith("Path")):
-            if f.default is MISSING:
-                raise ConfigError(f"config key {f.name!r} is required")
+    for name, annotation in PipelineConfig.__annotations__.items():
+        kind = annotation.__forward_arg__  # the annotation's text
+        if name not in merged or (merged[name] is None and kind.startswith("Path")):
+            if name not in PipelineConfig._field_defaults:
+                raise ConfigError(f"config key {name!r} is required")
             continue
-        values[f.name] = _config_value(f.name, f.type, merged[f.name], path.parent)
+        values[name] = _config_value(name, kind, merged[name], path.parent)
     config = PipelineConfig(**values)
     validate_config(config)
     return config
@@ -321,6 +312,7 @@ def comment_selections(
     key = (ratio, signature_threshold)
     if cache is not None and key in cache:
         return cache[key]
+    from .saliency import select_salient  # called 9 times per comment: not through its forwarder
     corpus_counts = _token_counts(corpus)
     selections = {}
     for topic in corpus:
@@ -805,40 +797,41 @@ _ARTIFACT_SHAPES = {
 }
 
 
-def _shape_error(path: Path, where: tuple | None, problem: str) -> ValidationError:
+def _shape_error(source: str, where: tuple | None, problem: str) -> ValidationError:
     steps = []
     while where is not None:
         where, key = where
         steps.append(f"[{key}]" if isinstance(key, int) else f".{key}")
-    return ValidationError(f"malformed artifact {path}: ${''.join(reversed(steps))} {problem}")
+    return ValidationError(f"malformed {source}: ${''.join(reversed(steps))} {problem}")
 
 
-def _check_shape(value, shape, path: Path, where: tuple | None = None) -> None:
-    """Raise ValidationError at the first place where ``value`` departs from ``shape``.
+def _check_shape(value, shape, source: str, where: tuple | None = None) -> None:
+    """Raise ValidationError at the first place where ``value`` departs from
+    ``shape``, naming the file as ``source`` says (``"artifact <path>"``).
 
     ``where`` leads to ``value`` as a chain of (parent chain, key or index)
     pairs from the document root (None); it is spelled out only on failure.
     """
     if isinstance(shape, dict):
         if not isinstance(value, dict):
-            raise _shape_error(path, where, "is not an object")
+            raise _shape_error(source, where, "is not an object")
         for key, inner in shape.items():
             if key not in value:
-                raise _shape_error(path, where, f"has no {key!r}")
-            _check_shape(value[key], inner, path, (where, key))
+                raise _shape_error(source, where, f"has no {key!r}")
+            _check_shape(value[key], inner, source, (where, key))
     elif isinstance(shape, list):
         if not isinstance(value, list):
-            raise _shape_error(path, where, "is not a list")
+            raise _shape_error(source, where, "is not a list")
         for i, item in enumerate(value):
-            _check_shape(item, shape[0], path, (where, i))
+            _check_shape(item, shape[0], source, (where, i))
     elif isinstance(shape, frozenset):
         if not (isinstance(value, str) and value in shape):
-            raise _shape_error(path, where, f"is not one of {sorted(shape)}")
+            raise _shape_error(source, where, f"is not one of {sorted(shape)}")
     elif not isinstance(value, shape):
-        raise _shape_error(path, where, "has the wrong type")
+        raise _shape_error(source, where, "has the wrong type")
     # a number leaf is finite: NaN fails the comparison, and so does an int too large for a float
     elif shape is not str and type(value) in (int, float) and not abs(value) <= sys.float_info.max:
-        raise _shape_error(path, where, "is not a finite number")
+        raise _shape_error(source, where, "is not a finite number")
 
 
 def _check_points(clusters_doc: dict, path: Path) -> None:
@@ -972,7 +965,7 @@ def check_consistency(docs: dict, paths: dict) -> None:
 def check_artifact(doc, artifact: str, path: str | Path) -> None:
     """Raise ValidationError, naming ``path``, unless ``doc`` has the structure
     the stages read from the ``artifact`` document."""
-    _check_shape(doc, _ARTIFACT_SHAPES[artifact], Path(path))
+    _check_shape(doc, _ARTIFACT_SHAPES[artifact], f"artifact {path}")
     if artifact == "clusters":
         _check_points(doc, Path(path))
 
@@ -981,8 +974,7 @@ def slugify(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9_-]+", "_", name)
 
 
-@dataclass(frozen=True)
-class Stage:
+class Stage(NamedTuple):
     """One row of the stage table: ``compute(config, inputs, docs)`` returns the
     stage's document from the loaded inputs (None unless ``uses_inputs``) and
     ``docs``, which maps artifact stems to earlier documents."""

@@ -21,10 +21,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 from ._numpy import np
 from .annotate import load_lexicon_terms
@@ -32,35 +31,18 @@ from .assets import (
     default_conjunctive_adverbs_path,
     default_gazetteer_path,
 )
-from .corpus import Comment, DebateTopic, read_text, salient_count
+from .corpus import LLR_THRESHOLD_P001, Comment, DebateTopic, Feature, read_text, salient_count
 from .errors import ComputationError, ParseError
-
-# chi-squared critical value (1 dof, p < 0.001); default signature cutoff
-LLR_THRESHOLD_P001 = 10.83
-
-
-class Feature(str, Enum):
-    SP = "SP"
-    SL = "SL"
-    TT = "TT"
-    CJ = "CJ"
-    COS_TPS = "COS_TPS"
-    COS_CCTS = "COS_CCTS"
-    COS_TTS = "COS_TTS"
-    COS_STT = "COS_STT"
-    CB = "CB"
 
 
 BASE_FEATURES = tuple(f for f in Feature if f is not Feature.CB)
 
 
-@dataclass(frozen=True)
-class TopicSignature:
+class TopicSignature(NamedTuple):
     term: str
     llr: float
 
 
-@dataclass(frozen=True)
 class Lexicons:
     """Static lexical resources used by the feature scorers.
 
@@ -68,9 +50,15 @@ class Lexicons:
     from the CB mean).
     """
 
-    conjunctive_adverbs: frozenset[tuple[str, ...]]
-    climate_terms: frozenset[tuple[str, ...]]
-    embeddings: dict[str, np.ndarray] | None = None
+    def __init__(
+        self,
+        conjunctive_adverbs: frozenset[tuple[str, ...]],
+        climate_terms: frozenset[tuple[str, ...]],
+        embeddings: dict[str, np.ndarray] | None = None,
+    ):
+        self.conjunctive_adverbs = conjunctive_adverbs
+        self.climate_terms = climate_terms
+        self.embeddings = embeddings
 
     @cached_property
     def climate_tokens(self) -> frozenset[str]:
@@ -92,8 +80,7 @@ class Lexicons:
         return {token: i for i, token in enumerate(vectors)}, matrix
 
 
-@dataclass(frozen=True)
-class CommentScores:
+class CommentScores(NamedTuple):
     """Per-feature columns of one comment, each in ``comment.sentences`` order."""
 
     raw: dict[Feature, list[float]]

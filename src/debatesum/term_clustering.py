@@ -8,15 +8,13 @@ Clusters whose labels share a synonym class are merged afterwards.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .annotate import SynonymTable, Term, canonical_label, term_text
 from .corpus import Side
 
 
-@dataclass(frozen=True)
-class TermCluster:
+class TermCluster(NamedTuple):
     label: Term
     side: Side
     members: tuple[str, ...]  # sentence ids, input order, deduplicated

@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from ._numpy import np
 from .annotate import Term
@@ -35,14 +34,12 @@ MAX_ITER = 300             # Lloyd passes per k-means or X-means refinement
 SPLIT_RESTARTS = 3         # k-means++ restarts after the principal-axis seeding of a split
 
 
-@dataclass(frozen=True)
-class SentenceVector:
+class SentenceVector(NamedTuple):
     sentence_id: str
     counts: np.ndarray  # nonnegative term counts over the vocabulary
 
 
-@dataclass(frozen=True)
-class SimilarityMatrix:
+class SimilarityMatrix(NamedTuple):
     labels: tuple[str, ...]
     values: np.ndarray  # (n, n), symmetric, unit diagonal
 
@@ -51,8 +48,7 @@ class SimilarityMatrix:
         return len(self.labels)
 
 
-@dataclass(frozen=True)
-class PcaModel:
+class PcaModel(NamedTuple):
     mean: np.ndarray
     components: np.ndarray          # (n_kept, m) orthonormal rows
     explained_variance: np.ndarray  # nonincreasing, one entry per kept component
@@ -65,8 +61,7 @@ class PcaModel:
         return np.asarray(reduced, dtype=float) @ self.components + self.mean
 
 
-@dataclass(frozen=True)
-class ClusteringResult:
+class ClusteringResult(NamedTuple):
     k: int
     assignments: np.ndarray  # (n,) cluster index per point
     centroids: np.ndarray    # (k, d)

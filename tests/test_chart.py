@@ -59,6 +59,12 @@ class TestBuildChart:
         chart = build_chart("t", [pair("ice", "a1", "d1"), pair("ice", "a2", "d2")], sizes)
         assert [b["label"] for b in chart["bars"]] == ["ice", "ice (2)"]
 
+    def test_duplicate_label_suffix_skips_labels_in_use(self):
+        sizes = {"a1": 2, "a2": 2, "a3": 2, "d1": 1, "d2": 1, "d3": 1}
+        pairs = [pair("ice", "a1", "d1"), pair("ice", "a2", "d2"), pair("ice (2)", "a3", "d3")]
+        labels = [b["label"] for b in build_chart("t", pairs, sizes)["bars"]]
+        assert sorted(labels) == ["ice", "ice (2)", "ice (3)"]
+
 
 class TestRenderChart:
     def test_json_round_trip(self):

@@ -899,4 +899,8 @@ class TestCli:
         ratings = tmp_path / "ratings.json"
         ratings.write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
         assert main(["eval", "stats", "--ratings", str(ratings)]) == 3
-        assert str(ratings) in capsys.readouterr().err
+        err = capsys.readouterr().err.replace(str(ratings), "<path>")
+        assert "<path>" in err
+        # a ratings file is an input: a shape error calls it one, never an artifact
+        assert "artifact" not in err
+        assert "malformed" not in err or "malformed ratings file <path>: $" in err

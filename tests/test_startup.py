@@ -1,10 +1,13 @@
 """What a fresh interpreter loads: stages without numeric work start without
-numpy, no command loads numpy.ma, each command loads only its own stage's
-algorithm modules, and importing one module loads only the modules it
+numpy, no command loads numpy.ma or dataclasses, each command loads only its
+own stage's algorithm modules, only the commands that select sentences load
+the selection module, and importing one module loads only the modules it
 imports."""
 
 import subprocess
 import sys
+
+import pytest
 
 from conftest import make_config, src_env
 
@@ -93,27 +96,43 @@ ALGORITHMS = {
 }
 
 
-def test_start_up_loads_no_algorithm_and_no_hashlib(tmp_path):
+# every command, in an order in which each finds the artifacts it reads
+COMMANDS = (
+    ["annotate"],
+    ["select"],
+    ["cluster", "--method", "term"],
+    ["cluster", "--method", "xmeans"],
+    ["label"],
+    ["align"],
+    ["chart"],
+    ["eval", "silhouette"],
+    ["eval", "rouge"],
+    ["pipeline"],
+)
+
+
+@pytest.fixture(scope="module")
+def modules_by_command(tmp_path_factory):
+    """Command (or "import + load_config") -> the modules it loaded, each in a
+    fresh interpreter on the sample inputs."""
+    config = str(make_config(tmp_path_factory.mktemp("startup")))
+    out = {"import + load_config": modules_loaded(LOAD_CONFIG, config)}
+    for command in COMMANDS:
+        out[" ".join(command)] = modules_loaded(RUN_COMMAND, *command, "--config", config)
+    return out
+
+
+def test_start_up_loads_no_algorithm_and_no_hashlib(modules_by_command):
     # hashlib serves only the manifest that ``pipeline`` writes
-    loaded = modules_loaded(LOAD_CONFIG, str(make_config(tmp_path)))
+    loaded = modules_by_command["import + load_config"]
     assert {f"debatesum.{m}" for m in ALGORITHMS} & loaded == set()
     assert "hashlib" not in loaded
 
 
-def test_each_command_loads_only_its_own_algorithms(tmp_path):
-    config = str(make_config(tmp_path))
+def test_each_command_loads_only_its_own_algorithms(modules_by_command):
     loaded = {}
-    for command in (
-        ["annotate"],
-        ["select"],
-        ["cluster", "--method", "term"],
-        ["cluster", "--method", "xmeans"],
-        ["label"],
-        ["align"],
-        ["chart"],
-        ["eval", "silhouette"],
-    ):
-        modules = modules_loaded(RUN_COMMAND, *command, "--config", config)
+    for command in COMMANDS[:8]:  # the stage commands
+        modules = modules_by_command[" ".join(command)]
         assert "numpy.ma" not in modules, command
         loaded[" ".join(command)] = {m for m in ALGORITHMS if f"debatesum.{m}" in modules}
     allowed = {
@@ -134,3 +153,14 @@ def test_each_command_loads_only_its_own_algorithms(tmp_path):
     assert {"alignment"} <= loaded["align"]
     assert {"chart"} <= loaded["chart"]
     assert {"evalkit"} <= loaded["eval silhouette"]
+
+
+def test_no_command_loads_dataclasses_and_only_selection_loads_saliency(modules_by_command):
+    # dataclasses imports inspect, ast, dis and tokenize: about 11 ms per process
+    loaded = modules_by_command
+    assert [c for c, modules in loaded.items() if "dataclasses" in modules] == []
+    # numpy imports inspect itself, so only a command that loads numpy has it
+    assert [c for c, modules in loaded.items() if "inspect" in modules and "numpy" not in modules] == []
+    assert {c for c, modules in loaded.items() if "debatesum.saliency" in modules} == {
+        "select", "eval rouge", "pipeline",
+    }
