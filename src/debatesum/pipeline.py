@@ -29,7 +29,7 @@ from collections import Counter
 from functools import cached_property
 from importlib import import_module
 from pathlib import Path
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, Collection, Mapping, NamedTuple
 
 from ._numpy import np
 from .annotate import (
@@ -187,6 +187,8 @@ def validate_config(config: PipelineConfig) -> None:
         raise ConfigError("need 1 <= k_min <= k_max")
     if config.seed < 0:
         raise ConfigError("seed must be >= 0")
+    if config.signature_threshold <= 0:
+        raise ConfigError("signature_threshold must be > 0")
 
 
 class PipelineInputs:
@@ -194,16 +196,17 @@ class PipelineInputs:
 
     The gazetteer and synonym table load at once. The corpus, gold and
     lexicons load on first access, so a stage that needs only the term tables
-    (cluster, align, eval silhouette) never parses the corpus. ``selection_cache``
-    holds ``comment_selections`` results for this corpus, which the select
-    stage and the ROUGE table share.
+    (cluster, align, eval silhouette) never parses the corpus.
+    ``selection_cache`` is None unless another reader in the process (the
+    ROUGE table) will use the select stage's selections: as a dict it holds
+    ``comment_selections`` results for this corpus.
     """
 
     def __init__(self, config: PipelineConfig):
         self.config = config
         self.gazetteer = load_gazetteer(config.gazetteer_path)
         self.synonyms = load_synonyms(config.synonyms_path)
-        self.selection_cache: dict = {}
+        self.selection_cache: dict | None = None
 
     @cached_property
     def corpus(self) -> list[DebateTopic]:
@@ -302,25 +305,33 @@ def comment_selections(
     ratio: float = 0.2,
     signature_threshold: float = LLR_THRESHOLD_P001,
     cache: dict | None = None,
+    features: Collection[Feature] = tuple(Feature),
 ) -> dict[str, dict[Feature, tuple[str, ...]]]:
     """comment id -> feature -> ids of the sentences the feature selects.
 
-    Each topic's signatures are computed once and each comment is scored
-    once; only the selected ids are kept. ``cache`` maps (ratio, threshold)
-    to earlier results for the same corpus and lexicons, and is filled here.
+    Each comment is scored once, for ``features`` only; only the selected
+    ids are kept. Topic signatures are computed, once per topic, only when
+    COS_TPS or CB is among ``features``. ``cache`` maps (ratio, threshold)
+    to all nine features' selections for the same corpus and lexicons: with
+    a cache every feature is selected, and the result is stored there.
     """
     key = (ratio, signature_threshold)
-    if cache is not None and key in cache:
-        return cache[key]
-    from .saliency import select_salient  # called 9 times per comment: not through its forwarder
-    corpus_counts = _token_counts(corpus)
+    if cache is not None:
+        if key in cache:
+            return cache[key]
+        features = tuple(Feature)
+    from .saliency import select_salient  # called per comment and feature: not through its forwarder
+    signed = Feature.COS_TPS in features or Feature.CB in features
+    corpus_counts = _token_counts(corpus) if signed else None
     selections = {}
     for topic in corpus:
-        signatures = topic_signatures_for(corpus, topic, signature_threshold, corpus_counts)
+        signatures = (
+            topic_signatures_for(corpus, topic, signature_threshold, corpus_counts) if signed else []
+        )
         for comment in topic.comments:
-            scores = score_comment(comment, topic, lexicons, signatures)
+            scores = score_comment(comment, topic, lexicons, signatures, features)
             selections[comment.id] = {
-                f: tuple(select_salient(comment, scores, feature=f, ratio=ratio)) for f in Feature
+                f: tuple(select_salient(comment, scores, feature=f, ratio=ratio)) for f in features
             }
     if cache is not None:
         cache[key] = selections
@@ -336,9 +347,12 @@ def compute_salient(
     seed: int = 0,
     cache: dict | None = None,
 ) -> dict:
-    """Salient sentence ids per comment for ``feature``; ``cache`` as in
-    ``comment_selections``."""
-    selections = comment_selections(corpus, lexicons, ratio, signature_threshold, cache)
+    """Salient sentence ids per comment for ``feature``. Only ``feature`` is
+    scored, unless a ``cache`` (as in ``comment_selections``) asks for all
+    nine features' selections for the cache's other readers."""
+    selections = comment_selections(
+        corpus, lexicons, ratio, signature_threshold, cache, (feature,)
+    )
     topics = []
     for topic in corpus:
         comments = [
@@ -1054,6 +1068,8 @@ def run_pipeline(config: PipelineConfig) -> dict:
     inputs = _stage("load", load_inputs, config)
     # a full run parses every input file before the first stage, as the load stage
     _stage("load", lambda: (inputs.corpus, inputs.lexicons, inputs.gold))
+    if inputs.gold:
+        inputs.selection_cache = {}  # the ROUGE table reads all nine features' selections
     docs: dict = {}
     for stage in STAGES:
         docs[stage.artifact] = _stage(stage.command, stage.compute, config, inputs, docs)

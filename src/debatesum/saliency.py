@@ -23,7 +23,7 @@ import math
 from collections import Counter
 from functools import cached_property
 from pathlib import Path
-from typing import NamedTuple
+from typing import Collection, NamedTuple
 
 from ._numpy import np
 from .annotate import load_lexicon_terms
@@ -31,7 +31,15 @@ from .assets import (
     default_conjunctive_adverbs_path,
     default_gazetteer_path,
 )
-from .corpus import LLR_THRESHOLD_P001, Comment, DebateTopic, Feature, read_text, salient_count
+from .corpus import (
+    LLR_THRESHOLD_P001,
+    Comment,
+    DebateTopic,
+    Feature,
+    Sentence,
+    read_text,
+    salient_count,
+)
 from .errors import ComputationError, ParseError
 
 
@@ -81,11 +89,12 @@ class Lexicons:
 
 
 class CommentScores(NamedTuple):
-    """Per-feature columns of one comment, each in ``comment.sentences`` order."""
+    """The scored features' columns of one comment, each in ``comment.sentences``
+    order."""
 
     raw: dict[Feature, list[float]]
     normalized: dict[Feature, list[float]]
-    cb: list[float]
+    cb: list[float] | None
 
     def column(self, feature: Feature) -> list[float]:
         """Values used for ranking: raw scores, or the combined mean for CB."""
@@ -231,73 +240,103 @@ def _starts_with_conjunctive_adverb(tokens: tuple[str, ...], lexicons: Lexicons)
     return any(tokens[:k] in lexicons.conjunctive_adverbs for k in lexicons.conjunctive_adverb_lengths)
 
 
+def _count_norm(tokens: tuple[str, ...]) -> float:
+    """Euclidean norm of the term counts of a token sequence."""
+    if len(set(tokens)) == len(tokens):  # every count is 1
+        return math.sqrt(len(tokens))
+    return math.sqrt(sum(c * c for c in Counter(tokens).values()))
+
+
+def _set_cosines(
+    sentences: tuple[Sentence, ...], norms: list[float], terms: frozenset[str]
+) -> list[float]:
+    """cosine(sentence term counts, binary vector of ``terms``) per sentence;
+    ``norms`` holds the Euclidean norms of the sentences' term counts."""
+    terms_norm = math.sqrt(len(terms))  # 0.0 for an empty set
+    return [
+        sum(map(terms.__contains__, s.tokens)) / (norm * terms_norm) if terms_norm and norm else 0.0
+        for s, norm in zip(sentences, norms)
+    ]
+
+
+def _title_cosines(comment: Comment, topic: DebateTopic, lexicons: Lexicons) -> list[float]:
+    """cosine(mean embedding of sentence, mean embedding of title) per sentence,
+    clipped to [-1, 1]; 0 where either has no embedded token."""
+    if lexicons.embeddings is None:
+        return [0.0] * len(comment.sentences)
+    title_emb, *sentence_embs = _mean_embeddings(
+        [topic.title_tokens, *(s.tokens for s in comment.sentences)], lexicons
+    )
+    if title_emb is None:
+        return [0.0] * len(comment.sentences)
+    title_norm = math.sqrt(title_emb @ title_emb)
+    cosines = []
+    for sent_emb in sentence_embs:
+        if sent_emb is None:
+            cosines.append(0.0)
+            continue
+        denom = math.sqrt(sent_emb @ sent_emb) * title_norm
+        cosine = float(sent_emb @ title_emb) / denom if denom else 0.0
+        cosines.append(max(-1.0, min(1.0, cosine)))
+    return cosines
+
+
 def score_comment(
     comment: Comment,
     topic: DebateTopic,
     lexicons: Lexicons,
     signatures: list[TopicSignature],
+    features: Collection[Feature] = tuple(Feature),
 ) -> CommentScores:
-    """Feature columns for the sentences of a comment.
+    """Columns of ``features`` (by default all nine) for the sentences of a comment.
 
     Normalization is min-max within the comment; a feature constant across
     the comment normalizes to 0 everywhere. CB averages the normalized
-    features that are available (COS_STT only when embeddings are loaded).
+    features that are available (COS_STT only when embeddings are loaded),
+    so asking for CB scores each of those too. Only COS_TPS reads
+    ``signatures``. ``cb`` is None unless CB is asked for.
     """
-    n = len(comment.sentences)
+    sentences = comment.sentences
+    n = len(sentences)
+    # COS_STT is the last base feature, so the available ones are a prefix
+    available = BASE_FEATURES if lexicons.embeddings is not None else BASE_FEATURES[:-1]
+    wanted = set(features).union(available) if Feature.CB in features else set(features)
     title_tokens = frozenset(topic.title_tokens)
-    signature_terms = frozenset(s.term for s in signatures)
-    climate_tokens = lexicons.climate_tokens
-    # Euclidean norms of the binary set vectors; 0.0 for an empty set
-    tps_norm, ccts_norm, tts_norm = (math.sqrt(len(s)) for s in (signature_terms, climate_tokens, title_tokens))
-    embeddings = lexicons.embeddings
-    sentence_embs: list[np.ndarray | None] = [None] * n
-    title_emb = None
-    if embeddings is not None:
-        title_emb, *sentence_embs = _mean_embeddings(
-            [topic.title_tokens, *(s.tokens for s in comment.sentences)], lexicons
-        )
-    title_norm = 0.0 if title_emb is None else math.sqrt(title_emb @ title_emb)
+    term_sets = {
+        Feature.COS_TPS: frozenset(s.term for s in signatures),
+        Feature.COS_CCTS: lexicons.climate_tokens,
+        Feature.COS_TTS: title_tokens,
+    }
 
-    columns: list[list[float]] = [[] for _ in BASE_FEATURES]
-    sp, sl, tt, cj, cos_tps, cos_ccts, cos_tts, cos_stt = columns
-    for sentence, sent_emb in zip(comment.sentences, sentence_embs):
-        counts = Counter(sentence.tokens)
-        norm = math.sqrt(sum(c * c for c in counts.values()))
-        in_title = tps = ccts = tts = 0
-        for token, c in counts.items():
-            if token in signature_terms:
-                tps += c
-            if token in climate_tokens:
-                ccts += c
-            if token in title_tokens:
-                in_title += 1
-                tts += c
-        sp.append(1.0 - (sentence.position - 1) / n)
-        sl.append(float(len(sentence.tokens)))
-        tt.append(in_title / len(title_tokens) if title_tokens else 0.0)
-        cj.append(float(_starts_with_conjunctive_adverb(sentence.tokens, lexicons)))
-        cos_tps.append(tps / (norm * tps_norm) if tps_norm and norm else 0.0)
-        cos_ccts.append(ccts / (norm * ccts_norm) if ccts_norm and norm else 0.0)
-        cos_tts.append(tts / (norm * tts_norm) if tts_norm and norm else 0.0)
-        if sent_emb is None or title_emb is None:
-            cos_stt.append(0.0)
-        else:
-            denom = math.sqrt(sent_emb @ sent_emb) * title_norm
-            cosine = float(sent_emb @ title_emb) / denom if denom else 0.0
-            cos_stt.append(max(-1.0, min(1.0, cosine)))
+    raw: dict[Feature, list[float]] = {}  # filled in BASE_FEATURES order
+    if Feature.SP in wanted:
+        raw[Feature.SP] = [1.0 - (s.position - 1) / n for s in sentences]
+    if Feature.SL in wanted:
+        raw[Feature.SL] = [float(len(s.tokens)) for s in sentences]
+    if Feature.TT in wanted:
+        raw[Feature.TT] = [
+            len(title_tokens.intersection(s.tokens)) / len(title_tokens) if title_tokens else 0.0
+            for s in sentences
+        ]
+    if Feature.CJ in wanted:
+        raw[Feature.CJ] = [float(_starts_with_conjunctive_adverb(s.tokens, lexicons)) for s in sentences]
+    if wanted.intersection(term_sets):
+        norms = [_count_norm(s.tokens) for s in sentences]
+        for feature, terms in term_sets.items():
+            if feature in wanted:
+                raw[feature] = _set_cosines(sentences, norms, terms)
+    if Feature.COS_STT in wanted:
+        raw[Feature.COS_STT] = _title_cosines(comment, topic, lexicons)
 
-    normalized = []
-    for column in columns:
+    normalized = {}
+    for feature, column in raw.items():
         lo, hi = min(column), max(column)
         span = hi - lo
-        normalized.append([(v - lo) / span for v in column] if span > 0 else [0.0] * n)
-    # COS_STT is the last base feature, so the available ones are a prefix
-    k = len(BASE_FEATURES) if embeddings is not None else len(BASE_FEATURES) - 1
-    return CommentScores(
-        raw=dict(zip(BASE_FEATURES, columns)),
-        normalized=dict(zip(BASE_FEATURES, normalized)),
-        cb=[sum(row) / k for row in zip(*normalized[:k])],
-    )
+        normalized[feature] = [(v - lo) / span for v in column] if span > 0 else [0.0] * n
+    cb = None
+    if Feature.CB in features:
+        cb = [sum(row) / len(available) for row in zip(*(normalized[f] for f in available))]
+    return CommentScores(raw=raw, normalized=normalized, cb=cb)
 
 
 def select_salient(

@@ -792,6 +792,8 @@ class TestCli:
         ("output_dir", 7),
         pytest.param("ratio", 10**400, id="ratio-int-too-large"),
         pytest.param("variance_target", 10**400, id="variance_target-int-too-large"),
+        ("signature_threshold", 0),
+        ("signature_threshold", -1),
     ])
     def test_malformed_config_value_exit_2(self, tmp_path, capsys, key, value):
         config_path = make_config(tmp_path)
@@ -800,6 +802,13 @@ class TestCli:
         config_path.write_text(json.dumps(raw))
         assert main(["pipeline", "--config", str(config_path)]) == 2
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["annotate", "select"])
+    def test_signature_threshold_not_positive_exit_2(self, tmp_path, capsys, command):
+        # a config error for every command, although only COS_TPS and CB read it
+        config_path = make_config(tmp_path, signature_threshold=0, feature="SP")
+        assert main([command, "--config", str(config_path)]) == 2
+        assert "signature_threshold" in capsys.readouterr().err
 
     def test_validation_error_exit_3(self, tmp_path, capsys):
         config_path = make_config(tmp_path)

@@ -1,5 +1,6 @@
 """``score_comment``'s columns and every ``select_salient`` result equal the
-per-sentence loop they replaced, kept here as the oracle."""
+per-sentence loop they replaced, kept here as the oracle; a call for one
+feature returns the full call's columns."""
 
 import math
 from collections import Counter
@@ -8,14 +9,17 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_comment, make_topic
+from conftest import SAMPLE_DIR, make_comment, make_topic
 
-from debatesum.corpus import Side, salient_count
+from debatesum.corpus import Side, load_corpus, salient_count
+from debatesum.pipeline import topic_signatures_for
 from debatesum.saliency import (
     BASE_FEATURES,
     Feature,
     Lexicons,
     TopicSignature,
+    default_lexicons,
+    load_embeddings,
     score_comment,
     select_salient,
 )
@@ -174,3 +178,54 @@ def test_columns_and_selections_equal_the_per_sentence_loop(
     texts, title, signature_terms, embeddings, ratio
 ):
     assert_matches_oracle(texts, title, signature_terms, embeddings, ratio)
+
+
+# --- one feature at a time ----------------------------------------------------
+
+
+def assert_one_feature_matches_full(comment, topic, lexicons, signatures):
+    """For each feature, ``score_comment(..., features=(f,))`` scores f (all the
+    base features CB averages, for CB) and nothing else, each column equal to
+    the full call's bit for bit."""
+    full = score_comment(comment, topic, lexicons, signatures)
+    available = [f for f in BASE_FEATURES if f is not Feature.COS_STT or lexicons.embeddings is not None]
+    for feature in Feature:
+        part = score_comment(comment, topic, lexicons, signatures, features=(feature,))
+        expected = available if feature is Feature.CB else [feature]
+        assert list(part.raw) == list(part.normalized) == expected, feature
+        for f in expected:
+            assert hexes(part.raw[f]) == hexes(full.raw[f]), (feature, f)
+            assert hexes(part.normalized[f]) == hexes(full.normalized[f]), (feature, f)
+        if feature is Feature.CB:
+            assert hexes(part.cb) == hexes(full.cb)
+        else:
+            assert part.cb is None
+        assert hexes(part.column(feature)) == hexes(full.column(feature)), feature
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    texts=st.lists(words, min_size=1, max_size=7),
+    title=words,
+    signature_terms=st.sets(st.sampled_from(VOCAB), max_size=4),
+    embeddings=st.one_of(st.none(), st.dictionaries(st.sampled_from(VOCAB), vectors)),
+)
+@example(["carbon carbon ice", "however the sea level", "zzz"], "carbon warming", {"ice"}, EMBEDDINGS)
+@example(["the zzz", "", "zzz zzz"], "", set(), None)  # term-free, empty title, no signatures
+def test_one_feature_columns_equal_the_full_call(texts, title, signature_terms, embeddings):
+    comment = make_comment("c1", Side.AGREE, texts)
+    topic = make_topic("t1", title, [comment])
+    lexicons = Lexicons(**LEXICONS, embeddings=embeddings)
+    signatures = [TopicSignature(term, 20.0) for term in sorted(signature_terms)]
+    assert_one_feature_matches_full(comment, topic, lexicons, signatures)
+
+
+def test_one_feature_columns_equal_the_full_call_on_sample_data():
+    corpus = load_corpus(SAMPLE_DIR / "corpus.json")
+    for lexicons in (default_lexicons(), default_lexicons(load_embeddings(SAMPLE_DIR / "embeddings.txt"))):
+        for topic in corpus:
+            # at the p < 0.001 cutoff the sample topics have no signatures
+            signatures = topic_signatures_for(corpus, topic, 2.0)
+            assert signatures
+            for comment in topic.comments:
+                assert_one_feature_matches_full(comment, topic, lexicons, signatures)

@@ -16,6 +16,7 @@ from conftest import SAMPLE_DIR, make_comment, make_topic, simple_topic_dict, wr
 
 import debatesum.pipeline as pipeline
 from debatesum.assets import default_stopwords
+from debatesum.cli import main
 from debatesum.corpus import GoldAnnotation, Side, load_corpus, load_gold
 from debatesum.evalkit import RougeVariant, rouge
 from debatesum.pipeline import (
@@ -315,6 +316,68 @@ def test_compute_salient_matches_per_feature_selection(feature):
         for comment, comment_doc in zip(topic.comments, topic_doc["comments"]):
             vectors = score_comment(comment, topic, lexicons, signatures)
             assert comment_doc["sentence_ids"] == select_salient(comment, vectors, feature=feature)
+
+
+@pytest.mark.parametrize("feature", list(Feature))
+def test_compute_salient_is_the_same_with_and_without_a_cache(feature):
+    """Without a cache only ``feature`` is scored; with one, all nine are."""
+    corpus = load_corpus(SAMPLE_DIR / "corpus.json")
+    for lexicons in (default_lexicons(), load_inputs(load_config(SAMPLE_DIR / "config.json")).lexicons):
+        for threshold in (LLR_THRESHOLD_P001, 2.0):  # the sample topics have signatures at 2.0
+            assert compute_salient(corpus, lexicons, feature, 0.2, threshold) == compute_salient(
+                corpus, lexicons, feature, 0.2, threshold, cache={}
+            )
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(case=gold_corpora(), ratio=st.sampled_from([0.2, 0.5, 0.9]))
+@example(case=tokenless_comment_case(), ratio=0.5)
+def test_compute_salient_is_the_same_with_and_without_a_cache_on_generated_comments(case, ratio):
+    corpus, _ = case
+    lexicons = default_lexicons()
+    for feature in Feature:
+        assert compute_salient(corpus, lexicons, feature, ratio, 1.0) == compute_salient(
+            corpus, lexicons, feature, ratio, 1.0, cache={}
+        ), feature
+
+
+@pytest.mark.parametrize("command", ["pipeline", "select"])
+@pytest.mark.parametrize("feature", [Feature.SP, Feature.COS_TTS, Feature.COS_TPS, Feature.CB])
+def test_gold_less_runs_score_only_the_configured_feature(tmp_path, monkeypatch, command, feature):
+    """With no ROUGE table to build, each comment is scored once for the
+    configured feature, and topic signatures are computed (once per topic)
+    only for a feature that reads them."""
+    scored: Counter = Counter()
+    requested: set = set()
+    signed: Counter = Counter()
+    real_score, real_signatures = pipeline.score_comment, pipeline.topic_signatures_for
+
+    def counting_score(comment, topic, lexicons, signatures, features):
+        scored[comment.id] += 1
+        requested.add(tuple(features))
+        return real_score(comment, topic, lexicons, signatures, features)
+
+    def counting_signatures(corpus, topic, *args, **kwargs):
+        signed[topic.id] += 1
+        return real_signatures(corpus, topic, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "score_comment", counting_score)
+    monkeypatch.setattr(pipeline, "topic_signatures_for", counting_signatures)
+    raw = json.loads((SAMPLE_DIR / "config.json").read_text(encoding="utf-8"))
+    del raw["gold_path"]
+    raw.update(
+        {k: str(SAMPLE_DIR / v) for k, v in raw.items() if k.endswith("_path")},
+        feature=feature.value,
+        output_dir=str(tmp_path / "out"),
+    )
+    (tmp_path / "config.json").write_text(json.dumps(raw), encoding="utf-8")
+    assert main([command, "--config", str(tmp_path / "config.json")]) == 0
+
+    corpus = load_corpus(SAMPLE_DIR / "corpus.json")
+    assert scored == Counter(c.id for topic in corpus for c in topic.comments)
+    assert requested == {(feature,)}
+    reads_signatures = feature in (Feature.COS_TPS, Feature.CB)
+    assert signed == (Counter(topic.id for topic in corpus) if reads_signatures else Counter())
 
 
 def test_cos_ccts_reads_the_config_gazetteer(tmp_path):
