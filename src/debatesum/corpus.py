@@ -24,7 +24,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
-from .errors import ConfigError, ParseError, ValidationError
+from .errors import ComputationError, ConfigError, ParseError, ValidationError
 
 # Lowercase alphanumeric runs, keeping hyphens that sit between alphanumerics
 # ("sea-level" stays one token, underscores split).
@@ -101,6 +101,15 @@ def tokenize(text: str) -> list[str]:
 def salient_count(n_sentences: int, ratio: float = 0.2) -> int:
     """Number of sentences a 20%-style selection keeps: ceil(ratio*n), min 1."""
     return max(1, math.ceil(ratio * n_sentences))
+
+
+def salient_indices(column: list[float], ratio: float = 0.2) -> list[int]:
+    """Indices of the ``salient_count`` largest values of ``column``, in index
+    order; the reverse sort is stable, so ties break toward the lower index."""
+    if not 0.0 < ratio <= 1.0:
+        raise ComputationError(f"selection ratio must be in (0, 1], got {ratio}")
+    ranked = sorted(range(len(column)), key=column.__getitem__, reverse=True)
+    return sorted(ranked[: salient_count(len(column), ratio)])
 
 
 class Side(str, Enum):

@@ -102,54 +102,55 @@ def rouge(
     ])
 
 
-def _unit_keys(ids: np.ndarray, rows: np.ndarray, vocab_size: int):
-    """int64 keys of every variant's units and the sequence each comes from.
+def rouge_batch(
+    ids: np.ndarray, rows: np.ndarray, n_rows: int, n_systems: int, vocab_size: int
+) -> np.ndarray:
+    """Mean ROUGE of each of the first ``n_systems`` of ``n_rows`` token
+    sequences against every later one: what ``rouge`` gives, as an array of
+    shape (system, ``RougeVariant``, (recall, precision, f1)).
 
-    A token pair (a, b) is a * vocab_size + b and an SU4 unigram
-    vocab_size**2 + id, so one variant's keys lie below ``span``; variant t
-    (in ``RougeVariant`` order) adds t * span. Returns ``(keys, rows, span)``.
+    ``ids`` (int64) holds the sequences' token ids, one sequence after
+    another, and ``rows`` (int64) the sequence of each. A unit's key is a
+    token id (R1) or a token pair (a, b) as a * vocab_size + b (R2, and SU4,
+    whose unigrams are R1's), plus t * vocab_size**2 for the kind t. Units
+    are indexed through a table of all 3 * vocab_size**2 keys: to keep it
+    small, the tokens of no reference may share one id, as a unit holding
+    one never matches.
     """
-    span = vocab_size * (vocab_size + 1)
+    span = vocab_size * vocab_size
     pairs, pair_rows = [], []
     for gap in range(1, 6):
         same = rows[:-gap] == rows[gap:]  # both tokens in one sequence
         pairs.append(ids[:-gap][same] * vocab_size + ids[gap:][same])
         pair_rows.append(rows[:-gap][same])
-    unigrams = ids + (2 * span + vocab_size * vocab_size)
-    keys = [ids, pairs[0] + span, *(k + 2 * span for k in pairs), unigrams]
-    return np.concatenate(keys), np.concatenate([rows, pair_rows[0], *pair_rows, rows]), span
-
-
-def rouge_batch(
-    ids: np.ndarray, rows: np.ndarray, n_rows: int, n_systems: int, vocab_size: int
-) -> dict[RougeVariant, list[RougeScore]]:
-    """Mean ROUGE of each of the first ``n_systems`` of ``n_rows`` token
-    sequences against every later one, per variant: what ``rouge`` gives.
-
-    ``ids`` (int64) holds the sequences' token ids, each below ``vocab_size``,
-    one sequence after another; ``rows`` (int64) the sequence of each.
-    """
-    keys, key_rows, span = _unit_keys(ids, rows, vocab_size)
-    units, inverse = np.unique(keys, return_inverse=True)
+    # row n_rows holds one key of each kind, so no kind's run of units is empty
+    keys = np.concatenate([ids, pairs[0] + span, *(k + 2 * span for k in pairs), [0, span, 2 * span]])
+    key_rows = np.concatenate([rows, pair_rows[0], *pair_rows, [n_rows] * 3])
+    present = np.zeros(3 * span + 1, dtype=bool)  # + 1: span is 0 when there are no tokens
+    present[keys] = True
+    units = np.flatnonzero(present)
+    unit_of = np.empty(len(present), dtype=np.intp)
+    unit_of[units] = np.arange(len(units))
     counts = np.bincount(
-        key_rows * len(units) + inverse, minlength=n_rows * len(units)
-    ).reshape(n_rows, len(units))
-    minima = np.minimum(counts[:n_systems, None], counts[None, n_systems:])
-    # units sort by variant: each variant's units are one run of columns
-    bounds = np.searchsorted(units, [0, span, 2 * span, 3 * span]).tolist()
-    out = {}
-    for variant, lo, hi in zip(RougeVariant, bounds, bounds[1:]):
-        match = minima[..., lo:hi].sum(-1).tolist()
-        totals = counts[:, lo:hi].sum(1).tolist()
-        ref_totals = totals[n_systems:]
-        out[variant] = [
-            _mean_score(variant, [
-                _recall_precision_f1(m, total_sys, total_ref)
-                for m, total_ref in zip(matches, ref_totals)
-            ])
-            for matches, total_sys in zip(match, totals)
-        ]
-    return out
+        key_rows * len(units) + unit_of[keys], minlength=(n_rows + 1) * len(units)
+    ).reshape(n_rows + 1, len(units))
+    # units sort by kind: each kind's units are one run of columns
+    starts = np.searchsorted(units, [0, span, 2 * span])
+    totals = np.add.reduceat(counts[:n_rows], starts, axis=1)
+    minima = np.minimum(counts[:n_systems, None], counts[None, n_systems:n_rows])
+    match = np.add.reduceat(minima, starts, axis=-1)
+    totals[:, 2] += totals[:, 0]  # SU4 counts the unigrams too
+    match[..., 2] += match[..., 0]
+    system_totals, ref_totals = totals[:n_systems, None], totals[None, n_systems:]
+    scores = np.zeros((*match.shape, 3))  # system, reference, variant, (recall, precision, f1)
+    recall, precision, f1 = scores[..., 0], scores[..., 1], scores[..., 2]
+    np.divide(match, ref_totals, out=recall, where=ref_totals > 0)
+    np.divide(match, system_totals, out=precision, where=system_totals > 0)
+    np.divide(2 * precision * recall, precision + recall, out=f1, where=precision + recall != 0)
+    total = scores[:, 0]
+    for ref in range(1, n_rows - n_systems):  # added in order, as sum() adds
+        total = total + scores[:, ref]
+    return total / (n_rows - n_systems)
 
 
 def _distance_matrix(points: np.ndarray, metric: str) -> np.ndarray:

@@ -46,7 +46,9 @@ from .annotate import (
 )
 from .assets import default_conjunctive_adverbs_path, default_stopwords
 from .canonical_json import to_json_bytes
-from .corpus import LLR_THRESHOLD_P001, DebateTopic, Feature, Side, load_corpus, load_gold, read_json
+from .corpus import (
+    LLR_THRESHOLD_P001, DebateTopic, Feature, Side, load_corpus, load_gold, read_json, salient_indices,
+)
 from .errors import ComputationError, ConfigError, DebatesumError, ParseError, ValidationError
 
 # Algorithm functions (and the classes a stage builds) by module: each name is a
@@ -58,7 +60,7 @@ _DEFERRED = {
     "chart": ("build_chart", "render_chart"),
     "evalkit": ("rouge", "rouge_batch", "silhouette"),
     "labeling": ("mi_label", "shared_term_label", "term_index", "tfidf_labels"),
-    "saliency": ("Lexicons", "extract_topic_signatures", "load_embeddings", "score_comment", "select_salient"),
+    "saliency": ("Lexicons", "extract_topic_signatures", "load_embeddings", "score_comment"),
     "term_clustering": ("cluster_by_shared_term", "merge_synonymous_clusters"),
     "vector_clustering": ("build_similarity_matrix", "build_term_vectors", "pca_fit_transform", "xmeans"),
 }
@@ -320,7 +322,6 @@ def comment_selections(
         if key in cache:
             return cache[key]
         features = tuple(Feature)
-    from .saliency import select_salient  # called per comment and feature: not through its forwarder
     signed = Feature.COS_TPS in features or Feature.CB in features
     corpus_counts = _token_counts(corpus) if signed else None
     selections = {}
@@ -330,8 +331,10 @@ def comment_selections(
         )
         for comment in topic.comments:
             scores = score_comment(comment, topic, lexicons, signatures, features)
+            sentences = comment.sentences
             selections[comment.id] = {
-                f: tuple(select_salient(comment, scores, feature=f, ratio=ratio)) for f in features
+                f: tuple(sentences[i].id for i in salient_indices(scores.column(f), ratio))
+                for f in features
             }
     if cache is not None:
         cache[key] = selections
@@ -645,58 +648,43 @@ def compute_rouge_table(
 
     Each comment's distinct selections and references are scored in one
     batch (``rouge_batch``); every feature that chose a selection gets its
-    score. ``cache`` as in ``comment_selections``.
+    scores, added up in comment order. ``cache`` as in ``comment_selections``.
     """
     from .evalkit import RougeVariant
     gold_by_comment: dict[str, list[frozenset[str]]] = {}
     for annotation in gold:
-        gold_by_comment.setdefault(annotation.comment_id, []).append(
-            annotation.selected_sentence_ids
-        )
+        gold_by_comment.setdefault(annotation.comment_id, []).append(annotation.selected_sentence_ids)
     selections = comment_selections(corpus, lexicons, ratio, signature_threshold, cache)
 
-    table: dict[str, dict] = {}
-    per_feature_scores: dict[Feature, dict[RougeVariant, list]] = {
-        f: {v: [] for v in RougeVariant} for f in Feature
-    }
+    totals = np.zeros((len(Feature), len(RougeVariant), 3))
+    scored = 0
     for topic in corpus:
         for comment in topic.comments:
             refs_ids = gold_by_comment.get(comment.id)
             if not refs_ids:
                 continue
-            vocab: dict[str, int] = {}
-            ids = np.array(
-                [vocab.setdefault(t, len(vocab)) for s in comment.sentences for t in s.tokens],
-                dtype=np.int64,
-            )
-            distinct = list(dict.fromkeys(selections[comment.id].values()))
+            sentences = comment.sentences
+            # an id for each token of the references, and one shared by all others (rouge_batch)
+            referenced = set().union(*refs_ids)
+            vocab = {t: i for i, t in enumerate(dict.fromkeys(
+                t for s in sentences if s.id in referenced for t in s.tokens))}
+            ids = np.array([vocab.get(t, len(vocab)) for s in sentences for t in s.tokens], dtype=np.int64)
+            index: dict[tuple[str, ...], int] = {}
+            chosen = [index.setdefault(selections[comment.id][f], len(index)) for f in Feature]
             # sequence x sentence membership, spread to a sequence x token mask
             mask = np.repeat(
-                [[s.id in chosen for s in comment.sentences]
-                 for chosen in [*map(set, distinct), *refs_ids]],
-                [len(s.tokens) for s in comment.sentences],
+                [[s.id in selected for s in sentences] for selected in [*map(set, index), *refs_ids]],
+                [len(s.tokens) for s in sentences],
                 axis=1,
             )
             rows, positions = np.nonzero(mask)
-            scores = rouge_batch(ids[positions], rows, len(mask), len(distinct), len(vocab))
-            index = {selected: i for i, selected in enumerate(distinct)}
-            for feature, selected in selections[comment.id].items():
-                for variant, batch in scores.items():
-                    per_feature_scores[feature][variant].append(batch[index[selected]])
-    for feature in Feature:
-        table[feature.value] = {}
-        for variant in RougeVariant:
-            scores = per_feature_scores[feature][variant]
-            if not scores:
-                table[feature.value][variant.value] = None
-                continue
-            k = len(scores)
-            table[feature.value][variant.value] = {
-                "recall": sum(s.recall for s in scores) / k,
-                "precision": sum(s.precision for s in scores) / k,
-                "f1": sum(s.f1 for s in scores) / k,
-            }
-    return table
+            totals += rouge_batch(ids[positions], rows, len(mask), len(index), len(vocab) + 1)[chosen]
+            scored += 1
+    means = (totals / scored).tolist() if scored else None  # None: no comment has gold
+    return {feature.value: {
+        variant.value: means and dict(zip(("recall", "precision", "f1"), means[f][v]))
+        for v, variant in enumerate(RougeVariant)
+    } for f, feature in enumerate(Feature)}
 
 
 def compute_silhouette_report(

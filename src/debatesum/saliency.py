@@ -38,7 +38,7 @@ from .corpus import (
     Feature,
     Sentence,
     read_text,
-    salient_count,
+    salient_indices,
 )
 from .errors import ComputationError, ParseError
 
@@ -347,13 +347,8 @@ def select_salient(
 ) -> list[str]:
     """Ids of the top ceil(ratio * n) sentences by the chosen feature.
 
-    Ties break toward the earlier position; the result is ordered by the
-    sentences' original positions.
+    Ties break toward the earlier sentence; the result is in the comment's
+    sentence order (``salient_indices``).
     """
-    if not 0.0 < ratio <= 1.0:
-        raise ComputationError(f"selection ratio must be in (0, 1], got {ratio}")
     sentences = comment.sentences
-    column = scores.column(feature)
-    ranked = sorted(range(len(sentences)), key=lambda i: (-column[i], sentences[i].position))
-    chosen = sorted(ranked[: salient_count(len(sentences), ratio)])
-    return [sentences[i].id for i in chosen]
+    return [sentences[i].id for i in salient_indices(scores.column(feature), ratio)]

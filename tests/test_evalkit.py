@@ -16,6 +16,7 @@ from debatesum.evalkit import (
     krippendorff_alpha,
     mann_whitney_u,
     rouge,
+    rouge_batch,
     silhouette,
     skip_bigram_counts,
 )
@@ -158,6 +159,34 @@ class TestRouge:
     @pytest.mark.parametrize("max_skip", range(7))
     def test_skip_bigram_counts_short_inputs(self, tokens, max_skip):
         assert skip_bigram_counts(tokens, max_skip) == Counter()
+
+
+# empty and one-token sequences among them
+ROUGE_SEQUENCES = st.lists(st.sampled_from(("ice", "sea", "carbon", "tax", "the")), max_size=7)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    systems=st.lists(ROUGE_SEQUENCES, min_size=1, max_size=6),
+    references=st.lists(ROUGE_SEQUENCES, min_size=1, max_size=4),
+)
+@example(systems=[[], ["ice"]], references=[[], ["ice"], ["sea", "ice"]])
+@example(systems=[[]], references=[[]])
+def test_rouge_batch_rows_equal_rouge(systems, references):
+    """Each system's (variant, (recall, precision, f1)) block is ``rouge``'s
+    score of it against all references, bit for bit."""
+    vocab: dict[str, int] = {}
+    sequences = [*systems, *references]
+    ids = np.array([vocab.setdefault(t, len(vocab)) for seq in sequences for t in seq], dtype=np.int64)
+    rows = np.repeat(np.arange(len(sequences)), [len(seq) for seq in sequences])
+    batch = rouge_batch(ids, rows, len(sequences), len(systems), len(vocab))
+    assert batch.shape == (len(systems), len(RougeVariant), 3)
+    for system, row in zip(systems, batch.tolist()):
+        for variant, scores in zip(RougeVariant, row):
+            expected = rouge(system, references, variant)
+            assert list(map(float.hex, scores)) == [
+                float.hex(expected.recall), float.hex(expected.precision), float.hex(expected.f1)
+            ], variant
 
 
 class TestSilhouette:

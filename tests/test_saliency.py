@@ -8,6 +8,7 @@ from conftest import make_comment, make_topic
 
 from debatesum.corpus import Side
 from debatesum.errors import ComputationError, ParseError
+from debatesum.pipeline import comment_selections
 from debatesum.saliency import (
     Feature,
     LLR_THRESHOLD_P001,
@@ -232,8 +233,11 @@ class TestSelectSalient:
     def test_bad_ratio_rejected(self):
         comment, topic = self.comment_of(3)
         scores = score_comment(comment, topic, plain_lexicons(), [])
-        with pytest.raises(ComputationError):
-            select_salient(comment, scores, Feature.SP, ratio=0.0)
+        for ratio in (0.0, -0.2, 1.5, math.nan):
+            with pytest.raises(ComputationError):
+                select_salient(comment, scores, Feature.SP, ratio=ratio)
+            with pytest.raises(ComputationError):  # the pipeline's selections rank the same way
+                comment_selections([topic], plain_lexicons(), ratio)
 
 
 class TestLoadEmbeddings:

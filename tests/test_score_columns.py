@@ -1,6 +1,6 @@
 """``score_comment``'s columns and every ``select_salient`` result equal the
-per-sentence loop they replaced, kept here as the oracle; a call for one
-feature returns the full call's columns."""
+per-sentence loop they replaced, kept here as the oracle, on tied columns
+too; a call for one feature returns the full call's columns."""
 
 import math
 from collections import Counter
@@ -15,6 +15,7 @@ from debatesum.corpus import Side, load_corpus, salient_count
 from debatesum.pipeline import topic_signatures_for
 from debatesum.saliency import (
     BASE_FEATURES,
+    CommentScores,
     Feature,
     Lexicons,
     TopicSignature,
@@ -178,6 +179,41 @@ def test_columns_and_selections_equal_the_per_sentence_loop(
     texts, title, signature_terms, embeddings, ratio
 ):
     assert_matches_oracle(texts, title, signature_terms, embeddings, ratio)
+
+
+# --- ties ----------------------------------------------------------------------
+
+
+# equal values, and 0.0 beside -0.0
+TIED_VALUES = st.sampled_from((0.0, -0.0, 0.5, 1.0, 3.0))
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(
+    column=st.one_of(
+        st.tuples(TIED_VALUES, st.integers(1, 8)).map(lambda vn: [vn[0]] * vn[1]),  # all equal
+        st.lists(TIED_VALUES, min_size=1, max_size=8),
+    ),
+    ratio=st.sampled_from((0.2, 0.5, 0.9, 1.0)),
+)
+@example([0.5] * 6, 0.5)
+@example([1.0, 0.0, 1.0, 0.0, 1.0], 0.2)  # repeated scores
+@example([0.0, -0.0, 0.0, -0.0], 0.5)  # signed zeros
+@example([-0.0, 0.0, -0.0, 0.0], 0.5)
+@example([-0.0], 0.2)  # one sentence
+@example([0.5, 3.0, 0.5, 1.0, 3.0], 1.0)
+def test_selections_of_tied_columns_equal_the_oracle(column, ratio):
+    """Every feature's selection from ``column`` (one value per sentence) is
+    the oracle's ``(-score, position)`` pick."""
+    comment = make_comment("c1", Side.AGREE, ["ice"] * len(column))
+    scores = CommentScores(raw=dict.fromkeys(BASE_FEATURES, column), normalized={}, cb=column)
+    expected = {
+        s.id: (dict.fromkeys(BASE_FEATURES, v), None, v) for s, v in zip(comment.sentences, column)
+    }
+    for feature in Feature:
+        assert select_salient(comment, scores, feature, ratio) == oracle_select(
+            comment, expected, feature, ratio
+        ), feature
 
 
 # --- one feature at a time ----------------------------------------------------

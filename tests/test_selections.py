@@ -179,6 +179,17 @@ class TestRougeTable:
             corpus, gold, lexicons
         )
 
+    def test_sample_data_with_topic_signatures_matches_naive_oracle(self):
+        """At 2.0 the sample topics have signatures, so COS_TPS and CB rank a
+        column that is not all zeros (at the default 10.83 they have none)."""
+        corpus = load_corpus(SAMPLE_DIR / "corpus.json")
+        gold = load_gold(SAMPLE_DIR / "gold.json", corpus)
+        assert all(topic_signatures_for(corpus, topic, 2.0) for topic in corpus)
+        for lexicons in (default_lexicons(), load_inputs(load_config(SAMPLE_DIR / "config.json")).lexicons):
+            assert compute_rouge_table(
+                corpus, gold, lexicons, signature_threshold=2.0
+            ) == naive_rouge_table(corpus, gold, lexicons, threshold=2.0)
+
     def test_features_sharing_a_selection_match_naive_oracle(self):
         corpus, gold = short_comment_corpus()
         lexicons = default_lexicons()
