@@ -33,8 +33,8 @@ def cluster_sentences(terms_by_sentence, vocabulary, label):
         return
     matrix = build_similarity_matrix(vectors)
     model, reduced = pca_fit_transform(matrix.values, variance_target=0.95)
-    print(f"  similarity matrix {matrix.n}x{matrix.n}, "
-          f"PCA keeps {model.components.shape[0]} of {matrix.n} dimensions")
+    n = len(matrix.labels)
+    print(f"  similarity matrix {n}x{n}, PCA keeps {model.components.shape[0]} of {n} dimensions")
     result = xmeans(reduced, k_min=2, k_max=min(10, len(vectors)), seed=42)
     print(f"  xmeans: k={result.k}, BIC={result.bic:.2f}, {result.iterations} Lloyd iterations")
     if result.k >= 2:

@@ -57,9 +57,6 @@ class Gazetteer:
     def __len__(self) -> int:
         return len(self.terms)
 
-    def __contains__(self, term: Term) -> bool:
-        return tuple(term) in self.terms
-
     def match_at(self, tokens: tuple[str, ...] | list[str], start: int) -> Term | None:
         """Longest gazetteer term starting at token index ``start``, if any."""
         if start >= len(tokens) or tokens[start] not in self._first_tokens:

@@ -27,10 +27,7 @@ from .pipeline import (
     STAGES,
     PipelineConfig,
     Stage,
-    _check_shape,
     artifact_files,
-    check_artifact,
-    check_consistency,
     compute_rouge_table,
     compute_silhouette_report,
     load_config,
@@ -48,13 +45,6 @@ from .pipeline import (  # noqa: F401
     compute_alignment, compute_annotations, compute_charts, compute_clusters, compute_labels,
     compute_salient, render_chart,
 )
-
-# The keys of a ratings file that ``eval stats`` reads, each checked where present.
-RATINGS_SHAPE = {
-    "samples": {"a": [(int, float)], "b": [(int, float)]},
-    "ratings": [[(int, float, type(None))]],
-    "metric": frozenset(("nominal", "interval", "ordinal")),
-}
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -129,9 +119,12 @@ def _read_needs(args: argparse.Namespace, config: PipelineConfig, needs: tuple[s
     """Artifact stem -> document, from its flag's path or the output directory.
 
     A missing file is a ConfigError, bad JSON a ParseError, and a wrong
-    structure or documents that disagree (``check_consistency``) a
+    structure or documents that disagree (``debatesum.artifacts``) a
     ValidationError, each naming the file.
     """
+    if not needs:  # annotate and select: no artifact, so no checks to import
+        return {}
+    from .artifacts import check_artifact, check_consistency
     docs, paths = {}, {}
     for name in needs:
         path = paths[name] = getattr(args, name) or Path(config.output_dir) / f"{name}.json"
@@ -195,33 +188,20 @@ def _cmd_eval_stats(args: argparse.Namespace) -> int:
     Mann-Whitney U test and/or ``ratings`` (coder-by-item matrix, null for
     missing) with an optional ``metric`` for Krippendorff's alpha.
     """
+    from .artifacts import check_ratings
     from .evalkit import krippendorff_alpha, mann_whitney_u
     path = Path(args.ratings)
     doc = read_json(path)
-    source = f"ratings file {path}"
-    _check_shape(doc, {}, source)
-    _check_shape(doc, {key: shape for key, shape in RATINGS_SHAPE.items() if key in doc}, source)
+    check_ratings(doc, path)
     report: dict = {"mann_whitney": None, "krippendorff_alpha": None}
     if "samples" in doc:
-        samples = doc["samples"]
-        if set(samples) != {"a", "b"}:
-            raise ValidationError('ratings "samples" must have exactly keys "a" and "b"')
-        result = mann_whitney_u(samples["a"], samples["b"])
-        report["mann_whitney"] = {
-            "u_a": result.u_a,
-            "u_b": result.u_b,
-            "z": result.z,
-            "p_two_sided": result.p_two_sided,
-            "effect_r": result.effect_r,
-        }
+        report["mann_whitney"] = mann_whitney_u(doc["samples"]["a"], doc["samples"]["b"])._asdict()
     if "ratings" in doc:
         metric = doc.get("metric", "nominal")
         report["krippendorff_alpha"] = {
             "metric": metric,
             "alpha": krippendorff_alpha(doc["ratings"], metric=metric),
         }
-    if report["mann_whitney"] is None and report["krippendorff_alpha"] is None:
-        raise ValidationError('ratings file needs "samples" and/or "ratings"')
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         Path(args.out).write_bytes(to_json_bytes(report))

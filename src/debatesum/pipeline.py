@@ -18,7 +18,9 @@ Artifacts written into the output directory:
     manifest.json      config echo plus sha256 of every artifact
 
 The stage table STAGES drives both run_pipeline, which walks it in memory,
-and the CLI, whose stage subcommands each run one row from disk.
+and the CLI, whose stage subcommands each run one row from disk. What a stage
+subcommand reads back from disk is checked in debatesum.artifacts, which only
+those commands import.
 """
 
 from __future__ import annotations
@@ -167,24 +169,17 @@ def load_config(path: str | Path, overrides: Mapping[str, object] | None = None)
 
 
 def validate_config(config: PipelineConfig) -> None:
-    for key in ("corpus_path", "gazetteer_path", "synonyms_path"):
+    for key in ("corpus_path", "gazetteer_path", "synonyms_path", "gold_path", "embeddings_path"):
         p = getattr(config, key)
-        if not Path(p).is_file():
-            raise ConfigError(f"{key} does not exist: {p}")
-    for key in ("gold_path", "embeddings_path"):
-        p = getattr(config, key)
-        if p is not None and not Path(p).is_file():
+        if p is not None and not Path(p).is_file():  # only the last two may be None
             raise ConfigError(f"{key} does not exist: {p}")
     if config.clustering_method not in CLUSTER_METHODS:
         raise ConfigError(f"clustering_method must be one of {CLUSTER_METHODS}")
     if config.labeling_method not in LABEL_METHODS:
         raise ConfigError(f"labeling_method must be one of {LABEL_METHODS}")
-    if not 0.0 < config.ratio <= 1.0:
-        raise ConfigError("ratio must be in (0, 1]")
-    if not 0.0 < config.alignment_threshold <= 1.0:
-        raise ConfigError("alignment_threshold must be in (0, 1]")
-    if not 0.0 < config.variance_target <= 1.0:
-        raise ConfigError("variance_target must be in (0, 1]")
+    for key in ("ratio", "alignment_threshold", "variance_target"):
+        if not 0.0 < getattr(config, key) <= 1.0:
+            raise ConfigError(f"{key} must be in (0, 1]")
     if not 1 <= config.k_min <= config.k_max:
         raise ConfigError("need 1 <= k_min <= k_max")
     if config.seed < 0:
@@ -771,207 +766,6 @@ def write_json(path: str | Path, doc: dict) -> None:
     Path(path).write_bytes(to_json_bytes(doc))
 
 
-# What the stages read from each artifact on disk: a dict lists required keys
-# (others may be present), a one-item list is a list of that shape, a
-# frozenset the allowed strings, anything else a type for isinstance.
-_STR_OR_NONE = (str, type(None))
-_CLUSTER_SIDE = {
-    "clusters": [{"cluster_id": str, "label": _STR_OR_NONE, "members": [str]}],
-    "points": (dict, type(None)),
-}
-_ARTIFACT_SHAPES = {
-    "annotations": {
-        "topics": [{"topic_id": str, "sentences": [
-            {"sentence_id": str, "annotations": [{"canonical": str}]}
-        ]}]
-    },
-    "salient": {"topics": [{"topic_id": str, "comments": [
-        {"side": frozenset(s.value for s in Side), "sentence_ids": [str]}
-    ]}]},
-    "clusters": {"method": frozenset(CLUSTER_METHODS), "topics": [
-        {"topic_id": str, "sides": {s.value: _CLUSTER_SIDE for s in Side}}
-    ]},
-    "labels": {"clusters": [{"cluster_id": str, "label": str}]},
-    "alignment": {"topics": [{"topic_id": str, "pairs": [{
-        "label": str, "agree_cluster_id": str, "disagree_cluster_id": str,
-        "similarity": (int, float),
-    }]}]},
-}
-
-
-def _shape_error(source: str, where: tuple | None, problem: str) -> ValidationError:
-    steps = []
-    while where is not None:
-        where, key = where
-        steps.append(f"[{key}]" if isinstance(key, int) else f".{key}")
-    return ValidationError(f"malformed {source}: ${''.join(reversed(steps))} {problem}")
-
-
-def _check_shape(value, shape, source: str, where: tuple | None = None) -> None:
-    """Raise ValidationError at the first place where ``value`` departs from
-    ``shape``, naming the file as ``source`` says (``"artifact <path>"``).
-
-    ``where`` leads to ``value`` as a chain of (parent chain, key or index)
-    pairs from the document root (None); it is spelled out only on failure.
-    """
-    if isinstance(shape, dict):
-        if not isinstance(value, dict):
-            raise _shape_error(source, where, "is not an object")
-        for key, inner in shape.items():
-            if key not in value:
-                raise _shape_error(source, where, f"has no {key!r}")
-            _check_shape(value[key], inner, source, (where, key))
-    elif isinstance(shape, list):
-        if not isinstance(value, list):
-            raise _shape_error(source, where, "is not a list")
-        for i, item in enumerate(value):
-            _check_shape(item, shape[0], source, (where, i))
-    elif isinstance(shape, frozenset):
-        if not (isinstance(value, str) and value in shape):
-            raise _shape_error(source, where, f"is not one of {sorted(shape)}")
-    elif not isinstance(value, shape):
-        raise _shape_error(source, where, "has the wrong type")
-    # a number leaf is finite: NaN fails the comparison, and so does an int too large for a float
-    elif shape is not str and type(value) in (int, float) and not abs(value) <= sys.float_info.max:
-        raise _shape_error(source, where, "is not a finite number")
-
-
-def _check_points(clusters_doc: dict, path: Path) -> None:
-    """Raise ValidationError unless every xmeans side with clusters has
-    ``points`` and, on every side with ``points``, each member has a point: a
-    list of finite numbers, as long as the side's other points."""
-    for topic in clusters_doc["topics"]:
-        for side in Side:
-            side_doc = topic["sides"][side.value]
-            if side_doc["points"] is None:
-                if clusters_doc["method"] == "xmeans" and side_doc["clusters"]:
-                    raise ValidationError(f"malformed artifact {path}: xmeans clusters of "
-                                          f"{topic['topic_id']}/{side.value} have no points")
-                continue
-            length = None
-            for cluster in side_doc["clusters"]:
-                for sid in cluster["members"]:
-                    point = side_doc["points"].get(sid)
-                    # finite: NaN fails the comparison, and so does an int too large for a float
-                    if not isinstance(point, list) or not all(
-                        type(x) in (int, float) and abs(x) <= sys.float_info.max for x in point
-                    ):
-                        problem = f"has no point of finite numbers: {point!r}"
-                    elif length is not None and len(point) != length:
-                        problem = f"has a point of length {len(point)}, not {length}"
-                    else:
-                        length = len(point)
-                        continue
-                    raise ValidationError(
-                        f"malformed artifact {path}: member {sid!r} of "
-                        f"{topic['topic_id']}/{side.value} {problem}"
-                    )
-
-
-def check_consistency(docs: dict, paths: dict) -> None:
-    """Raise ValidationError, naming the file, where the artifacts in ``docs``
-    (stem -> document read from ``paths[stem]``) disagree: a topic id used
-    twice in one artifact, a sentence id annotated twice, a cluster id used
-    twice, a member of clusters on two topics or sides, a salient or member id
-    that is no annotated sentence of its topic, a member of a term cluster
-    without the cluster's term, a cluster with no member, a member twice, no
-    label or two labels, a label for no cluster, or an aligned pair that names
-    no labeled cluster of its topic and side or a cluster another pair names."""
-
-    def fail(artifact: str, problem: str):
-        raise ValidationError(f"inconsistent artifact {paths[artifact]}: {problem}")
-
-    for artifact in ("annotations", "salient", "clusters", "alignment"):
-        topic_ids = [t["topic_id"] for t in docs[artifact]["topics"]] if artifact in docs else []
-        if len(set(topic_ids)) < len(topic_ids):
-            repeated = Counter(topic_ids).most_common(1)[0][0]
-            fail(artifact, f"topic id {repeated!r} is used twice")
-
-    clusters = [
-        (topic["topic_id"], side.value, c)
-        for topic in docs["clusters"]["topics"]
-        for side in Side
-        for c in topic["sides"][side.value]["clusters"]
-    ] if "clusters" in docs else []
-    cluster_ids: set[str] = set()
-    home: dict[str, str] = {}  # member id -> "topic/side" of its first cluster
-    for topic_id, side, c in clusters:
-        if c["cluster_id"] in cluster_ids:
-            fail("clusters", f"cluster id {c['cluster_id']!r} is used twice")
-        cluster_ids.add(c["cluster_id"])
-        if not c["members"] or len(set(c["members"])) < len(c["members"]):
-            fail("clusters", f"cluster {c['cluster_id']!r} lists no member, or a member twice")
-        where = f"{topic_id}/{side}"
-        for sid in c["members"]:  # a sentence has one comment, so one topic and side
-            if home.setdefault(sid, where) != where:
-                fail("clusters", f"sentence id {sid!r} is a member on {home[sid]} and on {where}")
-    if "annotations" in docs:
-        annotated = {
-            t["topic_id"]: {s["sentence_id"] for s in t["sentences"]}
-            for t in docs["annotations"]["topics"]
-        }
-        sentence_docs = [s for t in docs["annotations"]["topics"] for s in t["sentences"]]
-        sentences = {s["sentence_id"]: s for s in sentence_docs}
-        if len(sentences) < len(sentence_docs):
-            repeated = Counter(s["sentence_id"] for s in sentence_docs).most_common(1)[0][0]
-            fail("annotations", f"sentence id {repeated!r} is annotated twice")
-        ids = [("clusters", topic_id, sid) for topic_id, _, c in clusters for sid in c["members"]]
-        ids += [("salient", t["topic_id"], sid)
-                for t in docs.get("salient", {"topics": []})["topics"]
-                for comment in t["comments"] for sid in comment["sentence_ids"]]
-        for artifact, topic_id, sid in ids:
-            if sid not in annotated.get(topic_id, ()):
-                fail(artifact, f"sentence id {sid!r} is not a sentence of topic {topic_id!r} "
-                     f"in {paths['annotations']}")
-        is_term = docs.get("clusters", {}).get("method") == "term"
-        for _, _, c in clusters:  # a term cluster is the sentences that carry its term
-            if not is_term or c["label"] is None:
-                continue
-            label = tuple(c["label"].split())
-            for sid in c["members"]:
-                carried = {tuple(a["canonical"].split()) for a in sentences[sid]["annotations"]}
-                if label not in carried:
-                    fail("annotations", f"sentence {sid!r} lacks the term {c['label']!r} of its "
-                         f"cluster {c['cluster_id']!r} in {paths['clusters']}")
-    if "labels" in docs:
-        label_by_id = {}
-        for entry in docs["labels"]["clusters"]:
-            cluster_id = entry["cluster_id"]
-            if cluster_id not in cluster_ids:
-                fail("labels", f"entry {cluster_id!r} names no cluster")
-            if cluster_id in label_by_id:
-                fail("labels", f"cluster {cluster_id!r} has two entries")
-            label_by_id[cluster_id] = entry["label"]
-        for _, _, c in clusters:
-            if _cluster_label(c, label_by_id) is None:
-                fail("labels", f"cluster {c['cluster_id']!r} has no label")
-    if "alignment" in docs:
-        pairable = {
-            (topic_id, side, c["cluster_id"])
-            for topic_id, side, c in clusters
-            if _cluster_label(c, label_by_id) != UNLABELED
-        }
-        paired: set[str] = set()
-        for topic in docs["alignment"]["topics"]:
-            for pair in topic["pairs"]:
-                for side in Side:
-                    cluster_id = pair[f"{side.value}_cluster_id"]
-                    if (topic["topic_id"], side.value, cluster_id) not in pairable:
-                        fail("alignment", f"pair {pair['label']!r} names {cluster_id!r}, "
-                             f"no labeled {side.value} cluster of topic {topic['topic_id']!r}")
-                    if cluster_id in paired:
-                        fail("alignment", f"cluster {cluster_id!r} is in two pairs")
-                    paired.add(cluster_id)
-
-
-def check_artifact(doc, artifact: str, path: str | Path) -> None:
-    """Raise ValidationError, naming ``path``, unless ``doc`` has the structure
-    the stages read from the ``artifact`` document."""
-    _check_shape(doc, _ARTIFACT_SHAPES[artifact], f"artifact {path}")
-    if artifact == "clusters":
-        _check_points(doc, Path(path))
-
-
 def slugify(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9_-]+", "_", name)
 
@@ -1027,13 +821,18 @@ def artifact_files(artifact: str, doc) -> dict[str, bytes]:
     """File name -> bytes for one stage's document.
 
     Charts become ``chart_<topic>.json`` and ``.html``; every other
-    document is ``<artifact>.json``.
+    document is ``<artifact>.json``. Two topic ids with one slug, such as
+    ``t 1`` and ``t_1``, are a ValidationError: one chart would overwrite the other.
     """
     if artifact != "charts":
         return {f"{artifact}.json": to_json_bytes(doc)}
     files: dict[str, bytes] = {}
+    topic_of: dict[str, str] = {}  # slug -> topic id
     for topic_id, chart in doc.items():
         slug = slugify(topic_id)
+        if topic_of.setdefault(slug, topic_id) != topic_id:
+            raise ValidationError(f"topic ids {topic_of[slug]!r} and {topic_id!r} "
+                                  f"both name the chart files chart_{slug}.json and .html")
         files[f"chart_{slug}.json"] = render_chart(chart, "json")
         files[f"chart_{slug}.html"] = render_chart(chart, "html")
     return files

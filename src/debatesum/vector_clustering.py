@@ -43,19 +43,12 @@ class SimilarityMatrix(NamedTuple):
     labels: tuple[str, ...]
     values: np.ndarray  # (n, n), symmetric, unit diagonal
 
-    @property
-    def n(self) -> int:
-        return len(self.labels)
-
 
 class PcaModel(NamedTuple):
     mean: np.ndarray
     components: np.ndarray          # (n_kept, m) orthonormal rows
     explained_variance: np.ndarray  # nonincreasing, one entry per kept component
     degenerate: bool = False
-
-    def transform(self, rows: np.ndarray) -> np.ndarray:
-        return (np.asarray(rows, dtype=float) - self.mean) @ self.components.T
 
     def reconstruct(self, reduced: np.ndarray) -> np.ndarray:
         return np.asarray(reduced, dtype=float) @ self.components + self.mean

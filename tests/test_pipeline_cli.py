@@ -383,6 +383,7 @@ class TestCli:
         math.nan, math.inf, -math.inf,
         pytest.param(10**400, id="int-too-large-for-a-float"),
         pytest.param("1e400", id="1e400"),  # JSON text: it parses to inf
+        pytest.param(True, id="boolean"),  # a boolean is no number
     ])
     def test_non_finite_similarity_exit_3(self, tmp_path, capsys, value):
         config_path = make_config(tmp_path)
@@ -633,6 +634,26 @@ class TestCli:
         assert main([*command, "--config", str(config_path)]) == 3
         err = capsys.readouterr().err
         assert f"{artifact}.json" in err and "topic id 't1' is used twice" in err
+
+    @pytest.mark.parametrize("staged", [False, True], ids=["pipeline", "staged-chart"])
+    def test_topic_ids_with_one_chart_slug_exit_3(self, tmp_path, capsys, staged):
+        # before, both topics wrote chart_t_1.json/.html and the first topic's chart was lost
+        config_path = make_config(tmp_path)
+        corpus_path = config_path.parent / "corpus.json"
+        corpus = json.loads(corpus_path.read_text(encoding="utf-8"))
+        corpus["topics"][0]["id"], corpus["topics"][1]["id"] = "t 1", "t_1"
+        corpus_path.write_text(json.dumps(corpus), encoding="utf-8")
+        command = ["pipeline"]
+        if staged:
+            for stage in (["annotate"], ["select"], ["cluster"], ["label"], ["align"]):
+                assert main([*stage, "--config", str(config_path)]) == 0, stage
+            command = ["chart"]
+        capsys.readouterr()
+        assert main([*command, "--config", str(config_path)]) == 3
+        err = capsys.readouterr().err
+        assert "'t 1'" in err and "'t_1'" in err and "chart_t_1.json" in err
+        out = tmp_path / "out"
+        assert not list(out.glob("chart_*")) and not (out / "manifest.json").exists()
 
     @pytest.mark.parametrize("command", [["cluster"], ["label"], ["eval", "silhouette"]])
     def test_sentence_annotated_twice_exit_3(self, tmp_path, capsys, command):
@@ -903,6 +924,8 @@ class TestCli:
         pytest.param('{"ratings": [[1e400, 1], [1e400, 1]]}', id="1e400"),  # JSON text
         pytest.param({"ratings": [[10**400, 1], [1, 1]]}, id="ratings-int-too-large"),
         pytest.param({"samples": {"a": [10**400, 1], "b": [1, 2]}}, id="samples-int-too-large"),
+        pytest.param({"ratings": [[True, 1], [1, 1]]}, id="ratings-boolean"),  # a boolean is no number
+        pytest.param({"samples": {"a": [False, 1], "b": [1, 2]}}, id="samples-boolean"),
     ])
     def test_eval_stats_malformed_ratings_exit_3(self, tmp_path, capsys, doc):
         ratings = tmp_path / "ratings.json"

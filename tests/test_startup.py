@@ -1,8 +1,8 @@
 """What a fresh interpreter loads: stages without numeric work start without
 numpy, no command loads numpy.ma or dataclasses, each command loads only its
 own stage's algorithm modules, only the commands that select sentences load
-the selection module, and importing one module loads only the modules it
-imports."""
+the selection module, only the commands that read an artifact load its
+checks, and importing one module loads only the modules it imports."""
 
 import subprocess
 import sys
@@ -163,4 +163,11 @@ def test_no_command_loads_dataclasses_and_only_selection_loads_saliency(modules_
     assert [c for c, modules in loaded.items() if "inspect" in modules and "numpy" not in modules] == []
     assert {c for c, modules in loaded.items() if "debatesum.saliency" in modules} == {
         "select", "eval rouge", "pipeline",
+    }
+
+
+def test_only_the_commands_that_read_an_artifact_load_its_checks(modules_by_command):
+    assert {c for c, modules in modules_by_command.items() if "debatesum.artifacts" in modules} == {
+        "cluster --method term", "cluster --method xmeans", "label", "align", "chart",
+        "eval silhouette",
     }
