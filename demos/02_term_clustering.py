@@ -38,16 +38,16 @@ def main():
                 shown = ", ".join(term_text(a.term) for a in annotations) or "(no terms)"
                 print(f"  [{side.value}] {sid}: {shown}")
 
-        clusters, unclustered = cluster_by_shared_term(terms_by_sentence, side)
+        clusters, unclustered = cluster_by_shared_term(terms_by_sentence)
         print(f"\n{side.value}: {len(clusters)} raw term clusters, {len(unclustered)} unclustered")
-        for c in clusters:
-            print(f"  {term_text(c.label):<18} -> {list(c.members)}")
+        for label, members in clusters.items():
+            print(f"  {term_text(label):<18} -> {members}")
 
         merged = merge_synonymous_clusters(clusters, synonyms)
         if len(merged) != len(clusters):
             print(f"after synonym merging: {len(merged)} clusters")
-            for c in merged:
-                print(f"  {term_text(c.label):<18} -> {list(c.members)}")
+            for label, members in merged.items():
+                print(f"  {term_text(label):<18} -> {members}")
         print()
 
     example = ("co2",)

@@ -26,22 +26,22 @@ SAMPLE = Path(__file__).resolve().parents[1] / "data" / "sample"
 
 
 def cluster_sentences(terms_by_sentence, vocabulary, label):
-    vectors, excluded = build_term_vectors(terms_by_sentence, vocabulary)
-    print(f"{label}: {len(vectors)} vectors ({len(excluded)} term-free, excluded)")
-    if len(vectors) < 3:
+    ids, counts, excluded = build_term_vectors(terms_by_sentence, vocabulary)
+    print(f"{label}: {len(ids)} vectors ({len(excluded)} term-free, excluded)")
+    if len(ids) < 3:
         print("  too few vectors to cluster\n")
         return
-    matrix = build_similarity_matrix(vectors)
-    model, reduced = pca_fit_transform(matrix.values, variance_target=0.95)
-    n = len(matrix.labels)
+    matrix = build_similarity_matrix(counts)
+    model, reduced = pca_fit_transform(matrix, variance_target=0.95)
+    n = len(ids)
     print(f"  similarity matrix {n}x{n}, PCA keeps {model.components.shape[0]} of {n} dimensions")
-    result = xmeans(reduced, k_min=2, k_max=min(10, len(vectors)), seed=42)
+    result = xmeans(reduced, k_min=2, k_max=min(10, n), seed=42)
     print(f"  xmeans: k={result.k}, BIC={result.bic:.2f}, {result.iterations} Lloyd iterations")
     if result.k >= 2:
         report = silhouette(reduced, result.assignments, metric="euclidean")
         print(f"  mean silhouette: {report.mean:.4f}")
     for j in range(result.k):
-        members = [matrix.labels[i] for i in np.flatnonzero(result.assignments == j)]
+        members = [ids[i] for i in np.flatnonzero(result.assignments == j)]
         print(f"    cluster {j}: {members}")
     print()
 

@@ -44,21 +44,21 @@ def main():
                 for a in annotate_sentence(sentence, gazetteer)
             ]
 
-    clusters, _ = cluster_by_shared_term(terms_by_sentence, Side.DISAGREE)
+    clusters, _ = cluster_by_shared_term(terms_by_sentence)
     clusters = merge_synonymous_clusters(clusters, synonyms)
     print(f"{len(clusters)} term clusters on the disagree side of {topic.id!r}\n")
 
-    index = term_index([c.members for c in clusters], terms_by_sentence)
+    index = term_index(list(clusters.values()), terms_by_sentence)
     term_counts = [
-        Counter(t for sid in c.members for t in terms_by_sentence[sid]) for c in clusters
+        Counter(t for sid in members for t in terms_by_sentence[sid]) for members in clusters.values()
     ]
     tfidf = tfidf_labels(term_counts)
     print(f"{'cluster':<22} {'shared':<18} {'tfidf':<18} {'mi':<18}")
-    for i, cluster in enumerate(clusters):
-        shared = shared_term_label(cluster.label)
-        mi = mi_label(cluster.members, index)
+    for i, (label, members) in enumerate(clusters.items()):
+        shared = shared_term_label(label)
+        mi = mi_label(members, index)
         print(
-            f"{term_text(cluster.label):<22} {term_text(shared.term):<18} "
+            f"{term_text(label):<22} {term_text(shared.term):<18} "
             f"{term_text(tfidf[i].term):<18} {term_text(mi.term)} ({mi.score:.3f} bits)"
         )
 

@@ -9,16 +9,10 @@ clusters left without a partner at the threshold are reported as dropped.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from typing import Mapping
 
 from .annotate import SynonymTable, Term, term_text
-from .corpus import Side
-
-
-class LabeledCluster(NamedTuple):
-    cluster_id: str
-    side: Side
-    label: Term
+from .errors import ComputationError
 
 
 def label_vector(label: Term, table: SynonymTable) -> dict[str, int]:
@@ -38,29 +32,31 @@ def _bag_cosine(a: dict[str, int], b: dict[str, int]) -> float:
     return min(dot / norm, 1.0) if norm else 0.0
 
 
-def _by_label(clusters: Sequence[LabeledCluster]) -> dict[Term, list[LabeledCluster]]:
-    out: dict[Term, list[LabeledCluster]] = {}
-    for c in clusters:
-        out.setdefault(tuple(c.label), []).append(c)
+def _by_label(labels: Mapping[str, Term]) -> dict[Term, list[str]]:
+    out: dict[Term, list[str]] = {}
+    for cluster_id, label in labels.items():
+        out.setdefault(tuple(label), []).append(cluster_id)
     return out
 
 
 def align_clusters(
-    agree: Sequence[LabeledCluster],
-    disagree: Sequence[LabeledCluster],
+    agree: Mapping[str, Term],
+    disagree: Mapping[str, Term],
     table: SynonymTable,
     threshold: float = 0.6,
-) -> tuple[list[dict], list[LabeledCluster]]:
-    """Greedy maximum-similarity matching between the two sides.
+) -> tuple[list[dict], list[str]]:
+    """Greedy maximum-similarity matching between the two sides, each given
+    as cluster id -> label.
 
-    Returns (pairs, dropped), each pair its ``alignment.json`` entry: the
+    Returns (pairs, dropped). Each pair is its ``alignment.json`` entry: the
     display label (the agree side's), both cluster ids and the similarity.
-    Every pair scores >= threshold; each cluster appears in at most one pair;
-    the result does not depend on input order (ties resolve by label text,
-    then cluster id).
+    ``dropped`` lists the ids in no pair, agree side first, each side in
+    input order. Every pair scores >= threshold; each cluster appears in at
+    most one pair; the pairs do not depend on input order (ties resolve by
+    label text, then cluster id).
     """
     if not 0.0 < threshold <= 1.0:
-        raise ValueError(f"alignment threshold must be in (0, 1], got {threshold}")
+        raise ComputationError(f"alignment threshold must be in (0, 1], got {threshold}")
     # clusters share labels: score each distinct label pair once, and expand
     # only the pairs at or above the threshold into cluster pairs. Labels
     # that share no token score 0, below every threshold, so each agree label
@@ -72,31 +68,23 @@ def align_clusters(
     for label in disagree_by_label:
         for token in vectors[label]:
             holders.setdefault(token, []).append(label)
-    candidates = []
-    for agree_label, agree_clusters in agree_by_label.items():
+    candidates = []  # (-similarity, agree label text, disagree label text, agree id, disagree id)
+    for agree_label, agree_ids in agree_by_label.items():
         sharing = dict.fromkeys(d for token in vectors[agree_label] for d in holders.get(token, ()))
         for disagree_label in sharing:
             similarity = _bag_cosine(vectors[agree_label], vectors[disagree_label])
             if similarity >= threshold:
+                texts = (term_text(agree_label), term_text(disagree_label))
                 candidates += [
-                    (similarity, a, d) for a in agree_clusters for d in disagree_by_label[disagree_label]
+                    (-similarity, *texts, a, d) for a in agree_ids for d in disagree_by_label[disagree_label]
                 ]
-    candidates.sort(
-        key=lambda c: (
-            -c[0],
-            term_text(c[1].label),
-            term_text(c[2].label),
-            c[1].cluster_id,
-            c[2].cluster_id,
-        )
-    )
+    candidates.sort()
     used: set[str] = set()
     pairs = []
-    for similarity, a, d in candidates:
-        if a.cluster_id in used or d.cluster_id in used:
+    for negated, label, _, a, d in candidates:
+        if a in used or d in used:
             continue
-        used.update((a.cluster_id, d.cluster_id))
-        pairs.append({"label": term_text(a.label), "agree_cluster_id": a.cluster_id,
-                      "disagree_cluster_id": d.cluster_id, "similarity": similarity})
-    dropped = [c for c in [*agree, *disagree] if c.cluster_id not in used]
-    return pairs, dropped
+        used.update((a, d))
+        pairs.append({"label": label, "agree_cluster_id": a, "disagree_cluster_id": d,
+                      "similarity": -negated})
+    return pairs, [cluster_id for cluster_id in [*agree, *disagree] if cluster_id not in used]

@@ -9,7 +9,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from .annotate import UNLABELED
+from .annotate import UNLABELED, term_text
 from .corpus import Side
 from .errors import ValidationError
 from .pipeline import CLUSTER_METHODS, _cluster_label
@@ -35,7 +35,7 @@ _ARTIFACT_SHAPES = {
         {"topic_id": str, "sides": {s.value: _CLUSTER_SIDE for s in Side}}
     ]},
     "labels": {"clusters": [{"cluster_id": str, "label": str}]},
-    "alignment": {"topics": [{"topic_id": str, "pairs": [{
+    "alignment": {"threshold": _NUMBER, "topics": [{"topic_id": str, "pairs": [{
         "label": str, "agree_cluster_id": str, "disagree_cluster_id": str,
         "similarity": _NUMBER,
     }]}]},
@@ -120,11 +120,14 @@ def check_consistency(docs: dict, paths: dict) -> None:
     """Raise ValidationError, naming the file, where the artifacts in ``docs``
     (stem -> document read from ``paths[stem]``) disagree: a topic id used
     twice in one artifact, a sentence id annotated twice, a cluster id used
-    twice, a member of clusters on two topics or sides, a salient or member id
-    that is no annotated sentence of its topic, a member of a term cluster
-    without the cluster's term, a cluster with no member, a member twice, no
-    label or two labels, a label for no cluster, or an aligned pair that names
-    no labeled cluster of its topic and side or a cluster another pair names."""
+    twice, a member of clusters on two topics or sides or of two x-means
+    clusters, a salient or member id that is no annotated sentence of its
+    topic, a label of its own on a cluster unless the method is ``term`` (or
+    none with it), a member of a term cluster without the cluster's term, a
+    cluster with no member, a member twice, no label or two labels, a label
+    for no cluster, or an aligned pair that names no labeled cluster of its
+    topic and side or a cluster another pair names, is not labeled as its
+    agree cluster is, or scores outside [threshold, 1]."""
 
     def fail(artifact: str, problem: str):
         raise ValidationError(f"inconsistent artifact {paths[artifact]}: {problem}")
@@ -143,9 +146,13 @@ def check_consistency(docs: dict, paths: dict) -> None:
     ] if "clusters" in docs else []
     cluster_ids: set[str] = set()
     home: dict[str, str] = {}  # member id -> "topic/side" of its first cluster
+    is_term = docs.get("clusters", {}).get("method") == "term"
     for topic_id, side, c in clusters:
         if c["cluster_id"] in cluster_ids:
             fail("clusters", f"cluster id {c['cluster_id']!r} is used twice")
+        if (c["label"] is None) == is_term:  # a term cluster is labeled by its term
+            fail("clusters", f"cluster {c['cluster_id']!r} has {'no' if is_term else 'a'} label "
+                 f"of its own, but the method is {docs['clusters']['method']!r}")
         cluster_ids.add(c["cluster_id"])
         if not c["members"] or len(set(c["members"])) < len(c["members"]):
             fail("clusters", f"cluster {c['cluster_id']!r} lists no member, or a member twice")
@@ -153,6 +160,9 @@ def check_consistency(docs: dict, paths: dict) -> None:
         for sid in c["members"]:  # a sentence has one comment, so one topic and side
             if home.setdefault(sid, where) != where:
                 fail("clusters", f"sentence id {sid!r} is a member on {home[sid]} and on {where}")
+    if not is_term and len(home) < sum(len(c["members"]) for _, _, c in clusters):
+        repeated = Counter(sid for _, _, c in clusters for sid in c["members"]).most_common(1)[0][0]
+        fail("clusters", f"sentence id {repeated!r} is a member of two x-means clusters")
     if "annotations" in docs:
         annotated = {
             t["topic_id"]: {s["sentence_id"] for s in t["sentences"]}
@@ -171,10 +181,7 @@ def check_consistency(docs: dict, paths: dict) -> None:
             if sid not in annotated.get(topic_id, ()):
                 fail(artifact, f"sentence id {sid!r} is not a sentence of topic {topic_id!r} "
                      f"in {paths['annotations']}")
-        is_term = docs.get("clusters", {}).get("method") == "term"
-        for _, _, c in clusters:  # a term cluster is the sentences that carry its term
-            if not is_term or c["label"] is None:
-                continue
+        for _, _, c in clusters if is_term else ():  # a term cluster: the sentences with its term
             label = tuple(c["label"].split())
             for sid in c["members"]:
                 carried = {tuple(a["canonical"].split()) for a in sentences[sid]["annotations"]}
@@ -194,22 +201,24 @@ def check_consistency(docs: dict, paths: dict) -> None:
             if _cluster_label(c, label_by_id) is None:
                 fail("labels", f"cluster {c['cluster_id']!r} has no label")
     if "alignment" in docs:
-        pairable = {
-            (topic_id, side, c["cluster_id"])
-            for topic_id, side, c in clusters
-            if _cluster_label(c, label_by_id) != UNLABELED
-        }
+        threshold = docs["alignment"]["threshold"]
+        label_of = {(t, side, c["cluster_id"]): _cluster_label(c, label_by_id) for t, side, c in clusters}
         paired: set[str] = set()
         for topic in docs["alignment"]["topics"]:
             for pair in topic["pairs"]:
                 for side in Side:
                     cluster_id = pair[f"{side.value}_cluster_id"]
-                    if (topic["topic_id"], side.value, cluster_id) not in pairable:
+                    if label_of.get((topic["topic_id"], side.value, cluster_id), UNLABELED) == UNLABELED:
                         fail("alignment", f"pair {pair['label']!r} names {cluster_id!r}, "
                              f"no labeled {side.value} cluster of topic {topic['topic_id']!r}")
                     if cluster_id in paired:
                         fail("alignment", f"cluster {cluster_id!r} is in two pairs")
                     paired.add(cluster_id)
+                agree = (topic["topic_id"], Side.AGREE.value, pair["agree_cluster_id"])
+                if term_text(label_of[agree]) != pair["label"]:
+                    fail("alignment", f"pair {pair['label']!r} is not labeled as its agree cluster is")
+                if not threshold <= pair["similarity"] <= 1.0:
+                    fail("alignment", f"pair {pair['label']!r} scores outside [{threshold}, 1]")
 
 
 def check_ratings(doc, path: str | Path) -> None:

@@ -58,7 +58,7 @@ from .errors import ComputationError, ConfigError, DebatesumError, ParseError, V
 # loads only its stage's algorithms. Call them through these globals: bench/tracing.py
 # wraps them by name on this module (``rouge`` only for that: no stage calls it).
 _DEFERRED = {
-    "alignment": ("LabeledCluster", "align_clusters"),
+    "alignment": ("align_clusters",),
     "chart": ("build_chart", "render_chart"),
     "evalkit": ("rouge", "rouge_batch", "silhouette"),
     "labeling": ("mi_label", "shared_term_label", "term_index", "tfidf_labels"),
@@ -393,17 +393,16 @@ def _cluster_side_term(
     terms: dict[str, list[tuple[str, ...]]],
     synonyms: SynonymTable,
 ) -> dict:
-    terms_by_sentence = {sid: terms.get(sid, []) for sid in sentence_ids}
-    clusters, unclustered = cluster_by_shared_term(terms_by_sentence, side)
+    clusters, unclustered = cluster_by_shared_term({sid: terms.get(sid, []) for sid in sentence_ids})
     merged = merge_synonymous_clusters(clusters, synonyms)
     return {
         "clusters": [
             {
-                "cluster_id": f"{topic_id}/{c.cluster_id}",
-                "label": term_text(c.label),
-                "members": list(c.members),
+                "cluster_id": f"{topic_id}/{side.value}:term:{term_text(label)}",
+                "label": term_text(label),
+                "members": members,
             }
-            for c in merged
+            for label, members in merged.items()
         ],
         "unclustered": unclustered,
         "k": len(merged),
@@ -423,26 +422,26 @@ def _side_space(
     vocabulary: list[tuple[str, ...]],
     variance_target: float,
 ):
-    """Term vectors of one side, their cosine similarity matrix and its PCA reduction.
+    """The PCA reduction of one side's term vectors' cosine similarity matrix.
 
-    Returns ``(vectors, excluded, matrix, reduced)``; ``matrix`` and
-    ``reduced`` are None when fewer than two sentences have a term vector.
-    Proportional term vectors have one similarity profile, so every sentence
-    gets the reduced row of the first sentence with its vector's direction:
-    copies are then bitwise equal rather than equal up to float noise.
+    Returns ``(ids, excluded, reduced)``: the ids of the sentences with a
+    term vector, the others, and the reduced rows of ``ids`` (None when
+    fewer than two sentences have a term vector). Proportional term vectors
+    have one similarity profile, so every sentence gets the reduced row of
+    the first sentence with its vector's direction: copies are then bitwise
+    equal rather than equal up to float noise.
     """
-    terms_by_sentence = {sid: terms.get(sid, []) for sid in sentence_ids}
-    vectors, excluded = build_term_vectors(terms_by_sentence, vocabulary)
-    if len(vectors) < 2:
-        return vectors, excluded, None, None
-    matrix = build_similarity_matrix(vectors)
-    _, reduced = pca_fit_transform(matrix.values, variance_target=variance_target)
+    ids, counts, excluded = build_term_vectors(
+        {sid: terms.get(sid, []) for sid in sentence_ids}, vocabulary
+    )
+    if len(ids) < 2:
+        return ids, excluded, None
+    _, reduced = pca_fit_transform(build_similarity_matrix(counts), variance_target=variance_target)
     first: dict[tuple[int, ...], int] = {}
-    for i, v in enumerate(vectors):
-        counts = v.counts.astype(np.int64)
-        direction = tuple((counts // np.gcd.reduce(counts)).tolist())
+    for i, row in enumerate(counts.astype(np.int64)):
+        direction = tuple((row // np.gcd.reduce(row)).tolist())
         reduced[i] = reduced[first.setdefault(direction, i)]
-    return vectors, excluded, matrix, reduced
+    return ids, excluded, reduced
 
 
 def _cluster_side_xmeans(
@@ -453,47 +452,36 @@ def _cluster_side_xmeans(
     vocabulary: list[tuple[str, ...]],
     config: PipelineConfig,
 ) -> dict:
-    vectors, excluded, matrix, reduced = _side_space(
-        sentence_ids, terms, vocabulary, config.variance_target
-    )
+    ids, excluded, reduced = _side_space(sentence_ids, terms, vocabulary, config.variance_target)
     prefix = f"{topic_id}/{side.value}:x"
-    if len(vectors) == 0:
+    if not ids:
         return {"clusters": [], "unclustered": excluded, "k": 0, "bic": None, "points": None}
     # one sentence, or all similarity profiles identical: a single cluster
-    if matrix is None or reduced.shape[1] == 0:
+    if reduced is None or reduced.shape[1] == 0:
         return {
-            "clusters": [
-                {
-                    "cluster_id": prefix + "0",
-                    "label": None,
-                    "members": [v.sentence_id for v in vectors],
-                }
-            ],
+            "clusters": [{"cluster_id": prefix + "0", "label": None, "members": ids}],
             "unclustered": excluded,
             "k": 1,
             "bic": None,
-            "points": {v.sentence_id: [0.0, 0.0] for v in vectors},
+            "points": {sid: [0.0, 0.0] for sid in ids},
         }
-    n = reduced.shape[0]
-    result = xmeans(
-        reduced,
-        k_min=min(config.k_min, n),
-        k_max=min(config.k_max, n),
-        seed=config.seed,
-    )
-    clusters = []
-    for j in range(result.k):
-        members = [matrix.labels[i] for i in range(n) if result.assignments[i] == j]
-        clusters.append({"cluster_id": f"{prefix}{j}", "label": None, "members": members})
+    n = len(ids)
+    result = xmeans(reduced, k_min=min(config.k_min, n), k_max=min(config.k_max, n), seed=config.seed)
+    clusters = [
+        {
+            "cluster_id": f"{prefix}{j}",
+            "label": None,
+            "members": [ids[i] for i in np.flatnonzero(result.assignments == j)],
+        }
+        for j in range(result.k)
+    ]
     bic = result.bic
     return {
         "clusters": clusters,
         "unclustered": excluded,
         "k": result.k,
         "bic": None if bic != bic else bic,  # NaN is not valid JSON
-        "points": {
-            matrix.labels[i]: [float(x) for x in reduced[i]] for i in range(n)
-        },
+        "points": {sid: [float(x) for x in row] for sid, row in zip(ids, reduced)},
     }
 
 
@@ -595,21 +583,24 @@ def compute_alignment(
     label_by_id = {e["cluster_id"]: e["label"] for e in labels_doc["clusters"]}
     topics = []
     for topic in clusters_doc["topics"]:
-        sides: dict[Side, list] = {side: [] for side in Side}
-        unlabeled = []
-        for side in Side:
-            for c in topic["sides"][side.value]["clusters"]:
-                label = _cluster_label(c, label_by_id)
-                cluster = LabeledCluster(cluster_id=c["cluster_id"], side=side, label=label)
-                (unlabeled if label == UNLABELED else sides[side]).append(cluster)
-        pairs, dropped = align_clusters(sides[Side.AGREE], sides[Side.DISAGREE], synonyms, threshold)
+        held = {  # cluster id -> (side, label)
+            c["cluster_id"]: (side, _cluster_label(c, label_by_id))
+            for side in Side
+            for c in topic["sides"][side.value]["clusters"]
+        }
+        agree, disagree = (
+            {cid: label for cid, (s, label) in held.items() if s is side and label != UNLABELED}
+            for side in Side
+        )
+        pairs, dropped = align_clusters(agree, disagree, synonyms, threshold)
+        unlabeled = [cid for cid, (_, label) in held.items() if label == UNLABELED]
         topics.append(
             {
                 "topic_id": topic["topic_id"],
                 "pairs": pairs,
                 "dropped": [
-                    {"cluster_id": c.cluster_id, "side": c.side.value, "label": term_text(c.label)}
-                    for c in dropped + unlabeled
+                    {"cluster_id": cid, "side": held[cid][0].value, "label": term_text(held[cid][1])}
+                    for cid in dropped + unlabeled
                 ],
             }
         )

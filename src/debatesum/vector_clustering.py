@@ -34,16 +34,6 @@ MAX_ITER = 300             # Lloyd passes per k-means or X-means refinement
 SPLIT_RESTARTS = 3         # k-means++ restarts after the principal-axis seeding of a split
 
 
-class SentenceVector(NamedTuple):
-    sentence_id: str
-    counts: np.ndarray  # nonnegative term counts over the vocabulary
-
-
-class SimilarityMatrix(NamedTuple):
-    labels: tuple[str, ...]
-    values: np.ndarray  # (n, n), symmetric, unit diagonal
-
-
 class PcaModel(NamedTuple):
     mean: np.ndarray
     components: np.ndarray          # (n_kept, m) orthonormal rows
@@ -69,45 +59,48 @@ class ClusteringResult(NamedTuple):
 def build_term_vectors(
     terms_by_sentence: Mapping[str, Sequence[Term]],
     vocabulary: Sequence[Term],
-) -> tuple[list[SentenceVector], list[str]]:
+) -> tuple[list[str], np.ndarray, list[str]]:
     """Term-frequency vectors over the ontology vocabulary.
 
     ``terms_by_sentence`` lists each sentence's canonical term occurrences
-    (with repeats). Sentences whose vector is all-zero are excluded from the
-    clustering input and returned separately.
+    (with repeats). Returns ``(ids, counts, excluded)``: the ids of the
+    sentences with a nonzero vector, their vectors as the rows of one
+    ``(len(ids), len(vocabulary))`` array, and the ids of the all-zero rest,
+    which stay out of the clustering input; both id lists in input order.
     """
     if not vocabulary:
         raise ComputationError("term vector vocabulary must be nonempty")
     index = {tuple(t): i for i, t in enumerate(vocabulary)}
-    vectors: list[SentenceVector] = []
-    excluded: list[str] = []
-    for sentence_id, terms in terms_by_sentence.items():
-        counts = np.zeros(len(vocabulary), dtype=float)
+    counts = np.zeros((len(terms_by_sentence), len(vocabulary)))
+    for row, terms in enumerate(terms_by_sentence.values()):
         for term in terms:
             i = index.get(tuple(term))
             if i is not None:
-                counts[i] += 1.0
-        if counts.any():
-            vectors.append(SentenceVector(sentence_id=sentence_id, counts=counts))
-        else:
-            excluded.append(sentence_id)
-    return vectors, excluded
+                counts[row, i] += 1.0
+    kept = counts.any(axis=1)
+    ids = list(terms_by_sentence)
+    return (
+        [sid for sid, k in zip(ids, kept) if k],
+        counts[kept],
+        [sid for sid, k in zip(ids, kept) if not k],
+    )
 
 
-def build_similarity_matrix(vectors: Sequence[SentenceVector]) -> SimilarityMatrix:
-    """Pairwise cosine similarities; exact symmetry and a unit diagonal."""
-    if len(vectors) < 2:
+def build_similarity_matrix(counts: np.ndarray) -> np.ndarray:
+    """Pairwise cosine similarities of the rows of ``counts``: an (n, n)
+    array, exactly symmetric, with a unit diagonal."""
+    rows = np.asarray(counts, dtype=float)
+    if rows.ndim != 2 or len(rows) < 2:
         raise ComputationError("similarity matrix needs at least 2 vectors")
-    rows = np.stack([v.counts for v in vectors]).astype(float)
     norms = np.linalg.norm(rows, axis=1)
     if np.any(norms == 0.0):
-        bad = [vectors[i].sentence_id for i in np.flatnonzero(norms == 0.0)]
-        raise ComputationError(f"zero vectors in similarity input: {bad}")
+        bad = np.flatnonzero(norms == 0.0).tolist()
+        raise ComputationError(f"zero vectors in similarity input: rows {bad}")
     unit = rows / norms[:, None]
     values = np.clip(unit @ unit.T, -1.0, 1.0)
     values = (values + values.T) / 2.0
     np.fill_diagonal(values, 1.0)
-    return SimilarityMatrix(labels=tuple(v.sentence_id for v in vectors), values=values)
+    return values
 
 
 def pca_fit_transform(

@@ -20,7 +20,7 @@ import numpy as np
 
 from conftest import SAMPLE_DIR
 
-from debatesum.corpus import Side, load_corpus, load_gold
+from debatesum.corpus import load_corpus, load_gold
 from debatesum.evalkit import RougeVariant, rouge, silhouette
 from debatesum.labeling import ContingencyCounts, mi_label, mutual_information, term_index, tfidf_labels
 from debatesum.pipeline import (
@@ -177,21 +177,20 @@ def test_criterion_3_silhouette_contrast():
     terms, vocabulary = overlapping_term_corpus(seed=0)
     multi_fraction = sum(1 for ts in terms.values() if len(set(ts)) >= 2) / len(terms)
 
-    vectors, _ = build_term_vectors(terms, vocabulary)
-    counts_by_id = {v.sentence_id: v.counts for v in vectors}
+    ids, counts, _ = build_term_vectors(terms, vocabulary)
+    counts_by_id = dict(zip(ids, counts))
 
     # term branch: soft clusters, one instance per membership, cosine distance
-    clusters, _ = cluster_by_shared_term(terms, Side.AGREE)
+    clusters, _ = cluster_by_shared_term(terms)
     points, assignments = [], []
-    for j, cluster in enumerate(clusters):
-        for sid in cluster.members:
+    for j, members in enumerate(clusters.values()):
+        for sid in members:
             points.append(counts_by_id[sid])
             assignments.append(j)
     term_sil = silhouette(np.stack(points), assignments, metric="cosine_distance").mean
 
     # x-means branch: similarity profiles, PCA, euclidean silhouette
-    matrix = build_similarity_matrix(vectors)
-    _, reduced = pca_fit_transform(matrix.values, variance_target=0.95)
+    _, reduced = pca_fit_transform(build_similarity_matrix(counts), variance_target=0.95)
     result = xmeans(reduced, k_min=2, k_max=10, seed=0)
     xmeans_sil = silhouette(reduced, result.assignments, metric="euclidean").mean
 
@@ -382,20 +381,16 @@ def test_criterion_6_invariant_suites(tmp_path):
 
     # similarity matrix symmetry
     terms = {f"s{i}": [(f"t{j}",) for j in rng.integers(0, 6, size=3)] for i in range(10)}
-    vectors, _ = build_term_vectors(terms, [(f"t{j}",) for j in range(6)])
-    matrix = build_similarity_matrix(vectors)
-    checks["similarity_symmetric"] = bool(np.array_equal(matrix.values, matrix.values.T))
+    _, counts, _ = build_term_vectors(terms, [(f"t{j}",) for j in range(6)])
+    matrix = build_similarity_matrix(counts)
+    checks["similarity_symmetric"] = bool(np.array_equal(matrix, matrix.T))
 
     # alignment one-to-one
-    from debatesum.alignment import LabeledCluster, align_clusters
+    from debatesum.alignment import align_clusters
     from debatesum.annotate import SynonymTable
 
-    agree = [
-        LabeledCluster(f"a{i}", Side.AGREE, ("shared", "term")) for i in range(4)
-    ]
-    disagree = [
-        LabeledCluster(f"d{i}", Side.DISAGREE, ("shared", "term")) for i in range(3)
-    ]
+    agree = {f"a{i}": ("shared", "term") for i in range(4)}
+    disagree = {f"d{i}": ("shared", "term") for i in range(3)}
     pairs, _ = align_clusters(agree, disagree, SynonymTable(), threshold=0.5)
     ids = [p["agree_cluster_id"] for p in pairs] + [p["disagree_cluster_id"] for p in pairs]
     checks["alignment_one_to_one"] = len(ids) == len(set(ids)) and len(pairs) == 3

@@ -4,13 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from debatesum.alignment import LabeledCluster, _bag_cosine, align_clusters, label_vector
+from debatesum.alignment import _bag_cosine, align_clusters, label_vector
 from debatesum.annotate import SynonymTable
-from debatesum.corpus import Side
+from debatesum.errors import ComputationError
 
 
-def cluster(cid, side, label):
-    return LabeledCluster(cluster_id=cid, side=side, label=tuple(label.split()))
+def side(labels):
+    """One side's cluster id -> label, from label texts."""
+    return {cid: tuple(label.split()) for cid, label in labels.items()}
 
 
 CO2_TABLE = SynonymTable([(("co2",), ("carbon", "dioxide"))])
@@ -31,8 +32,8 @@ class TestLabelVector:
 
 class TestAlignClusters:
     def test_synonym_pair_aligns_at_similarity_one(self):
-        agree = [cluster("a1", Side.AGREE, "co2")]
-        disagree = [cluster("d1", Side.DISAGREE, "carbon dioxide")]
+        agree = side({"a1": "co2"})
+        disagree = side({"d1": "carbon dioxide"})
         pairs, dropped = align_clusters(agree, disagree, CO2_TABLE, threshold=0.6)
         assert len(pairs) == 1
         assert pairs[0]["similarity"] == pytest.approx(1.0)
@@ -40,27 +41,27 @@ class TestAlignClusters:
         assert dropped == []
 
     def test_disjoint_labels_both_dropped(self):
-        agree = [cluster("a1", Side.AGREE, "ice")]
-        disagree = [cluster("d1", Side.DISAGREE, "economy")]
+        agree = side({"a1": "ice"})
+        disagree = side({"d1": "economy"})
         pairs, dropped = align_clusters(agree, disagree, SynonymTable(), threshold=0.1)
         assert pairs == []
-        assert {c.cluster_id for c in dropped} == {"a1", "d1"}
+        assert dropped == ["a1", "d1"]  # agree side first
 
     def test_identical_labels_align(self):
-        agree = [cluster("a1", Side.AGREE, "sea ice")]
-        disagree = [cluster("d1", Side.DISAGREE, "sea ice")]
+        agree = side({"a1": "sea ice"})
+        disagree = side({"d1": "sea ice"})
         pairs, _ = align_clusters(agree, disagree, SynonymTable(), threshold=0.6)
         assert pairs[0]["similarity"] == pytest.approx(1.0)
 
     def test_empty_side_drops_everything(self):
-        agree = [cluster("a1", Side.AGREE, "ice")]
-        pairs, dropped = align_clusters(agree, [], SynonymTable(), threshold=0.5)
+        agree = side({"a1": "ice"})
+        pairs, dropped = align_clusters(agree, {}, SynonymTable(), threshold=0.5)
         assert pairs == []
-        assert [c.cluster_id for c in dropped] == ["a1"]
+        assert dropped == ["a1"]
 
     def test_one_to_one(self):
-        agree = [cluster(f"a{i}", Side.AGREE, "shared term") for i in range(3)]
-        disagree = [cluster(f"d{i}", Side.DISAGREE, "shared term") for i in range(2)]
+        agree = side({f"a{i}": "shared term" for i in range(3)})
+        disagree = side({f"d{i}": "shared term" for i in range(2)})
         pairs, dropped = align_clusters(agree, disagree, SynonymTable(), threshold=0.5)
         ids = [p["agree_cluster_id"] for p in pairs] + [p["disagree_cluster_id"] for p in pairs]
         assert len(ids) == len(set(ids))
@@ -70,11 +71,8 @@ class TestAlignClusters:
     def test_greedy_takes_best_similarity_first(self):
         # a1 matches d1 perfectly; a2 overlaps d1 partially but must settle for d2
         table = SynonymTable()
-        agree = [cluster("a1", Side.AGREE, "sea ice"), cluster("a2", Side.AGREE, "sea level")]
-        disagree = [
-            cluster("d1", Side.DISAGREE, "sea ice"),
-            cluster("d2", Side.DISAGREE, "sea level rise"),
-        ]
+        agree = side({"a1": "sea ice", "a2": "sea level"})
+        disagree = side({"d1": "sea ice", "d2": "sea level rise"})
         pairs, _ = align_clusters(agree, disagree, table, threshold=0.3)
         match = {p["agree_cluster_id"]: p["disagree_cluster_id"] for p in pairs}
         assert match == {"a1": "d1", "a2": "d2"}
@@ -82,18 +80,14 @@ class TestAlignClusters:
     def test_every_pair_meets_threshold(self):
         rng = random.Random(3)
         words = ["ice", "sea", "co2", "tax", "heat", "coral", "wind"]
-        agree = [
-            cluster(f"a{i}", Side.AGREE, " ".join(rng.sample(words, 2))) for i in range(5)
-        ]
-        disagree = [
-            cluster(f"d{i}", Side.DISAGREE, " ".join(rng.sample(words, 2))) for i in range(5)
-        ]
+        agree = side({f"a{i}": " ".join(rng.sample(words, 2)) for i in range(5)})
+        disagree = side({f"d{i}": " ".join(rng.sample(words, 2)) for i in range(5)})
         pairs, dropped = align_clusters(agree, disagree, SynonymTable(), threshold=0.7)
         for p in pairs:
             assert p["similarity"] >= 0.7
         # dropped clusters have no remaining candidate at the threshold
         matched = {p["agree_cluster_id"] for p in pairs} | {p["disagree_cluster_id"] for p in pairs}
-        vectors = {c.cluster_id: label_vector(c.label, SynonymTable()) for c in agree + disagree}
+        vectors = {cid: label_vector(label, SynonymTable()) for cid, label in {**agree, **disagree}.items()}
 
         def cos(u, v):
             import math
@@ -103,54 +97,51 @@ class TestAlignClusters:
             nv = math.sqrt(sum(c * c for c in v.values()))
             return dot / (nu * nv) if nu and nv else 0.0
 
-        for c in dropped:
-            others = disagree if c.side is Side.AGREE else agree
+        for cid in dropped:
+            others = disagree if cid in agree else agree
             for other in others:
-                if other.cluster_id not in matched:
-                    assert cos(vectors[c.cluster_id], vectors[other.cluster_id]) < 0.7
+                if other not in matched:
+                    assert cos(vectors[cid], vectors[other]) < 0.7
 
     def test_permutation_invariance(self):
         rng = random.Random(11)
         words = ["ice", "sea", "co2", "tax", "heat"]
-        agree = [cluster(f"a{i}", Side.AGREE, " ".join(rng.sample(words, 2))) for i in range(4)]
-        disagree = [
-            cluster(f"d{i}", Side.DISAGREE, " ".join(rng.sample(words, 2))) for i in range(4)
-        ]
+        agree = side({f"a{i}": " ".join(rng.sample(words, 2)) for i in range(4)})
+        disagree = side({f"d{i}": " ".join(rng.sample(words, 2)) for i in range(4)})
         reference, _ = align_clusters(agree, disagree, SynonymTable(), threshold=0.4)
         for _ in range(6):
-            shuffled_a = agree[:]
-            shuffled_d = disagree[:]
+            shuffled_a = list(agree.items())
+            shuffled_d = list(disagree.items())
             rng.shuffle(shuffled_a)
             rng.shuffle(shuffled_d)
-            pairs, _ = align_clusters(shuffled_a, shuffled_d, SynonymTable(), threshold=0.4)
+            pairs, _ = align_clusters(dict(shuffled_a), dict(shuffled_d), SynonymTable(), threshold=0.4)
             assert pairs == reference
 
     def test_bad_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            align_clusters([], [], SynonymTable(), threshold=0.0)
+        with pytest.raises(ComputationError):
+            align_clusters({}, {}, SynonymTable(), threshold=0.0)
 
 
 # --- the pairwise loop that label-pair scoring replaced, kept as the oracle --
 
 
 def oracle_align(agree, disagree, table, threshold):
-    vectors = {c.cluster_id: label_vector(c.label, table) for c in [*agree, *disagree]}
+    vectors = {cid: label_vector(label, table) for cid, label in [*agree.items(), *disagree.items()]}
     candidates = []
     for a in agree:
         for d in disagree:
-            similarity = _bag_cosine(vectors[a.cluster_id], vectors[d.cluster_id])
+            similarity = _bag_cosine(vectors[a], vectors[d])
             if similarity >= threshold:
                 candidates.append((similarity, a, d))
-    candidates.sort(key=lambda c: (-c[0], " ".join(c[1].label), " ".join(c[2].label),
-                                   c[1].cluster_id, c[2].cluster_id))
+    candidates.sort(key=lambda c: (-c[0], " ".join(agree[c[1]]), " ".join(disagree[c[2]]), c[1], c[2]))
     used: set = set()
     pairs = []
     for similarity, a, d in candidates:
-        if a.cluster_id not in used and d.cluster_id not in used:
-            used.update((a.cluster_id, d.cluster_id))
-            pairs.append({"label": " ".join(a.label), "agree_cluster_id": a.cluster_id,
-                          "disagree_cluster_id": d.cluster_id, "similarity": similarity})
-    return pairs, [c for c in [*agree, *disagree] if c.cluster_id not in used]
+        if a not in used and d not in used:
+            used.update((a, d))
+            pairs.append({"label": " ".join(agree[a]), "agree_cluster_id": a,
+                          "disagree_cluster_id": d, "similarity": similarity})
+    return pairs, [cid for cid in [*agree, *disagree] if cid not in used]
 
 
 LABELS = st.sampled_from(["ice", "sea ice", "co2", "carbon dioxide", "carbon tax", "tax", "heat"])
@@ -174,9 +165,10 @@ SYNONYM_TABLES = st.sampled_from([
 def test_label_pair_alignment_equals_the_pairwise_loop(
     agree_labels, disagree_labels, table, threshold, seed
 ):
-    agree = [cluster(f"a{i}", Side.AGREE, label) for i, label in enumerate(agree_labels)]
-    disagree = [cluster(f"d{i}", Side.DISAGREE, label) for i, label in enumerate(disagree_labels)]
+    agree = side({f"a{i}": label for i, label in enumerate(agree_labels)})
+    disagree = list(side({f"d{i}": label for i, label in enumerate(disagree_labels)}).items())
     random.Random(seed).shuffle(disagree)  # cluster ids out of order
+    disagree = dict(disagree)
     assert align_clusters(agree, disagree, table, threshold) == oracle_align(
         agree, disagree, table, threshold
     )

@@ -22,6 +22,15 @@ _SHARED = {
 }
 
 GOLDEN = {
+    ("term", "shared"): {
+        **_SHARED,
+        "alignment.json": "802b553d24163b1af7b49e72f1c6df2a9771d770a5f0fd47d31b350088713412",
+        "chart_t1.html": "e9d5c963d80e1d591d2bccbbb678d4a7b0075e28d39fe56a4c6bac649911aecd",
+        "chart_t1.json": "b744afec3cbda78933cf8c09ff191902e7e7ecaa23623eb54407b683de8af3d0",
+        "clusters.json": "5871a4c50c8e19aa5e2e41844c4fe10dd2ab776afe2b04e006206b42dc2801da",
+        "evaluation.json": "16ba6f76c3c0c96324caa6c97fe167bc09d1f0aa4697ed38e94c2eb87c9ae541",
+        "labels.json": "b565a4af4c81d0c0d43de8eee14e24622f3c23744ba4ed9499a91007462876f2",
+    },
     ("term", "mi"): {
         **_SHARED,
         "alignment.json": "802b553d24163b1af7b49e72f1c6df2a9771d770a5f0fd47d31b350088713412",
@@ -30,6 +39,15 @@ GOLDEN = {
         "clusters.json": "5871a4c50c8e19aa5e2e41844c4fe10dd2ab776afe2b04e006206b42dc2801da",
         "evaluation.json": "16ba6f76c3c0c96324caa6c97fe167bc09d1f0aa4697ed38e94c2eb87c9ae541",
         "labels.json": "2d910ab43ad48442b7be8248c0bb0c907823764355b81e166d6fb2eea40437a6",
+    },
+    ("xmeans", "mi"): {
+        **_SHARED,
+        "alignment.json": "7e79477f6db2aa2d2ef0eda389aff59c17525da5c618b10c28e339788e14665d",
+        "chart_t1.html": "d5386145aac89974bc34d6446f13cb3e340c2937fc96b9e001e4bf0c441e43ee",
+        "chart_t1.json": "59983f420ad2cd8d6dcc28fa7c26acddbb50793a31a4936d460ccce78cbc4690",
+        "clusters.json": "3263430d6e59eab32c457d7517601607a2db1fbdd4b97ec097860076802867fd",
+        "evaluation.json": "35e705b45df37da88654addcc1e3b5baba272c688dfc19e79a592391c2ab51dc",
+        "labels.json": "9da0e41b74a8a3a65013cb8aff1be45626c1ee0dd52144c2e70db1ca1db6a8a9",
     },
     ("xmeans", "tfidf"): {
         **_SHARED,

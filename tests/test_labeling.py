@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from debatesum.corpus import Side
+from debatesum.annotate import SynonymTable
 from debatesum.errors import ComputationError
 from debatesum.labeling import (
     ContingencyCounts,
@@ -19,7 +19,7 @@ from debatesum.labeling import (
     term_index,
     tfidf_labels,
 )
-from debatesum.term_clustering import TermCluster
+from debatesum.term_clustering import merge_synonymous_clusters
 
 
 def mi_entropy_oracle(n11, n10, n01, n00):
@@ -101,8 +101,10 @@ class TestSharedTermLabel:
         assert candidate.method is LabelMethod.SHARED_TERM
 
     def test_merged_cluster_keeps_canonical_label(self):
-        cluster = TermCluster(label=("carbon", "dioxide"), side=Side.AGREE, members=("s1", "s2"))
-        assert shared_term_label(cluster.label).term == ("carbon", "dioxide")
+        table = SynonymTable([(("co2",), ("carbon", "dioxide"))])
+        merged = merge_synonymous_clusters({("co2",): ["s1"], ("carbon", "dioxide"): ["s2"]}, table)
+        (label,) = merged
+        assert shared_term_label(label).term == ("carbon", "dioxide")
 
     def test_empty_label_rejected(self):
         with pytest.raises(ComputationError):

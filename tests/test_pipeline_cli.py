@@ -602,6 +602,58 @@ class TestCli:
         err = capsys.readouterr().err
         assert "alignment.json" in err and repr(pairs[0]["agree_cluster_id"]) in err
 
+    @pytest.mark.parametrize("method, label, command", [
+        ("xmeans", "sea level", ["align"]),  # before, exit 0: align paired it by this label
+        ("term", None, ["label", "--method", "shared"]),  # before, exit 4: no shared term
+    ])
+    def test_cluster_label_of_its_own_against_its_method_exit_3(
+        self, tmp_path, capsys, method, label, command
+    ):
+        config_path = make_config(tmp_path, clustering_method=method)
+        assert main(["pipeline", "--config", str(config_path)]) == 0
+        clusters = tmp_path / "out" / "clusters.json"
+        doc = read_json(clusters)
+        cluster = doc["topics"][0]["sides"]["agree"]["clusters"][0]
+        cluster["label"] = label
+        clusters.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert main([*command, "--config", str(config_path)]) == 3
+        err = capsys.readouterr().err
+        assert "clusters.json" in err and repr(cluster["cluster_id"]) in err
+
+    @pytest.mark.parametrize("command", [["label"], ["align"], ["chart"], ["eval", "silhouette"]])
+    def test_member_of_two_xmeans_clusters_exit_3(self, tmp_path, capsys, command):
+        # before, label exited 0 and labeled the clusters with the member in both
+        config_path = make_config(tmp_path)
+        assert main(["pipeline", "--config", str(config_path)]) == 0
+        clusters = tmp_path / "out" / "clusters.json"
+        doc = read_json(clusters)
+        first, second = doc["topics"][0]["sides"]["agree"]["clusters"][:2]
+        second["members"].append(first["members"][0])
+        clusters.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert main([*command, "--config", str(config_path)]) == 3
+        err = capsys.readouterr().err
+        assert "clusters.json" in err and repr(first["members"][0]) in err
+
+    # before, chart exited 0 and drew the edited pair
+    @pytest.mark.parametrize("key, value", [
+        ("label", "ghost"), ("similarity", 0), ("similarity", 0.5), ("similarity", 1.5),
+    ])
+    def test_pair_other_than_its_labels_and_threshold_exit_3(self, tmp_path, capsys, key, value):
+        config_path = make_config(tmp_path)
+        assert main(["pipeline", "--config", str(config_path)]) == 0
+        alignment = tmp_path / "out" / "alignment.json"
+        doc = read_json(alignment)
+        assert doc["threshold"] == 0.6
+        pair = doc["topics"][0]["pairs"][0]
+        pair[key] = value
+        alignment.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["chart", "--config", str(config_path)]) == 3
+        err = capsys.readouterr().err
+        assert "alignment.json" in err and repr(pair["label"]) in err
+
     @pytest.mark.parametrize("command", [["label"], ["chart"], ["eval", "silhouette"]])
     def test_member_listed_twice_exit_3(self, tmp_path, capsys, command):
         config_path = make_config(tmp_path)

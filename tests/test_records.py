@@ -7,15 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from debatesum.alignment import LabeledCluster
 from debatesum.annotate import TermAnnotation
 from debatesum.corpus import Comment, DebateTopic, Feature, GoldAnnotation, Sentence, Side
 from debatesum.evalkit import MannWhitneyResult, RougeScore, RougeVariant, SilhouetteReport
 from debatesum.labeling import ContingencyCounts, LabelCandidate, LabelMethod, TermIndex
 from debatesum.pipeline import PipelineConfig, Stage
 from debatesum.saliency import CommentScores, TopicSignature
-from debatesum.term_clustering import TermCluster
-from debatesum.vector_clustering import ClusteringResult, PcaModel, SentenceVector, SimilarityMatrix
+from debatesum.vector_clustering import ClusteringResult, PcaModel
 
 
 def _compute(config, inputs, docs):
@@ -36,8 +34,6 @@ RECORDS = [
     (GoldAnnotation, lambda: dict(
         annotator_id="a1", comment_id="c1", selected_sentence_ids=frozenset({"s1"})), True),
     (TermAnnotation, lambda: dict(sentence_id="s1", term=("ice",), start=0, end=1), True),
-    (LabeledCluster, lambda: dict(cluster_id="t1/agree:x0", side=Side.AGREE, label=("ice",)), True),
-    (TermCluster, lambda: dict(label=("ice",), side=Side.AGREE, members=("s1", "s2")), True),
     (RougeScore, lambda: dict(variant=RougeVariant.R1, recall=0.5, precision=0.25, f1=1 / 3), True),
     (SilhouetteReport, lambda: dict(per_point=(0.1, 0.3), mean=0.2), True),
     (MannWhitneyResult, lambda: dict(u_a=1.0, u_b=3.0, z=-0.5, p_two_sided=0.6, effect_r=0.1), True),
@@ -45,8 +41,6 @@ RECORDS = [
     (LabelCandidate, lambda: dict(
         term=("ice",), score=0.5, method=LabelMethod.MI, runner_up=(("sea",), 0.25)), True),
     (TermIndex, lambda: dict(terms={"s1": frozenset({("ice",)})}, carriers={("ice",): {"s1"}}), False),
-    (SentenceVector, lambda: dict(sentence_id="s1", counts=np.ones(1)), False),
-    (SimilarityMatrix, lambda: dict(labels=("s1",), values=np.ones((1, 1))), False),
     (PcaModel, lambda: dict(
         mean=np.zeros(1), components=np.ones((1, 1)), explained_variance=np.ones(1)), False),
     (ClusteringResult, lambda: dict(

@@ -28,36 +28,35 @@ def blobs(rng, centers, n_per=30, sigma=0.5):
 
 class TestBuildTermVectors:
     def test_direct_count(self):
-        vectors, excluded = build_term_vectors(
+        ids, counts, excluded = build_term_vectors(
             {"s1": [("co2",), ("co2",)]}, [("co2",), ("ice",)]
         )
-        assert excluded == []
-        assert vectors[0].counts.tolist() == [2.0, 0.0]
+        assert ids == ["s1"] and excluded == []
+        assert counts.tolist() == [[2.0, 0.0]]
 
     def test_zero_vector_excluded(self):
-        vectors, excluded = build_term_vectors({"s1": [("methane",)]}, [("co2",)])
-        assert vectors == []
+        ids, counts, excluded = build_term_vectors({"s1": [("methane",)]}, [("co2",)])
+        assert ids == [] and counts.shape == (0, 1)
         assert excluded == ["s1"]
 
     def test_dimension_is_vocabulary_size(self):
         vocab = [(f"term{i}",) for i in range(64)]
-        vectors, _ = build_term_vectors({"s1": [("term3",)], "s2": [("term10",)]}, vocab)
-        assert all(v.counts.shape == (64,) for v in vectors)
+        ids, counts, _ = build_term_vectors({"s1": [("term3",)], "s2": [("term10",)]}, vocab)
+        assert ids == ["s1", "s2"]
+        assert counts.shape == (2, 64)
 
 
 class TestSimilarityMatrix:
     def vectors(self, rows):
-        from debatesum.vector_clustering import SentenceVector
-
-        return [SentenceVector(f"s{i}", np.array(r, dtype=float)) for i, r in enumerate(rows)]
+        return np.array(rows, dtype=float)
 
     def test_identical_pair(self):
         m = build_similarity_matrix(self.vectors([[1, 2], [1, 2]]))
-        assert np.allclose(m.values, [[1, 1], [1, 1]])
+        assert np.allclose(m, [[1, 1], [1, 1]])
 
     def test_orthogonal_pair(self):
         m = build_similarity_matrix(self.vectors([[1, 0], [0, 1]]))
-        assert np.allclose(m.values, [[1, 0], [0, 1]])
+        assert np.allclose(m, [[1, 0], [0, 1]])
 
     def test_matches_double_loop_oracle(self):
         rng = np.random.default_rng(3)
@@ -68,20 +67,24 @@ class TestSimilarityMatrix:
             for j in range(5):
                 u, v = rows[i], rows[j]
                 expected = (u @ v) / (np.linalg.norm(u) * np.linalg.norm(v))
-                assert m.values[i, j] == pytest.approx(expected, abs=1e-12)
+                assert m[i, j] == pytest.approx(expected, abs=1e-12)
 
     def test_symmetry_and_range(self):
         rng = np.random.default_rng(11)
         rows = rng.integers(0, 4, size=(8, 5)).astype(float) + 0.0
         rows[rows.sum(axis=1) == 0, 0] = 1.0
         m = build_similarity_matrix(self.vectors(rows))
-        assert np.array_equal(m.values, m.values.T)
-        assert np.all(m.values >= 0.0) and np.all(m.values <= 1.0)
-        assert np.allclose(np.diag(m.values), 1.0)
+        assert np.array_equal(m, m.T)
+        assert np.all(m >= 0.0) and np.all(m <= 1.0)
+        assert np.allclose(np.diag(m), 1.0)
 
     def test_fewer_than_two_rejected(self):
         with pytest.raises(ComputationError):
             build_similarity_matrix(self.vectors([[1, 2]]))
+
+    def test_zero_vector_rejected_by_row_index(self):
+        with pytest.raises(ComputationError, match=r"rows \[1\]"):
+            build_similarity_matrix(self.vectors([[1, 2], [0, 0]]))
 
 
 class TestPca:
