@@ -89,17 +89,16 @@ def load_gazetteer(path: str | Path) -> Gazetteer:
 
 
 def annotate_sentence(sentence: Sentence, gazetteer: Gazetteer) -> list[TermAnnotation]:
-    """Greedy left-to-right longest-match annotation; spans never overlap."""
+    """Greedy left-to-right longest-match annotation; spans never overlap.
+
+    Only a token that some term starts with, past the end of the last match,
+    can start a match, so only those are tried."""
     annotations: list[TermAnnotation] = []
-    tokens = sentence.tokens
-    i = 0
-    while i < len(tokens):
-        term = gazetteer.match_at(tokens, i)
-        if term is None:
-            i += 1
-            continue
-        annotations.append(TermAnnotation(sentence.id, term, i, i + len(term)))
-        i += len(term)
+    tokens, first, end = sentence.tokens, gazetteer._first_tokens, 0
+    for i in [i for i, token in enumerate(tokens) if token in first]:
+        if i >= end and (term := gazetteer.match_at(tokens, i)) is not None:
+            end = i + len(term)
+            annotations.append(TermAnnotation(sentence.id, term, i, end))
     return annotations
 
 

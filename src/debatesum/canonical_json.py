@@ -70,11 +70,11 @@ def _write(value, write, newline: str) -> None:
             write(separator + key + int.__repr__(item))
         elif kind is float:
             write(separator + key + _float_text(item))
-        elif (text := _scalar_text(item)) is not None:
-            write(separator + key + text)
-        else:
-            write(separator + key)
+        elif kind is dict or kind is list or (text := _scalar_text(item)) is None:
+            write(separator + key)  # a container: exact types skip the scalar checks
             _write(item, write, inner)
+        else:
+            write(separator + key + text)
         separator = comma
     write(newline + brackets[1])
 

@@ -28,6 +28,7 @@ from .pipeline import (
     PipelineConfig,
     Stage,
     artifact_files,
+    canonical_terms_by_sentence,
     compute_rouge_table,
     compute_silhouette_report,
     load_config,
@@ -137,7 +138,9 @@ def _read_needs(args: argparse.Namespace, config: PipelineConfig, needs: tuple[s
 def _run_stage(args: argparse.Namespace, stage: Stage, config: PipelineConfig, out: Path) -> int:
     docs = _read_needs(args, config, stage.needs)
     inputs = load_inputs(config) if stage.uses_inputs else None
-    for name, data in artifact_files(stage.artifact, stage.compute(config, inputs, docs)).items():
+    doc = stage.compute(config, inputs, docs)
+    del docs, inputs  # free what was read, with the terms map, before serializing
+    for name, data in artifact_files(stage.artifact, doc).items():
         (out / name).write_bytes(data)
         print(f"wrote {out / name}")
     return EXIT_OK
@@ -171,9 +174,8 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "eval":  # silhouette
         docs = _read_needs(args, config, STAGE["evaluation"].needs)
         inputs = load_inputs(config)
-        report = compute_silhouette_report(
-            docs["clusters"], docs["annotations"], inputs.gazetteer, inputs.synonyms
-        )
+        terms = canonical_terms_by_sentence(docs["annotations"])
+        report = compute_silhouette_report(docs["clusters"], terms, inputs.gazetteer, inputs.synonyms)
         write_json(out / "evaluation_silhouette.json", {"silhouette": report, "seed": config.seed})
         print(f"wrote {out / 'evaluation_silhouette.json'}")
         return EXIT_OK

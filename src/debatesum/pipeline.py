@@ -277,18 +277,18 @@ def topic_signatures_for(
     topic: DebateTopic,
     threshold: float,
     corpus_counts: Counter | None = None,
+    topic_counts: Counter | None = None,
 ) -> list:
     """Leave-one-out topic signatures: this topic's tokens vs all other topics'.
 
     The background is the corpus token counts minus this topic's, so passing
-    ``corpus_counts`` (``_token_counts(corpus)``) makes each call linear in
-    the topic's size. A single-topic corpus has no background, which disables
-    the feature (empty signature list, COS_TPS scores 0).
+    ``corpus_counts`` (``_token_counts(corpus)``) and ``topic_counts``
+    (``_token_counts([topic])``) makes each call linear in the topic's distinct
+    tokens. A single-topic corpus has no background, which disables the
+    feature (empty signature list, COS_TPS scores 0).
     """
-    if corpus_counts is None:
-        corpus_counts = _token_counts(corpus)
-    foreground = _token_counts([topic])
-    background = corpus_counts - foreground
+    foreground = topic_counts or _token_counts([topic])
+    background = (corpus_counts or _token_counts(corpus)) - foreground
     if not foreground or not background:
         return []
     return extract_topic_signatures(
@@ -307,10 +307,11 @@ def comment_selections(
     """comment id -> feature -> ids of the sentences the feature selects.
 
     Each comment is scored once, for ``features`` only; only the selected
-    ids are kept. Topic signatures are computed, once per topic, only when
-    COS_TPS or CB is among ``features``. ``cache`` maps (ratio, threshold)
-    to all nine features' selections for the same corpus and lexicons: with
-    a cache every feature is selected, and the result is stored there.
+    ids are kept. Topic signatures are computed, once per topic from its
+    token counts (summed for the corpus's), only when COS_TPS or CB is among
+    ``features``. ``cache`` maps (ratio, threshold) to all nine features'
+    selections for the same corpus and lexicons: with a cache every feature
+    is selected, and the result is stored there.
     """
     key = (ratio, signature_threshold)
     if cache is not None:
@@ -318,11 +319,15 @@ def comment_selections(
             return cache[key]
         features = tuple(Feature)
     signed = Feature.COS_TPS in features or Feature.CB in features
-    corpus_counts = _token_counts(corpus) if signed else None
+    topic_counts = [_token_counts([topic]) if signed else None for topic in corpus]
+    corpus_counts = Counter()
+    for counts in filter(None, topic_counts):
+        corpus_counts.update(counts)
     selections = {}
-    for topic in corpus:
+    for topic, counts in zip(corpus, topic_counts):
         signatures = (
-            topic_signatures_for(corpus, topic, signature_threshold, corpus_counts) if signed else []
+            topic_signatures_for(corpus, topic, signature_threshold, corpus_counts, counts)
+            if signed else []
         )
         for comment in topic.comments:
             scores = score_comment(comment, topic, lexicons, signatures, features)
@@ -365,15 +370,20 @@ def compute_salient(
     return {"feature": feature.value, "ratio": ratio, "seed": seed, "topics": topics}
 
 
-def _canonical_terms_by_sentence(annotations_doc: dict) -> dict[str, list[tuple[str, ...]]]:
+def canonical_terms_by_sentence(annotations_doc: dict) -> dict[str, list[tuple[str, ...]]]:
     """sentence id -> canonical term occurrences (with repeats), corpus-wide."""
-    out: dict[str, list[tuple[str, ...]]] = {}
-    for topic in annotations_doc["topics"]:
-        for sentence in topic["sentences"]:
-            out[sentence["sentence_id"]] = [
-                tuple(a["canonical"].split()) for a in sentence["annotations"]
-            ]
-    return out
+    return {
+        sentence["sentence_id"]: [tuple(a["canonical"].split()) for a in sentence["annotations"]]
+        for topic in annotations_doc["topics"] for sentence in topic["sentences"]
+    }
+
+
+def _terms(docs: dict) -> dict[str, list[tuple[str, ...]]]:
+    """``canonical_terms_by_sentence(docs["annotations"])``, built on first use
+    and kept in ``docs`` as "terms", so the stages of one run share it."""
+    if "terms" not in docs:
+        docs["terms"] = canonical_terms_by_sentence(docs["annotations"])
+    return docs["terms"]
 
 
 def _salient_by_topic_side(salient_doc: dict) -> dict[str, dict[str, list[str]]]:
@@ -486,15 +496,11 @@ def _cluster_side_xmeans(
 
 
 def compute_clusters(
-    annotations_doc: dict,
-    salient_doc: dict,
-    synonyms: SynonymTable,
-    gazetteer: Gazetteer,
-    config: PipelineConfig,
+    terms: dict, salient_doc: dict, synonyms: SynonymTable, gazetteer: Gazetteer, config: PipelineConfig
 ) -> dict:
     """Clusters per topic and side of the salient sentences, topics in the
-    salient document's order (the corpus order), so no corpus is needed."""
-    terms = _canonical_terms_by_sentence(annotations_doc)
+    salient document's order (the corpus order), so no corpus is needed.
+    ``terms`` is the canonical-terms map (``canonical_terms_by_sentence``)."""
     salient = _salient_by_topic_side(salient_doc)
     vocabulary = _vocabulary(gazetteer, synonyms) if config.clustering_method == "xmeans" else []
     topics = []
@@ -521,10 +527,9 @@ def compute_clusters(
     }
 
 
-def compute_labels(clusters_doc: dict, annotations_doc: dict, method: str, seed: int = 0) -> dict:
+def compute_labels(clusters_doc: dict, terms: dict, method: str, seed: int = 0) -> dict:
     if method not in LABEL_METHODS:
         raise ConfigError(f"labeling_method must be one of {LABEL_METHODS}")
-    terms = _canonical_terms_by_sentence(annotations_doc)
     entries = []
     for topic in clusters_doc["topics"]:
         for side in Side:
@@ -674,10 +679,7 @@ def compute_rouge_table(
 
 
 def compute_silhouette_report(
-    clusters_doc: dict,
-    annotations_doc: dict,
-    gazetteer: Gazetteer,
-    synonyms: SynonymTable,
+    clusters_doc: dict, terms: dict, gazetteer: Gazetteer, synonyms: SynonymTable
 ) -> dict:
     """Mean silhouette per (topic, side) clustering, plus the overall mean.
 
@@ -685,7 +687,6 @@ def compute_silhouette_report(
     sentence's term-count vector, scored with cosine distance. X-means
     clusters are scored on their reduced points with Euclidean distance.
     """
-    terms = _canonical_terms_by_sentence(annotations_doc)
     method = clusters_doc["method"]
     vocabulary = _vocabulary(gazetteer, synonyms) if method == "term" else []
     index = {t: i for i, t in enumerate(vocabulary)}
@@ -727,10 +728,7 @@ def compute_silhouette_report(
 
 
 def compute_evaluation(
-    inputs: PipelineInputs,
-    clusters_doc: dict,
-    annotations_doc: dict,
-    config: PipelineConfig,
+    inputs: PipelineInputs, clusters_doc: dict, terms: dict, config: PipelineConfig
 ) -> dict:
     rouge_table = None
     if inputs.gold:
@@ -743,7 +741,7 @@ def compute_evaluation(
             cache=inputs.selection_cache,
         )
     silhouette_report = compute_silhouette_report(
-        clusters_doc, annotations_doc, inputs.gazetteer, inputs.synonyms
+        clusters_doc, terms, inputs.gazetteer, inputs.synonyms
     )
     return {"seed": config.seed, "rouge": rouge_table, "silhouette": silhouette_report}
 
@@ -764,7 +762,8 @@ def slugify(name: str) -> str:
 class Stage(NamedTuple):
     """One row of the stage table: ``compute(config, inputs, docs)`` returns the
     stage's document from the loaded inputs (None unless ``uses_inputs``) and
-    ``docs``, which maps artifact stems to earlier documents."""
+    ``docs``, which maps artifact stems to earlier documents (and "terms" to
+    the canonical-terms map, once a stage has read it)."""
 
     command: str  # CLI subcommand; names the stage in error messages
     artifact: str  # stem of the artifact it writes; the stage key
@@ -787,10 +786,10 @@ STAGES = (
     Stage("cluster", "clusters", ("annotations", "salient"), True,
           "cluster the salient sentences of each side",
           lambda config, inputs, docs: compute_clusters(
-              docs["annotations"], docs["salient"], inputs.synonyms, inputs.gazetteer, config)),
+              _terms(docs), docs["salient"], inputs.synonyms, inputs.gazetteer, config)),
     Stage("label", "labels", ("clusters", "annotations"), False, "label every cluster",
           lambda config, inputs, docs: compute_labels(
-              docs["clusters"], docs["annotations"], config.labeling_method, config.seed)),
+              docs["clusters"], _terms(docs), config.labeling_method, config.seed)),
     Stage("align", "alignment", ("clusters", "labels"), True,
           "align agree and disagree clusters by label",
           lambda config, inputs, docs: compute_alignment(
@@ -803,7 +802,7 @@ STAGES = (
           lambda config, inputs, docs: compute_charts(docs["clusters"], docs["alignment"])),
     Stage("eval", "evaluation", ("clusters", "annotations"), True, "evaluation metrics",
           lambda config, inputs, docs: compute_evaluation(
-              inputs, docs["clusters"], docs["annotations"], config)),
+              inputs, docs["clusters"], _terms(docs), config)),
 )
 STAGE = {stage.artifact: stage for stage in STAGES}
 
@@ -851,7 +850,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
     docs: dict = {}
     for stage in STAGES:
         docs[stage.artifact] = _stage(stage.command, stage.compute, config, inputs, docs)
-    del inputs  # free the corpus and the shared selections before serializing
+    del inputs, docs["terms"]  # free the corpus, selections and terms map before serializing
     artifacts: dict[str, bytes] = {}
     for stage in STAGES:
         artifacts.update(artifact_files(stage.artifact, docs[stage.artifact]))

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from functools import cached_property
+from itertools import accumulate, chain
 from pathlib import Path
 from typing import Collection, NamedTuple
 
@@ -55,7 +56,8 @@ class Lexicons:
     """Static lexical resources used by the feature scorers.
 
     ``embeddings`` may be None, which disables COS_STT (scored 0 and dropped
-    from the CB mean).
+    from the CB mean). The COS_STT columns of the last topic scored are kept
+    (``title_cosines``).
     """
 
     def __init__(
@@ -67,6 +69,8 @@ class Lexicons:
         self.conjunctive_adverbs = conjunctive_adverbs
         self.climate_terms = climate_terms
         self.embeddings = embeddings
+        self._cosines_topic: DebateTopic | None = None
+        self._cosines: dict[int, list[float]] = {}
 
     @cached_property
     def climate_tokens(self) -> frozenset[str]:
@@ -81,11 +85,23 @@ class Lexicons:
     @cached_property
     def embedding_rows(self) -> tuple[dict[str, int], np.ndarray]:
         """Token -> row of one matrix of the embeddings, whose extra last row
-        is all -0.0 (``_mean_embeddings`` pads with it)."""
+        is all -0.0 (``_title_cosines`` pads with it)."""
         vectors = self.embeddings
         dim = len(next(iter(vectors.values()))) if vectors else 0
         matrix = np.vstack([*vectors.values(), np.full(dim, -0.0)])
         return {token: i for i, token in enumerate(vectors)}, matrix
+
+    def title_cosines(self, comment: Comment, topic: DebateTopic) -> list[float]:
+        """The COS_STT column of ``comment``: its part of
+        ``_title_cosines(topic, self)``, which is kept for the last topic asked
+        for (by identity), since every comment of a topic reads it. A comment
+        not in ``topic.comments`` is scored as the topic's only comment."""
+        if self._cosines_topic is not topic:
+            self._cosines_topic, self._cosines = topic, _title_cosines(topic, self)
+        column = self._cosines.get(id(comment))
+        if column is None:
+            column = _title_cosines(topic._replace(comments=(comment,)), self)[id(comment)]
+        return list(column)
 
 
 class CommentScores(NamedTuple):
@@ -105,7 +121,9 @@ def load_embeddings(path: str | Path) -> dict[str, np.ndarray]:
     """Plain-text vectors: token followed by d floats per line.
 
     A first line of exactly two integers is treated as a "count dim" header
-    and skipped.
+    and skipped. A file with no vector (empty, blank lines only, or only the
+    header) is a ParseError: it would score COS_STT 0 everywhere and still
+    count it in CB's mean.
     """
     vectors: dict[str, np.ndarray] = {}
     dim: int | None = None
@@ -139,6 +157,8 @@ def load_embeddings(path: str | Path) -> dict[str, np.ndarray]:
                 f"embedding dimension {vec.size} != {dim}", source=str(path), line=lineno
             )
         vectors[token] = vec
+    if not vectors:
+        raise ParseError("embeddings file holds no vectors", source=str(path))
     return vectors
 
 
@@ -215,25 +235,17 @@ def extract_topic_signatures(
     return signatures
 
 
-def _mean_embeddings(token_lists: list[tuple[str, ...]], lexicons: Lexicons) -> list[np.ndarray | None]:
-    """The mean embedding of each token sequence, None where no token has one.
+def _mean_embeddings(grid: np.ndarray, counts: np.ndarray, width: int) -> np.ndarray:
+    """The mean of the first ``width`` vectors of each row of ``grid``, a row
+    holding ``counts`` vectors and then the all -0.0 padding.
 
-    One gather puts each sequence's vectors in a row of a grid padded with
-    -0.0, which leaves every sum unchanged. For two or more dimensions the
-    vectors then add in sequence as in ``np.mean``, so each mean equals it
-    bit for bit. (``np.mean`` adds more than eight one-dimensional vectors
-    pairwise, so a 1-d mean can differ in the last bit; a cosine of 1-d
-    vectors is -1, 0 or 1 either way.)
+    Adding -0.0 leaves every sum unchanged. For two or more dimensions the
+    vectors add in sequence as in ``np.mean``, at any width, so each mean
+    equals it bit for bit. A row of more than eight 1-d vectors adds pairwise,
+    in blocks set by ``width`` (so its mean can differ from ``np.mean``'s in
+    the last bits); ``_title_cosines`` passes a comment's own width for them.
     """
-    index, matrix = lexicons.embedding_rows
-    rows = [[index[t] for t in tokens if t in index] for tokens in token_lists]
-    width = max(map(len, rows))
-    if width == 0:
-        return [None] * len(rows)
-    pad = len(matrix) - 1
-    grid = matrix[[r + [pad] * (width - len(r)) for r in rows]]
-    means = np.add.reduce(grid, axis=1) / np.array([len(r) or 1 for r in rows])[:, None]
-    return [mean if r else None for mean, r in zip(means, rows)]
+    return np.add.reduce(grid[:, :width], axis=1) / counts
 
 
 def _starts_with_conjunctive_adverb(tokens: tuple[str, ...], lexicons: Lexicons) -> bool:
@@ -259,26 +271,58 @@ def _set_cosines(
     ]
 
 
-def _title_cosines(comment: Comment, topic: DebateTopic, lexicons: Lexicons) -> list[float]:
-    """cosine(mean embedding of sentence, mean embedding of title) per sentence,
-    clipped to [-1, 1]; 0 where either has no embedded token."""
-    if lexicons.embeddings is None:
-        return [0.0] * len(comment.sentences)
-    title_emb, *sentence_embs = _mean_embeddings(
-        [topic.title_tokens, *(s.tokens for s in comment.sentences)], lexicons
+def _title_cosines(topic: DebateTopic, lexicons: Lexicons) -> dict[int, list[float]]:
+    """``id`` of each comment of ``topic`` -> cosine(mean embedding of sentence,
+    mean embedding of title) per sentence, clipped to [-1, 1]; 0 where either
+    has no embedded token.
+
+    One gather per topic puts the title's and every sentence's vectors in the
+    rows of one grid padded with -0.0 (``_mean_embeddings``). The norms and the
+    title dots are stacked products, ``E[:, None, :] @ E[:, :, None]`` and
+    ``E[:, None, :] @ t[:, None]``: each row is one vector-dot of the same loop
+    as the 1-d ``s @ s`` and ``s @ t`` of a sentence, so they are bit-equal to
+    taking them one sentence at a time; the division and the clip stay per
+    sentence in Python floats.
+    """
+    index, matrix = lexicons.embedding_rows
+    comments = topic.comments
+    rows = [
+        [index[t] for t in tokens if t in index]
+        for tokens in (topic.title_tokens, *(s.tokens for c in comments for s in c.sentences))
+    ]
+    bounds = list(accumulate((len(c.sentences) for c in comments), initial=1))
+    spans = list(zip(comments, bounds, bounds[1:]))  # each comment's rows
+    if not rows[0]:
+        return {id(c): [0.0] * (hi - lo) for c, lo, hi in spans}
+    lengths = np.array([len(r) for r in rows])
+    width = int(lengths.max())
+    # the width of a grid of one comment's rows and the title's sets how 1-d vectors add
+    own = [
+        max(map(len, [rows[0], *rows[lo:hi]])) if matrix.shape[1] == 1 else width
+        for _, lo, hi in spans
+    ]
+    padded = np.full((len(rows), width), len(matrix) - 1)  # the all -0.0 row
+    padded[np.arange(width) < lengths[:, None]] = np.fromiter(
+        chain.from_iterable(rows), np.intp, lengths.sum()
     )
-    if title_emb is None:
-        return [0.0] * len(comment.sentences)
-    title_norm = math.sqrt(title_emb @ title_emb)
-    cosines = []
-    for sent_emb in sentence_embs:
-        if sent_emb is None:
-            cosines.append(0.0)
-            continue
-        denom = math.sqrt(sent_emb @ sent_emb) * title_norm
-        cosine = float(sent_emb @ title_emb) / denom if denom else 0.0
-        cosines.append(max(-1.0, min(1.0, cosine)))
-    return cosines
+    grid, counts = matrix[padded], np.maximum(lengths, 1)[:, None]
+    products = {}  # width -> (norms, title dots), one entry unless the vectors are 1-d
+    for w in set(own):
+        means = _mean_embeddings(grid, counts, w)
+        stacked = means[:, None, :]
+        products[w] = (
+            np.sqrt(stacked @ means[:, :, None]).ravel().tolist(),
+            (stacked @ means[0][:, None]).ravel().tolist(),
+        )
+    columns = {}
+    for (c, lo, hi), w in zip(spans, own):
+        norms, dots = products[w]
+        column = []
+        for i in range(lo, hi):
+            denom = norms[i] * norms[0]
+            column.append(max(-1.0, min(1.0, dots[i] / denom)) if rows[i] and denom else 0.0)
+        columns[id(c)] = column
+    return columns
 
 
 def score_comment(
@@ -326,7 +370,9 @@ def score_comment(
             if feature in wanted:
                 raw[feature] = _set_cosines(sentences, norms, terms)
     if Feature.COS_STT in wanted:
-        raw[Feature.COS_STT] = _title_cosines(comment, topic, lexicons)
+        raw[Feature.COS_STT] = (
+            lexicons.title_cosines(comment, topic) if lexicons.embeddings is not None else [0.0] * n
+        )
 
     normalized = {}
     for feature, column in raw.items():

@@ -1,10 +1,13 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from debatesum.annotate import (
     Gazetteer,
     SynonymTable,
+    TermAnnotation,
     annotate_sentence,
     canonical_label,
     load_gazetteer,
@@ -64,6 +67,45 @@ class TestAnnotateSentence:
             assert first.end <= second.start
         for a in anns:
             assert s.tokens[a.start : a.end] == a.term
+
+
+def oracle_annotate(sentence, gazetteer):
+    """The greedy loop that tries ``match_at`` at every token."""
+    annotations = []
+    tokens = sentence.tokens
+    i = 0
+    while i < len(tokens):
+        term = gazetteer.match_at(tokens, i)
+        if term is None:
+            i += 1
+            continue
+        annotations.append(TermAnnotation(sentence.id, term, i, i + len(term)))
+        i += len(term)
+    return annotations
+
+
+# nested terms (sea level / sea level rise), terms that start inside a longer
+# match (level rise, rise of sea), and one-token terms met inside others
+TERMS = (
+    ("sea",), ("sea", "level"), ("sea", "level", "rise"), ("level", "rise"), ("rise",),
+    ("rise", "of", "sea"), ("ice",), ("sea", "ice"), ("ice", "sheet", "loss"),
+    ("a", "b", "c", "d", "e"), ("b", "c"), ("c", "d", "e"),
+)
+TOKENS = ("sea", "level", "rise", "of", "ice", "sheet", "loss", "a", "b", "c", "d", "e", "the")
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    terms=st.sets(st.sampled_from(TERMS), min_size=1),
+    tokens=st.lists(st.sampled_from(TOKENS), max_size=30),
+)
+@example(terms=set(TERMS), tokens=["sea", "level", "rise", "of", "sea", "level", "the", "rise"])
+@example(terms={("sea", "level"), ("level", "rise"), ("rise",)}, tokens=["sea", "level", "rise"])
+@example(terms={("a", "b", "c", "d", "e"), ("c", "d", "e")}, tokens=list("abcdabcde"))
+def test_annotate_sentence_equals_the_token_by_token_loop(terms, tokens):
+    gazetteer = Gazetteer(terms)
+    sentence = Sentence("s1", 1, " ".join(tokens), tuple(tokens))
+    assert annotate_sentence(sentence, gazetteer) == oracle_annotate(sentence, gazetteer)
 
 
 class TestSynonymTable:

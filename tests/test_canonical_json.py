@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+from collections import Counter, OrderedDict
 from enum import Enum, IntEnum
 
 import numpy as np
@@ -32,6 +33,10 @@ class Level(IntEnum):
     HIGH = 2
 
 
+class Items(list):
+    pass
+
+
 text = st.text(alphabet=st.characters(exclude_categories=("Cs",)), max_size=12)
 scalars = st.one_of(
     st.none(),
@@ -46,6 +51,10 @@ documents = st.recursive(
         st.lists(children, max_size=5),
         st.lists(children, max_size=5).map(tuple),
         st.dictionaries(text, children, max_size=5),
+        # subclasses take the writer's general path, not its exact-type one
+        st.lists(children, max_size=5).map(Items),
+        st.dictionaries(text, children, max_size=5).map(Counter),
+        st.dictionaries(text, children, max_size=5).map(OrderedDict),
     ),
     max_leaves=40,
 )

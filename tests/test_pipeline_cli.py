@@ -189,10 +189,34 @@ class TestXmeansDuplicateVectors:
         assert all(e["label"] != "(unlabeled)" for e in labels["clusters"])
 
 
+@pytest.mark.parametrize("method", ["term", "xmeans"])
+def test_canonical_terms_map_built_once_per_process(tmp_path, monkeypatch, method):
+    """``pipeline`` builds the canonical-terms map once for cluster, label and
+    eval; each stage command that reads annotations.json builds it once."""
+    from debatesum import cli
+
+    built = []
+    real = pipeline.canonical_terms_by_sentence
+
+    def counting(annotations_doc):
+        built.append(annotations_doc)
+        return real(annotations_doc)
+
+    monkeypatch.setattr(pipeline, "canonical_terms_by_sentence", counting)
+    monkeypatch.setattr(cli, "canonical_terms_by_sentence", counting)
+    config_path = make_config(tmp_path, clustering_method=method)
+    assert main(["pipeline", "--config", str(config_path)]) == 0
+    assert len(built) == 1
+    for command in (["cluster"], ["label"], ["eval", "silhouette"]):
+        built.clear()
+        assert main([*command, "--config", str(config_path)]) == 0
+        assert len(built) == 1, command
+
+
 class TestStageDocs:
     def test_unlabeled_clusters_reported_as_dropped(self):
         from debatesum.annotate import SynonymTable
-        from debatesum.pipeline import compute_alignment, compute_labels
+        from debatesum.pipeline import canonical_terms_by_sentence, compute_alignment, compute_labels
 
         clusters_doc = {
             "method": "xmeans",
@@ -232,7 +256,7 @@ class TestStageDocs:
                 }
             ],
         }
-        labels = compute_labels(clusters_doc, annotations_doc, "mi")
+        labels = compute_labels(clusters_doc, canonical_terms_by_sentence(annotations_doc), "mi")
         by_id = {e["cluster_id"]: e["label"] for e in labels["clusters"]}
         assert by_id["t/agree:x0"] == "(unlabeled)"
         assert by_id["t/disagree:x0"] == "ice"
@@ -917,6 +941,16 @@ class TestCli:
         embeddings_path.write_text("\n".join(lines) + "\n")
         assert main([command, "--config", str(config_path)]) == 3
         assert "embeddings.txt:2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["pipeline", "select"])
+    @pytest.mark.parametrize("text", ["", "\n  \n\t\n", "3 8\n"], ids=["empty", "blank", "header"])
+    def test_embeddings_without_vectors_exit_3(self, tmp_path, capsys, command, text):
+        # read as no embeddings, COS_STT would score 0 and still count in CB's mean
+        config_path = make_config(tmp_path, feature="CB")
+        (config_path.parent / "embeddings.txt").write_text(text, encoding="utf-8")
+        assert main([command, "--config", str(config_path)]) == 3
+        err = capsys.readouterr().err
+        assert "embeddings file holds no vectors" in err and "embeddings.txt" in err
 
     def test_computation_error_exit_4(self, tmp_path):
         config_path = make_config(tmp_path, clustering_method="xmeans", labeling_method="shared")

@@ -259,6 +259,14 @@ class TestLoadEmbeddings:
         with pytest.raises(ParseError):
             load_embeddings(path)
 
+    @pytest.mark.parametrize("text", ["", "\n  \n\t\n", "3 8\n"], ids=["empty", "blank", "header"])
+    def test_file_without_vectors_rejected(self, tmp_path, text):
+        path = tmp_path / "vec.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError, match="holds no vectors") as err:
+            load_embeddings(path)
+        assert err.value.source == str(path)
+
     def test_sample_asset(self, sample_dir):
         emb = load_embeddings(sample_dir / "embeddings.txt")
         dims = {v.shape for v in emb.values()}

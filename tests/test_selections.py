@@ -317,6 +317,22 @@ def test_pipeline_scores_each_comment_once_and_each_topic_once(tmp_path, monkeyp
     assert signed == Counter(topic.id for topic in corpus)
 
 
+def test_selection_counts_each_topic_once(monkeypatch):
+    """The corpus counts for topic signatures are the sum of the topics' own:
+    every topic's tokens are counted once, and the corpus's never apart."""
+    counted: Counter = Counter()
+    real_counts = pipeline._token_counts
+
+    def counting_counts(topics):
+        counted[tuple(topic.id for topic in topics)] += 1
+        return real_counts(topics)
+
+    monkeypatch.setattr(pipeline, "_token_counts", counting_counts)
+    corpus = load_corpus(SAMPLE_DIR / "corpus.json")
+    comment_selections(corpus, default_lexicons(), 0.2, 2.0, cache={})
+    assert counted == Counter((topic.id,) for topic in corpus)
+
+
 @pytest.mark.parametrize("feature", list(Feature))
 def test_compute_salient_matches_per_feature_selection(feature):
     corpus = load_corpus(SAMPLE_DIR / "corpus.json")
