@@ -7,13 +7,13 @@ ensure_ascii=False, indent=2) + "\\n").encode("utf-8")`` in one pass, where
 
 from __future__ import annotations
 
-import io
 from itertools import repeat
 from json.encoder import encode_basestring as _quote
 
 # what json writes for the non-finite floats, by their repr
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _CONSTANTS = {None: "null", True: "true", False: "false"}
+_CHUNK_PARTS = 4096
 
 
 def _float_text(x: float) -> str:
@@ -43,8 +43,10 @@ def _key_text(key) -> str:
     return _quote(text)
 
 
-def _write(value, write, newline: str) -> None:
-    """Write ``value``; ``newline`` is the line break plus the indent of its line."""
+def _write(value, parts: list[str], chunks: list[bytes], newline: str) -> None:
+    """Append ``value``'s text to ``parts``, which the end of a container encodes onto
+    ``chunks`` past ``_CHUNK_PARTS``; ``newline`` is the line break plus its line's indent."""
+    write = parts.append
     if isinstance(value, (list, tuple)):
         pairs, keyed, brackets = zip(repeat(""), value), False, "[]"
     elif isinstance(value, dict):
@@ -72,15 +74,18 @@ def _write(value, write, newline: str) -> None:
             write(separator + key + _float_text(item))
         elif kind is dict or kind is list or (text := _scalar_text(item)) is None:
             write(separator + key)  # a container: exact types skip the scalar checks
-            _write(item, write, inner)
+            _write(item, parts, chunks, inner)
         else:
             write(separator + key + text)
         separator = comma
     write(newline + brackets[1])
+    if len(parts) > _CHUNK_PARTS:
+        chunks.append("".join(parts).encode("utf-8"))
+        parts.clear()
 
 
 def to_json_bytes(doc) -> bytes:
-    out = io.StringIO()
-    _write(doc, out.write, "\n")
-    out.write("\n")
-    return out.getvalue().encode("utf-8")
+    parts, chunks = [], []
+    _write(doc, parts, chunks, "\n")
+    parts.append("\n")
+    return b"".join([*chunks, "".join(parts).encode("utf-8")])

@@ -19,8 +19,10 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 import warnings
 from enum import Enum
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
@@ -143,7 +145,8 @@ class Sentence(NamedTuple):
 
     @staticmethod
     def make(id: str, position: int, text: str) -> "Sentence":
-        return Sentence(id=id, position=position, text=text, tokens=tuple(tokenize(text)))
+        # interned: a corpus repeats few distinct tokens, so each is held once
+        return Sentence(id, position, text, tuple(map(sys.intern, tokenize(text))))
 
 
 class Comment(NamedTuple):
@@ -159,7 +162,12 @@ class DebateTopic(NamedTuple):
 
     @property
     def title_tokens(self) -> tuple[str, ...]:
-        return tuple(tokenize(self.title))
+        return _title_tokens(self.title)
+
+
+@lru_cache(maxsize=1)  # a topic's comments are scored one after another
+def _title_tokens(title: str) -> tuple[str, ...]:
+    return tuple(tokenize(title))
 
 
 class GoldAnnotation(NamedTuple):

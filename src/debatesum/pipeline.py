@@ -835,13 +835,21 @@ def _stage(name: str, fn, *args, **kwargs):
         raise type(exc)(f"[stage {name}] {exc}") from exc
 
 
+def _sha256() -> Callable:
+    """CPython's own SHA-256: hashlib maps OpenSSL (3.6 MiB) for the manifest alone."""
+    for module in ("_sha2", "_sha256", "hashlib"):  # _sha2 from Python 3.12
+        try:
+            return import_module(module).sha256
+        except ImportError:
+            pass
+
+
 def run_pipeline(config: PipelineConfig) -> dict:
     """Run every stage and write all artifacts plus the manifest.
 
     Returns the manifest document. On any stage failure the partially
     written artifacts are removed and the error propagates.
     """
-    import hashlib
     inputs = _stage("load", load_inputs, config)
     # a full run parses every input file before the first stage, as the load stage
     _stage("load", lambda: (inputs.corpus, inputs.lexicons, inputs.gold))
@@ -855,10 +863,11 @@ def run_pipeline(config: PipelineConfig) -> dict:
     for stage in STAGES:
         artifacts.update(artifact_files(stage.artifact, docs[stage.artifact]))
 
+    sha256 = _sha256()
     manifest = {
         "config": config.echo(),
         "artifacts": {
-            name: "sha256:" + hashlib.sha256(data).hexdigest()
+            name: "sha256:" + sha256(data).hexdigest()
             for name, data in sorted(artifacts.items())
         },
     }

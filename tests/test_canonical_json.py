@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from debatesum import pipeline
+from debatesum import canonical_json, pipeline
 from debatesum.canonical_json import to_json_bytes
 from debatesum.saliency import Feature
 
@@ -85,6 +85,27 @@ def test_generated_documents_match_the_formula(doc):
 )
 def test_explicit_cases_match_the_formula(doc):
     assert to_json_bytes(doc) == formula(doc)
+
+
+def test_a_document_encoded_in_many_chunks_matches_the_formula():
+    # the writer encodes its pending parts at the end of a container once more
+    # than _CHUNK_PARTS are pending; this document crosses that many times over
+    words = ["plain", "naïve", "气候 ✓", "tab\there", 'say "no"', "back\\slash", "\x00\x1f", "é\n"]
+    doc = {
+        f"topic {i} é": [
+            {
+                "id": f"t{i}c{j}",
+                "sentences": [words[(i + j + k) % len(words)] for k in range(40)],
+                "scores": [k / 7 for k in range(10)],
+                "nested": [[j, None, True], {"ü": -0.0}, []],
+            }
+            for j in range(30)
+        ]
+        for i in range(20)
+    }
+    expected = formula(doc)
+    assert expected.count(b"\n") > 5 * canonical_json._CHUNK_PARTS
+    assert to_json_bytes(doc) == expected
 
 
 @pytest.mark.parametrize(

@@ -52,6 +52,17 @@ class TestLoadCorpus:
                 for sentence in comment.sentences:
                     assert sentence.tokens == tuple(tokenize(sentence.text))
 
+    def test_equal_tokens_are_one_object(self, sample_corpus_path):
+        # a corpus repeats few distinct tokens: each is held once, not once per sentence
+        tokens = [
+            token
+            for topic in load_corpus(sample_corpus_path)
+            for comment in topic.comments
+            for sentence in comment.sentences
+            for token in sentence.tokens
+        ]
+        assert len({id(token) for token in tokens}) == len(set(tokens)) < len(tokens)
+
     def test_dataset_scale_counts(self, tmp_path):
         # the real dataset's shape: 11 topics, 341 comments in total
         sizes = [31, 5, 103, 20, 25, 30, 28, 22, 26, 24, 27]

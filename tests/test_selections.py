@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import SAMPLE_DIR, make_comment, make_topic, simple_topic_dict, write_corpus_json
 
+import debatesum.corpus as corpus_module
 import debatesum.pipeline as pipeline
 from debatesum.assets import default_stopwords
 from debatesum.cli import main
@@ -331,6 +332,25 @@ def test_selection_counts_each_topic_once(monkeypatch):
     corpus = load_corpus(SAMPLE_DIR / "corpus.json")
     comment_selections(corpus, default_lexicons(), 0.2, 2.0, cache={})
     assert counted == Counter((topic.id,) for topic in corpus)
+
+
+def test_pipeline_tokenizes_each_sentence_and_each_title_once(tmp_path, monkeypatch):
+    """Each sentence is tokenized when the corpus loads, and each topic's
+    title once, however many of its comments are scored."""
+    corpus = load_corpus(SAMPLE_DIR / "corpus.json")
+    tokenized: Counter = Counter()
+    real_tokenize = corpus_module.tokenize
+
+    def counting_tokenize(text):
+        tokenized[text] += 1
+        return real_tokenize(text)
+
+    monkeypatch.setattr(corpus_module, "tokenize", counting_tokenize)
+    corpus_module._title_tokens.cache_clear()  # an earlier test may have left a title in it
+    run_pipeline(load_config(SAMPLE_DIR / "config.json", {"output_dir": str(tmp_path)}))
+    assert tokenized == Counter(
+        s.text for topic in corpus for c in topic.comments for s in c.sentences
+    ) + Counter(topic.title for topic in corpus)
 
 
 @pytest.mark.parametrize("feature", list(Feature))

@@ -2,12 +2,18 @@
 numpy, no command loads numpy.ma or dataclasses, each command loads only its
 own stage's algorithm modules, only the commands that select sentences load
 the selection module, only the commands that read an artifact load its
-checks, and importing one module loads only the modules it imports."""
+checks, importing one module loads only the modules it imports, and
+``pipeline`` hashes its manifest without mapping OpenSSL."""
 
+import hashlib
+import json
 import subprocess
 import sys
+from importlib import import_module
 
 import pytest
+
+from debatesum import pipeline
 
 from conftest import make_config, src_env
 
@@ -123,7 +129,7 @@ def modules_by_command(tmp_path_factory):
 
 
 def test_start_up_loads_no_algorithm_and_no_hashlib(modules_by_command):
-    # hashlib serves only the manifest that ``pipeline`` writes
+    # no module imports hashlib: ``pipeline`` hashes its manifest with CPython's own SHA-256
     loaded = modules_by_command["import + load_config"]
     assert {f"debatesum.{m}" for m in ALGORITHMS} & loaded == set()
     assert "hashlib" not in loaded
@@ -171,3 +177,42 @@ def test_only_the_commands_that_read_an_artifact_load_its_checks(modules_by_comm
         "cluster --method term", "cluster --method xmeans", "label", "align", "chart",
         "eval silhouette",
     }
+
+
+@pytest.fixture(scope="module")
+def pipeline_runs(tmp_path_factory):
+    """Clustering method -> (the modules a fresh ``pipeline`` process loaded,
+    its output directory), on the sample inputs with gold."""
+    out = {}
+    for method in ("term", "xmeans"):
+        tmp_path = tmp_path_factory.mktemp(f"pipeline-{method}")
+        config = str(make_config(tmp_path, clustering_method=method))
+        out[method] = modules_loaded(RUN_COMMAND, "pipeline", "--config", config), tmp_path / "out"
+    return out
+
+
+def test_pipeline_never_maps_openssl(pipeline_runs):
+    # hashlib would load _hashlib and OpenSSL (3.6 MiB resident) for the manifest alone;
+    # under X-means numpy.random loads them through hmac, so only the term run shows it
+    loaded, _ = pipeline_runs["term"]
+    assert {"hashlib", "_hashlib"} & loaded == set()
+
+
+@pytest.mark.parametrize("method", ["term", "xmeans"])
+def test_manifest_digests_are_sha256_of_the_written_files(pipeline_runs, method):
+    _, out = pipeline_runs[method]
+    artifacts = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["artifacts"]
+    written = {p.name for p in out.iterdir()} - {"manifest.json"}
+    assert artifacts == {
+        name: "sha256:" + hashlib.sha256((out / name).read_bytes()).hexdigest() for name in written
+    }
+
+
+def test_without_a_built_in_sha256_the_manifest_uses_hashlib(monkeypatch):
+    def without_built_in(name):
+        if name in ("_sha2", "_sha256"):
+            raise ImportError(name)
+        return import_module(name)
+
+    monkeypatch.setattr(pipeline, "import_module", without_built_in)
+    assert pipeline._sha256() is hashlib.sha256
