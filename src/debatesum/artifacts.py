@@ -121,13 +121,14 @@ def check_consistency(docs: dict, paths: dict) -> None:
     (stem -> document read from ``paths[stem]``) disagree: a topic id used
     twice in one artifact, a sentence id annotated twice, a cluster id used
     twice, a member of clusters on two topics or sides or of two x-means
-    clusters, a salient or member id that is no annotated sentence of its
-    topic, a label of its own on a cluster unless the method is ``term`` (or
-    none with it), a member of a term cluster without the cluster's term, a
-    cluster with no member, a member twice, no label or two labels, a label
-    for no cluster, or an aligned pair that names no labeled cluster of its
-    topic and side or a cluster another pair names, is not labeled as its
-    agree cluster is, or scores outside [threshold, 1]."""
+    clusters, a member that is no salient sentence of its topic and side, a
+    salient or member id that is no annotated sentence of its topic, a label
+    of its own on a cluster unless the method is ``term`` (or none with it),
+    a member of a term cluster without the cluster's term, a cluster with no
+    member, a member twice, no label or two labels, a label for no cluster,
+    or an aligned pair that names no labeled cluster of its topic and side or
+    a cluster another pair names, is not labeled as its agree cluster is, or
+    scores outside [threshold, 1]."""
 
     def fail(artifact: str, problem: str):
         raise ValidationError(f"inconsistent artifact {paths[artifact]}: {problem}")
@@ -163,6 +164,17 @@ def check_consistency(docs: dict, paths: dict) -> None:
     if not is_term and len(home) < sum(len(c["members"]) for _, _, c in clusters):
         repeated = Counter(sid for _, _, c in clusters for sid in c["members"]).most_common(1)[0][0]
         fail("clusters", f"sentence id {repeated!r} is a member of two x-means clusters")
+    if "salient" in docs:  # cluster clusters the salient sentences of each topic and side
+        selected = {
+            (t["topic_id"], comment["side"], sid)
+            for t in docs["salient"]["topics"]
+            for comment in t["comments"] for sid in comment["sentence_ids"]
+        }
+        for topic_id, side, c in clusters:
+            for sid in c["members"]:
+                if (topic_id, side, sid) not in selected:
+                    fail("clusters", f"member {sid!r} of {c['cluster_id']!r} is no salient sentence "
+                         f"of topic {topic_id!r} and side {side!r} in {paths['salient']}")
     if "annotations" in docs:
         annotated = {
             t["topic_id"]: {s["sentence_id"] for s in t["sentences"]}

@@ -790,14 +790,15 @@ STAGES = (
     Stage("label", "labels", ("clusters", "annotations"), False, "label every cluster",
           lambda config, inputs, docs: compute_labels(
               docs["clusters"], _terms(docs), config.labeling_method, config.seed)),
-    Stage("align", "alignment", ("clusters", "labels"), True,
+    # align and chart read no salient sentence, and chart no label, but they
+    # need salient.json and labels.json so that check_consistency rejects a
+    # member of another topic or side and a pair naming an unlabeled cluster
+    Stage("align", "alignment", ("clusters", "labels", "salient"), True,
           "align agree and disagree clusters by label",
           lambda config, inputs, docs: compute_alignment(
               docs["clusters"], docs["labels"], inputs.synonyms, config.alignment_threshold,
               config.seed)),
-    # chart reads no label, but needs labels.json so that check_consistency
-    # rejects a pair naming an unlabeled cluster
-    Stage("chart", "charts", ("clusters", "labels", "alignment"), False,
+    Stage("chart", "charts", ("clusters", "labels", "alignment", "salient"), False,
           "render the Chart Summary per topic",
           lambda config, inputs, docs: compute_charts(docs["clusters"], docs["alignment"])),
     Stage("eval", "evaluation", ("clusters", "annotations"), True, "evaluation metrics",

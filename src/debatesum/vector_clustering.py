@@ -13,9 +13,11 @@ floors the pooled variance at VARIANCE_FLOOR times the variance of the whole
 input: float noise never counts as variance, and a split of two or more
 distinct points into zero-variance children is accepted.
 
-Everything here is deterministic given (inputs, seed): k-means++ draws from a
-seeded generator, split seeds lie on the cluster's principal axis, and ties
-resolve by lowest index.
+Everything here is deterministic given (inputs, seed): k-means++ draws from
+numpy's ``default_rng`` stream (SeedSequence, then PCG64), which ``_pcg64``
+reproduces bit for bit without numpy's random module, so the artifacts no
+longer depend on that module's code; split seeds lie on the cluster's
+principal axis, and ties resolve by lowest index.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import math
 from typing import Mapping, NamedTuple, Sequence
 
 from ._numpy import np
+from ._pcg64 import Generator
 from .annotate import Term
 from .errors import ComputationError
 
@@ -237,11 +240,12 @@ def _lloyd(
 
 
 def _kmeans_plusplus_init(
-    points: np.ndarray, weights: np.ndarray, k: int, rng: np.random.Generator
+    points: np.ndarray, weights: np.ndarray, k: int, rng: Generator
 ) -> np.ndarray:
     """k-means++ seeds drawn with probability proportional to weight times the
     squared distance to the nearest seed; equal weights draw the first seed
-    uniformly, as the unweighted algorithm does."""
+    uniformly, as the unweighted algorithm does. ``rng`` may also be numpy's
+    own generator, whose draws ``Generator`` reproduces."""
     n = points.shape[0]
     if np.all(weights == weights[0]):
         chosen = [int(rng.integers(n))]
@@ -257,52 +261,6 @@ def _kmeans_plusplus_init(
             chosen.append(int(rng.choice(n, p=mass / total)))
         closest = np.minimum(closest, ((points - points[chosen[-1]]) ** 2).sum(axis=1))
     return points[chosen].astype(float).copy()
-
-
-def kmeans(
-    points: np.ndarray,
-    k: int,
-    seed: int = 0,
-) -> ClusteringResult:
-    """Seeded k-means++ initialization followed by Lloyd iterations.
-
-    Deterministic given (points, k, seed). The per-iteration distortions in
-    ``distortion_history`` never increase. Every row is its own point:
-    identical rows may land in different clusters when k exceeds the number
-    of distinct rows.
-    """
-    points = np.asarray(points, dtype=float)
-    if points.ndim != 2:
-        raise ComputationError("points must be a 2-d array")
-    n = points.shape[0]
-    if k < 1:
-        raise ComputationError(f"k must be >= 1, got {k}")
-    if k > n:
-        raise ComputationError(f"k={k} exceeds point count n={n}")
-    weights = np.ones(n)
-    rng = np.random.default_rng(seed)
-    centroids = _kmeans_plusplus_init(points, weights, k, rng)
-    assignments, centroids, iterations, history = _lloyd(points, weights, centroids, MAX_ITER)
-    return ClusteringResult(
-        k=k,
-        assignments=assignments,
-        centroids=centroids,
-        bic=_safe_bic(points, weights, assignments, centroids, k),
-        iterations=iterations,
-        seed=seed,
-        distortion_history=tuple(history),
-    )
-
-
-def bic_score(points: np.ndarray, result: ClusteringResult) -> float:
-    """BIC of the identical-spherical-variance Gaussian model of a clustering.
-
-    BIC = L - (p/2) log n with p = k (d+1) free parameters and the variance
-    MLE pooled over clusters. Larger is better. n == k leaves the variance
-    undefined and zero variance is degenerate; both raise.
-    """
-    points = np.asarray(points, dtype=float)
-    return _bic(points, np.ones(len(points)), result.assignments, result.centroids, result.k)
 
 
 def _bic(
@@ -388,7 +346,7 @@ def _try_split(
     offset = SPLIT_SEED_FRACTION * radius * _principal_direction(members, weights)
 
     def restarts():
-        rng = np.random.default_rng(restart_seed)
+        rng = Generator(restart_seed)
         for _ in range(SPLIT_RESTARTS):
             yield _kmeans_plusplus_init(members, weights, 2, rng)
 
@@ -439,7 +397,7 @@ def xmeans(
     mean = weights @ distinct / n
     floor = VARIANCE_FLOOR * float(weights @ ((distinct - mean) ** 2).sum(axis=1)) / n
 
-    rng = np.random.default_rng(seed)
+    rng = Generator(seed)
     centroids = _kmeans_plusplus_init(distinct, weights, k_min, rng)
     assignments, centroids, iterations, history = _lloyd(distinct, weights, centroids, MAX_ITER)
     k = k_min

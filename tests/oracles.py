@@ -1,0 +1,64 @@
+"""Reference implementations that only tests call.
+
+``kmeans`` seeds from numpy's own ``np.random.default_rng``, not from the
+generator X-means uses, so the tests that compare X-means with it also
+compare the two streams.
+"""
+
+import numpy as np
+
+from debatesum.errors import ComputationError
+from debatesum.vector_clustering import (
+    MAX_ITER,
+    ClusteringResult,
+    _bic,
+    _kmeans_plusplus_init,
+    _lloyd,
+    _safe_bic,
+)
+
+
+def kmeans(
+    points: np.ndarray,
+    k: int,
+    seed: int = 0,
+) -> ClusteringResult:
+    """Seeded k-means++ initialization followed by Lloyd iterations.
+
+    Deterministic given (points, k, seed). The per-iteration distortions in
+    ``distortion_history`` never increase. Every row is its own point:
+    identical rows may land in different clusters when k exceeds the number
+    of distinct rows.
+    """
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2:
+        raise ComputationError("points must be a 2-d array")
+    n = points.shape[0]
+    if k < 1:
+        raise ComputationError(f"k must be >= 1, got {k}")
+    if k > n:
+        raise ComputationError(f"k={k} exceeds point count n={n}")
+    weights = np.ones(n)
+    rng = np.random.default_rng(seed)
+    centroids = _kmeans_plusplus_init(points, weights, k, rng)
+    assignments, centroids, iterations, history = _lloyd(points, weights, centroids, MAX_ITER)
+    return ClusteringResult(
+        k=k,
+        assignments=assignments,
+        centroids=centroids,
+        bic=_safe_bic(points, weights, assignments, centroids, k),
+        iterations=iterations,
+        seed=seed,
+        distortion_history=tuple(history),
+    )
+
+
+def bic_score(points: np.ndarray, result: ClusteringResult) -> float:
+    """BIC of the identical-spherical-variance Gaussian model of a clustering.
+
+    BIC = L - (p/2) log n with p = k (d+1) free parameters and the variance
+    MLE pooled over clusters. Larger is better. n == k leaves the variance
+    undefined and zero variance is degenerate; both raise.
+    """
+    points = np.asarray(points, dtype=float)
+    return _bic(points, np.ones(len(points)), result.assignments, result.centroids, result.k)

@@ -19,6 +19,7 @@ from collections import Counter
 import numpy as np
 
 from conftest import SAMPLE_DIR
+from oracles import bic_score, kmeans
 
 from debatesum.corpus import load_corpus, load_gold
 from debatesum.evalkit import RougeVariant, rouge, silhouette
@@ -32,10 +33,8 @@ from debatesum.saliency import default_lexicons
 from debatesum.term_clustering import cluster_by_shared_term
 from debatesum import vector_clustering
 from debatesum.vector_clustering import (
-    bic_score,
     build_similarity_matrix,
     build_term_vectors,
-    kmeans,
     pca_fit_transform,
     xmeans,
 )

@@ -507,8 +507,10 @@ class TestCli:
         err = capsys.readouterr().err
         assert "clusters.json" in err and "'t1-c4-s1'" in err and "t2/agree" in err
 
+    # before, align and chart exited 0 with the member of t1 in a cluster of t2
     @pytest.mark.parametrize("command, artifact", [
         (["label"], "clusters"), (["eval", "silhouette"], "clusters"), (["cluster"], "salient"),
+        (["align"], "clusters"), (["chart"], "clusters"),
     ])
     def test_sentence_of_another_topic_exit_3(self, tmp_path, capsys, command, artifact):
         # t1-c1-s2 is annotated in t1 but is in no salient list and no cluster
@@ -532,6 +534,24 @@ class TestCli:
         assert main([*command, "--config", str(config_path)]) == 3
         err = capsys.readouterr().err
         assert f"{artifact}.json" in err and "'t1-c1-s2'" in err and "topic 't2'" in err
+
+    @pytest.mark.parametrize("command", [["align"], ["chart"]])
+    def test_member_of_the_other_sides_cluster_exit_3(self, tmp_path, capsys, command):
+        # a disagree sentence moved, with its point, into an agree cluster of its
+        # topic: every file still agrees but salient.json; before, both exited 0
+        config_path = make_config(tmp_path)
+        assert main(["pipeline", "--config", str(config_path)]) == 0
+        clusters = tmp_path / "out" / "clusters.json"
+        doc = read_json(clusters)
+        agree, disagree = doc["topics"][0]["sides"]["agree"], doc["topics"][0]["sides"]["disagree"]
+        assert disagree["clusters"][0]["members"] == ["t1-c4-s1", "t1-c6-s1"]
+        agree["clusters"][1]["members"].append(disagree["clusters"][0]["members"].pop())
+        agree["points"]["t1-c6-s1"] = disagree["points"].pop("t1-c6-s1")
+        clusters.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert main([*command, "--config", str(config_path)]) == 3
+        err = capsys.readouterr().err
+        assert "clusters.json" in err and "'t1-c6-s1'" in err and "side 'agree'" in err
 
     def test_annotations_without_topic_id_exit_3(self, tmp_path, capsys):
         config_path = make_config(tmp_path)

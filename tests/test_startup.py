@@ -2,11 +2,13 @@
 numpy, no command loads numpy.ma or dataclasses, each command loads only its
 own stage's algorithm modules, only the commands that select sentences load
 the selection module, only the commands that read an artifact load its
-checks, importing one module loads only the modules it imports, and
-``pipeline`` hashes its manifest without mapping OpenSSL."""
+checks, importing one module loads only the modules it imports, ``pipeline``
+hashes its manifest without mapping OpenSSL, and the numeric commands, X-means
+included, never load numpy's random module, which maps OpenSSL through hmac."""
 
 import hashlib
 import json
+import re
 import subprocess
 import sys
 from importlib import import_module
@@ -15,7 +17,7 @@ import pytest
 
 from debatesum import pipeline
 
-from conftest import make_config, src_env
+from conftest import REPO_ROOT, make_config, src_env
 
 RUN_COMMAND = """
 import sys
@@ -192,10 +194,25 @@ def pipeline_runs(tmp_path_factory):
 
 
 def test_pipeline_never_maps_openssl(pipeline_runs):
-    # hashlib would load _hashlib and OpenSSL (3.6 MiB resident) for the manifest alone;
-    # under X-means numpy.random loads them through hmac, so only the term run shows it
+    # hashlib would load _hashlib and OpenSSL (3.6 MiB resident) for the manifest alone
     loaded, _ = pipeline_runs["term"]
     assert {"hashlib", "_hashlib"} & loaded == set()
+
+
+def test_x_means_and_silhouette_never_load_numpy_random(pipeline_runs, modules_by_command):
+    # numpy's random module imports secrets, hmac, hashlib and _hashlib, which maps
+    # OpenSSL: about 6 MiB resident; X-means draws from debatesum._pcg64 instead
+    loaded = {
+        "pipeline (xmeans)": pipeline_runs["xmeans"][0],
+        "cluster --method xmeans": modules_by_command["cluster --method xmeans"],
+        "eval silhouette": modules_by_command["eval silhouette"],
+    }
+    assert all("numpy" in modules for modules in loaded.values())
+    unwanted = {"numpy.random", "secrets", "hmac", "hashlib", "_hashlib"}
+    assert {c: unwanted & modules for c, modules in loaded.items()} == {c: set() for c in loaded}
+    package = REPO_ROOT / "src" / "debatesum"
+    files = [p for p in package.rglob("*") if p.is_file() and "__pycache__" not in p.parts]
+    assert [p.name for p in files if re.search(rb"n(um)?py\.random", p.read_bytes())] == []
 
 
 @pytest.mark.parametrize("method", ["term", "xmeans"])

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import bic_score, kmeans
+
 from debatesum.errors import ComputationError
 from debatesum.vector_clustering import (
     ClusteringResult,
-    bic_score,
     build_similarity_matrix,
     build_term_vectors,
-    kmeans,
     pca_fit_transform,
     xmeans,
 )
