@@ -12,7 +12,7 @@ import numpy as np
 
 from debatesum.corpus import load_corpus, load_gold
 from debatesum.evalkit import krippendorff_alpha, mann_whitney_u, rouge, silhouette
-from debatesum.pipeline import compute_rouge_table
+from debatesum.pipeline import comment_selections, compute_rouge_table
 from debatesum.saliency import default_lexicons, load_embeddings
 
 SAMPLE = Path(__file__).resolve().parents[1] / "data" / "sample"
@@ -23,7 +23,7 @@ def main():
     gold = load_gold(SAMPLE / "gold.json", corpus)
     lexicons = default_lexicons(embeddings=load_embeddings(SAMPLE / "embeddings.txt"))
 
-    table = compute_rouge_table(corpus, gold, lexicons)
+    table = compute_rouge_table(corpus, gold, comment_selections(corpus, lexicons))
     print("mean ROUGE recall per selection feature (sample corpus, 3 annotators):")
     print(f"{'feature':<10} {'R-1':>7} {'R-2':>7} {'R-SU4':>7}")
     for feature, row in table.items():

@@ -200,8 +200,8 @@ def check_consistency(docs: dict, paths: dict) -> None:
                 if label not in carried:
                     fail("annotations", f"sentence {sid!r} lacks the term {c['label']!r} of its "
                          f"cluster {c['cluster_id']!r} in {paths['clusters']}")
+    label_by_id: dict[str, str] = {}  # empty without labels.json: clusters' own labels only
     if "labels" in docs:
-        label_by_id = {}
         for entry in docs["labels"]["clusters"]:
             cluster_id = entry["cluster_id"]
             if cluster_id not in cluster_ids:
@@ -220,7 +220,7 @@ def check_consistency(docs: dict, paths: dict) -> None:
             for pair in topic["pairs"]:
                 for side in Side:
                     cluster_id = pair[f"{side.value}_cluster_id"]
-                    if label_of.get((topic["topic_id"], side.value, cluster_id), UNLABELED) == UNLABELED:
+                    if label_of.get((topic["topic_id"], side.value, cluster_id)) in (None, UNLABELED):
                         fail("alignment", f"pair {pair['label']!r} names {cluster_id!r}, "
                              f"no labeled {side.value} cluster of topic {topic['topic_id']!r}")
                     if cluster_id in paired:

@@ -25,6 +25,7 @@ from .pipeline import (
     LABEL_METHODS,
     STAGE,
     STAGES,
+    Feature,
     PipelineConfig,
     Stage,
     artifact_files,
@@ -160,13 +161,10 @@ def _dispatch(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     if args.command == "eval" and args.metric == "rouge":
-        inputs = load_inputs(config)
+        inputs = load_inputs(config, tuple(Feature))
         if not inputs.gold:
             raise ConfigError("eval rouge needs gold_path in the config")
-        table = compute_rouge_table(
-            inputs.corpus, inputs.gold, inputs.lexicons,
-            ratio=config.ratio, signature_threshold=config.signature_threshold,
-        )
+        table = compute_rouge_table(inputs.corpus, inputs.gold, inputs.selections)
         write_json(out / "evaluation_rouge.json", {"rouge": table, "seed": config.seed})
         print(f"wrote {out / 'evaluation_rouge.json'}")
         return EXIT_OK

@@ -22,7 +22,6 @@ import re
 import sys
 import warnings
 from enum import Enum
-from functools import lru_cache
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
@@ -159,15 +158,7 @@ class DebateTopic(NamedTuple):
     id: str
     title: str
     comments: tuple[Comment, ...]
-
-    @property
-    def title_tokens(self) -> tuple[str, ...]:
-        return _title_tokens(self.title)
-
-
-@lru_cache(maxsize=1)  # a topic's comments are scored one after another
-def _title_tokens(title: str) -> tuple[str, ...]:
-    return tuple(tokenize(title))
+    title_tokens: tuple[str, ...]  # tokenize(title), required: () would score TT and COS_TTS 0
 
 
 class GoldAnnotation(NamedTuple):
@@ -203,7 +194,7 @@ def _record_id(obj: dict, what: str, parent: str | None) -> str:
 
 
 def load_corpus(path: str | Path) -> list[DebateTopic]:
-    """Load and validate a corpus file, tokenizing every sentence.
+    """Load and validate a corpus file, tokenizing every sentence and title.
 
     Raises ParseError for malformed JSON/schema and ValidationError for
     violated invariants (duplicate ids, unknown side, gaps in sentence
@@ -260,7 +251,7 @@ def load_corpus(path: str | Path) -> list[DebateTopic]:
                 text = str(_require(s, "text", str, sid))
                 sentences.append(Sentence.make(sid, position, text))
             comments.append(Comment(id=cid, side=side, sentences=tuple(sentences)))
-        topics.append(DebateTopic(id=tid, title=title, comments=tuple(comments)))
+        topics.append(DebateTopic(tid, title, tuple(comments), tuple(tokenize(title))))
     return topics
 
 

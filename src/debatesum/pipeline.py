@@ -80,6 +80,7 @@ for _module, _names in _DEFERRED.items():
 
 CLUSTER_METHODS = ("term", "xmeans")
 LABEL_METHODS = ("shared", "tfidf", "mi")
+Selections = dict[str, dict[Feature, tuple[str, ...]]]  # comment id -> feature -> selected ids
 
 
 class PipelineConfig(NamedTuple):
@@ -189,21 +190,21 @@ def validate_config(config: PipelineConfig) -> None:
 
 
 class PipelineInputs:
-    """What the stages read from the config's input files.
+    """What the stages read from the config's input files, and the run's selections.
 
-    The gazetteer and synonym table load at once. The corpus, gold and
-    lexicons load on first access, so a stage that needs only the term tables
-    (cluster, align, eval silhouette) never parses the corpus.
-    ``selection_cache`` is None unless another reader in the process (the
-    ROUGE table) will use the select stage's selections: as a dict it holds
-    ``comment_selections`` results for this corpus.
+    The gazetteer and synonym table load at once. The corpus, gold, lexicons
+    and selections load on first access, so a stage that needs only the term
+    tables (cluster, align, eval silhouette) never parses the corpus.
+    ``selections`` is ``comment_selections`` for ``features`` (by default the
+    configured feature alone): the select stage and the ROUGE table of one
+    run read this one value.
     """
 
-    def __init__(self, config: PipelineConfig):
+    def __init__(self, config: PipelineConfig, features: tuple[Feature, ...] | None = None):
         self.config = config
+        self.features = features or (config.feature,)
         self.gazetteer = load_gazetteer(config.gazetteer_path)
         self.synonyms = load_synonyms(config.synonyms_path)
-        self.selection_cache: dict | None = None
 
     @cached_property
     def corpus(self) -> list[DebateTopic]:
@@ -222,9 +223,16 @@ class PipelineInputs:
             embeddings=load_embeddings(path) if path else None,
         )
 
+    @cached_property
+    def selections(self) -> Selections:
+        config = self.config
+        return comment_selections(
+            self.corpus, self.lexicons, config.ratio, config.signature_threshold, self.features
+        )
 
-def load_inputs(config: PipelineConfig) -> PipelineInputs:
-    return PipelineInputs(config)
+
+def load_inputs(config: PipelineConfig, features: tuple[Feature, ...] | None = None) -> PipelineInputs:
+    return PipelineInputs(config, features)
 
 
 # ---------------------------------------------------------------------------
@@ -301,23 +309,16 @@ def comment_selections(
     lexicons: Lexicons,
     ratio: float = 0.2,
     signature_threshold: float = LLR_THRESHOLD_P001,
-    cache: dict | None = None,
     features: Collection[Feature] = tuple(Feature),
-) -> dict[str, dict[Feature, tuple[str, ...]]]:
+) -> Selections:
     """comment id -> feature -> ids of the sentences the feature selects.
 
     Each comment is scored once, for ``features`` only; only the selected
     ids are kept. Topic signatures are computed, once per topic from its
     token counts (summed for the corpus's), only when COS_TPS or CB is among
-    ``features``. ``cache`` maps (ratio, threshold) to all nine features'
-    selections for the same corpus and lexicons: with a cache every feature
-    is selected, and the result is stored there.
+    ``features``. ``compute_salient`` and ``compute_rouge_table`` read the
+    result; a run computes it once (``PipelineInputs.selections``).
     """
-    key = (ratio, signature_threshold)
-    if cache is not None:
-        if key in cache:
-            return cache[key]
-        features = tuple(Feature)
     signed = Feature.COS_TPS in features or Feature.CB in features
     topic_counts = [_token_counts([topic]) if signed else None for topic in corpus]
     corpus_counts = Counter()
@@ -336,26 +337,19 @@ def comment_selections(
                 f: tuple(sentences[i].id for i in salient_indices(scores.column(f), ratio))
                 for f in features
             }
-    if cache is not None:
-        cache[key] = selections
     return selections
 
 
 def compute_salient(
     corpus: list[DebateTopic],
-    lexicons: Lexicons,
+    selections: Selections,
     feature: Feature = Feature.SP,
     ratio: float = 0.2,
-    signature_threshold: float = LLR_THRESHOLD_P001,
     seed: int = 0,
-    cache: dict | None = None,
 ) -> dict:
-    """Salient sentence ids per comment for ``feature``. Only ``feature`` is
-    scored, unless a ``cache`` (as in ``comment_selections``) asks for all
-    nine features' selections for the cache's other readers."""
-    selections = comment_selections(
-        corpus, lexicons, ratio, signature_threshold, cache, (feature,)
-    )
+    """Salient sentence ids per comment for ``feature``, read from
+    ``selections`` (``comment_selections`` at ``ratio``, ``feature`` among
+    its features); ``ratio`` and ``seed`` are echoed in the document."""
     topics = []
     for topic in corpus:
         comments = [
@@ -627,25 +621,18 @@ def compute_charts(clusters_doc: dict, alignment_doc: dict) -> dict:
     }
 
 
-def compute_rouge_table(
-    corpus: list[DebateTopic],
-    gold,
-    lexicons: Lexicons,
-    ratio: float = 0.2,
-    signature_threshold: float = LLR_THRESHOLD_P001,
-    cache: dict | None = None,
-) -> dict:
+def compute_rouge_table(corpus: list[DebateTopic], gold, selections: Selections) -> dict:
     """Per-feature ROUGE-1/2/SU4 against the gold selections (Table-1 shape).
 
-    Each comment's distinct selections and references are scored in one
-    batch (``rouge_batch``); every feature that chose a selection gets its
-    scores, added up in comment order. ``cache`` as in ``comment_selections``.
+    ``selections`` is ``comment_selections`` for all nine features. Each
+    comment's distinct selections and references are scored in one batch
+    (``rouge_batch``); every feature that chose a selection gets its scores,
+    added up in comment order.
     """
     from .evalkit import RougeVariant
     gold_by_comment: dict[str, list[frozenset[str]]] = {}
     for annotation in gold:
         gold_by_comment.setdefault(annotation.comment_id, []).append(annotation.selected_sentence_ids)
-    selections = comment_selections(corpus, lexicons, ratio, signature_threshold, cache)
 
     totals = np.zeros((len(Feature), len(RougeVariant), 3))
     scored = 0
@@ -732,14 +719,7 @@ def compute_evaluation(
 ) -> dict:
     rouge_table = None
     if inputs.gold:
-        rouge_table = compute_rouge_table(
-            inputs.corpus,
-            inputs.gold,
-            inputs.lexicons,
-            ratio=config.ratio,
-            signature_threshold=config.signature_threshold,
-            cache=inputs.selection_cache,
-        )
+        rouge_table = compute_rouge_table(inputs.corpus, inputs.gold, inputs.selections)
     silhouette_report = compute_silhouette_report(
         clusters_doc, terms, inputs.gazetteer, inputs.synonyms
     )
@@ -781,8 +761,7 @@ STAGES = (
               inputs.corpus, inputs.gazetteer, inputs.synonyms, config.seed)),
     Stage("select", "salient", (), True, "select salient sentences per comment",
           lambda config, inputs, docs: compute_salient(
-              inputs.corpus, inputs.lexicons, config.feature, config.ratio,
-              config.signature_threshold, config.seed, inputs.selection_cache)),
+              inputs.corpus, inputs.selections, config.feature, config.ratio, config.seed)),
     Stage("cluster", "clusters", ("annotations", "salient"), True,
           "cluster the salient sentences of each side",
           lambda config, inputs, docs: compute_clusters(
@@ -851,11 +830,10 @@ def run_pipeline(config: PipelineConfig) -> dict:
     Returns the manifest document. On any stage failure the partially
     written artifacts are removed and the error propagates.
     """
-    inputs = _stage("load", load_inputs, config)
+    # with gold, the ROUGE table reads all nine features' selections
+    inputs = _stage("load", load_inputs, config, tuple(Feature) if config.gold_path else None)
     # a full run parses every input file before the first stage, as the load stage
     _stage("load", lambda: (inputs.corpus, inputs.lexicons, inputs.gold))
-    if inputs.gold:
-        inputs.selection_cache = {}  # the ROUGE table reads all nine features' selections
     docs: dict = {}
     for stage in STAGES:
         docs[stage.artifact] = _stage(stage.command, stage.compute, config, inputs, docs)

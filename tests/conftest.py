@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from debatesum.corpus import Comment, DebateTopic, Sentence, Side
+from debatesum.cli import main
+from debatesum.corpus import Comment, DebateTopic, Sentence, Side, read_json, tokenize
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SAMPLE_DIR = REPO_ROOT / "data" / "sample"
@@ -42,7 +43,7 @@ def make_comment(cid: str, side: Side, texts: list[str]) -> Comment:
 
 
 def make_topic(tid: str, title: str, comments: list[Comment]) -> DebateTopic:
-    return DebateTopic(id=tid, title=title, comments=tuple(comments))
+    return DebateTopic(tid, title, tuple(comments), tuple(tokenize(title)))
 
 
 def write_corpus_json(path: Path, topics: list[dict]) -> Path:
@@ -95,3 +96,23 @@ def make_config(tmp_path: Path, **overrides) -> Path:
     path = work / "config.json"
     path.write_text(json.dumps(config, indent=2), encoding="utf-8")
     return path
+
+
+def assert_staged_run_matches_pipeline(config_path: Path, tmp_path: Path, commands, run) -> None:
+    """Run each stage command with ``run(argv) -> exit code`` into ``tmp_path/out``,
+    then check that ``pipeline`` writes the same bytes."""
+    for command in commands:
+        assert run([*command, "--config", str(config_path)]) == 0, command
+    staged_out = tmp_path / "out"
+    full_out = tmp_path / "full"
+    assert main(["pipeline", "--config", str(config_path), "--out", str(full_out)]) == 0
+    charts = sorted(p.name for p in full_out.glob("chart_*"))
+    assert charts
+    assert sorted(p.name for p in staged_out.glob("chart_*")) == charts
+    for name in (
+        "annotations.json", "salient.json", "clusters.json", "labels.json",
+        "alignment.json", *charts,
+    ):
+        assert (full_out / name).read_bytes() == (staged_out / name).read_bytes(), name
+    staged_silhouette = read_json(staged_out / "evaluation_silhouette.json")["silhouette"]
+    assert staged_silhouette == read_json(full_out / "evaluation.json")["silhouette"]

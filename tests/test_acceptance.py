@@ -25,6 +25,7 @@ from debatesum.corpus import load_corpus, load_gold
 from debatesum.evalkit import RougeVariant, rouge, silhouette
 from debatesum.labeling import ContingencyCounts, mi_label, mutual_information, term_index, tfidf_labels
 from debatesum.pipeline import (
+    comment_selections,
     compute_rouge_table,
     load_config,
     run_pipeline,
@@ -268,7 +269,7 @@ def _rouge_against_oracle() -> tuple[bool, str]:
 def _rouge_against_corpus(corpus_path: str, gold_path: str) -> tuple[bool, str]:
     corpus = load_corpus(corpus_path)
     gold = load_gold(gold_path, corpus)
-    table = compute_rouge_table(corpus, gold, default_lexicons())
+    table = compute_rouge_table(corpus, gold, comment_selections(corpus, default_lexicons()))
     sp = {v: table["SP"][v]["recall"] for v in ("R1", "R2", "RSU4")}
     dominated = all(
         sp[v] >= table[f][v]["recall"]

@@ -13,27 +13,7 @@ from debatesum.cli import main
 from debatesum.errors import ConfigError
 from debatesum.pipeline import PipelineConfig, load_config, read_json, run_pipeline
 
-from conftest import SAMPLE_DIR, make_config, src_env
-
-
-def assert_staged_run_matches_pipeline(config_path: Path, tmp_path: Path, commands, run) -> None:
-    """Run each stage command with ``run(argv) -> exit code`` into ``tmp_path/out``,
-    then check that ``pipeline`` writes the same bytes."""
-    for command in commands:
-        assert run([*command, "--config", str(config_path)]) == 0, command
-    staged_out = tmp_path / "out"
-    full_out = tmp_path / "full"
-    assert main(["pipeline", "--config", str(config_path), "--out", str(full_out)]) == 0
-    charts = sorted(p.name for p in full_out.glob("chart_*"))
-    assert charts
-    assert sorted(p.name for p in staged_out.glob("chart_*")) == charts
-    for name in (
-        "annotations.json", "salient.json", "clusters.json", "labels.json",
-        "alignment.json", *charts,
-    ):
-        assert (full_out / name).read_bytes() == (staged_out / name).read_bytes(), name
-    staged_silhouette = read_json(staged_out / "evaluation_silhouette.json")["silhouette"]
-    assert staged_silhouette == read_json(full_out / "evaluation.json")["silhouette"]
+from conftest import SAMPLE_DIR, assert_staged_run_matches_pipeline, make_config, src_env
 
 
 EXPECTED_ARTIFACTS = (
@@ -1042,3 +1022,22 @@ class TestCli:
         # a ratings file is an input: a shape error calls it one, never an artifact
         assert "artifact" not in err
         assert "malformed" not in err or "malformed ratings file <path>: $" in err
+
+
+@pytest.mark.parametrize("method", ["term", "xmeans"])
+def test_consistency_without_labels_judges_pairs_by_their_clusters_own_labels(tmp_path, method):
+    """``check_consistency`` given clusters and alignment but no labels: a term
+    run's pairs carry their clusters' own labels and pass, and an x-means
+    run's pairs name clusters with no label of their own (once a NameError)."""
+    from debatesum.artifacts import check_consistency
+    from debatesum.errors import ValidationError
+
+    assert main(["pipeline", "--config", str(make_config(tmp_path, clustering_method=method))]) == 0
+    paths = {name: tmp_path / "out" / f"{name}.json" for name in ("clusters", "alignment")}
+    docs = {name: read_json(path) for name, path in paths.items()}
+    assert any(topic["pairs"] for topic in docs["alignment"]["topics"])
+    if method == "term":
+        check_consistency(docs, paths)
+    else:
+        with pytest.raises(ValidationError, match="no labeled agree cluster"):
+            check_consistency(docs, paths)

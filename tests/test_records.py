@@ -30,7 +30,7 @@ RECORDS = [
     (Sentence, lambda: dict(id="s1", position=1, text="Ice melts.", tokens=("ice", "melts")), True),
     (Comment, lambda: dict(id="c1", side=Side.AGREE, sentences=(_sentence(),)), True),
     (DebateTopic, lambda: dict(id="t1", title="Ice", comments=(
-        Comment(id="c1", side=Side.AGREE, sentences=(_sentence(),)),)), True),
+        Comment(id="c1", side=Side.AGREE, sentences=(_sentence(),)),), title_tokens=("ice",)), True),
     (GoldAnnotation, lambda: dict(
         annotator_id="a1", comment_id="c1", selected_sentence_ids=frozenset({"s1"})), True),
     (TermAnnotation, lambda: dict(sentence_id="s1", term=("ice",), start=0, end=1), True),

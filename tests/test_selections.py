@@ -176,9 +176,9 @@ class TestRougeTable:
         corpus = load_corpus(SAMPLE_DIR / "corpus.json")
         gold = load_gold(SAMPLE_DIR / "gold.json", corpus)
         lexicons = default_lexicons()
-        assert compute_rouge_table(corpus, gold, lexicons) == naive_rouge_table(
-            corpus, gold, lexicons
-        )
+        assert compute_rouge_table(
+            corpus, gold, comment_selections(corpus, lexicons)
+        ) == naive_rouge_table(corpus, gold, lexicons)
 
     def test_sample_data_with_topic_signatures_matches_naive_oracle(self):
         """At 2.0 the sample topics have signatures, so COS_TPS and CB rank a
@@ -188,7 +188,7 @@ class TestRougeTable:
         assert all(topic_signatures_for(corpus, topic, 2.0) for topic in corpus)
         for lexicons in (default_lexicons(), load_inputs(load_config(SAMPLE_DIR / "config.json")).lexicons):
             assert compute_rouge_table(
-                corpus, gold, lexicons, signature_threshold=2.0
+                corpus, gold, comment_selections(corpus, lexicons, signature_threshold=2.0)
             ) == naive_rouge_table(corpus, gold, lexicons, threshold=2.0)
 
     def test_features_sharing_a_selection_match_naive_oracle(self):
@@ -198,20 +198,23 @@ class TestRougeTable:
         # the corpus is only useful if features really do share selections
         assert all(len(set(chosen.values())) < len(Feature) for chosen in selections.values())
         for ratio in (0.2, 0.6):
-            assert compute_rouge_table(corpus, gold, lexicons, ratio=ratio) == naive_rouge_table(
-                corpus, gold, lexicons, ratio=ratio
-            )
+            assert compute_rouge_table(
+                corpus, gold, comment_selections(corpus, lexicons, ratio)
+            ) == naive_rouge_table(corpus, gold, lexicons, ratio=ratio)
 
     def test_cache_is_shared_with_compute_salient(self):
+        """One run's nine-feature selections serve both the select stage and
+        the ROUGE table, as ``PipelineInputs.selections`` does with gold."""
         corpus, gold = short_comment_corpus()
         lexicons = default_lexicons()
-        cache: dict = {}
-        salient = compute_salient(corpus, lexicons, Feature.TT, cache=cache)
-        assert list(cache) == [(0.2, LLR_THRESHOLD_P001)]
-        assert compute_rouge_table(corpus, gold, lexicons, cache=cache) == naive_rouge_table(
+        selections = comment_selections(corpus, lexicons)
+        salient = compute_salient(corpus, selections, Feature.TT)
+        assert compute_rouge_table(corpus, gold, selections) == naive_rouge_table(
             corpus, gold, lexicons
         )
-        assert salient == compute_salient(corpus, lexicons, Feature.TT)
+        assert salient == compute_salient(
+            corpus, comment_selections(corpus, lexicons, features=(Feature.TT,)), Feature.TT
+        )
 
 
 WORDS = ("ice", "sea", "carbon", "tax", "the")
@@ -289,7 +292,7 @@ def test_rouge_table_matches_naive_oracle_on_generated_comments(case, ratio):
                     if kind == "complement":
                         chosen = set(ids) - chosen
                 gold.append(GoldAnnotation(f"a{k}", comment.id, frozenset(chosen)))
-    assert compute_rouge_table(corpus, gold, lexicons, ratio=ratio) == naive_rouge_table(
+    assert compute_rouge_table(corpus, gold, selections) == naive_rouge_table(
         corpus, gold, lexicons, ratio=ratio
     )
 
@@ -330,7 +333,7 @@ def test_selection_counts_each_topic_once(monkeypatch):
 
     monkeypatch.setattr(pipeline, "_token_counts", counting_counts)
     corpus = load_corpus(SAMPLE_DIR / "corpus.json")
-    comment_selections(corpus, default_lexicons(), 0.2, 2.0, cache={})
+    comment_selections(corpus, default_lexicons(), 0.2, 2.0)
     assert counted == Counter((topic.id,) for topic in corpus)
 
 
@@ -346,7 +349,6 @@ def test_pipeline_tokenizes_each_sentence_and_each_title_once(tmp_path, monkeypa
         return real_tokenize(text)
 
     monkeypatch.setattr(corpus_module, "tokenize", counting_tokenize)
-    corpus_module._title_tokens.cache_clear()  # an earlier test may have left a title in it
     run_pipeline(load_config(SAMPLE_DIR / "config.json", {"output_dir": str(tmp_path)}))
     assert tokenized == Counter(
         s.text for topic in corpus for c in topic.comments for s in c.sentences
@@ -357,7 +359,7 @@ def test_pipeline_tokenizes_each_sentence_and_each_title_once(tmp_path, monkeypa
 def test_compute_salient_matches_per_feature_selection(feature):
     corpus = load_corpus(SAMPLE_DIR / "corpus.json")
     lexicons = default_lexicons()
-    doc = compute_salient(corpus, lexicons, feature)
+    doc = compute_salient(corpus, comment_selections(corpus, lexicons, features=(feature,)), feature)
     for topic, topic_doc in zip(corpus, doc["topics"]):
         signatures = list_background_signatures(corpus, topic, LLR_THRESHOLD_P001)
         for comment, comment_doc in zip(topic.comments, topic_doc["comments"]):
@@ -367,13 +369,16 @@ def test_compute_salient_matches_per_feature_selection(feature):
 
 @pytest.mark.parametrize("feature", list(Feature))
 def test_compute_salient_is_the_same_with_and_without_a_cache(feature):
-    """Without a cache only ``feature`` is scored; with one, all nine are."""
+    """From selections of ``feature`` alone, and from the nine features'
+    selections that a run with gold shares with its ROUGE table."""
     corpus = load_corpus(SAMPLE_DIR / "corpus.json")
     for lexicons in (default_lexicons(), load_inputs(load_config(SAMPLE_DIR / "config.json")).lexicons):
         for threshold in (LLR_THRESHOLD_P001, 2.0):  # the sample topics have signatures at 2.0
-            assert compute_salient(corpus, lexicons, feature, 0.2, threshold) == compute_salient(
-                corpus, lexicons, feature, 0.2, threshold, cache={}
+            alone, shared = (
+                comment_selections(corpus, lexicons, 0.2, threshold, features)
+                for features in ((feature,), tuple(Feature))
             )
+            assert compute_salient(corpus, alone, feature) == compute_salient(corpus, shared, feature)
 
 
 @settings(max_examples=25, deadline=None, database=None)
@@ -382,18 +387,19 @@ def test_compute_salient_is_the_same_with_and_without_a_cache(feature):
 def test_compute_salient_is_the_same_with_and_without_a_cache_on_generated_comments(case, ratio):
     corpus, _ = case
     lexicons = default_lexicons()
+    shared = comment_selections(corpus, lexicons, ratio, 1.0)
     for feature in Feature:
-        assert compute_salient(corpus, lexicons, feature, ratio, 1.0) == compute_salient(
-            corpus, lexicons, feature, ratio, 1.0, cache={}
+        alone = comment_selections(corpus, lexicons, ratio, 1.0, (feature,))
+        assert compute_salient(corpus, alone, feature, ratio) == compute_salient(
+            corpus, shared, feature, ratio
         ), feature
 
 
-@pytest.mark.parametrize("command", ["pipeline", "select"])
-@pytest.mark.parametrize("feature", [Feature.SP, Feature.COS_TTS, Feature.COS_TPS, Feature.CB])
-def test_gold_less_runs_score_only_the_configured_feature(tmp_path, monkeypatch, command, feature):
-    """With no ROUGE table to build, each comment is scored once for the
-    configured feature, and topic signatures are computed (once per topic)
-    only for a feature that reads them."""
+def count_scoring(tmp_path, monkeypatch, argv, feature, gold):
+    """Run the CLI command ``argv`` on the sample inputs with ``feature``
+    configured, with or without its gold file. Returns the times each
+    comment was scored, the feature tuples asked for, and the times each
+    topic's signatures were computed."""
     scored: Counter = Counter()
     requested: set = set()
     signed: Counter = Counter()
@@ -411,20 +417,46 @@ def test_gold_less_runs_score_only_the_configured_feature(tmp_path, monkeypatch,
     monkeypatch.setattr(pipeline, "score_comment", counting_score)
     monkeypatch.setattr(pipeline, "topic_signatures_for", counting_signatures)
     raw = json.loads((SAMPLE_DIR / "config.json").read_text(encoding="utf-8"))
-    del raw["gold_path"]
+    if not gold:
+        del raw["gold_path"]
     raw.update(
         {k: str(SAMPLE_DIR / v) for k, v in raw.items() if k.endswith("_path")},
         feature=feature.value,
         output_dir=str(tmp_path / "out"),
     )
     (tmp_path / "config.json").write_text(json.dumps(raw), encoding="utf-8")
-    assert main([command, "--config", str(tmp_path / "config.json")]) == 0
+    assert main([*argv, "--config", str(tmp_path / "config.json")]) == 0
+    return scored, requested, signed
 
+
+@pytest.mark.parametrize("command", ["pipeline", "select"])
+@pytest.mark.parametrize("feature", [Feature.SP, Feature.COS_TTS, Feature.COS_TPS, Feature.CB])
+def test_gold_less_runs_score_only_the_configured_feature(tmp_path, monkeypatch, command, feature):
+    """With no ROUGE table to build, each comment is scored once for the
+    configured feature, and topic signatures are computed (once per topic)
+    only for a feature that reads them."""
+    scored, requested, signed = count_scoring(tmp_path, monkeypatch, [command], feature, gold=False)
     corpus = load_corpus(SAMPLE_DIR / "corpus.json")
     assert scored == Counter(c.id for topic in corpus for c in topic.comments)
     assert requested == {(feature,)}
     reads_signatures = feature in (Feature.COS_TPS, Feature.CB)
     assert signed == (Counter(topic.id for topic in corpus) if reads_signatures else Counter())
+
+
+@pytest.mark.parametrize("argv, all_nine", [
+    (["select"], False),  # gold in the config, but select builds no ROUGE table
+    (["eval", "rouge"], True),
+    (["pipeline"], True),
+])
+def test_runs_with_gold_score_the_features_they_read(tmp_path, monkeypatch, argv, all_nine):
+    """Each comment is scored once: for all nine features where the ROUGE
+    table is built, and for the configured feature alone by a staged select,
+    even though its config names a gold file."""
+    scored, requested, signed = count_scoring(tmp_path, monkeypatch, argv, Feature.COS_TTS, gold=True)
+    corpus = load_corpus(SAMPLE_DIR / "corpus.json")
+    assert scored == Counter(c.id for topic in corpus for c in topic.comments)
+    assert requested == {tuple(Feature) if all_nine else (Feature.COS_TTS,)}
+    assert signed == (Counter(topic.id for topic in corpus) if all_nine else Counter())
 
 
 def test_cos_ccts_reads_the_config_gazetteer(tmp_path):
@@ -438,11 +470,11 @@ def test_cos_ccts_reads_the_config_gazetteer(tmp_path):
         "corpus_path": "corpus.json", "gazetteer_path": "gazetteer.txt",
         "synonyms_path": "synonyms.tsv", "output_dir": "out",
     }))
-    inputs = load_inputs(load_config(tmp_path / "config.json"))
+    inputs = load_inputs(load_config(tmp_path / "config.json"), (Feature.COS_CCTS,))
     assert ("zorblax",) not in default_lexicons().climate_terms
     comment = inputs.corpus[0].comments[0]
     scores = score_comment(comment, inputs.corpus[0], inputs.lexicons, [])
     assert scores.raw[Feature.COS_CCTS][1] > 0.0  # sentence t1-c1-s2
     # one of three sentences is selected; with every score 0 it would be the first
-    doc = compute_salient(inputs.corpus, inputs.lexicons, Feature.COS_CCTS, ratio=0.2)
+    doc = compute_salient(inputs.corpus, inputs.selections, Feature.COS_CCTS, ratio=0.2)
     assert doc["topics"][0]["comments"][0]["sentence_ids"] == ["t1-c1-s2"]
