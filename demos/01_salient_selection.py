@@ -8,16 +8,16 @@ picks the leading sentences while the combined score can differ.
 
 from pathlib import Path
 
-from debatesum.corpus import load_corpus
-from debatesum.pipeline import topic_signatures_for
-from debatesum.saliency import Feature, default_lexicons, load_embeddings, score_comment, select_salient
+from debatesum.corpus import salient_indices
+from debatesum.pipeline import load_config, load_inputs, topic_signatures_for
+from debatesum.saliency import Feature, score_comment
 
 SAMPLE = Path(__file__).resolve().parents[1] / "data" / "sample"
 
 
 def main():
-    corpus = load_corpus(SAMPLE / "corpus.json")
-    lexicons = default_lexicons(embeddings=load_embeddings(SAMPLE / "embeddings.txt"))
+    inputs = load_inputs(load_config(SAMPLE / "config.json"))
+    corpus, lexicons = inputs.corpus, inputs.lexicons
 
     topic = corpus[0]
     print(f"topic {topic.id}: {topic.title!r}")
@@ -44,11 +44,10 @@ def main():
         print(f"{s.id:<10} {sp:>5.2f} {sl:>5.0f} {tt:>5.2f} {cj:>3.0f} {tts:>6.3f} {cb:>6.3f}")
 
     for feature in (Feature.SP, Feature.CB, Feature.COS_TTS):
-        selected = select_salient(comment, scores, feature=feature)
-        texts = {s.id: s.text for s in comment.sentences}
         print(f"\ntop 20% by {feature.value}:")
-        for sid in selected:
-            print(f"  {sid}: {texts[sid]}")
+        for i in salient_indices(scores.column(feature)):
+            s = comment.sentences[i]
+            print(f"  {s.id}: {s.text}")
 
 
 if __name__ == "__main__":

@@ -10,20 +10,16 @@ from pathlib import Path
 
 import numpy as np
 
-from debatesum.corpus import load_corpus, load_gold
+from debatesum.corpus import Feature
 from debatesum.evalkit import krippendorff_alpha, mann_whitney_u, rouge, silhouette
-from debatesum.pipeline import comment_selections, compute_rouge_table
-from debatesum.saliency import default_lexicons, load_embeddings
+from debatesum.pipeline import compute_rouge_table, load_config, load_inputs
 
 SAMPLE = Path(__file__).resolve().parents[1] / "data" / "sample"
 
 
 def main():
-    corpus = load_corpus(SAMPLE / "corpus.json")
-    gold = load_gold(SAMPLE / "gold.json", corpus)
-    lexicons = default_lexicons(embeddings=load_embeddings(SAMPLE / "embeddings.txt"))
-
-    table = compute_rouge_table(corpus, gold, comment_selections(corpus, lexicons))
+    inputs = load_inputs(load_config(SAMPLE / "config.json"), tuple(Feature))
+    table = compute_rouge_table(inputs.corpus, inputs.gold, inputs.selections)
     print("mean ROUGE recall per selection feature (sample corpus, 3 annotators):")
     print(f"{'feature':<10} {'R-1':>7} {'R-2':>7} {'R-SU4':>7}")
     for feature, row in table.items():

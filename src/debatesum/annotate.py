@@ -54,9 +54,6 @@ class Gazetteer:
         self._max_len = max((len(t) for t in terms), default=0)
         self._first_tokens = frozenset(t[0] for t in terms)
 
-    def __len__(self) -> int:
-        return len(self.terms)
-
     def match_at(self, tokens: tuple[str, ...] | list[str], start: int) -> Term | None:
         """Longest gazetteer term starting at token index ``start``, if any."""
         if start >= len(tokens) or tokens[start] not in self._first_tokens:
@@ -131,9 +128,6 @@ class SynonymTable:
                     seen.add(nxt)
                     frontier.append(nxt)
         return frozenset(seen)
-
-    def __len__(self) -> int:
-        return len(self._adjacent)
 
 
 def load_synonyms(path: str | Path) -> SynonymTable:

@@ -22,11 +22,3 @@ def default_stopwords() -> frozenset[str]:
 
 def default_conjunctive_adverbs_path() -> Path:
     return asset_path("conjunctive_adverbs.txt")
-
-
-def default_gazetteer_path() -> Path:
-    return asset_path("climate_terms.txt")
-
-
-def default_synonyms_path() -> Path:
-    return asset_path("synonyms.tsv")

@@ -671,7 +671,8 @@ def compute_silhouette_report(
     """Mean silhouette per (topic, side) clustering, plus the overall mean.
 
     Term clusters are soft: each membership becomes one instance of the
-    sentence's term-count vector, scored with cosine distance. X-means
+    sentence's term-count vector, scored with cosine distance; a member with
+    no term in the config's vocabulary is a ValidationError. X-means
     clusters are scored on their reduced points with Euclidean distance.
     """
     method = clusters_doc["method"]
@@ -696,6 +697,12 @@ def compute_silhouette_report(
                     if t in index
                 ]
                 points = np.bincount(cells, minlength=len(members) * width).reshape(-1, width)
+                empty = np.flatnonzero(~points.any(axis=1))
+                if empty.size:
+                    raise ValidationError(
+                        f"sentence {members[empty[0]]!r} of topic {topic['topic_id']!r}, side "
+                        f"{side.value!r}, has no term in the config's vocabulary"
+                    )
                 report = silhouette(points.astype(float), assignments, metric="cosine_distance")
             else:
                 points = np.array([side_doc["points"][sid] for sid in members], dtype=float)

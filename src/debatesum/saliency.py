@@ -27,11 +27,6 @@ from pathlib import Path
 from typing import Collection, NamedTuple
 
 from ._numpy import np
-from .annotate import load_lexicon_terms
-from .assets import (
-    default_conjunctive_adverbs_path,
-    default_gazetteer_path,
-)
 from .corpus import (
     LLR_THRESHOLD_P001,
     Comment,
@@ -39,7 +34,6 @@ from .corpus import (
     Feature,
     Sentence,
     read_text,
-    salient_indices,
 )
 from .errors import ComputationError, ParseError
 
@@ -95,7 +89,7 @@ class Lexicons:
         """The COS_STT column of ``comment``: its part of
         ``_title_cosines(topic, self)``, which is kept for the last topic asked
         for (by identity), since every comment of a topic reads it. A comment
-        not in ``topic.comments`` is scored as the topic's only comment."""
+        not in ``topic.comments`` is scored on its own."""
         if self._cosines_topic is not topic:
             self._cosines_topic, self._cosines = topic, _title_cosines(topic, self)
         column = self._cosines.get(id(comment))
@@ -160,14 +154,6 @@ def load_embeddings(path: str | Path) -> dict[str, np.ndarray]:
     if not vectors:
         raise ParseError("embeddings file holds no vectors", source=str(path))
     return vectors
-
-
-def default_lexicons(embeddings: dict[str, np.ndarray] | None = None) -> Lexicons:
-    return Lexicons(
-        conjunctive_adverbs=load_lexicon_terms(default_conjunctive_adverbs_path()),
-        climate_terms=load_lexicon_terms(default_gazetteer_path()),
-        embeddings=embeddings,
-    )
 
 
 def _binomial_log_likelihood(k: int, n: int, p: float) -> float:
@@ -235,17 +221,17 @@ def extract_topic_signatures(
     return signatures
 
 
-def _mean_embeddings(grid: np.ndarray, counts: np.ndarray, width: int) -> np.ndarray:
-    """The mean of the first ``width`` vectors of each row of ``grid``, a row
-    holding ``counts`` vectors and then the all -0.0 padding.
+def _mean_embeddings(grid: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The mean of each row of ``grid``, a row holding ``counts`` vectors and
+    then the all -0.0 padding, which leaves every sum unchanged.
 
-    Adding -0.0 leaves every sum unchanged. For two or more dimensions the
-    vectors add in sequence as in ``np.mean``, at any width, so each mean
-    equals it bit for bit. A row of more than eight 1-d vectors adds pairwise,
-    in blocks set by ``width`` (so its mean can differ from ``np.mean``'s in
-    the last bits); ``_title_cosines`` passes a comment's own width for them.
+    Each row's vectors add in sequence, at any width and dimension, so a
+    row's mean depends on its own vectors alone.
     """
-    return np.add.reduce(grid[:, :width], axis=1) / counts
+    sums = grid[:, 0].copy()
+    for j in range(1, grid.shape[1]):
+        sums += grid[:, j]
+    return sums / counts
 
 
 def _starts_with_conjunctive_adverb(tokens: tuple[str, ...], lexicons: Lexicons) -> bool:
@@ -296,27 +282,16 @@ def _title_cosines(topic: DebateTopic, lexicons: Lexicons) -> dict[int, list[flo
         return {id(c): [0.0] * (hi - lo) for c, lo, hi in spans}
     lengths = np.array([len(r) for r in rows])
     width = int(lengths.max())
-    # the width of a grid of one comment's rows and the title's sets how 1-d vectors add
-    own = [
-        max(map(len, [rows[0], *rows[lo:hi]])) if matrix.shape[1] == 1 else width
-        for _, lo, hi in spans
-    ]
     padded = np.full((len(rows), width), len(matrix) - 1)  # the all -0.0 row
     padded[np.arange(width) < lengths[:, None]] = np.fromiter(
         chain.from_iterable(rows), np.intp, lengths.sum()
     )
-    grid, counts = matrix[padded], np.maximum(lengths, 1)[:, None]
-    products = {}  # width -> (norms, title dots), one entry unless the vectors are 1-d
-    for w in set(own):
-        means = _mean_embeddings(grid, counts, w)
-        stacked = means[:, None, :]
-        products[w] = (
-            np.sqrt(stacked @ means[:, :, None]).ravel().tolist(),
-            (stacked @ means[0][:, None]).ravel().tolist(),
-        )
+    means = _mean_embeddings(matrix[padded], np.maximum(lengths, 1)[:, None])
+    stacked = means[:, None, :]
+    norms = np.sqrt(stacked @ means[:, :, None]).ravel().tolist()
+    dots = (stacked @ means[0][:, None]).ravel().tolist()
     columns = {}
-    for (c, lo, hi), w in zip(spans, own):
-        norms, dots = products[w]
+    for c, lo, hi in spans:
         column = []
         for i in range(lo, hi):
             denom = norms[i] * norms[0]
@@ -383,18 +358,3 @@ def score_comment(
     if Feature.CB in features:
         cb = [sum(row) / len(available) for row in zip(*(normalized[f] for f in available))]
     return CommentScores(raw=raw, normalized=normalized, cb=cb)
-
-
-def select_salient(
-    comment: Comment,
-    scores: CommentScores,
-    feature: Feature = Feature.SP,
-    ratio: float = 0.2,
-) -> list[str]:
-    """Ids of the top ceil(ratio * n) sentences by the chosen feature.
-
-    Ties break toward the earlier sentence; the result is in the comment's
-    sentence order (``salient_indices``).
-    """
-    sentences = comment.sentences
-    return [sentences[i].id for i in salient_indices(scores.column(feature), ratio)]

@@ -43,9 +43,6 @@ class PcaModel(NamedTuple):
     explained_variance: np.ndarray  # nonincreasing, one entry per kept component
     degenerate: bool = False
 
-    def reconstruct(self, reduced: np.ndarray) -> np.ndarray:
-        return np.asarray(reduced, dtype=float) @ self.components + self.mean
-
 
 class ClusteringResult(NamedTuple):
     k: int
@@ -55,7 +52,6 @@ class ClusteringResult(NamedTuple):
     # row count) with the variance floored; NaN when undefined (n == k, zero variance)
     bic: float
     iterations: int
-    seed: int
     distortion_history: tuple[float, ...] = ()
 
 
@@ -435,6 +431,5 @@ def xmeans(
         centroids=centroids,
         bic=_safe_bic(distinct, weights, assignments, centroids, k, floor),
         iterations=iterations,
-        seed=seed,
         distortion_history=tuple(history),
     )

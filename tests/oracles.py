@@ -1,13 +1,19 @@
-"""Reference implementations that only tests call.
+"""Reference implementations and helpers that only tests call.
 
 ``kmeans`` seeds from numpy's own ``np.random.default_rng``, not from the
 generator X-means uses, so the tests that compare X-means with it also
 compare the two streams.
 """
 
+from pathlib import Path
+
 import numpy as np
 
+from debatesum.annotate import load_lexicon_terms
+from debatesum.assets import asset_path, default_conjunctive_adverbs_path
+from debatesum.corpus import Comment, Feature, salient_indices
 from debatesum.errors import ComputationError
+from debatesum.saliency import CommentScores, Lexicons
 from debatesum.vector_clustering import (
     MAX_ITER,
     ClusteringResult,
@@ -48,7 +54,6 @@ def kmeans(
         centroids=centroids,
         bic=_safe_bic(points, weights, assignments, centroids, k),
         iterations=iterations,
-        seed=seed,
         distortion_history=tuple(history),
     )
 
@@ -62,3 +67,35 @@ def bic_score(points: np.ndarray, result: ClusteringResult) -> float:
     """
     points = np.asarray(points, dtype=float)
     return _bic(points, np.ones(len(points)), result.assignments, result.centroids, result.k)
+
+
+def default_gazetteer_path() -> Path:
+    return asset_path("climate_terms.txt")
+
+
+def default_synonyms_path() -> Path:
+    return asset_path("synonyms.tsv")
+
+
+def default_lexicons(embeddings: dict[str, np.ndarray] | None = None) -> Lexicons:
+    """The packaged conjunctive adverbs and climate terms, as ``Lexicons``."""
+    return Lexicons(
+        conjunctive_adverbs=load_lexicon_terms(default_conjunctive_adverbs_path()),
+        climate_terms=load_lexicon_terms(default_gazetteer_path()),
+        embeddings=embeddings,
+    )
+
+
+def select_salient(
+    comment: Comment,
+    scores: CommentScores,
+    feature: Feature = Feature.SP,
+    ratio: float = 0.2,
+) -> list[str]:
+    """Ids of the top ceil(ratio * n) sentences by the chosen feature.
+
+    Ties break toward the earlier sentence; the result is in the comment's
+    sentence order (``salient_indices``).
+    """
+    sentences = comment.sentences
+    return [sentences[i].id for i in salient_indices(scores.column(feature), ratio)]

@@ -19,7 +19,7 @@ from collections import Counter
 import numpy as np
 
 from conftest import SAMPLE_DIR
-from oracles import bic_score, kmeans
+from oracles import bic_score, default_lexicons, kmeans
 
 from debatesum.corpus import load_corpus, load_gold
 from debatesum.evalkit import RougeVariant, rouge, silhouette
@@ -30,7 +30,6 @@ from debatesum.pipeline import (
     load_config,
     run_pipeline,
 )
-from debatesum.saliency import default_lexicons
 from debatesum.term_clustering import cluster_by_shared_term
 from debatesum import vector_clustering
 from debatesum.vector_clustering import (

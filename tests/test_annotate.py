@@ -4,6 +4,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import default_gazetteer_path, default_synonyms_path
+
 from debatesum.annotate import (
     Gazetteer,
     SynonymTable,
@@ -14,7 +16,6 @@ from debatesum.annotate import (
     load_synonyms,
     term_text,
 )
-from debatesum.assets import default_gazetteer_path, default_synonyms_path
 from debatesum.corpus import Sentence
 from debatesum.errors import ParseError, ValidationError
 
@@ -26,12 +27,12 @@ def sent(text: str) -> Sentence:
 class TestGazetteer:
     def test_shipped_asset_has_64_terms(self):
         gazetteer = load_gazetteer(default_gazetteer_path())
-        assert len(gazetteer) == 64
+        assert len(gazetteer.terms) == 64
 
     def test_normalization_collapses_duplicates(self, tmp_path):
         path = tmp_path / "g.txt"
         path.write_text("Global Warming\nglobal warming\n", encoding="utf-8")
-        assert len(load_gazetteer(path)) == 1
+        assert len(load_gazetteer(path).terms) == 1
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "g.txt"
@@ -120,7 +121,7 @@ class TestSynonymTable:
         path = tmp_path / "syn.tsv"
         path.write_text("", encoding="utf-8")
         table = load_synonyms(path)
-        assert len(table) == 0
+        assert table._adjacent == {}
         assert canonical_label(("co2",), table) == ("co2",)
 
     def test_three_column_row_pairwise_closure(self, tmp_path):

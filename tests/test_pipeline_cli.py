@@ -769,6 +769,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert "annotations.json" in err and repr(member) in err and repr(cluster["label"]) in err
 
+    def test_term_outside_the_config_vocabulary_exit_3(self, tmp_path, capsys):
+        # before, eval silhouette exited 4: the members whose only term is the renamed
+        # one had a zero term vector
+        config_path = make_config(tmp_path, clustering_method="term")
+        assert main(["pipeline", "--config", str(config_path)]) == 0
+        for name in ("annotations.json", "clusters.json"):
+            path = tmp_path / "out" / name
+            text = path.read_text(encoding="utf-8")
+            assert "carbon dioxide" in text
+            path.write_text(text.replace("carbon dioxide", "zorblax"), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["eval", "silhouette", "--config", str(config_path)]) == 3
+        err = capsys.readouterr().err
+        assert "of topic 't" in err and "has no term in the config's vocabulary" in err
+
     def test_stages_that_need_no_corpus_do_not_parse_it(self, tmp_path):
         config_path = make_config(tmp_path)
         out = tmp_path / "out"

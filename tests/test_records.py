@@ -45,7 +45,7 @@ RECORDS = [
         mean=np.zeros(1), components=np.ones((1, 1)), explained_variance=np.ones(1)), False),
     (ClusteringResult, lambda: dict(
         k=1, assignments=np.zeros(1, dtype=int), centroids=np.zeros((1, 1)), bic=-1.0,
-        iterations=2, seed=0), False),
+        iterations=2), False),
     (TopicSignature, lambda: dict(term="ice", llr=12.5), True),
     (CommentScores, lambda: dict(
         raw={Feature.SP: [1.0]}, normalized={Feature.SP: [0.0]}, cb=[0.0]), False),

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import make_comment, make_topic
+from oracles import default_lexicons, select_salient
 
 from debatesum.corpus import Side
 from debatesum.errors import ComputationError, ParseError
@@ -14,12 +15,10 @@ from debatesum.saliency import (
     LLR_THRESHOLD_P001,
     Lexicons,
     TopicSignature,
-    default_lexicons,
     extract_topic_signatures,
     load_embeddings,
     log_likelihood_ratio,
     score_comment,
-    select_salient,
 )
 
 

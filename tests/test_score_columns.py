@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import SAMPLE_DIR, make_comment, make_topic
+from oracles import default_lexicons, select_salient
 
 from debatesum.corpus import Side, load_corpus, salient_count
 from debatesum.pipeline import topic_signatures_for
@@ -19,10 +20,8 @@ from debatesum.saliency import (
     Feature,
     Lexicons,
     TopicSignature,
-    default_lexicons,
     load_embeddings,
     score_comment,
-    select_salient,
 )
 
 VOCAB = ("carbon", "ice", "however", "warming", "sea", "level", "the", "zzz")

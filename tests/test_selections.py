@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import SAMPLE_DIR, make_comment, make_topic, simple_topic_dict, write_corpus_json
+from oracles import default_lexicons, select_salient
 
 import debatesum.corpus as corpus_module
 import debatesum.pipeline as pipeline
@@ -32,10 +33,8 @@ from debatesum.pipeline import (
 from debatesum.saliency import (
     LLR_THRESHOLD_P001,
     Feature,
-    default_lexicons,
     extract_topic_signatures,
     score_comment,
-    select_salient,
 )
 
 

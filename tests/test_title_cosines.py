@@ -1,10 +1,13 @@
-"""COS_STT, computed once per topic, equals the per-comment computation it
-replaced, kept here as the oracle, bit for bit: on topics whose comments have
-different numbers of embedded tokens (so the topic's grid is wider than most
-comments' own), on sentences and titles with no embedded token, and on 1-, 2-,
-8- and 9-dimensional vectors."""
+"""COS_STT, computed once per topic, equals a per-sentence computation, kept
+here as the oracle, bit for bit: each mean adds the sentence's (or the title's)
+own vectors in sequence. Checked on topics whose comments have different
+numbers of embedded tokens (so the topic's grid is wider than most sentences),
+on sentences and titles with no embedded token, and on 1-, 2-, 8- and
+9-dimensional vectors."""
 
 import math
+from functools import reduce
+from operator import add
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -19,27 +22,19 @@ VOCAB = ("carbon", "ice", "sea", "level", "warming", "the", "zzz", "qqq")
 LEXICONS = dict(conjunctive_adverbs=frozenset(), climate_terms=frozenset())
 
 
-# --- the oracle: one padded grid and 1-d products per comment ---------------
+# --- the oracle: each mean on its own, its vectors added in sequence ---------
 
 
-def oracle_mean_embeddings(token_lists, lexicons):
-    index, matrix = lexicons.embedding_rows
-    rows = [[index[t] for t in tokens if t in index] for tokens in token_lists]
-    width = max(map(len, rows))
-    if width == 0:
-        return [None] * len(rows)
-    pad = len(matrix) - 1
-    grid = matrix[[r + [pad] * (width - len(r)) for r in rows]]
-    means = np.add.reduce(grid, axis=1) / np.array([len(r) or 1 for r in rows])[:, None]
-    return [mean if r else None for mean, r in zip(means, rows)]
+def oracle_mean_embedding(tokens, lexicons):
+    vectors = [lexicons.embeddings[t] for t in tokens if t in lexicons.embeddings]
+    return reduce(add, vectors) / len(vectors) if vectors else None
 
 
 def oracle_title_cosines(comment, topic, lexicons):
     if lexicons.embeddings is None:
         return [0.0] * len(comment.sentences)
-    title_emb, *sentence_embs = oracle_mean_embeddings(
-        [topic.title_tokens, *(s.tokens for s in comment.sentences)], lexicons
-    )
+    title_emb = oracle_mean_embedding(topic.title_tokens, lexicons)
+    sentence_embs = [oracle_mean_embedding(s.tokens, lexicons) for s in comment.sentences]
     if title_emb is None:
         return [0.0] * len(comment.sentences)
     title_norm = math.sqrt(title_emb @ title_emb)
@@ -123,8 +118,8 @@ WIDE_1D = {"carbon": np.array([1e16]), "ice": np.array([1.0]), "sea": np.array([
 @settings(max_examples=150, deadline=None, database=None)
 @given(case=cases, embeddings=embeddings_of())
 # 1-d: the second comment's nine embedded tokens make the topic's grid wider than
-# the first comment's seven, which add to 2 in sequence but to 0 in the eight-way
-# blocks numpy uses for a row of nine or more
+# the first comment's seven, which add to 1 in sequence but to 0 in the eight-way
+# blocks numpy uses to reduce a row of nine or more
 @example(
     case=(["qqq warming"],
           [[["carbon ice level ice sea ice qqq qqq level"],
@@ -141,6 +136,18 @@ WIDE_1D = {"carbon": np.array([1e16]), "ice": np.array([1.0]), "sea": np.array([
 )
 def test_per_topic_cos_stt_equals_the_per_comment_computation(case, embeddings):
     assert_columns_match_the_oracle(case, embeddings)
+
+
+def test_a_sentences_cos_stt_does_not_depend_on_its_neighbours():
+    """1-d vectors: a wider sentence beside it in its comment leaves the mean of
+    its seven embedded tokens, and so its COS_STT, unchanged."""
+    sentence = "carbon ice level ice sea ice qqq qqq level"
+    neighbour = "qqq ice ice sea qqq ice sea level warming sea carbon"
+    alone, beside = build_topics((["qqq warming"] * 2, [[[sentence]], [[sentence, neighbour]]]))
+    lexicons = Lexicons(**LEXICONS, embeddings=WIDE_1D)
+    column = cos_stt(alone.comments[0], alone, lexicons)
+    assert column == [-1.0]
+    assert cos_stt(beside.comments[0], beside, lexicons)[:1] == column
 
 
 def test_without_embeddings_every_column_is_zero():
