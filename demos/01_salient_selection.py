@@ -30,7 +30,7 @@ def main():
         print("  (none cleared the threshold)")
 
     comment = topic.comments[2]  # the five-sentence agree comment
-    print(f"\ncomment {comment.id} ({comment.side.value}, {len(comment.sentences)} sentences)")
+    print(f"\ncomment {comment.id} ({comment.side}, {len(comment.sentences)} sentences)")
     scores = score_comment(comment, topic, lexicons, signatures)
     # one column per feature, in sentence order
     header = f"{'sentence':<10} {'SP':>5} {'SL':>5} {'TT':>5} {'CJ':>3} {'TTS':>6} {'CB':>6}"

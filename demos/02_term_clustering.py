@@ -8,8 +8,8 @@ several clusters), then merges synonym-equivalent clusters: "co2" and
 
 from pathlib import Path
 
-from debatesum.annotate import annotate_sentence, canonical_label, load_gazetteer, load_synonyms, term_text
-from debatesum.corpus import Side, load_corpus, salient_count
+from debatesum.annotate import annotate_sentence, canonical_label, load_gazetteer, load_synonyms
+from debatesum.corpus import SIDES, load_corpus, salient_count
 from debatesum.term_clustering import cluster_by_shared_term, merge_synonymous_clusters
 
 SAMPLE = Path(__file__).resolve().parents[1] / "data" / "sample"
@@ -29,30 +29,29 @@ def main():
             salient[sentence.id] = (comment.side, sentence)
 
     print(f"{len(salient)} salient sentences from topic {topic.id!r}\n")
-    for side in Side:
+    for side in SIDES:
         terms_by_sentence = {}
         for sid, (s_side, sentence) in salient.items():
-            if s_side is side:
+            if s_side == side:
                 annotations = annotate_sentence(sentence, gazetteer)
                 terms_by_sentence[sid] = [a.term for a in annotations]
-                shown = ", ".join(term_text(a.term) for a in annotations) or "(no terms)"
-                print(f"  [{side.value}] {sid}: {shown}")
+                shown = ", ".join(a.term for a in annotations) or "(no terms)"
+                print(f"  [{side}] {sid}: {shown}")
 
         clusters, unclustered = cluster_by_shared_term(terms_by_sentence)
-        print(f"\n{side.value}: {len(clusters)} raw term clusters, {len(unclustered)} unclustered")
+        print(f"\n{side}: {len(clusters)} raw term clusters, {len(unclustered)} unclustered")
         for label, members in clusters.items():
-            print(f"  {term_text(label):<18} -> {members}")
+            print(f"  {label:<18} -> {members}")
 
         merged = merge_synonymous_clusters(clusters, synonyms)
         if len(merged) != len(clusters):
             print(f"after synonym merging: {len(merged)} clusters")
             for label, members in merged.items():
-                print(f"  {term_text(label):<18} -> {members}")
+                print(f"  {label:<18} -> {members}")
         print()
 
-    example = ("co2",)
-    print(f"canonical label of {term_text(example)!r}: "
-          f"{term_text(canonical_label(example, synonyms))!r}")
+    example = "co2"
+    print(f"canonical label of {example!r}: {canonical_label(example, synonyms)!r}")
 
 
 if __name__ == "__main__":

@@ -12,8 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
-from debatesum.annotate import annotate_sentence, canonical_label, load_gazetteer, load_synonyms, term_text
-from debatesum.corpus import Side, load_corpus, salient_count
+from debatesum.annotate import annotate_sentence, canonical_label, load_gazetteer, load_synonyms
+from debatesum.corpus import SIDES, load_corpus, salient_count
 from debatesum.evalkit import silhouette
 from debatesum.vector_clustering import (
     build_similarity_matrix,
@@ -50,10 +50,10 @@ def main():
     corpus = load_corpus(SAMPLE / "corpus.json")
     gazetteer = load_gazetteer(SAMPLE / "gazetteer.txt")
     synonyms = load_synonyms(SAMPLE / "synonyms.tsv")
-    vocabulary = sorted({canonical_label(t, synonyms) for t in gazetteer.terms}, key=term_text)
+    vocabulary = sorted({canonical_label(t, synonyms) for t in gazetteer.terms.values()})
 
     # salient sentences of both topics, 50% to have enough points to cluster
-    per_side = {side: {} for side in Side}
+    per_side = {side: {} for side in SIDES}
     pooled = {}
     for topic in corpus:
         for comment in topic.comments:
@@ -66,8 +66,8 @@ def main():
                 per_side[comment.side][sentence.id] = terms
                 pooled[sentence.id] = terms
 
-    for side in Side:
-        cluster_sentences(per_side[side], vocabulary, f"side {side.value}")
+    for side in SIDES:
+        cluster_sentences(per_side[side], vocabulary, f"side {side}")
     cluster_sentences(pooled, vocabulary, "pooled (both sides)")
 
     # sanity check on data with known structure: three tight blobs

@@ -12,8 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
-from debatesum.annotate import annotate_sentence, canonical_label, load_gazetteer, load_synonyms, term_text
-from debatesum.corpus import Side, load_corpus, salient_count
+from debatesum.annotate import annotate_sentence, canonical_label, load_gazetteer, load_synonyms
+from debatesum.corpus import load_corpus, salient_count
 from debatesum.labeling import (
     ContingencyCounts,
     mi_label,
@@ -35,7 +35,7 @@ def main():
 
     terms_by_sentence = {}
     for comment in topic.comments:
-        if comment.side is not Side.DISAGREE:
+        if comment.side != "disagree":
             continue
         keep = salient_count(len(comment.sentences), ratio=0.5)
         for sentence in comment.sentences[:keep]:
@@ -58,8 +58,7 @@ def main():
         shared = shared_term_label(label)
         mi = mi_label(members, index)
         print(
-            f"{term_text(label):<22} {term_text(shared.term):<18} "
-            f"{term_text(tfidf[i].term):<18} {term_text(mi.term)} ({mi.score:.3f} bits)"
+            f"{label:<22} {shared.term:<18} {tfidf[i].term:<18} {mi.term} ({mi.score:.3f} bits)"
         )
 
     # the MI formula on a literal contingency table
@@ -68,8 +67,8 @@ def main():
 
     # planted-label recovery where no single term covers a whole cluster
     rng = np.random.default_rng(1)
-    planted = [("ice",), ("tax",), ("solar",)]
-    noise = [(f"noise{i}",) for i in range(8)]
+    planted = ["ice", "tax", "solar"]
+    noise = [f"noise{i}" for i in range(8)]
     clusters2, terms2 = [], {}
     sid = 0
     for i, label in enumerate(planted):
@@ -86,7 +85,7 @@ def main():
     index2 = term_index(clusters2, terms2)
     for i, members in enumerate(clusters2):
         got = mi_label(members, index2)
-        print(f"  planted {term_text(planted[i]):<6} -> MI picks {term_text(got.term)}")
+        print(f"  planted {planted[i]:<6} -> MI picks {got.term}")
 
 
 if __name__ == "__main__":

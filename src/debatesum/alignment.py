@@ -11,17 +11,14 @@ from __future__ import annotations
 import math
 from typing import Mapping
 
-from .annotate import SynonymTable, Term, term_text
+from .annotate import SynonymTable, Term
 from .errors import ComputationError
 
 
 def label_vector(label: Term, table: SynonymTable) -> dict[str, int]:
     """Unit-count token bag of the label and every synonym in its class."""
-    tokens: dict[str, int] = {}
-    for term in sorted(table.equivalence_class(tuple(label)), key=term_text):
-        for token in term:
-            tokens[token] = 1
-    return tokens
+    terms = sorted(table.equivalence_class(label))
+    return dict.fromkeys((token for term in terms for token in term.split()), 1)
 
 
 def _bag_cosine(a: dict[str, int], b: dict[str, int]) -> float:
@@ -35,7 +32,7 @@ def _bag_cosine(a: dict[str, int], b: dict[str, int]) -> float:
 def _by_label(labels: Mapping[str, Term]) -> dict[Term, list[str]]:
     out: dict[Term, list[str]] = {}
     for cluster_id, label in labels.items():
-        out.setdefault(tuple(label), []).append(cluster_id)
+        out.setdefault(label, []).append(cluster_id)
     return out
 
 
@@ -68,16 +65,14 @@ def align_clusters(
     for label in disagree_by_label:
         for token in vectors[label]:
             holders.setdefault(token, []).append(label)
-    candidates = []  # (-similarity, agree label text, disagree label text, agree id, disagree id)
+    candidates = []  # (-similarity, agree label, disagree label, agree id, disagree id)
     for agree_label, agree_ids in agree_by_label.items():
         sharing = dict.fromkeys(d for token in vectors[agree_label] for d in holders.get(token, ()))
         for disagree_label in sharing:
             similarity = _bag_cosine(vectors[agree_label], vectors[disagree_label])
             if similarity >= threshold:
-                texts = (term_text(agree_label), term_text(disagree_label))
-                candidates += [
-                    (-similarity, *texts, a, d) for a in agree_ids for d in disagree_by_label[disagree_label]
-                ]
+                candidates += [(-similarity, agree_label, disagree_label, a, d)
+                               for a in agree_ids for d in disagree_by_label[disagree_label]]
     candidates.sort()
     used: set[str] = set()
     pairs = []

@@ -5,6 +5,10 @@ service: matching is greedy left-to-right longest-match over token sequences,
 case-insensitive and non-overlapping, which is how a GATE-style gazetteer
 behaves by default.
 
+A term is one string, its tokens joined by single spaces, which is the form
+every artifact writes. Only the gazetteer matches token tuples: it maps each
+term's tokens to its text once.
+
 Synonym handling: terms connected through the synonym table form an
 equivalence class whose lexicographically smallest member is the canonical
 label. canonical_label is idempotent and order-independent.
@@ -13,23 +17,15 @@ label. canonical_label is idempotent and order-independent.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import NamedTuple
+from typing import Collection, NamedTuple
 
 from .corpus import Sentence, read_lines, tokenize
 from .errors import ParseError, ValidationError
 
-Term = tuple[str, ...]
+Term = str
 
 # The label of a cluster no term describes; alignment drops such clusters.
-UNLABELED: Term = ("(unlabeled)",)
-
-
-def _normalize_term(text: str) -> Term:
-    return tuple(tokenize(text))
-
-
-def term_text(term: Term) -> str:
-    return " ".join(term)
+UNLABELED: Term = "(unlabeled)"
 
 
 class TermAnnotation(NamedTuple):
@@ -40,38 +36,39 @@ class TermAnnotation(NamedTuple):
 
 
 class Gazetteer:
-    """Set of lowercase multiword terms (1..5 tokens each)."""
+    """Lowercase multiword terms (1..5 tokens each), matched as token tuples:
+    ``terms`` maps each term's tokens to its text."""
 
     MAX_TERM_TOKENS = 5
 
-    def __init__(self, terms: set[Term]):
+    def __init__(self, terms: Collection[tuple[str, ...]]):
         for t in terms:
             if not t:
                 raise ValidationError("gazetteer terms must be nonempty")
             if len(t) > self.MAX_TERM_TOKENS:
-                raise ValidationError(f"gazetteer term too long ({len(t)} tokens)", record=term_text(t))
-        self.terms = frozenset(terms)
+                raise ValidationError(f"gazetteer term too long ({len(t)} tokens)", record=" ".join(t))
+        self.terms = {t: " ".join(t) for t in terms}
         self._max_len = max((len(t) for t in terms), default=0)
         self._first_tokens = frozenset(t[0] for t in terms)
 
-    def match_at(self, tokens: tuple[str, ...] | list[str], start: int) -> Term | None:
-        """Longest gazetteer term starting at token index ``start``, if any."""
+    def match_at(self, tokens: tuple[str, ...] | list[str], start: int) -> tuple[Term, int] | None:
+        """The longest gazetteer term starting at token index ``start``, if
+        any: its text and the index just past its last token."""
         if start >= len(tokens) or tokens[start] not in self._first_tokens:
             return None
-        limit = min(self._max_len, len(tokens) - start)
-        for length in range(limit, 0, -1):
-            candidate = tuple(tokens[start : start + length])
-            if candidate in self.terms:
-                return candidate
+        for end in range(start + min(self._max_len, len(tokens) - start), start, -1):
+            text = self.terms.get(tuple(tokens[start:end]))
+            if text is not None:
+                return text, end
         return None
 
 
-def load_lexicon_terms(path: str | Path) -> frozenset[Term]:
+def load_lexicon_terms(path: str | Path) -> frozenset[tuple[str, ...]]:
     """Lexicon file: one (possibly multiword) entry per line, '#' comments.
 
-    Terms are tokenized and lowercased, duplicates collapse.
+    Entries are tokenized and lowercased, as token tuples; duplicates collapse.
     """
-    terms = (_normalize_term(line) for _, line in read_lines(path))
+    terms = (tuple(tokenize(line)) for _, line in read_lines(path))
     return frozenset(term for term in terms if term)
 
 
@@ -93,8 +90,8 @@ def annotate_sentence(sentence: Sentence, gazetteer: Gazetteer) -> list[TermAnno
     annotations: list[TermAnnotation] = []
     tokens, first, end = sentence.tokens, gazetteer._first_tokens, 0
     for i in [i for i, token in enumerate(tokens) if token in first]:
-        if i >= end and (term := gazetteer.match_at(tokens, i)) is not None:
-            end = i + len(term)
+        if i >= end and (match := gazetteer.match_at(tokens, i)) is not None:
+            term, end = match
             annotations.append(TermAnnotation(sentence.id, term, i, end))
     return annotations
 
@@ -114,11 +111,10 @@ class SynonymTable:
         self._adjacent.setdefault(b, set()).add(a)
 
     def synonyms(self, term: Term) -> frozenset[Term]:
-        return frozenset(self._adjacent.get(tuple(term), set()))
+        return frozenset(self._adjacent.get(term, ()))
 
     def equivalence_class(self, term: Term) -> frozenset[Term]:
         """Connected component of ``term`` under the synonym relation."""
-        term = tuple(term)
         seen = {term}
         frontier = [term]
         while frontier:
@@ -138,7 +134,7 @@ def load_synonyms(path: str | Path) -> SynonymTable:
     """
     table = SynonymTable()
     for lineno, line in read_lines(path):
-        terms = [t for t in map(_normalize_term, line.split("\t")) if t]
+        terms = [t for t in (" ".join(tokenize(cell)) for cell in line.split("\t")) if t]
         if len(terms) < 2:
             raise ParseError("synonym row needs at least two terms", source=str(path), line=lineno)
         for i in range(len(terms)):
@@ -149,6 +145,5 @@ def load_synonyms(path: str | Path) -> SynonymTable:
 
 def canonical_label(term: Term, table: SynonymTable) -> Term:
     """Lexicographically smallest member of the term's synonym class."""
-    cls = table.equivalence_class(tuple(term))
-    return min(cls, key=term_text)
+    return min(table.equivalence_class(term))
 

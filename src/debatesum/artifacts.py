@@ -9,8 +9,8 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from .annotate import UNLABELED, term_text
-from .corpus import Side
+from .annotate import UNLABELED
+from .corpus import SIDES
 from .errors import ValidationError
 from .pipeline import CLUSTER_METHODS, _cluster_label
 
@@ -29,10 +29,10 @@ _ARTIFACT_SHAPES = {
         ]}]
     },
     "salient": {"topics": [{"topic_id": str, "comments": [
-        {"side": frozenset(s.value for s in Side), "sentence_ids": [str]}
+        {"side": frozenset(SIDES), "sentence_ids": [str]}
     ]}]},
     "clusters": {"method": frozenset(CLUSTER_METHODS), "topics": [
-        {"topic_id": str, "sides": {s.value: _CLUSTER_SIDE for s in Side}}
+        {"topic_id": str, "sides": dict.fromkeys(SIDES, _CLUSTER_SIDE)}
     ]},
     "labels": {"clusters": [{"cluster_id": str, "label": str}]},
     "alignment": {"threshold": _NUMBER, "topics": [{"topic_id": str, "pairs": [{
@@ -92,12 +92,12 @@ def _check_points(clusters_doc: dict, source: str) -> None:
     ``points`` and, on every side with ``points``, each member has a point: a
     list of numbers, as long as the side's other points."""
     for t, topic in enumerate(clusters_doc["topics"]):
-        for side in Side:
-            side_doc, name = topic["sides"][side.value], f"{topic['topic_id']}/{side.value}"
+        for side in SIDES:
+            side_doc, name = topic["sides"][side], f"{topic['topic_id']}/{side}"
             points = side_doc["points"]
             if points is None and clusters_doc["method"] == "xmeans" and side_doc["clusters"]:
                 raise ValidationError(f"malformed {source}: xmeans clusters of {name} have no points")
-            where = (((((None, "topics"), t), "sides"), side.value), "points")
+            where = (((((None, "topics"), t), "sides"), side), "points")
             members = [] if points is None else [sid for c in side_doc["clusters"] for sid in c["members"]]
             for sid in members:
                 if points.get(sid) is None:
@@ -140,10 +140,10 @@ def check_consistency(docs: dict, paths: dict) -> None:
             fail(artifact, f"topic id {repeated!r} is used twice")
 
     clusters = [
-        (topic["topic_id"], side.value, c)
+        (topic["topic_id"], side, c)
         for topic in docs["clusters"]["topics"]
-        for side in Side
-        for c in topic["sides"][side.value]["clusters"]
+        for side in SIDES
+        for c in topic["sides"][side]["clusters"]
     ] if "clusters" in docs else []
     cluster_ids: set[str] = set()
     home: dict[str, str] = {}  # member id -> "topic/side" of its first cluster
@@ -194,10 +194,8 @@ def check_consistency(docs: dict, paths: dict) -> None:
                 fail(artifact, f"sentence id {sid!r} is not a sentence of topic {topic_id!r} "
                      f"in {paths['annotations']}")
         for _, _, c in clusters if is_term else ():  # a term cluster: the sentences with its term
-            label = tuple(c["label"].split())
             for sid in c["members"]:
-                carried = {tuple(a["canonical"].split()) for a in sentences[sid]["annotations"]}
-                if label not in carried:
+                if c["label"] not in [a["canonical"] for a in sentences[sid]["annotations"]]:
                     fail("annotations", f"sentence {sid!r} lacks the term {c['label']!r} of its "
                          f"cluster {c['cluster_id']!r} in {paths['clusters']}")
     label_by_id: dict[str, str] = {}  # empty without labels.json: clusters' own labels only
@@ -218,16 +216,15 @@ def check_consistency(docs: dict, paths: dict) -> None:
         paired: set[str] = set()
         for topic in docs["alignment"]["topics"]:
             for pair in topic["pairs"]:
-                for side in Side:
-                    cluster_id = pair[f"{side.value}_cluster_id"]
-                    if label_of.get((topic["topic_id"], side.value, cluster_id)) in (None, UNLABELED):
+                for side in SIDES:
+                    cluster_id = pair[f"{side}_cluster_id"]
+                    if label_of.get((topic["topic_id"], side, cluster_id)) in (None, UNLABELED):
                         fail("alignment", f"pair {pair['label']!r} names {cluster_id!r}, "
-                             f"no labeled {side.value} cluster of topic {topic['topic_id']!r}")
+                             f"no labeled {side} cluster of topic {topic['topic_id']!r}")
                     if cluster_id in paired:
                         fail("alignment", f"cluster {cluster_id!r} is in two pairs")
                     paired.add(cluster_id)
-                agree = (topic["topic_id"], Side.AGREE.value, pair["agree_cluster_id"])
-                if term_text(label_of[agree]) != pair["label"]:
+                if label_of[topic["topic_id"], "agree", pair["agree_cluster_id"]] != pair["label"]:
                     fail("alignment", f"pair {pair['label']!r} is not labeled as its agree cluster is")
                 if not threshold <= pair["similarity"] <= 1.0:
                     fail("alignment", f"pair {pair['label']!r} scores outside [{threshold}, 1]")

@@ -8,9 +8,10 @@ needs from the output directory, or from the path given by the flag named
 after the artifact (``--clusters``, ``--labels``, ...), and writes its own,
 so the pipeline can be driven step by step or in one go with ``pipeline``.
 
-Exit codes: 0 success, 2 config error (also a file that cannot be read), 3
-data validation error (also a file that is not UTF-8, and a malformed or
-inconsistent artifact), 4 computation error.
+Exit codes: 0 success, 2 config error (also an input file that cannot be
+read, or an output that cannot be written), 3 data validation error (also a
+file that is not UTF-8, and a malformed or inconsistent artifact), 4
+computation error.
 """
 
 from __future__ import annotations
@@ -34,9 +35,11 @@ from .pipeline import (
     compute_silhouette_report,
     load_config,
     load_inputs,
+    make_dir,
     read_json,
     run_pipeline,
     to_json_bytes,
+    write_bytes,
     write_json,
 )
 
@@ -142,7 +145,7 @@ def _run_stage(args: argparse.Namespace, stage: Stage, config: PipelineConfig, o
     doc = stage.compute(config, inputs, docs)
     del docs, inputs  # free what was read, with the terms map, before serializing
     for name, data in artifact_files(stage.artifact, doc).items():
-        (out / name).write_bytes(data)
+        write_bytes(out / name, data)
         print(f"wrote {out / name}")
     return EXIT_OK
 
@@ -152,8 +155,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return _cmd_eval_stats(args)
 
     config = _config_from_args(args)
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_dir(config.output_dir)
 
     if args.command == "pipeline":
         manifest = run_pipeline(config)
@@ -203,8 +205,8 @@ def _cmd_eval_stats(args: argparse.Namespace) -> int:
             "alpha": krippendorff_alpha(doc["ratings"], metric=metric),
         }
     if args.out:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.out).write_bytes(to_json_bytes(report))
+        make_dir(Path(args.out).parent)
+        write_bytes(args.out, to_json_bytes(report))
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(to_json_bytes(report).decode("utf-8"))

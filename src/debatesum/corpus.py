@@ -113,9 +113,8 @@ def salient_indices(column: list[float], ratio: float = 0.2) -> list[int]:
     return sorted(ranked[: salient_count(len(column), ratio)])
 
 
-class Side(str, Enum):
-    AGREE = "agree"
-    DISAGREE = "disagree"
+# The two sides of a debate, in the order every artifact lists them.
+SIDES = ("agree", "disagree")
 
 
 # chi-squared critical value (1 dof, p < 0.001); default signature cutoff
@@ -150,7 +149,7 @@ class Sentence(NamedTuple):
 
 class Comment(NamedTuple):
     id: str
-    side: Side
+    side: str  # one of SIDES
     sentences: tuple[Sentence, ...]
 
 
@@ -225,13 +224,11 @@ def load_corpus(path: str | Path) -> list[DebateTopic]:
             if cid in comment_ids:
                 raise ValidationError("duplicate comment id", record=cid)
             comment_ids.add(cid)
-            side_raw = str(_require(c, "side", str, cid))
-            try:
-                side = Side(side_raw)
-            except ValueError:
+            side = str(_require(c, "side", str, cid))
+            if side not in SIDES:
                 raise ValidationError(
-                    f"unknown side {side_raw!r} (expected 'agree' or 'disagree')", record=cid
-                ) from None
+                    f"unknown side {side!r} (expected 'agree' or 'disagree')", record=cid
+                )
             sentences_raw = _require(c, "sentences", list, cid)
             if not sentences_raw:
                 raise ValidationError("comment has no sentences", record=cid)

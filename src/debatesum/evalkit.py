@@ -258,7 +258,10 @@ def _difference_squared(values: list[float], counts: dict[float, float], metric:
             if metric == "nominal":
                 d2 = 0.0 if x == y else 1.0
             elif metric == "interval":
-                d2 = (x - y) ** 2
+                try:
+                    d2 = (x - y) ** 2
+                except OverflowError:  # beyond the float range: inf, as when x - y overflows
+                    d2 = math.inf
             elif metric == "ordinal":
                 lo, hi = min(x, y), max(x, y)
                 between = sum(counts[g] for g in values if lo <= g <= hi)
@@ -277,7 +280,9 @@ def krippendorff_alpha(
 
     ``ratings`` is coder-by-item with None marking a missing rating. Items
     rated by fewer than two coders are excluded; if none remain that is an
-    error. Unanimous ratings give alpha = 1 for every metric.
+    error. Unanimous ratings give alpha = 1 for every metric. Ratings whose
+    observed and expected disagreements both exceed the float range are an
+    error too: alpha would be infinity over infinity.
     """
     if len(ratings) < 2:
         raise ComputationError("Krippendorff's alpha needs at least 2 coders")
@@ -317,4 +322,10 @@ def krippendorff_alpha(
     ) / (total * (total - 1))
     if expected == 0.0:
         return 1.0  # zero expected disagreement: unanimous ratings
-    return 1.0 - observed / expected
+    alpha = 1.0 - observed / expected
+    if alpha != alpha:  # NaN: infinity over infinity
+        raise ComputationError(
+            "Krippendorff's alpha is undefined: the observed and expected "
+            "disagreements both exceed the float range"
+        )
+    return alpha

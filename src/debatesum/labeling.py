@@ -17,17 +17,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from enum import Enum
 from typing import Collection, Mapping, NamedTuple, Sequence
 
-from .annotate import UNLABELED, Term, term_text
+from .annotate import UNLABELED, Term
 from .errors import ComputationError
-
-
-class LabelMethod(str, Enum):
-    SHARED_TERM = "shared"
-    TFIDF = "tfidf"
-    MI = "mi"
 
 
 class ContingencyCounts(NamedTuple):
@@ -66,7 +59,7 @@ class ContingencyCounts(NamedTuple):
 class LabelCandidate(NamedTuple):
     term: Term
     score: float
-    method: LabelMethod
+    method: str  # "shared", "tfidf" or "mi"
     runner_up: tuple[Term, float] | None = None
 
 
@@ -96,13 +89,13 @@ def shared_term_label(label: Term) -> LabelCandidate:
             "shared-term labeling needs a shared-term cluster; use MI labeling "
             "for clusters without a common defining term"
         )
-    return LabelCandidate(term=tuple(label), score=1.0, method=LabelMethod.SHARED_TERM)
+    return LabelCandidate(term=label, score=1.0, method="shared")
 
 
 def _best_two(scored: list[tuple[float, float, Term]]) -> tuple[Term, float, tuple[Term, float] | None]:
     # scored entries are (score, tiebreak, term); pick max score, then higher
     # tiebreak (tf or n11), then lexicographically smaller term
-    ranked = sorted(scored, key=lambda e: (-e[0], -e[1], term_text(e[2])))
+    ranked = sorted(scored, key=lambda e: (-e[0], -e[1], e[2]))
     best = ranked[0]
     runner = (ranked[1][2], ranked[1][0]) if len(ranked) > 1 else None
     return best[2], best[0], runner
@@ -125,14 +118,14 @@ def tfidf_labels(term_counts: Sequence[Counter]) -> list[LabelCandidate]:
     labels: list[LabelCandidate] = []
     for counts in term_counts:
         if not counts:
-            labels.append(LabelCandidate(UNLABELED, 0.0, LabelMethod.TFIDF))
+            labels.append(LabelCandidate(UNLABELED, 0.0, "tfidf"))
             continue
         scored = [
-            (tf * math.log(n_clusters / cluster_frequency[term]), float(tf), tuple(term))
+            (tf * math.log(n_clusters / cluster_frequency[term]), float(tf), term)
             for term, tf in counts.items()
         ]
         term, score, runner = _best_two(scored)
-        labels.append(LabelCandidate(term, score, LabelMethod.TFIDF, runner))
+        labels.append(LabelCandidate(term, score, "tfidf", runner))
     return labels
 
 
@@ -155,7 +148,7 @@ def term_index(
     for cluster in clusters:
         for sid in cluster:
             if sid not in terms:
-                terms[sid] = frozenset(tuple(t) for t in terms_by_sentence.get(sid, ()))
+                terms[sid] = frozenset(terms_by_sentence.get(sid, ()))
                 for term in terms[sid]:
                     carriers.setdefault(term, set()).add(sid)
     return TermIndex(terms, carriers)
@@ -164,7 +157,7 @@ def term_index(
 def contingency_counts(term: Term, target: set[str], index: TermIndex) -> ContingencyCounts:
     """Tabulate term presence vs membership in ``target``, a set of the
     index's sentences, over the index's universe."""
-    carriers = index.carriers.get(tuple(term), ())
+    carriers = index.carriers.get(term, ())
     n11 = len(target.intersection(carriers))
     n10 = len(carriers) - n11
     n01 = len(target) - n11
@@ -185,11 +178,11 @@ def mi_label(target_cluster: Collection[str], index: TermIndex) -> LabelCandidat
 
     candidates = set().union(*(index.terms[sid] for sid in target))
     if not candidates:
-        return LabelCandidate(UNLABELED, 0.0, LabelMethod.MI)
+        return LabelCandidate(UNLABELED, 0.0, "mi")
 
     scored = []
     for term in candidates:
         counts = contingency_counts(term, target, index)
         scored.append((mutual_information(counts), float(counts.n11), term))
     term, score, runner = _best_two(scored)
-    return LabelCandidate(term, score, LabelMethod.MI, runner)
+    return LabelCandidate(term, score, "mi", runner)

@@ -44,12 +44,11 @@ from .annotate import (
     load_gazetteer,
     load_lexicon_terms,
     load_synonyms,
-    term_text,
 )
 from .assets import default_conjunctive_adverbs_path, default_stopwords
 from .canonical_json import to_json_bytes
 from .corpus import (
-    LLR_THRESHOLD_P001, DebateTopic, Feature, Side, load_corpus, load_gold, read_json, salient_indices,
+    LLR_THRESHOLD_P001, SIDES, DebateTopic, Feature, load_corpus, load_gold, read_json, salient_indices,
 )
 from .errors import ComputationError, ConfigError, DebatesumError, ParseError, ValidationError
 
@@ -255,13 +254,13 @@ def compute_annotations(
                 annotations = annotate_sentence(sentence, gazetteer)
                 for a in annotations:
                     if a.term not in canonical:
-                        canonical[a.term] = term_text(canonical_label(a.term, synonyms))
+                        canonical[a.term] = canonical_label(a.term, synonyms)
                 sentences.append(
                     {
                         "sentence_id": sentence.id,
                         "annotations": [
                             {
-                                "term": term_text(a.term),
+                                "term": a.term,
                                 "canonical": canonical[a.term],
                                 "start": a.start,
                                 "end": a.end,
@@ -355,7 +354,7 @@ def compute_salient(
         comments = [
             {
                 "comment_id": comment.id,
-                "side": comment.side.value,
+                "side": comment.side,
                 "sentence_ids": list(selections[comment.id][feature]),
             }
             for comment in topic.comments
@@ -364,15 +363,15 @@ def compute_salient(
     return {"feature": feature.value, "ratio": ratio, "seed": seed, "topics": topics}
 
 
-def canonical_terms_by_sentence(annotations_doc: dict) -> dict[str, list[tuple[str, ...]]]:
+def canonical_terms_by_sentence(annotations_doc: dict) -> dict[str, list[Term]]:
     """sentence id -> canonical term occurrences (with repeats), corpus-wide."""
     return {
-        sentence["sentence_id"]: [tuple(a["canonical"].split()) for a in sentence["annotations"]]
+        sentence["sentence_id"]: [a["canonical"] for a in sentence["annotations"]]
         for topic in annotations_doc["topics"] for sentence in topic["sentences"]
     }
 
 
-def _terms(docs: dict) -> dict[str, list[tuple[str, ...]]]:
+def _terms(docs: dict) -> dict[str, list[Term]]:
     """``canonical_terms_by_sentence(docs["annotations"])``, built on first use
     and kept in ``docs`` as "terms", so the stages of one run share it."""
     if "terms" not in docs:
@@ -383,7 +382,7 @@ def _terms(docs: dict) -> dict[str, list[tuple[str, ...]]]:
 def _salient_by_topic_side(salient_doc: dict) -> dict[str, dict[str, list[str]]]:
     out: dict[str, dict[str, list[str]]] = {}
     for topic in salient_doc["topics"]:
-        sides: dict[str, list[str]] = {s.value: [] for s in Side}
+        sides: dict[str, list[str]] = {side: [] for side in SIDES}
         for comment in topic["comments"]:
             sides[comment["side"]].extend(comment["sentence_ids"])
         out[topic["topic_id"]] = sides
@@ -392,9 +391,9 @@ def _salient_by_topic_side(salient_doc: dict) -> dict[str, dict[str, list[str]]]
 
 def _cluster_side_term(
     topic_id: str,
-    side: Side,
+    side: str,
     sentence_ids: list[str],
-    terms: dict[str, list[tuple[str, ...]]],
+    terms: dict[str, list[Term]],
     synonyms: SynonymTable,
 ) -> dict:
     clusters, unclustered = cluster_by_shared_term({sid: terms.get(sid, []) for sid in sentence_ids})
@@ -402,8 +401,8 @@ def _cluster_side_term(
     return {
         "clusters": [
             {
-                "cluster_id": f"{topic_id}/{side.value}:term:{term_text(label)}",
-                "label": term_text(label),
+                "cluster_id": f"{topic_id}/{side}:term:{label}",
+                "label": label,
                 "members": members,
             }
             for label, members in merged.items()
@@ -415,15 +414,15 @@ def _cluster_side_term(
     }
 
 
-def _vocabulary(gazetteer: Gazetteer, synonyms: SynonymTable) -> list[tuple[str, ...]]:
+def _vocabulary(gazetteer: Gazetteer, synonyms: SynonymTable) -> list[Term]:
     """Canonical gazetteer terms in text order: the axes of every term vector."""
-    return sorted({canonical_label(t, synonyms) for t in gazetteer.terms}, key=term_text)
+    return sorted({canonical_label(t, synonyms) for t in gazetteer.terms.values()})
 
 
 def _side_space(
     sentence_ids: list[str],
-    terms: dict[str, list[tuple[str, ...]]],
-    vocabulary: list[tuple[str, ...]],
+    terms: dict[str, list[Term]],
+    vocabulary: list[Term],
     variance_target: float,
 ):
     """The PCA reduction of one side's term vectors' cosine similarity matrix.
@@ -450,14 +449,14 @@ def _side_space(
 
 def _cluster_side_xmeans(
     topic_id: str,
-    side: Side,
+    side: str,
     sentence_ids: list[str],
-    terms: dict[str, list[tuple[str, ...]]],
-    vocabulary: list[tuple[str, ...]],
+    terms: dict[str, list[Term]],
+    vocabulary: list[Term],
     config: PipelineConfig,
 ) -> dict:
     ids, excluded, reduced = _side_space(sentence_ids, terms, vocabulary, config.variance_target)
-    prefix = f"{topic_id}/{side.value}:x"
+    prefix = f"{topic_id}/{side}:x"
     if not ids:
         return {"clusters": [], "unclustered": excluded, "k": 0, "bic": None, "points": None}
     # one sentence, or all similarity profiles identical: a single cluster
@@ -500,15 +499,12 @@ def compute_clusters(
     topics = []
     for topic_id, side_ids in salient.items():
         sides = {}
-        for side in Side:
-            ids = side_ids[side.value]
+        for side, ids in side_ids.items():
             if config.clustering_method == "term":
-                sides[side.value] = _cluster_side_term(topic_id, side, ids, terms, synonyms)
+                sides[side] = _cluster_side_term(topic_id, side, ids, terms, synonyms)
             else:
-                sides[side.value] = _cluster_side_xmeans(
-                    topic_id, side, ids, terms, vocabulary, config
-                )
-        counts = {side.value: len(sides[side.value]["clusters"]) for side in Side}
+                sides[side] = _cluster_side_xmeans(topic_id, side, ids, terms, vocabulary, config)
+        counts = {side: len(side_doc["clusters"]) for side, side_doc in sides.items()}
         counts["pooled"] = sum(counts.values())
         topics.append({"topic_id": topic_id, "sides": sides, "cluster_counts": counts})
     return {
@@ -526,9 +522,8 @@ def compute_labels(clusters_doc: dict, terms: dict, method: str, seed: int = 0) 
         raise ConfigError(f"labeling_method must be one of {LABEL_METHODS}")
     entries = []
     for topic in clusters_doc["topics"]:
-        for side in Side:
-            side_doc = topic["sides"][side.value]
-            clusters = side_doc["clusters"]
+        for side in SIDES:
+            clusters = topic["sides"][side]["clusters"]
             if not clusters:
                 continue
             if method == "shared":
@@ -538,11 +533,11 @@ def compute_labels(clusters_doc: dict, terms: dict, method: str, seed: int = 0) 
                             f"cluster {c['cluster_id']} has no shared term; "
                             "use tfidf or mi labeling for xmeans clusters"
                         )
-                    candidate = shared_term_label(tuple(c["label"].split()))
+                    candidate = shared_term_label(c["label"])
                     entries.append(_label_entry(c["cluster_id"], candidate))
             elif method == "tfidf":
                 counts = [
-                    Counter(tuple(t) for sid in c["members"] for t in terms.get(sid, []))
+                    Counter(t for sid in c["members"] for t in terms.get(sid, []))
                     for c in clusters
                 ]
                 for c, candidate in zip(clusters, tfidf_labels(counts)):
@@ -560,18 +555,17 @@ def _label_entry(cluster_id: str, candidate) -> dict:
     runner = candidate.runner_up
     return {
         "cluster_id": cluster_id,
-        "method": candidate.method.value,
-        "label": term_text(candidate.term),
+        "method": candidate.method,
+        "label": candidate.term,
         "score": candidate.score,
-        "runner_up": None if runner is None else [term_text(runner[0]), runner[1]],
+        "runner_up": None if runner is None else list(runner),
     }
 
 
 def _cluster_label(cluster: dict, label_by_id: Mapping[str, str]) -> Term | None:
-    """A cluster's label as a term: its own (a shared-term cluster's), else its
+    """A cluster's label: its own (a shared-term cluster's), else its
     ``labels.json`` entry in ``label_by_id``; None if it has neither."""
-    label = cluster["label"] if cluster["label"] is not None else label_by_id.get(cluster["cluster_id"])
-    return None if label is None else tuple(label.split())
+    return cluster["label"] if cluster["label"] is not None else label_by_id.get(cluster["cluster_id"])
 
 
 def compute_alignment(
@@ -584,12 +578,12 @@ def compute_alignment(
     for topic in clusters_doc["topics"]:
         held = {  # cluster id -> (side, label)
             c["cluster_id"]: (side, _cluster_label(c, label_by_id))
-            for side in Side
-            for c in topic["sides"][side.value]["clusters"]
+            for side in SIDES
+            for c in topic["sides"][side]["clusters"]
         }
         agree, disagree = (
-            {cid: label for cid, (s, label) in held.items() if s is side and label != UNLABELED}
-            for side in Side
+            {cid: label for cid, (s, label) in held.items() if s == side and label != UNLABELED}
+            for side in SIDES
         )
         pairs, dropped = align_clusters(agree, disagree, synonyms, threshold)
         unlabeled = [cid for cid, (_, label) in held.items() if label == UNLABELED]
@@ -598,7 +592,7 @@ def compute_alignment(
                 "topic_id": topic["topic_id"],
                 "pairs": pairs,
                 "dropped": [
-                    {"cluster_id": cid, "side": held[cid][0].value, "label": term_text(held[cid][1])}
+                    {"cluster_id": cid, "side": held[cid][0], "label": held[cid][1]}
                     for cid in dropped + unlabeled
                 ],
             }
@@ -612,8 +606,8 @@ def compute_charts(clusters_doc: dict, alignment_doc: dict) -> dict:
     sizes = {
         c["cluster_id"]: len(c["members"])
         for topic in clusters_doc["topics"]
-        for side in Side
-        for c in topic["sides"][side.value]["clusters"]
+        for side in SIDES
+        for c in topic["sides"][side]["clusters"]
     }
     return {
         topic["topic_id"]: build_chart(topic["topic_id"], topic["pairs"], sizes)
@@ -680,8 +674,8 @@ def compute_silhouette_report(
     index = {t: i for i, t in enumerate(vocabulary)}
     entries = []
     for topic in clusters_doc["topics"]:
-        for side in Side:
-            side_doc = topic["sides"][side.value]
+        for side in SIDES:
+            side_doc = topic["sides"][side]
             clusters = side_doc["clusters"]
             if len(clusters) < 2:
                 continue
@@ -701,7 +695,7 @@ def compute_silhouette_report(
                 if empty.size:
                     raise ValidationError(
                         f"sentence {members[empty[0]]!r} of topic {topic['topic_id']!r}, side "
-                        f"{side.value!r}, has no term in the config's vocabulary"
+                        f"{side!r}, has no term in the config's vocabulary"
                     )
                 report = silhouette(points.astype(float), assignments, metric="cosine_distance")
             else:
@@ -710,7 +704,7 @@ def compute_silhouette_report(
             entries.append(
                 {
                     "topic_id": topic["topic_id"],
-                    "side": side.value,
+                    "side": side,
                     "clusters": len(clusters),
                     "mean_silhouette": report.mean,
                 }
@@ -738,8 +732,27 @@ def compute_evaluation(
 # ---------------------------------------------------------------------------
 
 
+def make_dir(path: str | Path) -> Path:
+    """``path`` as a directory, made with its parents if missing: ConfigError
+    naming it if it cannot be."""
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make the directory {path}: {exc.strerror}") from exc
+    return path
+
+
+def write_bytes(path: str | Path, data: bytes) -> None:
+    """Write ``data`` to ``path``: ConfigError naming it if it cannot be written."""
+    try:
+        Path(path).write_bytes(data)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def write_json(path: str | Path, doc: dict) -> None:
-    Path(path).write_bytes(to_json_bytes(doc))
+    write_bytes(path, to_json_bytes(doc))
 
 
 def slugify(name: str) -> str:
@@ -858,18 +871,16 @@ def run_pipeline(config: PipelineConfig) -> dict:
         },
     }
 
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_dir(config.output_dir)
     written: list[Path] = []
     try:
         for name, data in artifacts.items():
-            target = out / name
-            target.write_bytes(data)
-            written.append(target)
+            write_bytes(out / name, data)
+            written.append(out / name)
         write_json(out / "manifest.json", manifest)
     except Exception:
-        for path in written:
-            path.unlink(missing_ok=True)
-        (out / "manifest.json").unlink(missing_ok=True)
+        for path in [*written, out / "manifest.json"]:
+            if path.is_file():  # not a directory in the way of a write
+                path.unlink()
         raise
     return manifest

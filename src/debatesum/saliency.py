@@ -57,7 +57,7 @@ class Lexicons:
     def __init__(
         self,
         conjunctive_adverbs: frozenset[tuple[str, ...]],
-        climate_terms: frozenset[tuple[str, ...]],
+        climate_terms: Collection[tuple[str, ...]],
         embeddings: dict[str, np.ndarray] | None = None,
     ):
         self.conjunctive_adverbs = conjunctive_adverbs

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from .annotate import SynonymTable, Term, canonical_label, term_text
+from .annotate import SynonymTable, Term, canonical_label
 
 
 def cluster_by_shared_term(
@@ -27,12 +27,12 @@ def cluster_by_shared_term(
     members: dict[Term, list[str]] = {}
     unclustered: list[str] = []
     for sentence_id, terms in terms_by_sentence.items():
-        distinct = dict.fromkeys(map(tuple, terms))
+        distinct = dict.fromkeys(terms)
         if not distinct:
             unclustered.append(sentence_id)
         for term in distinct:
             members.setdefault(term, []).append(sentence_id)
-    return dict(sorted(members.items(), key=lambda kv: term_text(kv[0]))), unclustered
+    return dict(sorted(members.items())), unclustered
 
 
 def merge_synonymous_clusters(
@@ -51,8 +51,6 @@ def merge_synonymous_clusters(
     for label in clusters:
         grouped.setdefault(canonical_label(label, table), []).append(label)
     return {
-        canonical: list(dict.fromkeys(
-            sid for label in sorted(labels, key=term_text) for sid in clusters[label]
-        ))
-        for canonical, labels in sorted(grouped.items(), key=lambda kv: term_text(kv[0]))
+        canonical: list(dict.fromkeys(sid for label in sorted(labels) for sid in clusters[label]))
+        for canonical, labels in sorted(grouped.items())
     }

@@ -69,11 +69,11 @@ def build_term_vectors(
     """
     if not vocabulary:
         raise ComputationError("term vector vocabulary must be nonempty")
-    index = {tuple(t): i for i, t in enumerate(vocabulary)}
+    index = {t: i for i, t in enumerate(vocabulary)}
     counts = np.zeros((len(terms_by_sentence), len(vocabulary)))
     for row, terms in enumerate(terms_by_sentence.values()):
         for term in terms:
-            i = index.get(tuple(term))
+            i = index.get(term)
             if i is not None:
                 counts[row, i] += 1.0
     kept = counts.any(axis=1)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from debatesum.cli import main
-from debatesum.corpus import Comment, DebateTopic, Sentence, Side, read_json, tokenize
+from debatesum.corpus import Comment, DebateTopic, Sentence, read_json, tokenize
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SAMPLE_DIR = REPO_ROOT / "data" / "sample"
@@ -35,7 +35,7 @@ def sample_config_path() -> Path:
     return SAMPLE_DIR / "config.json"
 
 
-def make_comment(cid: str, side: Side, texts: list[str]) -> Comment:
+def make_comment(cid: str, side: str, texts: list[str]) -> Comment:
     sentences = tuple(
         Sentence.make(f"{cid}-s{i + 1}", i + 1, text) for i, text in enumerate(texts)
     )

@@ -153,8 +153,8 @@ def overlapping_term_corpus(seed: int):
     n_groups, satellites, per_group = 3, 3, 30
     vocabulary = []
     for g in range(n_groups):
-        vocabulary.append((f"g{g}core",))
-        vocabulary.extend((f"g{g}sat{t}",) for t in range(satellites))
+        vocabulary.append(f"g{g}core")
+        vocabulary.extend(f"g{g}sat{t}" for t in range(satellites))
     terms_by_sentence = {}
     sid = 0
     width = 1 + satellites
@@ -304,8 +304,8 @@ def test_criterion_4_rouge_replication():
 def planted_label_corpus(seed, n_clusters=8, size=20, coverage=0.9, leakage=0.05,
                          n_noise=30, p_noise=0.10):
     rng = np.random.default_rng(seed)
-    planted = [(f"planted{i}",) for i in range(n_clusters)]
-    noise = [(f"noise{i}",) for i in range(n_noise)]
+    planted = [f"planted{i}" for i in range(n_clusters)]
+    noise = [f"noise{i}" for i in range(n_noise)]
     clusters, terms = [], {}
     sid = 0
     for i in range(n_clusters):
@@ -379,8 +379,8 @@ def test_criterion_6_invariant_suites(tmp_path):
     checks["kmeans_monotone_descent"] = descent
 
     # similarity matrix symmetry
-    terms = {f"s{i}": [(f"t{j}",) for j in rng.integers(0, 6, size=3)] for i in range(10)}
-    _, counts, _ = build_term_vectors(terms, [(f"t{j}",) for j in range(6)])
+    terms = {f"s{i}": [f"t{j}" for j in rng.integers(0, 6, size=3)] for i in range(10)}
+    _, counts, _ = build_term_vectors(terms, [f"t{j}" for j in range(6)])
     matrix = build_similarity_matrix(counts)
     checks["similarity_symmetric"] = bool(np.array_equal(matrix, matrix.T))
 
@@ -388,8 +388,8 @@ def test_criterion_6_invariant_suites(tmp_path):
     from debatesum.alignment import align_clusters
     from debatesum.annotate import SynonymTable
 
-    agree = {f"a{i}": ("shared", "term") for i in range(4)}
-    disagree = {f"d{i}": ("shared", "term") for i in range(3)}
+    agree = {f"a{i}": "shared term" for i in range(4)}
+    disagree = {f"d{i}": "shared term" for i in range(3)}
     pairs, _ = align_clusters(agree, disagree, SynonymTable(), threshold=0.5)
     ids = [p["agree_cluster_id"] for p in pairs] + [p["disagree_cluster_id"] for p in pairs]
     checks["alignment_one_to_one"] = len(ids) == len(set(ids)) and len(pairs) == 3

@@ -9,31 +9,26 @@ from debatesum.annotate import SynonymTable
 from debatesum.errors import ComputationError
 
 
-def side(labels):
-    """One side's cluster id -> label, from label texts."""
-    return {cid: tuple(label.split()) for cid, label in labels.items()}
-
-
-CO2_TABLE = SynonymTable([(("co2",), ("carbon", "dioxide"))])
+CO2_TABLE = SynonymTable([("co2", "carbon dioxide")])
 
 
 class TestLabelVector:
     def test_synonym_enrichment(self):
-        assert label_vector(("co2",), CO2_TABLE) == {"co2": 1, "carbon": 1, "dioxide": 1}
+        assert label_vector("co2", CO2_TABLE) == {"co2": 1, "carbon": 1, "dioxide": 1}
 
     def test_no_synonyms_own_tokens_only(self):
-        assert label_vector(("sea", "ice"), SynonymTable()) == {"sea": 1, "ice": 1}
+        assert label_vector("sea ice", SynonymTable()) == {"sea": 1, "ice": 1}
 
     def test_synonym_connected_labels_have_identical_vectors(self):
-        a = label_vector(("co2",), CO2_TABLE)
-        b = label_vector(("carbon", "dioxide"), CO2_TABLE)
+        a = label_vector("co2", CO2_TABLE)
+        b = label_vector("carbon dioxide", CO2_TABLE)
         assert a == b
 
 
 class TestAlignClusters:
     def test_synonym_pair_aligns_at_similarity_one(self):
-        agree = side({"a1": "co2"})
-        disagree = side({"d1": "carbon dioxide"})
+        agree = {"a1": "co2"}
+        disagree = {"d1": "carbon dioxide"}
         pairs, dropped = align_clusters(agree, disagree, CO2_TABLE, threshold=0.6)
         assert len(pairs) == 1
         assert pairs[0]["similarity"] == pytest.approx(1.0)
@@ -41,27 +36,27 @@ class TestAlignClusters:
         assert dropped == []
 
     def test_disjoint_labels_both_dropped(self):
-        agree = side({"a1": "ice"})
-        disagree = side({"d1": "economy"})
+        agree = {"a1": "ice"}
+        disagree = {"d1": "economy"}
         pairs, dropped = align_clusters(agree, disagree, SynonymTable(), threshold=0.1)
         assert pairs == []
         assert dropped == ["a1", "d1"]  # agree side first
 
     def test_identical_labels_align(self):
-        agree = side({"a1": "sea ice"})
-        disagree = side({"d1": "sea ice"})
+        agree = {"a1": "sea ice"}
+        disagree = {"d1": "sea ice"}
         pairs, _ = align_clusters(agree, disagree, SynonymTable(), threshold=0.6)
         assert pairs[0]["similarity"] == pytest.approx(1.0)
 
     def test_empty_side_drops_everything(self):
-        agree = side({"a1": "ice"})
+        agree = {"a1": "ice"}
         pairs, dropped = align_clusters(agree, {}, SynonymTable(), threshold=0.5)
         assert pairs == []
         assert dropped == ["a1"]
 
     def test_one_to_one(self):
-        agree = side({f"a{i}": "shared term" for i in range(3)})
-        disagree = side({f"d{i}": "shared term" for i in range(2)})
+        agree = {f"a{i}": "shared term" for i in range(3)}
+        disagree = {f"d{i}": "shared term" for i in range(2)}
         pairs, dropped = align_clusters(agree, disagree, SynonymTable(), threshold=0.5)
         ids = [p["agree_cluster_id"] for p in pairs] + [p["disagree_cluster_id"] for p in pairs]
         assert len(ids) == len(set(ids))
@@ -71,8 +66,8 @@ class TestAlignClusters:
     def test_greedy_takes_best_similarity_first(self):
         # a1 matches d1 perfectly; a2 overlaps d1 partially but must settle for d2
         table = SynonymTable()
-        agree = side({"a1": "sea ice", "a2": "sea level"})
-        disagree = side({"d1": "sea ice", "d2": "sea level rise"})
+        agree = {"a1": "sea ice", "a2": "sea level"}
+        disagree = {"d1": "sea ice", "d2": "sea level rise"}
         pairs, _ = align_clusters(agree, disagree, table, threshold=0.3)
         match = {p["agree_cluster_id"]: p["disagree_cluster_id"] for p in pairs}
         assert match == {"a1": "d1", "a2": "d2"}
@@ -80,8 +75,8 @@ class TestAlignClusters:
     def test_every_pair_meets_threshold(self):
         rng = random.Random(3)
         words = ["ice", "sea", "co2", "tax", "heat", "coral", "wind"]
-        agree = side({f"a{i}": " ".join(rng.sample(words, 2)) for i in range(5)})
-        disagree = side({f"d{i}": " ".join(rng.sample(words, 2)) for i in range(5)})
+        agree = {f"a{i}": " ".join(rng.sample(words, 2)) for i in range(5)}
+        disagree = {f"d{i}": " ".join(rng.sample(words, 2)) for i in range(5)}
         pairs, dropped = align_clusters(agree, disagree, SynonymTable(), threshold=0.7)
         for p in pairs:
             assert p["similarity"] >= 0.7
@@ -106,8 +101,8 @@ class TestAlignClusters:
     def test_permutation_invariance(self):
         rng = random.Random(11)
         words = ["ice", "sea", "co2", "tax", "heat"]
-        agree = side({f"a{i}": " ".join(rng.sample(words, 2)) for i in range(4)})
-        disagree = side({f"d{i}": " ".join(rng.sample(words, 2)) for i in range(4)})
+        agree = {f"a{i}": " ".join(rng.sample(words, 2)) for i in range(4)}
+        disagree = {f"d{i}": " ".join(rng.sample(words, 2)) for i in range(4)}
         reference, _ = align_clusters(agree, disagree, SynonymTable(), threshold=0.4)
         for _ in range(6):
             shuffled_a = list(agree.items())
@@ -133,13 +128,13 @@ def oracle_align(agree, disagree, table, threshold):
             similarity = _bag_cosine(vectors[a], vectors[d])
             if similarity >= threshold:
                 candidates.append((similarity, a, d))
-    candidates.sort(key=lambda c: (-c[0], " ".join(agree[c[1]]), " ".join(disagree[c[2]]), c[1], c[2]))
+    candidates.sort(key=lambda c: (-c[0], agree[c[1]], disagree[c[2]], c[1], c[2]))
     used: set = set()
     pairs = []
     for similarity, a, d in candidates:
         if a not in used and d not in used:
             used.update((a, d))
-            pairs.append({"label": " ".join(agree[a]), "agree_cluster_id": a,
+            pairs.append({"label": agree[a], "agree_cluster_id": a,
                           "disagree_cluster_id": d, "similarity": similarity})
     return pairs, [cid for cid in [*agree, *disagree] if cid not in used]
 
@@ -148,8 +143,8 @@ LABELS = st.sampled_from(["ice", "sea ice", "co2", "carbon dioxide", "carbon tax
 SYNONYM_TABLES = st.sampled_from([
     SynonymTable(),
     CO2_TABLE,
-    SynonymTable([(("co2",), ("carbon", "dioxide")), (("tax",), ("carbon", "tax")),
-                  (("ice",), ("heat",))]),
+    SynonymTable([("co2", "carbon dioxide"), ("tax", "carbon tax"),
+                  ("ice", "heat")]),
 ])
 
 
@@ -165,8 +160,8 @@ SYNONYM_TABLES = st.sampled_from([
 def test_label_pair_alignment_equals_the_pairwise_loop(
     agree_labels, disagree_labels, table, threshold, seed
 ):
-    agree = side({f"a{i}": label for i, label in enumerate(agree_labels)})
-    disagree = list(side({f"d{i}": label for i, label in enumerate(disagree_labels)}).items())
+    agree = {f"a{i}": label for i, label in enumerate(agree_labels)}
+    disagree = list({f"d{i}": label for i, label in enumerate(disagree_labels)}.items())
     random.Random(seed).shuffle(disagree)  # cluster ids out of order
     disagree = dict(disagree)
     assert align_clusters(agree, disagree, table, threshold) == oracle_align(

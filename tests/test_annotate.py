@@ -14,7 +14,6 @@ from debatesum.annotate import (
     canonical_label,
     load_gazetteer,
     load_synonyms,
-    term_text,
 )
 from debatesum.corpus import Sentence
 from debatesum.errors import ParseError, ValidationError
@@ -45,12 +44,12 @@ class TestAnnotateSentence:
     def test_direct_match(self):
         gaz = Gazetteer({("global", "warming")})
         anns = annotate_sentence(sent("Global warming is real"), gaz)
-        assert [(a.term, a.start, a.end) for a in anns] == [(("global", "warming"), 0, 2)]
+        assert [(a.term, a.start, a.end) for a in anns] == [("global warming", 0, 2)]
 
     def test_longest_match_wins(self):
         gaz = Gazetteer({("ice",), ("sea", "ice")})
         anns = annotate_sentence(sent("sea ice extent"), gaz)
-        assert [a.term for a in anns] == [("sea", "ice")]
+        assert [a.term for a in anns] == ["sea ice"]
 
     def test_no_match(self):
         gaz = Gazetteer({("ozone",)})
@@ -67,7 +66,7 @@ class TestAnnotateSentence:
         for first, second in zip(anns, anns[1:]):
             assert first.end <= second.start
         for a in anns:
-            assert s.tokens[a.start : a.end] == a.term
+            assert " ".join(s.tokens[a.start : a.end]) == a.term
 
 
 def oracle_annotate(sentence, gazetteer):
@@ -76,12 +75,13 @@ def oracle_annotate(sentence, gazetteer):
     tokens = sentence.tokens
     i = 0
     while i < len(tokens):
-        term = gazetteer.match_at(tokens, i)
-        if term is None:
+        match = gazetteer.match_at(tokens, i)
+        if match is None:
             i += 1
             continue
-        annotations.append(TermAnnotation(sentence.id, term, i, i + len(term)))
-        i += len(term)
+        term, end = match
+        annotations.append(TermAnnotation(sentence.id, term, i, end))
+        i = end
     return annotations
 
 
@@ -114,15 +114,15 @@ class TestSynonymTable:
         path = tmp_path / "syn.tsv"
         path.write_text("co2\tcarbon dioxide\n", encoding="utf-8")
         table = load_synonyms(path)
-        assert ("carbon", "dioxide") in table.synonyms(("co2",))
-        assert ("co2",) in table.synonyms(("carbon", "dioxide"))
+        assert "carbon dioxide" in table.synonyms("co2")
+        assert "co2" in table.synonyms("carbon dioxide")
 
     def test_empty_file_gives_empty_table(self, tmp_path):
         path = tmp_path / "syn.tsv"
         path.write_text("", encoding="utf-8")
         table = load_synonyms(path)
         assert table._adjacent == {}
-        assert canonical_label(("co2",), table) == ("co2",)
+        assert canonical_label("co2", table) == "co2"
 
     def test_three_column_row_pairwise_closure(self, tmp_path):
         path = tmp_path / "syn.tsv"
@@ -130,10 +130,10 @@ class TestSynonymTable:
         table = load_synonyms(path)
         # brute-force oracle: all unordered pairs of {a, b, c}
         expected = {
-            (("a",), ("b",)), (("a",), ("c",)), (("b",), ("a",)),
-            (("b",), ("c",)), (("c",), ("a",)), (("c",), ("b",)),
+            ("a", "b"), ("a", "c"), ("b", "a"),
+            ("b", "c"), ("c", "a"), ("c", "b"),
         }
-        actual = {(x, y) for x in [("a",), ("b",), ("c",)] for y in table.synonyms(x)}
+        actual = {(x, y) for x in ["a", "b", "c"] for y in table.synonyms(x)}
         assert actual == expected
 
     def test_malformed_line_reports_lineno(self, tmp_path):
@@ -145,33 +145,33 @@ class TestSynonymTable:
 
     def test_shipped_asset_loads(self):
         table = load_synonyms(default_synonyms_path())
-        assert ("carbon", "dioxide") in table.synonyms(("co2",))
+        assert "carbon dioxide" in table.synonyms("co2")
 
 
 class TestCanonicalLabel:
     def test_lexicographic_minimum(self):
-        table = SynonymTable([(("co2",), ("carbon", "dioxide"))])
-        assert canonical_label(("co2",), table) == ("carbon", "dioxide")
-        assert canonical_label(("carbon", "dioxide"), table) == ("carbon", "dioxide")
+        table = SynonymTable([("co2", "carbon dioxide")])
+        assert canonical_label("co2", table) == "carbon dioxide"
+        assert canonical_label("carbon dioxide", table) == "carbon dioxide"
 
     def test_identity_without_synonyms(self):
-        assert canonical_label(("ozone",), SynonymTable()) == ("ozone",)
+        assert canonical_label("ozone", SynonymTable()) == "ozone"
 
     def test_chain_transitivity(self):
-        table = SynonymTable([(("a",), ("b",)), (("b",), ("c",))])
-        assert canonical_label(("a",), table) == ("a",)
-        assert canonical_label(("b",), table) == ("a",)
-        assert canonical_label(("c",), table) == ("a",)
+        table = SynonymTable([("a", "b"), ("b", "c")])
+        assert canonical_label("a", table) == "a"
+        assert canonical_label("b", table) == "a"
+        assert canonical_label("c", table) == "a"
 
     def test_idempotent(self):
-        table = SynonymTable([(("co2",), ("carbon", "dioxide")), (("ghg",), ("co2",))])
-        for term in [("co2",), ("carbon", "dioxide"), ("ghg",), ("other",)]:
+        table = SynonymTable([("co2", "carbon dioxide"), ("ghg", "co2")])
+        for term in ["co2", "carbon dioxide", "ghg", "other"]:
             once = canonical_label(term, table)
             assert canonical_label(once, table) == once
 
     def test_matches_graph_search_oracle_on_random_tables(self):
         rng = random.Random(1234)
-        vocab = [(f"t{i}",) for i in range(12)]
+        vocab = [f"t{i}" for i in range(12)]
         for _ in range(25):
             pairs = []
             for _ in range(rng.randint(0, 10)):
@@ -199,8 +199,3 @@ class TestCanonicalLabel:
                     same_class = canonical_label(x, table) == canonical_label(y, table)
                     assert same_class == (y in component(x))
 
-
-
-class TestTermText:
-    def test_term_order_string(self):
-        assert term_text(("sea", "ice")) == "sea ice"

@@ -396,3 +396,28 @@ class TestKrippendorff:
         ratings = [[1, 2, 3, 4], [1, 3, 3, 4], [2, 2, 3, 4]]
         alpha = krippendorff_alpha(ratings, "ordinal")
         assert -1.0 <= alpha <= 1.0
+
+    @pytest.mark.parametrize("big", [1e200, 1e308])
+    def test_disagreements_beyond_the_float_range_rejected(self, big):
+        # before, 1e200 raised OverflowError and 1e308 returned NaN
+        with pytest.raises(ComputationError, match="float range"):
+            krippendorff_alpha([[big, -big, big], [big, -big, -big]], "interval")
+
+    @pytest.mark.parametrize("big", [1e200, 1e308])
+    def test_no_observed_disagreement_is_alpha_one_at_any_scale(self, big):
+        # only the expected disagreement is infinite (1e308 gave 1.0 before too)
+        assert krippendorff_alpha([[big, -big], [big, -big]], "interval") == 1.0
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(ratings=st.lists(
+    st.lists(st.sampled_from([None, 0.0, 1.0, -2.5, 1e154, -1e154, 1e200, 1e308, -1e308]),
+             min_size=3, max_size=3),
+    min_size=2, max_size=4,
+))
+def test_interval_alpha_is_finite_or_a_computation_error(ratings):
+    try:
+        alpha = krippendorff_alpha(ratings, "interval")
+    except ComputationError:
+        return
+    assert math.isfinite(alpha)

@@ -7,12 +7,14 @@ to keep the bytes or update these hashes and declare the output change.
 
 import hashlib
 import json
+import subprocess
+import sys
 
 import pytest
 
 from debatesum.pipeline import load_config, run_pipeline
 
-from conftest import SAMPLE_DIR
+from conftest import SAMPLE_DIR, make_config, src_env
 
 _SHARED = {
     "annotations.json": "4de456fbf0fe9b423a22ba99d642dc8566828957e2c90595f738def195ab6481",
@@ -101,3 +103,22 @@ def test_sample_artifacts_without_embeddings_match_pinned_hashes(tmp_path):
     config_path.write_text(json.dumps(raw), encoding="utf-8")
     run_pipeline(load_config(config_path))
     assert _hashes(tmp_path / "out") == GOLDEN_WITHOUT_EMBEDDINGS
+
+
+@pytest.mark.parametrize("method, labeling", [("term", "mi"), ("xmeans", "tfidf")])
+def test_sample_artifacts_do_not_depend_on_the_hash_seed(tmp_path, method, labeling):
+    """Terms and sides are strings, and set iteration order follows string
+    hashes: no artifact may follow it."""
+    config_path = make_config(tmp_path, clustering_method=method, labeling_method=labeling)
+    written = []
+    for hash_seed in ("0", "12345"):
+        out = tmp_path / f"out-{hash_seed}"
+        subprocess.run(
+            [sys.executable, "-m", "debatesum.cli", "pipeline", "--config", str(config_path),
+             "--out", str(out)],
+            env={**src_env(), "PYTHONHASHSEED": hash_seed}, capture_output=True, timeout=120,
+            check=True,
+        )
+        written.append({p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"})
+    assert "clusters.json" in written[0]
+    assert written[0] == written[1]

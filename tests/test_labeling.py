@@ -10,7 +10,6 @@ from debatesum.annotate import SynonymTable
 from debatesum.errors import ComputationError
 from debatesum.labeling import (
     ContingencyCounts,
-    LabelMethod,
     UNLABELED,
     contingency_counts,
     mi_label,
@@ -95,102 +94,102 @@ class TestMutualInformation:
 
 class TestSharedTermLabel:
     def test_identity(self):
-        candidate = shared_term_label(("ice",))
-        assert candidate.term == ("ice",)
+        candidate = shared_term_label("ice")
+        assert candidate.term == "ice"
         assert candidate.score == 1.0
-        assert candidate.method is LabelMethod.SHARED_TERM
+        assert candidate.method == "shared"
 
     def test_merged_cluster_keeps_canonical_label(self):
-        table = SynonymTable([(("co2",), ("carbon", "dioxide"))])
-        merged = merge_synonymous_clusters({("co2",): ["s1"], ("carbon", "dioxide"): ["s2"]}, table)
+        table = SynonymTable([("co2", "carbon dioxide")])
+        merged = merge_synonymous_clusters({"co2": ["s1"], "carbon dioxide": ["s2"]}, table)
         (label,) = merged
-        assert shared_term_label(label).term == ("carbon", "dioxide")
+        assert shared_term_label(label).term == "carbon dioxide"
 
     def test_empty_label_rejected(self):
         with pytest.raises(ComputationError):
-            shared_term_label(())
+            shared_term_label("")
 
 
 class TestTfidfLabels:
     def test_worked_example(self):
-        c1 = Counter({("warming",): 2, ("ice",): 1})
-        c2 = Counter({("warming",): 1, ("co2",): 1})
+        c1 = Counter({"warming": 2, "ice": 1})
+        c2 = Counter({"warming": 1, "co2": 1})
         labels = tfidf_labels([c1, c2])
-        assert labels[0].term == ("ice",)
+        assert labels[0].term == "ice"
         assert labels[0].score == pytest.approx(math.log(2.0))
-        assert labels[1].term == ("co2",)
+        assert labels[1].term == "co2"
 
     def test_single_cluster_tie_breaks_by_tf(self):
-        labels = tfidf_labels([Counter({("a",): 3, ("b",): 1})])
+        labels = tfidf_labels([Counter({"a": 3, "b": 1})])
         # all idf = 0; highest tf wins the tie
-        assert labels[0].term == ("a",)
+        assert labels[0].term == "a"
         assert labels[0].score == 0.0
 
     def test_ubiquitous_term_never_selected(self):
         clusters = [
-            Counter({("everywhere",): 5, ("rare1",): 1}),
-            Counter({("everywhere",): 5, ("rare2",): 1}),
+            Counter({"everywhere": 5, "rare1": 1}),
+            Counter({"everywhere": 5, "rare2": 1}),
         ]
         labels = tfidf_labels(clusters)
-        assert labels[0].term == ("rare1",)
-        assert labels[1].term == ("rare2",)
+        assert labels[0].term == "rare1"
+        assert labels[1].term == "rare2"
 
     def test_empty_cluster_gets_sentinel(self):
-        labels = tfidf_labels([Counter(), Counter({("x",): 1})])
+        labels = tfidf_labels([Counter(), Counter({"x": 1})])
         assert labels[0].term == UNLABELED
 
     def test_order_invariance(self):
         clusters = [
-            Counter({("a",): 2, ("b",): 1}),
-            Counter({("b",): 2, ("c",): 1}),
-            Counter({("c",): 3}),
+            Counter({"a": 2, "b": 1}),
+            Counter({"b": 2, "c": 1}),
+            Counter({"c": 3}),
         ]
         forward = tfidf_labels(clusters)
         backward = tfidf_labels(list(reversed(clusters)))
         assert [l.term for l in forward] == [l.term for l in reversed(backward)]
 
     def test_lexicographic_final_tie_break(self):
-        labels = tfidf_labels([Counter({("zebra",): 1, ("apple",): 1})])
-        assert labels[0].term == ("apple",)
+        labels = tfidf_labels([Counter({"zebra": 1, "apple": 1})])
+        assert labels[0].term == "apple"
 
 
 class TestMiLabel:
     def test_dominant_term_wins(self):
         clusters = [["s1", "s2"], ["s3", "s4"]]
         terms = {
-            "s1": [("ice",)],
-            "s2": [("ice",)],
-            "s3": [("co2",)],
-            "s4": [("co2",)],
+            "s1": ["ice"],
+            "s2": ["ice"],
+            "s3": ["co2"],
+            "s4": ["co2"],
         }
         candidate = mi_label(clusters[0], term_index(clusters, terms))
-        assert candidate.term == ("ice",)
-        assert candidate.method is LabelMethod.MI
+        assert candidate.term == "ice"
+        assert candidate.method == "mi"
 
     def test_uninformative_term_never_beats_associated(self):
         clusters = [["s1", "s2"], ["s3", "s4"]]
         terms = {
-            "s1": [("ice",), ("noise",)],
-            "s2": [("ice",)],
-            "s3": [("noise",), ("co2",)],
-            "s4": [("co2",), ("noise",)],
+            "s1": ["ice", "noise"],
+            "s2": ["ice"],
+            "s3": ["noise", "co2"],
+            "s4": ["co2", "noise"],
         }
         candidate = mi_label(clusters[0], term_index(clusters, terms))
-        assert candidate.term == ("ice",)
+        assert candidate.term == "ice"
 
     def test_empty_candidates_sentinel(self):
         clusters = [["s1"], ["s2"]]
-        candidate = mi_label(["s1"], term_index(clusters, {"s1": [], "s2": [("x",)]}))
+        candidate = mi_label(["s1"], term_index(clusters, {"s1": [], "s2": ["x"]}))
         assert candidate.term == UNLABELED
 
     def test_universe_duplication_invariance(self):
         clusters = [["s1", "s2"], ["s3", "s4", "s5"]]
         terms = {
-            "s1": [("ice",)],
-            "s2": [("ice",), ("dust",)],
-            "s3": [("co2",)],
-            "s4": [("dust",)],
-            "s5": [("co2",), ("ice",)],
+            "s1": ["ice"],
+            "s2": ["ice", "dust"],
+            "s3": ["co2"],
+            "s4": ["dust"],
+            "s5": ["co2", "ice"],
         }
         base = mi_label(clusters[0], term_index(clusters, terms))
         # duplicate the whole universe: every sentence twice under fresh ids
@@ -204,7 +203,7 @@ class TestMiLabel:
 
     def test_target_outside_universe_rejected(self):
         with pytest.raises(ComputationError):
-            mi_label(["sX"], term_index([["s1"], ["s2"]], {"s1": [("a",)], "s2": [("b",)]}))
+            mi_label(["sX"], term_index([["s1"], ["s2"]], {"s1": ["a"], "s2": ["b"]}))
 
     def test_planted_label_recovery_small(self):
         rng = random.Random(7)
@@ -220,8 +219,8 @@ def planted_corpus(rng, n_clusters=5, size=15, coverage=0.9, leakage=0.05, noise
     plus uniform noise terms everywhere."""
     clusters = []
     terms = {}
-    planted = [(f"planted{i}",) for i in range(n_clusters)]
-    noise = [(f"noise{i}",) for i in range(noise_terms)]
+    planted = [f"planted{i}" for i in range(n_clusters)]
+    noise = [f"noise{i}" for i in range(noise_terms)]
     sid = 0
     for i in range(n_clusters):
         members = []
@@ -247,9 +246,9 @@ class TestContingencyCounts:
     def test_tabulation(self):
         index = term_index(
             [["s1", "s2", "s3", "s4"]],
-            {"s1": [("ice",)], "s2": [], "s3": [("ice",)], "s4": []},
+            {"s1": ["ice"], "s2": [], "s3": ["ice"], "s4": []},
         )
-        counts = contingency_counts(("ice",), {"s1", "s2"}, index)
+        counts = contingency_counts("ice", {"s1", "s2"}, index)
         assert (counts.n11, counts.n01, counts.n10, counts.n00) == (1, 1, 1, 1)
         assert counts.n == 4
         assert counts.n1dot == 2 and counts.ndot1 == 2
@@ -262,7 +261,7 @@ def oracle_contingency_counts(term, target_members, universe, terms_by_sentence)
     target = set(target_members)
     n11 = n10 = n01 = n00 = 0
     for sid in universe:
-        present = term in {tuple(t) for t in terms_by_sentence.get(sid, ())}
+        present = term in terms_by_sentence.get(sid, ())
         if sid in target:
             if present:
                 n11 += 1
@@ -278,20 +277,20 @@ def oracle_contingency_counts(term, target_members, universe, terms_by_sentence)
 def oracle_mi_label(target, all_clusters, terms_by_sentence):
     """(term, score hex, runner-up) with every table tabulated over the universe."""
     universe = list(dict.fromkeys(sid for cluster in all_clusters for sid in cluster))
-    candidates = {tuple(t) for sid in target for t in terms_by_sentence.get(sid, ())}
+    candidates = {t for sid in target for t in terms_by_sentence.get(sid, ())}
     if not candidates:
         return UNLABELED, float.hex(0.0), None
     scored = []
     for term in candidates:
         counts = oracle_contingency_counts(term, target, universe, terms_by_sentence)
         scored.append((mutual_information(counts), float(counts.n11), term))
-    ranked = sorted(scored, key=lambda e: (-e[0], -e[1], " ".join(e[2])))
+    ranked = sorted(scored, key=lambda e: (-e[0], -e[1], e[2]))
     runner = None if len(ranked) < 2 else (ranked[1][2], float.hex(ranked[1][0]))
     return ranked[0][2], float.hex(ranked[0][0]), runner
 
 
 SENTENCES = [f"s{i}" for i in range(10)]
-TERMS = st.sampled_from([("ice",), ("sea", "level"), ("co2",), ("tax",), ("carbon", "tax")])
+TERMS = st.sampled_from(["ice", "sea level", "co2", "tax", "carbon tax"])
 
 
 @settings(max_examples=200, deadline=None, database=None)
@@ -308,7 +307,7 @@ def test_mi_label_from_the_index_equals_the_per_table_loop(clusters, terms):
         got = mi_label(cluster, index)
         runner = None if got.runner_up is None else (got.runner_up[0], float.hex(got.runner_up[1]))
         assert (got.term, float.hex(got.score), runner) == oracle_mi_label(cluster, clusters, terms)
-        for term in {tuple(t) for ts in terms.values() for t in ts}:
+        for term in {t for ts in terms.values() for t in ts}:
             assert contingency_counts(term, set(cluster), index) == oracle_contingency_counts(
                 term, cluster, list(index.terms), terms
             )

@@ -784,6 +784,49 @@ class TestCli:
         err = capsys.readouterr().err
         assert "of topic 't" in err and "has no term in the config's vocabulary" in err
 
+    def test_term_cluster_label_compared_as_written_exit_3(self, tmp_path, capsys):
+        # a term is the string the artifacts hold: before, two spaces read as one,
+        # and label exited 0 and wrote the normalized label
+        config_path = make_config(tmp_path, clustering_method="term", labeling_method="shared")
+        assert main(["pipeline", "--config", str(config_path)]) == 0
+        path = tmp_path / "out" / "clusters.json"
+        doc = read_json(path)
+        sides = [side for topic in doc["topics"] for side in topic["sides"].values()]
+        cluster = next(c for side in sides for c in side["clusters"] if c["label"] == "carbon dioxide")
+        cluster["label"] = "carbon  dioxide"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["label", "--config", str(config_path)]) == 3
+        err = capsys.readouterr().err
+        assert "lacks the term 'carbon  dioxide'" in err and "clusters.json" in err
+
+    @pytest.mark.parametrize("case", [
+        "pipeline --out is a file", "annotations.json is a directory",
+        "eval stats --out is under a file", "manifest.json is a directory",
+    ])
+    def test_output_that_cannot_be_written_exit_2(self, tmp_path, capsys, case):
+        # before, each ended in a traceback (exit 1)
+        config = str(make_config(tmp_path))
+        out, blocker = tmp_path / "out", tmp_path / "blocker"
+        blocker.write_text("", encoding="utf-8")
+        ratings = tmp_path / "ratings.json"
+        ratings.write_text(json.dumps({"samples": {"a": [1, 2], "b": [3, 4]}}), encoding="utf-8")
+        argv, named = {
+            "pipeline --out is a file": (["pipeline", "--config", config, "--out", str(blocker)], blocker),
+            "annotations.json is a directory": (["annotate", "--config", config], out / "annotations.json"),
+            "eval stats --out is under a file": (
+                ["eval", "stats", "--ratings", str(ratings), "--out", str(blocker / "x.json")], blocker),
+            "manifest.json is a directory": (["pipeline", "--config", config], out / "manifest.json"),
+        }[case]
+        if named != blocker:
+            named.mkdir(parents=True)
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1 and str(named) in err
+        if case == "manifest.json is a directory":  # the rollback removes every artifact
+            assert list(out.iterdir()) == [named]
+
     def test_stages_that_need_no_corpus_do_not_parse_it(self, tmp_path):
         config_path = make_config(tmp_path)
         out = tmp_path / "out"
@@ -1007,6 +1050,17 @@ class TestCli:
         target = tmp_path / "report.json"
         assert main(["eval", "stats", "--ratings", str(ratings), "--out", str(target)]) == 0
         assert json.loads(target.read_text())["mann_whitney"]["u_a"] == 0.0
+
+    @pytest.mark.parametrize("big", [1e200, 1e308])
+    def test_eval_stats_alpha_beyond_the_float_range_exit_4(self, tmp_path, capsys, big):
+        # before, 1e200 ended in an OverflowError traceback and 1e308 wrote "alpha": NaN
+        ratings = tmp_path / "ratings.json"
+        doc = {"ratings": [[big, -big, big], [big, -big, -big]], "metric": "interval"}
+        ratings.write_text(json.dumps(doc), encoding="utf-8")
+        target = tmp_path / "report.json"
+        assert main(["eval", "stats", "--ratings", str(ratings), "--out", str(target)]) == 4
+        assert "computation error: " in capsys.readouterr().err
+        assert not target.exists()
 
     def test_eval_stats_bad_file_exit_3(self, tmp_path):
         ratings = tmp_path / "ratings.json"

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from debatesum.annotate import TermAnnotation
-from debatesum.corpus import Comment, DebateTopic, Feature, GoldAnnotation, Sentence, Side
+from debatesum.corpus import Comment, DebateTopic, Feature, GoldAnnotation, Sentence
 from debatesum.evalkit import MannWhitneyResult, RougeScore, RougeVariant, SilhouetteReport
-from debatesum.labeling import ContingencyCounts, LabelCandidate, LabelMethod, TermIndex
+from debatesum.labeling import ContingencyCounts, LabelCandidate, TermIndex
 from debatesum.pipeline import PipelineConfig, Stage
 from debatesum.saliency import CommentScores, TopicSignature
 from debatesum.vector_clustering import ClusteringResult, PcaModel
@@ -28,19 +28,19 @@ def _sentence():
 # whether the record hashes: one holding a dict, list or array does not
 RECORDS = [
     (Sentence, lambda: dict(id="s1", position=1, text="Ice melts.", tokens=("ice", "melts")), True),
-    (Comment, lambda: dict(id="c1", side=Side.AGREE, sentences=(_sentence(),)), True),
+    (Comment, lambda: dict(id="c1", side="agree", sentences=(_sentence(),)), True),
     (DebateTopic, lambda: dict(id="t1", title="Ice", comments=(
-        Comment(id="c1", side=Side.AGREE, sentences=(_sentence(),)),), title_tokens=("ice",)), True),
+        Comment(id="c1", side="agree", sentences=(_sentence(),)),), title_tokens=("ice",)), True),
     (GoldAnnotation, lambda: dict(
         annotator_id="a1", comment_id="c1", selected_sentence_ids=frozenset({"s1"})), True),
-    (TermAnnotation, lambda: dict(sentence_id="s1", term=("ice",), start=0, end=1), True),
+    (TermAnnotation, lambda: dict(sentence_id="s1", term="ice", start=0, end=1), True),
     (RougeScore, lambda: dict(variant=RougeVariant.R1, recall=0.5, precision=0.25, f1=1 / 3), True),
     (SilhouetteReport, lambda: dict(per_point=(0.1, 0.3), mean=0.2), True),
     (MannWhitneyResult, lambda: dict(u_a=1.0, u_b=3.0, z=-0.5, p_two_sided=0.6, effect_r=0.1), True),
     (ContingencyCounts, lambda: dict(n11=1, n10=2, n01=3, n00=4), True),
     (LabelCandidate, lambda: dict(
-        term=("ice",), score=0.5, method=LabelMethod.MI, runner_up=(("sea",), 0.25)), True),
-    (TermIndex, lambda: dict(terms={"s1": frozenset({("ice",)})}, carriers={("ice",): {"s1"}}), False),
+        term="ice", score=0.5, method="mi", runner_up=("sea", 0.25)), True),
+    (TermIndex, lambda: dict(terms={"s1": frozenset({"ice"})}, carriers={"ice": {"s1"}}), False),
     (PcaModel, lambda: dict(
         mean=np.zeros(1), components=np.ones((1, 1)), explained_variance=np.ones(1)), False),
     (ClusteringResult, lambda: dict(

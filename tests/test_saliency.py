@@ -7,7 +7,6 @@ import pytest
 from conftest import make_comment, make_topic
 from oracles import default_lexicons, select_salient
 
-from debatesum.corpus import Side
 from debatesum.errors import ComputationError, ParseError
 from debatesum.pipeline import comment_selections
 from debatesum.saliency import (
@@ -93,7 +92,7 @@ class TestScoreFeatures:
     def make_simple(self):
         comment = make_comment(
             "c1",
-            Side.AGREE,
+            "agree",
             [
                 "Global warming is real.",
                 "However, ice melts fast.",
@@ -118,13 +117,13 @@ class TestScoreFeatures:
         assert scores.raw[Feature.COS_TTS][2] == 0.0
 
     def test_identical_binary_vectors_give_cosine_one(self):
-        comment = make_comment("c1", Side.AGREE, ["global warming", "other words entirely"])
+        comment = make_comment("c1", "agree", ["global warming", "other words entirely"])
         topic = make_topic("t1", "global warming", [comment])
         scores = score_comment(comment, topic, plain_lexicons(), [])
         assert scores.raw[Feature.COS_TTS][0] == pytest.approx(1.0)
 
     def test_tt_fraction(self):
-        comment = make_comment("c1", Side.AGREE, ["global warming is real", "unrelated"])
+        comment = make_comment("c1", "agree", ["global warming is real", "unrelated"])
         topic = make_topic("t1", "global warming hoax", [comment])
         scores = score_comment(comment, topic, plain_lexicons(), [])
         assert scores.raw[Feature.TT][0] == pytest.approx(2 / 3)
@@ -158,7 +157,7 @@ class TestScoreFeatures:
         assert scores.raw[Feature.COS_STT] == [0.0] * len(comment.sentences)
 
     def test_cos_stt_with_embeddings(self):
-        comment = make_comment("c1", Side.AGREE, ["global warming", "economy stuff"])
+        comment = make_comment("c1", "agree", ["global warming", "economy stuff"])
         topic = make_topic("t1", "global warming", [comment])
         emb = {
             "global": np.array([1.0, 0.0]),
@@ -170,14 +169,14 @@ class TestScoreFeatures:
         assert scores.raw[Feature.COS_STT] == [pytest.approx(1.0), pytest.approx(-1.0)]
 
     def test_all_oov_sentence_scores_zero(self):
-        comment = make_comment("c1", Side.AGREE, ["global warming", "zzz qqq"])
+        comment = make_comment("c1", "agree", ["global warming", "zzz qqq"])
         topic = make_topic("t1", "global warming", [comment])
         emb = {"global": np.array([1.0, 0.0]), "warming": np.array([0.0, 1.0])}
         scores = score_comment(comment, topic, plain_lexicons(embeddings=emb), [])
         assert scores.raw[Feature.COS_STT][1] == 0.0
 
     def test_cb_excludes_cos_stt_when_embeddings_absent(self):
-        comment = make_comment("c1", Side.AGREE, ["global warming", "other words"])
+        comment = make_comment("c1", "agree", ["global warming", "other words"])
         topic = make_topic("t1", "global warming", [comment])
         scores = score_comment(comment, topic, plain_lexicons(), [])
         # 7 available features; normalized TT/COS_TTS/COS_CCTS/SP/SL/CJ/COS_TPS
@@ -191,7 +190,7 @@ class TestScoreFeatures:
 
 class TestSelectSalient:
     def comment_of(self, n: int):
-        comment = make_comment("c1", Side.AGREE, [f"Sentence number {i}." for i in range(1, n + 1)])
+        comment = make_comment("c1", "agree", [f"Sentence number {i}." for i in range(1, n + 1)])
         topic = make_topic("t1", "irrelevant title", [comment])
         return comment, topic
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from conftest import SAMPLE_DIR, make_comment, make_topic
 from oracles import default_lexicons, select_salient
 
-from debatesum.corpus import Side, load_corpus, salient_count
+from debatesum.corpus import load_corpus, salient_count
 from debatesum.pipeline import topic_signatures_for
 from debatesum.saliency import (
     BASE_FEATURES,
@@ -121,7 +121,7 @@ def hexes(values):
 
 
 def assert_matches_oracle(texts, title, signature_terms, embeddings, ratio=0.2):
-    comment = make_comment("c1", Side.AGREE, texts)
+    comment = make_comment("c1", "agree", texts)
     topic = make_topic("t1", title, [comment])
     lexicons = Lexicons(**LEXICONS, embeddings=embeddings)
     signatures = [TopicSignature(term, 20.0) for term in sorted(signature_terms)]
@@ -204,7 +204,7 @@ TIED_VALUES = st.sampled_from((0.0, -0.0, 0.5, 1.0, 3.0))
 def test_selections_of_tied_columns_equal_the_oracle(column, ratio):
     """Every feature's selection from ``column`` (one value per sentence) is
     the oracle's ``(-score, position)`` pick."""
-    comment = make_comment("c1", Side.AGREE, ["ice"] * len(column))
+    comment = make_comment("c1", "agree", ["ice"] * len(column))
     scores = CommentScores(raw=dict.fromkeys(BASE_FEATURES, column), normalized={}, cb=column)
     expected = {
         s.id: (dict.fromkeys(BASE_FEATURES, v), None, v) for s, v in zip(comment.sentences, column)
@@ -248,7 +248,7 @@ def assert_one_feature_matches_full(comment, topic, lexicons, signatures):
 @example(["carbon carbon ice", "however the sea level", "zzz"], "carbon warming", {"ice"}, EMBEDDINGS)
 @example(["the zzz", "", "zzz zzz"], "", set(), None)  # term-free, empty title, no signatures
 def test_one_feature_columns_equal_the_full_call(texts, title, signature_terms, embeddings):
-    comment = make_comment("c1", Side.AGREE, texts)
+    comment = make_comment("c1", "agree", texts)
     topic = make_topic("t1", title, [comment])
     lexicons = Lexicons(**LEXICONS, embeddings=embeddings)
     signatures = [TopicSignature(term, 20.0) for term in sorted(signature_terms)]

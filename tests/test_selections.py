@@ -19,7 +19,7 @@ import debatesum.corpus as corpus_module
 import debatesum.pipeline as pipeline
 from debatesum.assets import default_stopwords
 from debatesum.cli import main
-from debatesum.corpus import GoldAnnotation, Side, load_corpus, load_gold
+from debatesum.corpus import GoldAnnotation, load_corpus, load_gold
 from debatesum.evalkit import RougeVariant, rouge
 from debatesum.pipeline import (
     comment_selections,
@@ -110,7 +110,7 @@ def short_comment_corpus():
     for tid, comments in texts.items():
         built = []
         for i, sentences in enumerate(comments):
-            side = Side.AGREE if i % 2 else Side.DISAGREE
+            side = "agree" if i % 2 else "disagree"
             comment = make_comment(f"{tid}-c{i + 1}", side, sentences)
             built.append(comment)
             for annotator, pick in (("a1", 0), ("a2", -1)):
@@ -136,10 +136,10 @@ class TestTopicSignatures:
                 assert topic_signatures_for(corpus, topic, threshold, counts) == expected
 
     def test_token_unique_to_topic(self):
-        own = make_topic("t1", "Glaciers", [make_comment("t1-c1", Side.AGREE, [
+        own = make_topic("t1", "Glaciers", [make_comment("t1-c1", "agree", [
             "Glaciers glaciers glaciers retreat fast.", "Glaciers feed rivers.",
         ])])
-        other = make_topic("t2", "Taxes", [make_comment("t2-c1", Side.AGREE, [
+        other = make_topic("t2", "Taxes", [make_comment("t2-c1", "agree", [
             "Taxes fund rivers.", "Taxes rise fast.",
         ])])
         corpus = [own, other]
@@ -165,7 +165,7 @@ class TestTopicSignatures:
         assert len(reads) <= 1
 
     def test_single_topic_corpus_has_no_signatures(self):
-        topic = make_topic("t1", "Alone", [make_comment("t1-c1", Side.AGREE, ["Only one topic."])])
+        topic = make_topic("t1", "Alone", [make_comment("t1-c1", "agree", ["Only one topic."])])
         assert topic_signatures_for([topic], topic, 1.0) == []
         assert list_background_signatures([topic], topic, 1.0) == []
 
@@ -236,7 +236,7 @@ def gold_corpora(draw):
         comments = []
         for c in range(1, draw(st.integers(1, 3)) + 1):
             texts = draw(st.lists(SENTENCE_TEXTS, min_size=1, max_size=8))
-            comment = make_comment(f"t{t}-c{c}", Side.AGREE if c % 2 else Side.DISAGREE, texts)
+            comment = make_comment(f"t{t}-c{c}", "agree" if c % 2 else "disagree", texts)
             comments.append(comment)
             specs[comment.id] = draw(st.lists(REFERENCE_SPECS, max_size=3))
         corpus.append(make_topic(f"t{t}", "Debate on carbon and ice", comments))
@@ -247,8 +247,8 @@ def one_token_sentences_case():
     """SU4 windows over runs of one-token sentences, with an empty one among them."""
     texts = ["Ice.", "Sea.", "...", "Ice.", "The.", "Carbon.", "Ice.", "Tax."]
     corpus = [
-        make_topic("t1", "Ice", [make_comment("t1-c1", Side.AGREE, texts)]),
-        make_topic("t2", "Tax", [make_comment("t2-c1", Side.DISAGREE, ["The tax.", "Sea ice."])]),
+        make_topic("t1", "Ice", [make_comment("t1-c1", "agree", texts)]),
+        make_topic("t2", "Tax", [make_comment("t2-c1", "disagree", ["The tax.", "Sea ice."])]),
     ]
     specs = {
         "t1-c1": [("selection", Feature.SP), ("complement", Feature.SP), ("subset", (True,) * 8)],
@@ -261,8 +261,8 @@ def tokenless_comment_case():
     """A comment whose sentences have no tokens, so every sequence scored
     for it is empty, beside a comment with tokens."""
     corpus = [
-        make_topic("t1", "Ice", [make_comment("t1-c1", Side.AGREE, ["...", "...", "..."])]),
-        make_topic("t2", "Tax", [make_comment("t2-c1", Side.DISAGREE, ["The tax.", "Sea ice."])]),
+        make_topic("t1", "Ice", [make_comment("t1-c1", "agree", ["...", "...", "..."])]),
+        make_topic("t2", "Tax", [make_comment("t2-c1", "disagree", ["The tax.", "Sea ice."])]),
     ]
     specs = {
         "t1-c1": [("selection", Feature.SP), ("complement", Feature.SP), ("subset", (True,) * 3)],

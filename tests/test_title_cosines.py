@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from conftest import make_comment, make_topic
 
-from debatesum.corpus import Side
 from debatesum.saliency import Feature, Lexicons, score_comment
 
 VOCAB = ("carbon", "ice", "sea", "level", "warming", "the", "zzz", "qqq")
@@ -67,7 +66,7 @@ def build_topics(case):
     for t, (title, comments) in enumerate(zip(titles, comment_texts)):
         tid = f"t{t + 1}"
         topics.append(make_topic(tid, title, [
-            make_comment(f"{tid}-c{c + 1}", Side.AGREE, texts) for c, texts in enumerate(comments)
+            make_comment(f"{tid}-c{c + 1}", "agree", texts) for c, texts in enumerate(comments)
         ]))
     return topics
 
@@ -82,7 +81,7 @@ def assert_columns_match_the_oracle(case, embeddings):
         expected = oracle_title_cosines(comment, topic, lexicons)
         assert hexes(cos_stt(comment, topic, lexicons)) == hexes(expected), comment.id
     # a comment that is not one of its topic's comments is scored alone
-    outsider = make_comment("x-c1", Side.DISAGREE, ["carbon ice sea " * 3, "zzz"])
+    outsider = make_comment("x-c1", "disagree", ["carbon ice sea " * 3, "zzz"])
     for topic in topics:
         expected = oracle_title_cosines(outsider, topic, lexicons)
         assert hexes(cos_stt(outsider, topic, lexicons)) == hexes(expected)

@@ -29,19 +29,19 @@ def blobs(rng, centers, n_per=30, sigma=0.5):
 class TestBuildTermVectors:
     def test_direct_count(self):
         ids, counts, excluded = build_term_vectors(
-            {"s1": [("co2",), ("co2",)]}, [("co2",), ("ice",)]
+            {"s1": ["co2", "co2"]}, ["co2", "ice"]
         )
         assert ids == ["s1"] and excluded == []
         assert counts.tolist() == [[2.0, 0.0]]
 
     def test_zero_vector_excluded(self):
-        ids, counts, excluded = build_term_vectors({"s1": [("methane",)]}, [("co2",)])
+        ids, counts, excluded = build_term_vectors({"s1": ["methane"]}, ["co2"])
         assert ids == [] and counts.shape == (0, 1)
         assert excluded == ["s1"]
 
     def test_dimension_is_vocabulary_size(self):
-        vocab = [(f"term{i}",) for i in range(64)]
-        ids, counts, _ = build_term_vectors({"s1": [("term3",)], "s2": [("term10",)]}, vocab)
+        vocab = [f"term{i}" for i in range(64)]
+        ids, counts, _ = build_term_vectors({"s1": ["term3"], "s2": ["term10"]}, vocab)
         assert ids == ["s1", "s2"]
         assert counts.shape == (2, 64)
 
