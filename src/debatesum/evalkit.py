@@ -4,6 +4,11 @@ ROUGE uses clipped n-gram counts per reference; the SU4 variant counts
 skip-bigrams with up to four intervening words plus unigrams. Scores against
 multiple references aggregate by mean.
 No stemming or stopword removal happens here: tokens are compared as given.
+
+The euclidean silhouette needs no numpy: ``_pairwise`` adds plain floats in
+numpy's pairwise order, so the scores keep the bits numpy gave them. The
+cosine one uses numpy. Other float sums add left to right, as builtin
+``sum()`` of floats compensates from Python 3.12 on.
 """
 
 from __future__ import annotations
@@ -11,6 +16,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from enum import Enum
+from functools import reduce
+from operator import add
 from typing import NamedTuple, Sequence
 
 from ._numpy import np
@@ -76,8 +83,9 @@ def _recall_precision_f1(match: int, total_sys: int, total_ref: int) -> tuple[fl
 
 
 def _mean_score(variant: RougeVariant, scores: Sequence[tuple[float, float, float]]) -> RougeScore:
-    """The mean over references of (recall, precision, f1) triples."""
-    recall, precision, f1 = (sum(column) / len(scores) for column in zip(*scores))
+    """The mean over references of (recall, precision, f1) triples, each
+    column added left to right."""
+    recall, precision, f1 = (reduce(add, column, 0.0) / len(scores) for column in zip(*scores))
     return RougeScore(variant=variant, recall=recall, precision=precision, f1=f1)
 
 
@@ -148,22 +156,9 @@ def rouge_batch(
     np.divide(match, system_totals, out=precision, where=system_totals > 0)
     np.divide(2 * precision * recall, precision + recall, out=f1, where=precision + recall != 0)
     total = scores[:, 0]
-    for ref in range(1, n_rows - n_systems):  # added in order, as sum() adds
+    for ref in range(1, n_rows - n_systems):  # added in order, as _mean_score adds
         total = total + scores[:, ref]
     return total / (n_rows - n_systems)
-
-
-def _distance_matrix(points: np.ndarray, metric: str) -> np.ndarray:
-    if metric == "euclidean":
-        diff = points[:, None, :] - points[None, :, :]
-        return np.sqrt(np.sum(diff**2, axis=2))
-    if metric == "cosine_distance":
-        norms = np.linalg.norm(points, axis=1)
-        if np.any(norms == 0.0):
-            raise ComputationError("cosine distance undefined for zero vectors")
-        unit = points / norms[:, None]
-        return 1.0 - np.clip(unit @ unit.T, -1.0, 1.0)
-    raise ComputationError(f"unknown silhouette metric {metric!r}")
 
 
 def silhouette(
@@ -176,15 +171,25 @@ def silhouette(
     a is the mean distance to the point's own cluster (self excluded), b the
     smallest mean distance to any other cluster. Points in singleton clusters
     score 0 by convention. At least two nonempty clusters are required.
+    ``points`` holds one row per point, or one number per point; a euclidean
+    distance beyond the float range is an error.
     """
-    points = np.asarray(points, dtype=float)
-    if points.ndim == 1:
-        points = points[:, None]
+    if len(set(assignments)) < 2:
+        raise ComputationError("silhouette undefined for k = 1")
+    if metric == "euclidean":  # plain floats, no numpy; imported here, so only this path compiles it
+        from ._pairwise import euclidean_silhouette
+
+        return SilhouetteReport(*euclidean_silhouette(points, assignments))
+    if metric != "cosine_distance":
+        raise ComputationError(f"unknown silhouette metric {metric!r}")
+    points = np.asarray(points, dtype=float).reshape(len(points), -1)
+    norms = np.linalg.norm(points, axis=1)
+    if np.any(norms == 0.0):
+        raise ComputationError("cosine distance undefined for zero vectors")
+    unit = points / norms[:, None]
+    distances = 1.0 - np.clip(unit @ unit.T, -1.0, 1.0)
     # return_inverse: a plain np.unique imports numpy.ma (about 15 ms)
     labels, own = np.unique(np.asarray(assignments, dtype=int), return_inverse=True)
-    if len(labels) < 2:
-        raise ComputationError("silhouette undefined for k = 1")
-    distances = _distance_matrix(points, metric)
 
     # Each cluster's columns are copied to a C-contiguous block: its row sums
     # then add in the order a 1-D sum of one row's members does, where the
@@ -264,7 +269,7 @@ def _difference_squared(values: list[float], counts: dict[float, float], metric:
                     d2 = math.inf
             elif metric == "ordinal":
                 lo, hi = min(x, y), max(x, y)
-                between = sum(counts[g] for g in values if lo <= g <= hi)
+                between = reduce(add, (counts[g] for g in values if lo <= g <= hi), 0.0)
                 d2 = (between - (counts[x] + counts[y]) / 2.0) ** 2 if x != y else 0.0
             else:
                 raise ComputationError(f"unknown alpha metric {metric!r}")
@@ -311,14 +316,14 @@ def krippendorff_alpha(
                 coincidence[(v, w)] = coincidence.get((v, w), 0.0) + 1.0 / (m - 1)
     for (v, _), count in coincidence.items():
         value_counts[v] = value_counts.get(v, 0.0) + count
-    total = sum(value_counts.values())
+    total = reduce(add, value_counts.values(), 0.0)
 
     domain = sorted(value_counts)
     d2 = _difference_squared(domain, value_counts, metric)
 
-    observed = sum(count * d2[pair] for pair, count in coincidence.items()) / total
-    expected = sum(
-        value_counts[v] * value_counts[w] * d2[(v, w)] for v in domain for w in domain
+    observed = reduce(add, (count * d2[pair] for pair, count in coincidence.items()), 0.0) / total
+    expected = reduce(
+        add, (value_counts[v] * value_counts[w] * d2[(v, w)] for v in domain for w in domain), 0.0
     ) / (total * (total - 1))
     if expected == 0.0:
         return 1.0  # zero expected disagreement: unanimous ratings

@@ -28,8 +28,9 @@ from __future__ import annotations
 import re
 import sys
 from collections import Counter
-from functools import cached_property
+from functools import cached_property, reduce
 from importlib import import_module
+from operator import add
 from pathlib import Path
 from typing import Callable, Collection, Mapping, NamedTuple
 
@@ -699,8 +700,13 @@ def compute_silhouette_report(
                     )
                 report = silhouette(points.astype(float), assignments, metric="cosine_distance")
             else:
-                points = np.array([side_doc["points"][sid] for sid in members], dtype=float)
-                report = silhouette(points, assignments, metric="euclidean")
+                points = [side_doc["points"][sid] for sid in members]
+                try:
+                    report = silhouette(points, assignments, metric="euclidean")
+                except ComputationError as e:
+                    raise ComputationError(
+                        f"topic {topic['topic_id']!r}, side {side!r}: {e}"
+                    ) from e
             entries.append(
                 {
                     "topic_id": topic["topic_id"],
@@ -710,7 +716,7 @@ def compute_silhouette_report(
                 }
             )
     overall = (
-        sum(e["mean_silhouette"] for e in entries) / len(entries) if entries else None
+        reduce(add, (e["mean_silhouette"] for e in entries), 0.0) / len(entries) if entries else None
     )
     return {"method": method, "per_clustering": entries, "mean": overall}
 

@@ -21,8 +21,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import accumulate, chain
+from operator import add
 from pathlib import Path
 from typing import Collection, NamedTuple
 
@@ -356,5 +357,5 @@ def score_comment(
         normalized[feature] = [(v - lo) / span for v in column] if span > 0 else [0.0] * n
     cb = None
     if Feature.CB in features:
-        cb = [sum(row) / len(available) for row in zip(*(normalized[f] for f in available))]
+        cb = [reduce(add, row, 0.0) / len(available) for row in zip(*(normalized[f] for f in available))]
     return CommentScores(raw=raw, normalized=normalized, cb=cb)

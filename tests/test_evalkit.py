@@ -8,11 +8,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from debatesum import evalkit
 from debatesum.errors import ComputationError
 from debatesum.evalkit import (
     RougeVariant,
     SilhouetteReport,
-    _distance_matrix,
+    _mean_score,
     krippendorff_alpha,
     mann_whitney_u,
     rouge,
@@ -20,6 +21,8 @@ from debatesum.evalkit import (
     silhouette,
     skip_bigram_counts,
 )
+
+from oracles import compensated_sum, distance_matrix, numpy_silhouette
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +255,7 @@ def per_point_silhouette(points, assignments, metric="euclidean") -> SilhouetteR
     labels = np.unique(assignments)
     if len(labels) < 2:
         raise ComputationError("silhouette undefined for k = 1")
-    distances = _distance_matrix(points, metric)
+    distances = distance_matrix(points, metric)
 
     per_point = []
     for i in range(points.shape[0]):
@@ -301,6 +304,42 @@ def test_silhouette_bitwise_equals_per_point_loop(sizes, dim, metric, seed):
     report = silhouette(points, assignments, metric)
     assert report.per_point == expected.per_point
     assert report.mean == expected.mean
+
+
+def hexes(report: SilhouetteReport) -> tuple[list[str], str]:
+    return [float.hex(s) for s in report.per_point], float.hex(report.mean)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    sizes=CLUSTER_SIZES,
+    dim=st.integers(1, 24),
+    flat=st.booleans(),
+    scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+# a side past 128 points with a cluster past 128 members, in one dimension
+@example(sizes=[129, 200, 3], dim=1, flat=True, scale=1.0, seed=0)
+@example(sizes=[2, 130, 1], dim=17, flat=False, scale=1e3, seed=1)
+@example(sizes=[9, 7], dim=130, flat=False, scale=1e-3, seed=2)  # past 128 squares per pair
+def test_plain_float_silhouette_bitwise_equals_numpy(sizes, dim, flat, scale, seed):
+    """The euclidean path takes lists of floats and adds as numpy does: every
+    per-point score and the mean equal numpy's, bit for bit."""
+    rng = np.random.default_rng(seed)
+    labels = rng.choice(50, size=len(sizes), replace=False)
+    assignments = rng.permutation(np.repeat(labels, sizes)).tolist()  # ungrouped, unsorted
+    centres = rng.normal(scale=3 * scale, size=(len(sizes), dim))
+    points = centres[[labels.tolist().index(a) for a in assignments]]
+    points = points + rng.normal(scale=scale, size=points.shape)
+    if flat and dim == 1:
+        points = points[:, 0]  # one float per point
+    report = silhouette(points.tolist(), assignments)
+    assert hexes(report) == hexes(numpy_silhouette(points, assignments))
+
+
+def test_distance_beyond_float_range_rejected():
+    with pytest.raises(ComputationError, match="float range"):
+        silhouette([[0.0, 1.0], [1e200, 1.0], [5.0, 5.0], [6.0, 5.0]], [0, 0, 1, 1])
 
 
 class TestMannWhitney:
@@ -421,3 +460,22 @@ def test_interval_alpha_is_finite_or_a_computation_error(ratings):
     except ComputationError:
         return
     assert math.isfinite(alpha)
+
+
+# Builtin sum() of floats compensates from Python 3.12 on, so a float sum that
+# must give the same bytes on every version adds left to right. In each pin,
+# the two orders give different floats; shadowing ``sum`` with the compensated
+# version in the module shows that no such sum is left there.
+
+
+def test_rouge_mean_adds_left_to_right(monkeypatch):
+    assert compensated_sum([0.1] * 10) == 1.0
+    monkeypatch.setattr(evalkit, "sum", compensated_sum, raising=False)
+    score = _mean_score(RougeVariant.R1, [(0.1, 0.1, 0.1)] * 10)
+    assert (score.recall, score.precision, score.f1) == (0.9999999999999999 / 10,) * 3
+
+
+def test_alpha_adds_left_to_right(monkeypatch):
+    monkeypatch.setattr(evalkit, "sum", compensated_sum, raising=False)
+    alpha = krippendorff_alpha([[1.1, 2.5, None, 1.1], [0.2, 0.3, 0.1, 2.5]], "interval")
+    assert alpha.hex() == "-0x1.d0f1b7d908d58p-3"  # compensated sums give ...d60p-3

@@ -11,9 +11,11 @@ import pytest
 from debatesum import pipeline
 from debatesum.cli import main
 from debatesum.errors import ConfigError
+from debatesum.evalkit import SilhouetteReport
 from debatesum.pipeline import PipelineConfig, load_config, read_json, run_pipeline
 
 from conftest import SAMPLE_DIR, assert_staged_run_matches_pipeline, make_config, src_env
+from oracles import compensated_sum
 
 
 EXPECTED_ARTIFACTS = (
@@ -362,6 +364,23 @@ class TestCli:
         assert main(["eval", "silhouette", "--config", str(config_path)]) == 3
         err = capsys.readouterr().err
         assert "clusters.json" in err and member in err
+
+    @pytest.mark.parametrize("big", [1e200, 1e308])
+    def test_distance_beyond_the_float_range_exit_4(self, tmp_path, capsys, big):
+        # before, a finite but huge point made eval silhouette exit 0 and write NaN
+        config_path = make_config(tmp_path)
+        assert main(["pipeline", "--config", str(config_path)]) == 0
+        clusters = tmp_path / "out" / "clusters.json"
+        doc = read_json(clusters)
+        side = doc["topics"][0]["sides"]["agree"]
+        pair = next(c for c in side["clusters"] if len(c["members"]) == 2)
+        side["points"][pair["members"][0]][0] = big
+        clusters.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["eval", "silhouette", "--config", str(config_path)]) == 4
+        err = capsys.readouterr().err
+        assert "computation error: " in err and "'t1'" in err and "'agree'" in err
+        assert not (tmp_path / "out" / "evaluation_silhouette.json").exists()
 
     @pytest.mark.parametrize("corrupt", ["null_points", "no_members"])
     def test_xmeans_side_without_points_or_members_exit_3(self, tmp_path, capsys, corrupt):
@@ -1110,3 +1129,14 @@ def test_consistency_without_labels_judges_pairs_by_their_clusters_own_labels(tm
     else:
         with pytest.raises(ValidationError, match="no labeled agree cluster"):
             check_consistency(docs, paths)
+
+
+def test_overall_silhouette_mean_adds_left_to_right(monkeypatch):
+    # builtin sum() of floats compensates from Python 3.12 on: it would give 0.1 here
+    monkeypatch.setattr(pipeline, "silhouette", lambda *args, **kwargs: SilhouetteReport((), 0.1))
+    monkeypatch.setattr(pipeline, "sum", compensated_sum, raising=False)
+    side = {"clusters": [{"members": ["a"]}, {"members": ["b"]}], "points": {"a": [0.0], "b": [1.0]}}
+    topics = [{"topic_id": f"t{i}", "sides": {"agree": side, "disagree": side}} for i in range(5)]
+    report = pipeline.compute_silhouette_report({"method": "xmeans", "topics": topics}, {}, None, None)
+    assert len(report["per_clustering"]) == 10
+    assert report["mean"] == 0.9999999999999999 / 10

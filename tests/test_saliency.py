@@ -1,12 +1,15 @@
 import math
 from collections import Counter
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
 
 from conftest import make_comment, make_topic
-from oracles import default_lexicons, select_salient
+from oracles import compensated_sum, default_lexicons, select_salient
 
+from debatesum import saliency
 from debatesum.errors import ComputationError, ParseError
 from debatesum.pipeline import comment_selections
 from debatesum.saliency import (
@@ -269,3 +272,22 @@ class TestLoadEmbeddings:
         emb = load_embeddings(sample_dir / "embeddings.txt")
         dims = {v.shape for v in emb.values()}
         assert dims == {(8,)}
+
+
+def test_cb_adds_left_to_right(monkeypatch):
+    # builtin sum() of floats compensates from Python 3.12 on; CB adds left to right
+    texts = [
+        "global warming is real and the sea rises", "however the economy matters",
+        "carbon tax now", "we need renewable energy sources today",
+        "climate change hurts the poor countries most", "nothing",
+        "emissions from coal plants are rising fast in asia", "the ice melts",
+        "moreover the debate is old", "sea level rise and floods",
+    ]
+    comment = make_comment("c1", "agree", texts)
+    topic = make_topic("t1", "global warming climate", [comment])
+    monkeypatch.setattr(saliency, "sum", compensated_sum, raising=False)
+    scores = score_comment(comment, topic, default_lexicons(), [], [Feature.CB])
+    rows = list(zip(*scores.normalized.values()))
+    assert len(rows[0]) == 7  # the base features but COS_STT, in order
+    assert any(compensated_sum(row) != reduce(add, row, 0.0) for row in rows)
+    assert scores.cb == [reduce(add, row, 0.0) / 7 for row in rows]

@@ -1,10 +1,11 @@
 """What a fresh interpreter loads: stages without numeric work start without
-numpy, no command loads numpy.ma or dataclasses, each command loads only its
-own stage's algorithm modules, only the commands that select sentences load
-the selection module, only the commands that read an artifact load its
-checks, importing one module loads only the modules it imports, ``pipeline``
-hashes its manifest without mapping OpenSSL, and the numeric commands, X-means
-included, never load numpy's random module, which maps OpenSSL through hmac."""
+numpy, and so does the silhouette of x-means clusters, no command loads
+numpy.ma or dataclasses, each command loads only its own stage's algorithm
+modules, only the commands that select sentences load the selection module,
+only the commands that read an artifact load its checks, importing one module
+loads only the modules it imports, ``pipeline`` hashes its manifest without
+mapping OpenSSL, and the numeric commands, X-means included, never load
+numpy's random module, which maps OpenSSL through hmac."""
 
 import hashlib
 import json
@@ -16,6 +17,7 @@ from importlib import import_module
 import pytest
 
 from debatesum import pipeline
+from debatesum.cli import main
 
 from conftest import REPO_ROOT, make_config, src_env
 
@@ -93,8 +95,26 @@ def test_numpy_loads_only_for_numeric_stages(tmp_path):
         "align": False,
         "chart": False,
         "cluster --method xmeans": True,
-        "eval silhouette": True,
+        "eval silhouette": False,  # of the x-means clusters: plain floats
         "eval rouge": True,
+    }
+
+
+def test_silhouette_loads_numpy_only_for_term_clusters(tmp_path):
+    # the euclidean silhouette of x-means clusters adds plain floats in numpy's
+    # order; the cosine silhouette of term clusters and the pipeline use numpy
+    config = str(make_config(tmp_path, embeddings_path=None))
+    loaded = {}
+    for method in ("xmeans", "term"):
+        for command in (["annotate"], ["select"], ["cluster", "--method", method]):
+            assert main([*command, "--config", config]) == 0
+        silhouette = modules_loaded(RUN_COMMAND, "eval", "silhouette", "--config", config)
+        loaded[f"eval silhouette ({method})"] = silhouette
+    loaded["pipeline"] = modules_loaded(RUN_COMMAND, "pipeline", "--config", config)
+    assert {command: "numpy" in modules for command, modules in loaded.items()} == {
+        "eval silhouette (xmeans)": False,
+        "eval silhouette (term)": True,
+        "pipeline": True,
     }
 
 
@@ -207,7 +227,9 @@ def test_x_means_and_silhouette_never_load_numpy_random(pipeline_runs, modules_b
         "cluster --method xmeans": modules_by_command["cluster --method xmeans"],
         "eval silhouette": modules_by_command["eval silhouette"],
     }
-    assert all("numpy" in modules for modules in loaded.values())
+    assert {c: "numpy" in modules for c, modules in loaded.items()} == {
+        "pipeline (xmeans)": True, "cluster --method xmeans": True, "eval silhouette": False,
+    }
     unwanted = {"numpy.random", "secrets", "hmac", "hashlib", "_hashlib"}
     assert {c: unwanted & modules for c, modules in loaded.items()} == {c: set() for c in loaded}
     package = REPO_ROOT / "src" / "debatesum"
