@@ -9,15 +9,16 @@ A term is one string, its tokens joined by single spaces, which is the form
 every artifact writes. Only the gazetteer matches token tuples: it maps each
 term's tokens to its text once.
 
-Synonym handling: terms connected through the synonym table form an
-equivalence class whose lexicographically smallest member is the canonical
-label. canonical_label is idempotent and order-independent.
+Synonym handling: terms connected through the synonym rows form an
+equivalence class, resolved when the table is built, whose lexicographically
+smallest member is the canonical label. canonical_label is idempotent and
+order-independent.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Collection, NamedTuple
+from typing import Collection, Iterable, NamedTuple
 
 from .corpus import Sentence, read_lines, tokenize
 from .errors import ParseError, ValidationError
@@ -97,50 +98,30 @@ def annotate_sentence(sentence: Sentence, gazetteer: Gazetteer) -> list[TermAnno
 
 
 class SynonymTable:
-    """Symmetric synonym relation over terms, with connected-component labels."""
+    """Synonym classes over terms. Every term on a row is a synonym of every
+    other, and rows that share a term join one class; each listed term's class
+    is computed here, once. A term on no row is its own class."""
 
-    def __init__(self, pairs: list[tuple[Term, Term]] | None = None):
-        self._adjacent: dict[Term, set[Term]] = {}
-        for a, b in pairs or []:
-            self.add(a, b)
-
-    def add(self, a: Term, b: Term) -> None:
-        if a == b:
-            return
-        self._adjacent.setdefault(a, set()).add(b)
-        self._adjacent.setdefault(b, set()).add(a)
-
-    def synonyms(self, term: Term) -> frozenset[Term]:
-        return frozenset(self._adjacent.get(term, ()))
+    def __init__(self, rows: Iterable[Iterable[Term]] = ()):
+        self._class: dict[Term, frozenset[Term]] = {}
+        for row in map(frozenset, rows):
+            members = row.union(*(self._class.get(t, ()) for t in row))
+            self._class.update(dict.fromkeys(members, members))
 
     def equivalence_class(self, term: Term) -> frozenset[Term]:
         """Connected component of ``term`` under the synonym relation."""
-        seen = {term}
-        frontier = [term]
-        while frontier:
-            current = frontier.pop()
-            for nxt in self._adjacent.get(current, ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        return frozenset(seen)
+        return self._class.get(term) or frozenset((term,))
 
 
 def load_synonyms(path: str | Path) -> SynonymTable:
-    """Read a TSV of synonym rows (first column the term, rest its synonyms).
-
-    All terms on one row become pairwise synonyms; the table ends up
-    symmetric by construction.
-    """
-    table = SynonymTable()
+    """Read a TSV of synonym rows, each of at least two terms."""
+    rows = []
     for lineno, line in read_lines(path):
         terms = [t for t in (" ".join(tokenize(cell)) for cell in line.split("\t")) if t]
         if len(terms) < 2:
             raise ParseError("synonym row needs at least two terms", source=str(path), line=lineno)
-        for i in range(len(terms)):
-            for j in range(i + 1, len(terms)):
-                table.add(terms[i], terms[j])
-    return table
+        rows.append(terms)
+    return SynonymTable(rows)
 
 
 def canonical_label(term: Term, table: SynonymTable) -> Term:

@@ -40,6 +40,7 @@ from .pipeline import (
     run_pipeline,
     to_json_bytes,
     write_bytes,
+    write_files,
     write_json,
 )
 
@@ -144,8 +145,9 @@ def _run_stage(args: argparse.Namespace, stage: Stage, config: PipelineConfig, o
     inputs = load_inputs(config) if stage.uses_inputs else None
     doc = stage.compute(config, inputs, docs)
     del docs, inputs  # free what was read, with the terms map, before serializing
-    for name, data in artifact_files(stage.artifact, doc).items():
-        write_bytes(out / name, data)
+    files = artifact_files(stage.artifact, doc)
+    write_files(out, files)
+    for name in files:
         print(f"wrote {out / name}")
     return EXIT_OK
 

@@ -246,23 +246,19 @@ def compute_annotations(
     synonyms: SynonymTable,
     seed: int = 0,
 ) -> dict:
-    canonical: dict[Term, str] = {}  # one synonym-class lookup per distinct term
     topics = []
     for topic in corpus:
         sentences = []
         for comment in topic.comments:
             for sentence in comment.sentences:
                 annotations = annotate_sentence(sentence, gazetteer)
-                for a in annotations:
-                    if a.term not in canonical:
-                        canonical[a.term] = canonical_label(a.term, synonyms)
                 sentences.append(
                     {
                         "sentence_id": sentence.id,
                         "annotations": [
                             {
                                 "term": a.term,
-                                "canonical": canonical[a.term],
+                                "canonical": canonical_label(a.term, synonyms),
                                 "start": a.start,
                                 "end": a.end,
                             }
@@ -761,6 +757,20 @@ def write_json(path: str | Path, doc: dict) -> None:
     write_bytes(path, to_json_bytes(doc))
 
 
+def write_files(out: Path, files: dict[str, bytes]) -> None:
+    """Write each ``name: data`` of ``files`` under ``out``, all or none: if a
+    write fails, every one of those names that is a file there, an earlier
+    run's too, is removed and the error propagates."""
+    try:
+        for name, data in files.items():
+            write_bytes(out / name, data)
+    except Exception:
+        for name in files:
+            if (out / name).is_file():  # not a directory in the way of a write
+                (out / name).unlink()
+        raise
+
+
 def slugify(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9_-]+", "_", name)
 
@@ -853,8 +863,8 @@ def _sha256() -> Callable:
 def run_pipeline(config: PipelineConfig) -> dict:
     """Run every stage and write all artifacts plus the manifest.
 
-    Returns the manifest document. On any stage failure the partially
-    written artifacts are removed and the error propagates.
+    Returns the manifest document. A stage that fails writes nothing, and a
+    write that fails leaves none of the run's files (``write_files``).
     """
     # with gold, the ROUGE table reads all nine features' selections
     inputs = _stage("load", load_inputs, config, tuple(Feature) if config.gold_path else None)
@@ -877,16 +887,5 @@ def run_pipeline(config: PipelineConfig) -> dict:
         },
     }
 
-    out = make_dir(config.output_dir)
-    written: list[Path] = []
-    try:
-        for name, data in artifacts.items():
-            write_bytes(out / name, data)
-            written.append(out / name)
-        write_json(out / "manifest.json", manifest)
-    except Exception:
-        for path in [*written, out / "manifest.json"]:
-            if path.is_file():  # not a directory in the way of a write
-                path.unlink()
-        raise
+    write_files(make_dir(config.output_dir), {**artifacts, "manifest.json": to_json_bytes(manifest)})
     return manifest

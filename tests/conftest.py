@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,6 +15,15 @@ from debatesum.corpus import Comment, DebateTopic, Sentence, read_json, tokenize
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SAMPLE_DIR = REPO_ROOT / "data" / "sample"
+
+
+def pytest_report_header() -> str:
+    """The OpenBLAS kernel numpy picks on this CPU: some x-means pins hold on one
+    kernel only (ROADMAP), so a run that breaks them says which it ran on."""
+    probe = subprocess.run([sys.executable, "-c", "import numpy"], capture_output=True, text=True,
+                           env={**os.environ, "OPENBLAS_VERBOSE": "2"})
+    core = re.search(r"Core: (\S+)", probe.stdout + probe.stderr)
+    return f"OpenBLAS core: {core.group(1) if core else 'unknown'}"
 
 
 def src_env() -> dict:

@@ -114,27 +114,22 @@ class TestSynonymTable:
         path = tmp_path / "syn.tsv"
         path.write_text("co2\tcarbon dioxide\n", encoding="utf-8")
         table = load_synonyms(path)
-        assert "carbon dioxide" in table.synonyms("co2")
-        assert "co2" in table.synonyms("carbon dioxide")
+        assert "carbon dioxide" in table.equivalence_class("co2")
+        assert "co2" in table.equivalence_class("carbon dioxide")
 
     def test_empty_file_gives_empty_table(self, tmp_path):
         path = tmp_path / "syn.tsv"
         path.write_text("", encoding="utf-8")
         table = load_synonyms(path)
-        assert table._adjacent == {}
         assert canonical_label("co2", table) == "co2"
 
     def test_three_column_row_pairwise_closure(self, tmp_path):
         path = tmp_path / "syn.tsv"
         path.write_text("a\tb\tc\n", encoding="utf-8")
         table = load_synonyms(path)
-        # brute-force oracle: all unordered pairs of {a, b, c}
-        expected = {
-            ("a", "b"), ("a", "c"), ("b", "a"),
-            ("b", "c"), ("c", "a"), ("c", "b"),
-        }
-        actual = {(x, y) for x in ["a", "b", "c"] for y in table.synonyms(x)}
-        assert actual == expected
+        # brute-force oracle: all ordered pairs of {a, b, c}, each term with itself too
+        actual = {(x, y) for x in "abc" for y in table.equivalence_class(x)}
+        assert actual == {(x, y) for x in "abc" for y in "abc"}
 
     def test_malformed_line_reports_lineno(self, tmp_path):
         path = tmp_path / "syn.tsv"
@@ -145,7 +140,7 @@ class TestSynonymTable:
 
     def test_shipped_asset_loads(self):
         table = load_synonyms(default_synonyms_path())
-        assert "carbon dioxide" in table.synonyms("co2")
+        assert "carbon dioxide" in table.equivalence_class("co2")
 
 
 class TestCanonicalLabel:
@@ -199,3 +194,30 @@ class TestCanonicalLabel:
                     same_class = canonical_label(x, table) == canonical_label(y, table)
                     assert same_class == (y in component(x))
 
+
+ALPHABET = "abcdefgh"
+
+
+def closure(rows, terms):
+    """Brute force: the pairs of the rows, closed reflexively, symmetrically
+    (a row relates each of its terms to each) and transitively (Warshall)."""
+    pairs = {(x, x) for x in terms} | {(x, y) for row in rows for x in row for y in row}
+    for k in terms:
+        pairs |= {(x, y) for x in terms for y in terms if (x, k) in pairs and (k, y) in pairs}
+    return pairs
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(rows=st.lists(st.lists(st.sampled_from(ALPHABET), min_size=1, max_size=4), max_size=8))
+@example(rows=[["a", "b"], ["c", "d"], ["b", "c"]])  # the last row joins two earlier classes
+@example(rows=[["a", "b", "c"], ["d", "e"], ["f", "g"], ["e", "a", "g"]])
+def test_classes_are_the_closure_of_the_rows(rows):
+    table = SynonymTable(rows)
+    terms = [*ALPHABET, "unlisted"]
+    pairs = closure(rows, terms)
+    for x in terms:
+        members = {y for y in terms if (x, y) in pairs}
+        assert table.equivalence_class(x) == members
+        assert canonical_label(x, table) == min(members)
+        if not any(x in row for row in rows):
+            assert table.equivalence_class(x) == {x}

@@ -846,6 +846,26 @@ class TestCli:
         if case == "manifest.json is a directory":  # the rollback removes every artifact
             assert list(out.iterdir()) == [named]
 
+    @pytest.mark.parametrize("command", ["chart", "pipeline"])
+    def test_a_failed_write_leaves_none_of_the_commands_files(self, tmp_path, capsys, command):
+        # before, chart left chart_t1.json, chart_t1.html and chart_t2.json and
+        # printed their "wrote" lines, and pipeline left evaluation.json of the earlier run
+        config = str(make_config(tmp_path, clustering_method="term", labeling_method="shared"))
+        out = tmp_path / "out"
+        assert main(["pipeline", "--config", config]) == 0
+        last = out / "chart_t2.html"  # the command's last chart file
+        last.unlink()
+        last.mkdir()
+        capsys.readouterr()
+        assert main([command, "--config", config]) == 2
+        assert "wrote" not in capsys.readouterr().out
+        left = {p.name for p in out.iterdir()}
+        if command == "chart":  # the earlier run's other artifacts stay
+            assert left == {"chart_t2.html", "alignment.json", "annotations.json", "clusters.json",
+                            "evaluation.json", "labels.json", "manifest.json", "salient.json"}
+        else:
+            assert left == {"chart_t2.html"}
+
     def test_stages_that_need_no_corpus_do_not_parse_it(self, tmp_path):
         config_path = make_config(tmp_path)
         out = tmp_path / "out"
