@@ -34,14 +34,14 @@ def cluster_sentences(terms_by_sentence, vocabulary, label):
     matrix = build_similarity_matrix(counts)
     model, reduced = pca_fit_transform(matrix, variance_target=0.95)
     n = len(ids)
-    print(f"  similarity matrix {n}x{n}, PCA keeps {model.components.shape[0]} of {n} dimensions")
+    print(f"  similarity matrix {n}x{n}, PCA keeps {len(model.components)} of {n} dimensions")
     result = xmeans(reduced, k_min=2, k_max=min(10, n), seed=42)
     print(f"  xmeans: k={result.k}, BIC={result.bic:.2f}, {result.iterations} Lloyd iterations")
     if result.k >= 2:
         report = silhouette(reduced, result.assignments, metric="euclidean")
         print(f"  mean silhouette: {report.mean:.4f}")
     for j in range(result.k):
-        members = [ids[i] for i in np.flatnonzero(result.assignments == j)]
+        members = [sid for sid, a in zip(ids, result.assignments) if a == j]
         print(f"    cluster {j}: {members}")
     print()
 
@@ -74,7 +74,7 @@ def main():
     rng = np.random.default_rng(0)
     blobs = np.concatenate(
         [rng.normal(c, 1.0, size=(50, 2)) for c in [(0, 0), (15, 0), (0, 15)]]
-    )
+    ).tolist()
     result = xmeans(blobs, k_min=1, k_max=10, seed=0)
     print(f"three planted blobs, k_min=1: xmeans found k={result.k}")
 

@@ -2,16 +2,18 @@
 
 ``default_rng(seed)`` is a generator over ``PCG64(SeedSequence(seed))``.
 ``Generator`` reproduces that chain bit for bit for ``integers(n)`` and
-``choice(n, p=p)`` without numpy's random module, whose import maps
-``secrets``, ``hmac`` and OpenSSL (about 6 MiB resident) into the process.
+``choice(n, p=p)`` in plain Python ints and floats: without numpy, and so
+without numpy's random module, whose import maps ``secrets``, ``hmac`` and
+OpenSSL (about 6 MiB resident) into the process.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_right
+from itertools import accumulate
 
-from ._numpy import np
 from .errors import ComputationError
 
 _MASK32 = 0xFFFFFFFF
@@ -129,18 +131,19 @@ class Generator:
 
     def choice(self, n: int, p) -> int:
         """An index in [0, n) drawn with probabilities ``p``: one uniform double
-        placed on the normalized cumulative sum of ``p``."""
-        p = np.asarray(p, dtype=float)
-        if n < 1 or p.shape != (n,):
-            raise ComputationError(f"choice needs n >= 1 probabilities, got n={n} and {p.shape}")
-        total = _kahan_sum(p.tolist())
+        placed on the normalized cumulative sum of ``p``, added in sequence as
+        numpy's ``cumsum`` adds."""
+        p = [float(x) for x in p]
+        if n < 1 or len(p) != n:
+            raise ComputationError(f"choice needs n >= 1 probabilities, got n={n} and {len(p)}")
+        total = _kahan_sum(p)
         if math.isnan(total):
             raise ComputationError("probabilities contain NaN")
-        if (p < 0).any():
+        if any(x < 0 for x in p):
             raise ComputationError("probabilities are not nonnegative")
         if abs(total - 1.0) > _P_ATOL:
             raise ComputationError(f"probabilities sum to {total!r}, not 1")
-        cdf = p.cumsum()
-        cdf /= cdf[-1]
+        cdf = list(accumulate(p))
+        last = cdf[-1]
         uniform = (self._next64() >> 11) * (1.0 / 9007199254740992.0)
-        return int(cdf.searchsorted(uniform, side="right"))
+        return bisect_right([x / last for x in cdf], uniform)

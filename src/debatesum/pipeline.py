@@ -30,6 +30,7 @@ import sys
 from collections import Counter
 from functools import cached_property, reduce
 from importlib import import_module
+from math import gcd
 from operator import add
 from pathlib import Path
 from typing import Callable, Collection, Mapping, NamedTuple
@@ -437,9 +438,11 @@ def _side_space(
     if len(ids) < 2:
         return ids, excluded, None
     _, reduced = pca_fit_transform(build_similarity_matrix(counts), variance_target=variance_target)
-    first: dict[tuple[int, ...], int] = {}
-    for i, row in enumerate(counts.astype(np.int64)):
-        direction = tuple((row // np.gcd.reduce(row)).tolist())
+    first: dict[tuple, int] = {}
+    for i, row in enumerate(counts):
+        nonzero = [(j, int(x)) for j, x in enumerate(row) if x]
+        divisor = gcd(*(count for _, count in nonzero))
+        direction = tuple((j, count // divisor) for j, count in nonzero)
         reduced[i] = reduced[first.setdefault(direction, i)]
     return ids, excluded, reduced
 
@@ -457,7 +460,7 @@ def _cluster_side_xmeans(
     if not ids:
         return {"clusters": [], "unclustered": excluded, "k": 0, "bic": None, "points": None}
     # one sentence, or all similarity profiles identical: a single cluster
-    if reduced is None or reduced.shape[1] == 0:
+    if reduced is None or not reduced[0]:
         return {
             "clusters": [{"cluster_id": prefix + "0", "label": None, "members": ids}],
             "unclustered": excluded,
@@ -467,13 +470,12 @@ def _cluster_side_xmeans(
         }
     n = len(ids)
     result = xmeans(reduced, k_min=min(config.k_min, n), k_max=min(config.k_max, n), seed=config.seed)
+    members: list[list[str]] = [[] for _ in range(result.k)]
+    for sid, j in zip(ids, result.assignments):
+        members[j].append(sid)
     clusters = [
-        {
-            "cluster_id": f"{prefix}{j}",
-            "label": None,
-            "members": [ids[i] for i in np.flatnonzero(result.assignments == j)],
-        }
-        for j in range(result.k)
+        {"cluster_id": f"{prefix}{j}", "label": None, "members": group}
+        for j, group in enumerate(members)
     ]
     bic = result.bic
     return {
@@ -481,7 +483,7 @@ def _cluster_side_xmeans(
         "unclustered": excluded,
         "k": result.k,
         "bic": None if bic != bic else bic,  # NaN is not valid JSON
-        "points": {sid: [float(x) for x in row] for sid, row in zip(ids, reduced)},
+        "points": dict(zip(ids, reduced)),
     }
 
 

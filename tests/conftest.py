@@ -18,12 +18,45 @@ SAMPLE_DIR = REPO_ROOT / "data" / "sample"
 
 
 def pytest_report_header() -> str:
-    """The OpenBLAS kernel numpy picks on this CPU: some x-means pins hold on one
-    kernel only (ROADMAP), so a run that breaks them says which it ran on."""
+    """The OpenBLAS kernel numpy picks on this CPU, so that a run whose numeric
+    pins break says which kernel it ran on."""
     probe = subprocess.run([sys.executable, "-c", "import numpy"], capture_output=True, text=True,
                            env={**os.environ, "OPENBLAS_VERBOSE": "2"})
     core = re.search(r"Core: (\S+)", probe.stdout + probe.stderr)
     return f"OpenBLAS core: {core.group(1) if core else 'unknown'}"
+
+
+def forced_kernels() -> tuple[str, ...]:
+    """OpenBLAS cores that this CPU runs and that differ in their SIMD kernels:
+    Nehalem (SSE4.2) and Haswell (AVX2), each where the CPU has the feature."""
+    try:
+        flags = set(re.findall(r"\w+", Path("/proc/cpuinfo").read_text(encoding="utf-8")))
+    except OSError:
+        flags = set()
+    cores = (("Nehalem", "sse4_2"), ("Haswell", "avx2"))
+    return tuple(core for core, flag in cores if flag in flags)
+
+
+def run_pipeline_under_kernel(
+    config_path: Path, out: Path, kernel: str | None
+) -> tuple[dict, str | None]:
+    """Run ``pipeline`` in a fresh interpreter with ``OPENBLAS_CORETYPE`` set to
+    ``kernel`` (None: the core OpenBLAS picks). Returns the bytes of every file
+    written but the manifest, and the core OpenBLAS reported under
+    ``OPENBLAS_VERBOSE=2`` (None when numpy never loaded or did not say)."""
+    env = {**src_env(), "OPENBLAS_VERBOSE": "2"}
+    env.pop("OPENBLAS_CORETYPE", None)
+    if kernel is not None:
+        env["OPENBLAS_CORETYPE"] = kernel
+    done = subprocess.run(
+        [sys.executable, "-m", "debatesum.cli", "pipeline", "--config", str(config_path),
+         "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    core = re.search(r"Core: (\S+)", done.stdout + done.stderr)
+    written = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+    return written, core.group(1) if core else None
 
 
 def src_env() -> dict:

@@ -1,10 +1,10 @@
 """Reference implementations and helpers that only tests call.
 
-``kmeans`` seeds from numpy's own ``np.random.default_rng``, not from the
-generator X-means uses, so the tests that compare X-means with it also
-compare the two streams. ``numpy_silhouette`` is the euclidean silhouette
-in numpy arrays and reductions, which ``evalkit.silhouette`` must equal bit
-for bit in plain floats.
+``kmeans`` is k-means++ and Lloyd in numpy, seeded from numpy's own
+``np.random.default_rng``: the tests that compare X-means with it compare
+two implementations and two streams. ``numpy_silhouette`` is the euclidean
+silhouette in numpy arrays and reductions, which ``evalkit.silhouette`` must
+equal bit for bit in plain floats.
 """
 
 import math
@@ -18,14 +18,97 @@ from debatesum.corpus import Comment, Feature, salient_indices
 from debatesum.errors import ComputationError
 from debatesum.evalkit import SilhouetteReport
 from debatesum.saliency import CommentScores, Lexicons
-from debatesum.vector_clustering import (
-    MAX_ITER,
-    ClusteringResult,
-    _bic,
-    _kmeans_plusplus_init,
-    _lloyd,
-    _safe_bic,
-)
+from debatesum.vector_clustering import MAX_ITER, ClusteringResult
+
+
+def _distortion(points, centroids, assignments) -> float:
+    return float(((points - centroids[assignments]) ** 2).sum())
+
+
+def _assign(points, centroids):
+    distances = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    return distances.argmin(axis=1)
+
+
+def _centroids(points, assignments, k):
+    sums = np.zeros((k, points.shape[1]))
+    np.add.at(sums, assignments, points)
+    return sums / np.bincount(assignments, minlength=k)[:, None]
+
+
+def _reseed_empties(points, centroids, assignments, k) -> None:
+    """Each empty cluster takes the point farthest from its own centroid among
+    clusters that keep a point after giving one up."""
+    counts = np.bincount(assignments, minlength=k)
+    for j in np.flatnonzero(counts == 0):
+        residuals = np.linalg.norm(points - centroids[assignments], axis=1)
+        residuals[counts[assignments] < 2] = -1.0
+        far = int(np.argmax(residuals))
+        counts[assignments[far]] -= 1
+        counts[j] = 1
+        assignments[far] = j
+
+
+def _lloyd(points, centroids, max_iter):
+    """Lloyd passes to an assignment fixpoint, with the distortion after each
+    pass; stops early when a pass returns what it started from."""
+    k = centroids.shape[0]
+    assignments = _assign(points, centroids)
+    history: list[float] = []
+    iterations = 0
+    for _ in range(max_iter):
+        iterations += 1
+        before = assignments.copy()
+        _reseed_empties(points, centroids, assignments, k)
+        new_centroids = _centroids(points, assignments, k)
+        new_assignments = _assign(points, new_centroids)
+        history.append(_distortion(points, new_centroids, new_assignments))
+        done = np.array_equal(new_assignments, assignments) or (
+            np.array_equal(new_assignments, before) and np.array_equal(new_centroids, centroids)
+        )
+        centroids, assignments = new_centroids, new_assignments
+        if done:
+            break
+    if np.any(np.bincount(assignments, minlength=k) == 0):
+        _reseed_empties(points, centroids, assignments, k)
+        centroids = _centroids(points, assignments, k)
+        history.append(_distortion(points, centroids, assignments))
+    return assignments, centroids, iterations, history
+
+
+def _kmeans_plusplus_init(points, k, rng):
+    """k-means++ seeds from numpy's own generator: the first uniform, each
+    next one with probability proportional to the squared distance to the
+    nearest seed."""
+    n = points.shape[0]
+    chosen = [int(rng.integers(n))]
+    closest = ((points - points[chosen[0]]) ** 2).sum(axis=1)
+    for _ in range(1, k):
+        total = float(closest.sum())
+        if total == 0.0:
+            chosen.append(int(rng.integers(n)))
+        else:
+            chosen.append(int(rng.choice(n, p=closest / total)))
+        closest = np.minimum(closest, ((points - points[chosen[-1]]) ** 2).sum(axis=1))
+    return points[chosen].copy()
+
+
+def _bic(points, assignments, centroids, k) -> float:
+    n, d = points.shape
+    if n == k:
+        raise ComputationError("BIC undefined for n == k (variance estimate has 0 dof)")
+    sse = _distortion(points, centroids, assignments)
+    variance = sse / (n - k)
+    if variance <= 0.0:
+        raise ComputationError("BIC degenerate: zero pooled variance")
+    sizes = np.bincount(assignments, minlength=k)
+    log_likelihood = (
+        float(np.sum(sizes * np.log(sizes)))
+        - n * math.log(n)
+        - n * d / 2.0 * math.log(2.0 * math.pi * variance)
+        - sse / (2.0 * variance)
+    )
+    return log_likelihood - (k * (d + 1) / 2.0) * math.log(n)
 
 
 def kmeans(
@@ -33,7 +116,8 @@ def kmeans(
     k: int,
     seed: int = 0,
 ) -> ClusteringResult:
-    """Seeded k-means++ initialization followed by Lloyd iterations.
+    """Seeded k-means++ initialization followed by Lloyd iterations, in numpy:
+    an implementation apart from X-means' plain floats.
 
     Deterministic given (points, k, seed). The per-iteration distortions in
     ``distortion_history`` never increase. Every row is its own point:
@@ -48,15 +132,17 @@ def kmeans(
         raise ComputationError(f"k must be >= 1, got {k}")
     if k > n:
         raise ComputationError(f"k={k} exceeds point count n={n}")
-    weights = np.ones(n)
-    rng = np.random.default_rng(seed)
-    centroids = _kmeans_plusplus_init(points, weights, k, rng)
-    assignments, centroids, iterations, history = _lloyd(points, weights, centroids, MAX_ITER)
+    centroids = _kmeans_plusplus_init(points, k, np.random.default_rng(seed))
+    assignments, centroids, iterations, history = _lloyd(points, centroids, MAX_ITER)
+    try:
+        bic = _bic(points, assignments, centroids, k)
+    except ComputationError:
+        bic = float("nan")
     return ClusteringResult(
         k=k,
         assignments=assignments,
         centroids=centroids,
-        bic=_safe_bic(points, weights, assignments, centroids, k),
+        bic=bic,
         iterations=iterations,
         distortion_history=tuple(history),
     )
@@ -70,7 +156,9 @@ def bic_score(points: np.ndarray, result: ClusteringResult) -> float:
     undefined and zero variance is degenerate; both raise.
     """
     points = np.asarray(points, dtype=float)
-    return _bic(points, np.ones(len(points)), result.assignments, result.centroids, result.k)
+    return _bic(
+        points, np.asarray(result.assignments), np.asarray(result.centroids, dtype=float), result.k
+    )
 
 
 def default_gazetteer_path() -> Path:

@@ -94,14 +94,14 @@ def test_criterion_1_mi_oracle_equivalence():
 # ---------------------------------------------------------------------------
 
 
-def three_blob_data(seed: int) -> np.ndarray:
+def three_blob_data(seed: int) -> list[list[float]]:
     rng = np.random.default_rng(seed)
     sigma = 1.0
     centers = [(0.0, 0.0), (15.0, 0.0), (0.0, 15.0)]  # separation 15 >= 10 sigma
-    return np.concatenate([rng.normal(c, sigma, size=(50, 2)) for c in centers])
+    return np.concatenate([rng.normal(c, sigma, size=(50, 2)) for c in centers]).tolist()
 
 
-def exhaustive_bic_argmax(points: np.ndarray, k_max: int, seed: int) -> int:
+def exhaustive_bic_argmax(points: list[list[float]], k_max: int, seed: int) -> int:
     best_k, best_bic = None, -np.inf
     for k in range(1, k_max + 1):
         best_run = None
@@ -362,13 +362,12 @@ def test_criterion_6_invariant_suites(tmp_path):
 
     # PCA orthonormality and variance conservation
     points = rng.standard_normal((40, 6)) * np.array([5, 3, 2, 1, 0.5, 0.2])
-    model, _ = pca_fit_transform(points, variance_target=1.0)
-    gram = model.components @ model.components.T
-    checks["pca_orthonormal"] = bool(
-        np.allclose(gram, np.eye(model.components.shape[0]), atol=1e-9)
-    )
+    model, _ = pca_fit_transform(points.tolist(), variance_target=1.0)
+    components = np.array(model.components)
+    gram = components @ components.T
+    checks["pca_orthonormal"] = bool(np.allclose(gram, np.eye(len(components)), atol=1e-9))
     checks["pca_variance_conserved"] = bool(
-        abs(model.explained_variance.sum() - np.trace(np.cov(points.T, ddof=1))) < 1e-9
+        abs(math.fsum(model.explained_variance) - np.trace(np.cov(points.T, ddof=1))) < 1e-9
     )
 
     # k-means monotone descent
@@ -382,7 +381,7 @@ def test_criterion_6_invariant_suites(tmp_path):
     terms = {f"s{i}": [f"t{j}" for j in rng.integers(0, 6, size=3)] for i in range(10)}
     _, counts, _ = build_term_vectors(terms, [f"t{j}" for j in range(6)])
     matrix = build_similarity_matrix(counts)
-    checks["similarity_symmetric"] = bool(np.array_equal(matrix, matrix.T))
+    checks["similarity_symmetric"] = matrix == [list(column) for column in zip(*matrix)]
 
     # alignment one-to-one
     from debatesum.alignment import align_clusters
@@ -468,15 +467,15 @@ def test_criterion_7_duplicate_blobs(monkeypatch):
     start = time.perf_counter()
     rng = np.random.default_rng(7)
     distinct = rng.normal(0.0, 5.0, size=(3, 4))
-    group = rng.permutation(np.repeat(np.arange(3), 10))
-    points = distinct[group]
+    group = rng.permutation(np.repeat(np.arange(3), 10)).tolist()
+    points = distinct[group].tolist()
 
     lloyd_runs = []
     lloyd = vector_clustering._lloyd
 
-    def recording_lloyd(*args):
-        result = lloyd(*args)
-        lloyd_runs.append((result[2], args[-1]))  # (iterations, max_iter)
+    def recording_lloyd(*args, **kwargs):
+        result = lloyd(*args, **kwargs)
+        lloyd_runs.append((result[2], args[3]))  # (iterations, max_iter)
         return result
 
     monkeypatch.setattr(vector_clustering, "_lloyd", recording_lloyd)
@@ -484,7 +483,7 @@ def test_criterion_7_duplicate_blobs(monkeypatch):
         warnings.simplefilter("error", RuntimeWarning)
         result = xmeans(points, k_min=2, k_max=25, seed=0)
     copies_together = all(
-        len(set(result.assignments[group == g].tolist())) == 1 for g in range(3)
+        len({a for a, h in zip(result.assignments, group) if h == g}) == 1 for g in range(3)
     )
     exhausted = sum(1 for iterations, max_iter in lloyd_runs if iterations >= max_iter)
     elapsed = time.perf_counter() - start

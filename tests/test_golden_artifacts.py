@@ -14,7 +14,7 @@ import pytest
 
 from debatesum.pipeline import load_config, run_pipeline
 
-from conftest import SAMPLE_DIR, make_config, src_env
+from conftest import SAMPLE_DIR, forced_kernels, make_config, run_pipeline_under_kernel, src_env
 
 _SHARED = {
     "annotations.json": "4de456fbf0fe9b423a22ba99d642dc8566828957e2c90595f738def195ab6481",
@@ -47,8 +47,8 @@ GOLDEN = {
         "alignment.json": "7e79477f6db2aa2d2ef0eda389aff59c17525da5c618b10c28e339788e14665d",
         "chart_t1.html": "d5386145aac89974bc34d6446f13cb3e340c2937fc96b9e001e4bf0c441e43ee",
         "chart_t1.json": "59983f420ad2cd8d6dcc28fa7c26acddbb50793a31a4936d460ccce78cbc4690",
-        "clusters.json": "3263430d6e59eab32c457d7517601607a2db1fbdd4b97ec097860076802867fd",
-        "evaluation.json": "35e705b45df37da88654addcc1e3b5baba272c688dfc19e79a592391c2ab51dc",
+        "clusters.json": "06f84f380b8ca01757f8608e29af2418251ecf670f84e5f10c76a4d36b8294bf",
+        "evaluation.json": "101397de833cf2cb8576920a0b49a4f54ac2dec4a33abdbecfba4663060f6fd0",
         "labels.json": "9da0e41b74a8a3a65013cb8aff1be45626c1ee0dd52144c2e70db1ca1db6a8a9",
     },
     ("xmeans", "tfidf"): {
@@ -56,8 +56,8 @@ GOLDEN = {
         "alignment.json": "7e79477f6db2aa2d2ef0eda389aff59c17525da5c618b10c28e339788e14665d",
         "chart_t1.html": "d5386145aac89974bc34d6446f13cb3e340c2937fc96b9e001e4bf0c441e43ee",
         "chart_t1.json": "59983f420ad2cd8d6dcc28fa7c26acddbb50793a31a4936d460ccce78cbc4690",
-        "clusters.json": "3263430d6e59eab32c457d7517601607a2db1fbdd4b97ec097860076802867fd",
-        "evaluation.json": "35e705b45df37da88654addcc1e3b5baba272c688dfc19e79a592391c2ab51dc",
+        "clusters.json": "06f84f380b8ca01757f8608e29af2418251ecf670f84e5f10c76a4d36b8294bf",
+        "evaluation.json": "101397de833cf2cb8576920a0b49a4f54ac2dec4a33abdbecfba4663060f6fd0",
         "labels.json": "2ee837aa0c65c38430345fc14338122d9b3bdc0fec4e5045cda19d67a8587df3",
     },
 }
@@ -69,8 +69,8 @@ GOLDEN_WITHOUT_EMBEDDINGS = {
     "alignment.json": "7e79477f6db2aa2d2ef0eda389aff59c17525da5c618b10c28e339788e14665d",
     "chart_t1.html": "d5386145aac89974bc34d6446f13cb3e340c2937fc96b9e001e4bf0c441e43ee",
     "chart_t1.json": "59983f420ad2cd8d6dcc28fa7c26acddbb50793a31a4936d460ccce78cbc4690",
-    "clusters.json": "3263430d6e59eab32c457d7517601607a2db1fbdd4b97ec097860076802867fd",
-    "evaluation.json": "abc7a0788f50ccfff30016977d72386367315a90c9c23799616a035e067e09db",
+    "clusters.json": "06f84f380b8ca01757f8608e29af2418251ecf670f84e5f10c76a4d36b8294bf",
+    "evaluation.json": "dec62084f6afe5c492491ed406fd86ad92aaf50f1b2bc30baf5adc7e8a970590",
     "labels.json": "9da0e41b74a8a3a65013cb8aff1be45626c1ee0dd52144c2e70db1ca1db6a8a9",
 }
 
@@ -122,3 +122,22 @@ def test_sample_artifacts_do_not_depend_on_the_hash_seed(tmp_path, method, label
         written.append({p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"})
     assert "clusters.json" in written[0]
     assert written[0] == written[1]
+
+
+@pytest.mark.parametrize("labeling", ["mi", "tfidf"])
+def test_x_means_artifacts_do_not_depend_on_the_blas_kernel(tmp_path, labeling):
+    """The same bytes under each OpenBLAS kernel the CPU runs, forced with
+    ``OPENBLAS_CORETYPE``. That variable acts only on OpenBLAS builds with
+    ``DYNAMIC_ARCH`` (numpy's wheels on x86-64); ``OPENBLAS_VERBOSE=2`` makes
+    OpenBLAS name the core it runs, which shows the switch took effect."""
+    config_path = make_config(tmp_path, labeling_method=labeling)
+    runs = {
+        kernel: run_pipeline_under_kernel(config_path, tmp_path / f"out-{kernel}", kernel)
+        for kernel in (None, *forced_kernels())
+    }
+    cores = {kernel: core for kernel, (_, core) in runs.items()}
+    if not forced_kernels() or any(cores[kernel] != kernel for kernel in forced_kernels()):
+        pytest.skip(f"OpenBLAS kernel cannot be forced here: {cores}")
+    written = [files for files, _ in runs.values()]
+    assert "clusters.json" in written[0]
+    assert all(files == written[0] for files in written[1:])

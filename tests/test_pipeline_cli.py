@@ -543,8 +543,9 @@ class TestCli:
         clusters = tmp_path / "out" / "clusters.json"
         doc = read_json(clusters)
         agree, disagree = doc["topics"][0]["sides"]["agree"], doc["topics"][0]["sides"]["disagree"]
-        assert disagree["clusters"][0]["members"] == ["t1-c4-s1", "t1-c6-s1"]
-        agree["clusters"][1]["members"].append(disagree["clusters"][0]["members"].pop())
+        pairs = [c for c in disagree["clusters"] if c["members"] == ["t1-c4-s1", "t1-c6-s1"]]
+        assert len(pairs) == 1
+        agree["clusters"][1]["members"].append(pairs[0]["members"].pop())
         agree["points"]["t1-c6-s1"] = disagree["points"].pop("t1-c6-s1")
         clusters.write_text(json.dumps(doc), encoding="utf-8")
         capsys.readouterr()

@@ -1,11 +1,12 @@
 """What a fresh interpreter loads: stages without numeric work start without
-numpy, and so does the silhouette of x-means clusters, no command loads
-numpy.ma or dataclasses, each command loads only its own stage's algorithm
-modules, only the commands that select sentences load the selection module,
-only the commands that read an artifact load its checks, importing one module
-loads only the modules it imports, ``pipeline`` hashes its manifest without
-mapping OpenSSL, and the numeric commands, X-means included, never load
-numpy's random module, which maps OpenSSL through hmac."""
+numpy, and so do X-means, the silhouette of its clusters and an x-means
+``pipeline`` without gold or embeddings; no command loads numpy.ma or
+dataclasses, each command loads only its own stage's algorithm modules, only
+the commands that select sentences load the selection module, only the
+commands that read an artifact load its checks, importing one module loads
+only the modules it imports, ``pipeline`` hashes its manifest without mapping
+OpenSSL, and no command loads numpy's random module, which maps OpenSSL
+through hmac."""
 
 import hashlib
 import json
@@ -94,10 +95,17 @@ def test_numpy_loads_only_for_numeric_stages(tmp_path):
         "label --method tfidf": False,
         "align": False,
         "chart": False,
-        "cluster --method xmeans": True,
+        "cluster --method xmeans": False,  # plain floats
         "eval silhouette": False,  # of the x-means clusters: plain floats
         "eval rouge": True,
     }
+
+
+def test_x_means_pipeline_without_gold_or_embeddings_loads_no_numpy(tmp_path):
+    # numpy serves only the ROUGE table (gold), COS_STT (embeddings) and the
+    # cosine silhouette of term clusters
+    config = str(make_config(tmp_path, embeddings_path=None, gold_path=None))
+    assert "numpy" not in modules_loaded(RUN_COMMAND, "pipeline", "--config", config)
 
 
 def test_silhouette_loads_numpy_only_for_term_clusters(tmp_path):
@@ -221,14 +229,15 @@ def test_pipeline_never_maps_openssl(pipeline_runs):
 
 def test_x_means_and_silhouette_never_load_numpy_random(pipeline_runs, modules_by_command):
     # numpy's random module imports secrets, hmac, hashlib and _hashlib, which maps
-    # OpenSSL: about 6 MiB resident; X-means draws from debatesum._pcg64 instead
+    # OpenSSL: about 6 MiB resident; X-means draws from debatesum._pcg64 instead,
+    # and the pipeline loads numpy here only for the ROUGE table of its gold
     loaded = {
         "pipeline (xmeans)": pipeline_runs["xmeans"][0],
         "cluster --method xmeans": modules_by_command["cluster --method xmeans"],
         "eval silhouette": modules_by_command["eval silhouette"],
     }
     assert {c: "numpy" in modules for c, modules in loaded.items()} == {
-        "pipeline (xmeans)": True, "cluster --method xmeans": True, "eval silhouette": False,
+        "pipeline (xmeans)": True, "cluster --method xmeans": False, "eval silhouette": False,
     }
     unwanted = {"numpy.random", "secrets", "hmac", "hashlib", "_hashlib"}
     assert {c: unwanted & modules for c, modules in loaded.items()} == {c: set() for c in loaded}
