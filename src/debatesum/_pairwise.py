@@ -1,18 +1,17 @@
-"""The euclidean silhouette in plain floats, rounded as numpy rounds it.
+"""The silhouette in plain floats, rounded as numpy rounds it.
 
 numpy adds a row of floats in pairwise order (``pairwise_sum`` in its
 ``loops_utils.h.src``), and ``pairwise_sum`` does the same in Python, so the
-silhouette scores of x-means points, and the artifacts that hold them, have
-the bits numpy gave them, in a process that never imports numpy. Only
-``evalkit.silhouette`` imports this module, and only for the euclidean metric.
+silhouette scores, and the artifacts that hold them, have the bits numpy gave
+them. ``evalkit.silhouette`` imports this module for both metrics; of the
+cosine silhouette, only the distance matrix is numpy's.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from functools import reduce
-from itertools import accumulate, chain
+from itertools import chain
 from operator import add, itemgetter, mul, sub
 from typing import Callable, Sequence
 
@@ -43,37 +42,25 @@ def _add_rows(u: Sequence[float], v: Sequence[float]) -> list[float]:
     return list(map(add, u, v))
 
 
-def euclidean_silhouette(points: Sequence, assignments: Sequence) -> tuple[tuple[float, ...], float]:
-    """Per-point silhouette scores and their mean, as ``evalkit.silhouette``
-    defines them, of ``points`` (one row of numbers per point, or one number
-    per point; a numpy array serves too) in at least two clusters.
+def euclidean_distances(points: Sequence) -> list[Sequence[float]]:
+    """The full matrix of euclidean distances between ``points`` (one row of
+    numbers per point, or one number per point; a numpy array serves too).
 
     Each pair's distance is the square root of its squared differences summed
-    pairwise, and each point's distances to a cluster's members are summed
-    pairwise in index order. Both run for every pair or point at once: a
-    value of ``pairwise_sum`` is then one row of floats. A squared difference
-    or a distance is never -0.0, so numpy's ``0.0 +`` before each reduction
-    leaves those sums as they are.
+    pairwise, for every pair at once: a value of ``pairwise_sum`` is then one
+    row of floats. A squared difference is never -0.0, so numpy's ``0.0 +``
+    before the reduction leaves the sum as it is.
     """
-    points, assignments = (
-        x.tolist() if hasattr(x, "tolist") else list(x) for x in (points, assignments)
-    )
+    points = points.tolist() if hasattr(points, "tolist") else list(points)
     if not isinstance(points[0], (list, tuple)):  # one number per point
         points = [[x] for x in points]
     n = len(points)
-    # stably sorted: each cluster's members are one run of rows, in index order
-    order = sorted(range(n), key=assignments.__getitem__)
-    sizes = Counter(assignments)
-    bounds = list(accumulate((sizes[label] for label in sorted(sizes)), initial=0))
-    runs = list(zip(bounds, bounds[1:]))
-    rows = [points[i] for i in order]
-
     # each pair i < j once, row after row, then (0, 0): its distance is numpy's
     # diagonal 0.0, and with it an itemgetter of the pairs always gives a tuple
     first = itemgetter(*[i for i in range(n) for _ in range(i + 1, n)], 0)
     second = itemgetter(*[j for i in range(n) for j in range(i + 1, n)], 0)
     squares = []
-    for column in zip(*rows):
+    for column in zip(*points):
         column = list(map(float, column))  # numpy's dtype=float: no integer arithmetic
         diff = list(map(sub, first(column), second(column)))
         squares.append(list(map(mul, diff, diff)))
@@ -88,22 +75,38 @@ def euclidean_silhouette(points: Sequence, assignments: Sequence) -> tuple[tuple
         index.append(zero)
         index += range(offset[i], offset[i] + n - 1 - i)
     full = itemgetter(*index)(distances)
-    matrix = [full[i * n : i * n + n] for i in range(n)]  # symmetric: a column is a row
+    return [full[i * n : i * n + n] for i in range(n)]
 
+
+def silhouette_scores(distances: Sequence, assignments: Sequence) -> tuple[tuple[float, ...], float]:
+    """Per-point silhouette scores and their mean, as ``evalkit.silhouette``
+    defines them, from the symmetric matrix of all the points' distances and
+    their assignments to at least two clusters.
+
+    A cluster's member rows are added pairwise in index order, so by symmetry
+    entry p of the sum is point p's distances to the members summed as numpy
+    sums them. No distance is -0.0, so numpy's ``0.0 +`` before each
+    reduction leaves the sums as they are.
+    """
+    n = len(distances)
+    clusters: dict = {}
+    for i, label in enumerate(assignments):
+        clusters.setdefault(label, []).append(i)
+    groups = list(clusters.values())
     # one row per cluster: each point's summed distance to the cluster's members
-    sums = [pairwise_sum(matrix, start, end, _add_rows) for start, end in runs]
+    sums = [pairwise_sum([distances[i] for i in group], 0, len(group), _add_rows) for group in groups]
     if not all(map(math.isfinite, chain.from_iterable(sums))):
         raise ComputationError("silhouette distances exceed the float range")
-    means = [[total / (end - start) for total in row] for row, (start, end) in zip(sums, runs)]
+    means = [[total / len(group) for total in row] for row, group in zip(sums, groups)]
     per_point = [0.0] * n
-    for c, (start, end) in enumerate(runs):
-        if end - start == 1:
+    for c, group in enumerate(groups):
+        if len(group) == 1:
             continue  # a singleton scores 0
         others = means[:c] + means[c + 1 :]
-        for p in range(start, end):
-            a = sums[c][p] / (end - start - 1)  # the point's own 0.0 is in the sum
+        for p in group:
+            a = (sums[c][p] - distances[p][p]) / (len(group) - 1)
             b = min(row[p] for row in others)
             denom = max(a, b)
             if denom > 0:
-                per_point[order[p]] = (b - a) / denom
+                per_point[p] = (b - a) / denom
     return tuple(per_point), (0.0 + pairwise_sum(per_point, 0, n)) / n

@@ -5,10 +5,10 @@ skip-bigrams with up to four intervening words plus unigrams. Scores against
 multiple references aggregate by mean.
 No stemming or stopword removal happens here: tokens are compared as given.
 
-The euclidean silhouette needs no numpy: ``_pairwise`` adds plain floats in
-numpy's pairwise order, so the scores keep the bits numpy gave them. The
-cosine one uses numpy. Other float sums add left to right, as builtin
-``sum()`` of floats compensates from Python 3.12 on.
+The silhouette adds plain floats in numpy's pairwise order (``_pairwise``),
+so its scores keep the bits numpy gave them; only the cosine distance matrix
+is numpy's. Other float sums add left to right, as builtin ``sum()`` of
+floats compensates from Python 3.12 on.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from collections import Counter
 from enum import Enum
 from functools import reduce
 from operator import add
-from typing import NamedTuple, Sequence
+from typing import Collection, NamedTuple, Sequence
 
 from ._numpy import np
 from .errors import ComputationError
@@ -110,21 +110,29 @@ def rouge(
     ])
 
 
-def rouge_batch(
-    ids: np.ndarray, rows: np.ndarray, n_rows: int, n_systems: int, vocab_size: int
-) -> np.ndarray:
-    """Mean ROUGE of each of the first ``n_systems`` of ``n_rows`` token
-    sequences against every later one: what ``rouge`` gives, as an array of
-    shape (system, ``RougeVariant``, (recall, precision, f1)).
+def rouge_batch(sentences: Sequence, sequences: Sequence[Collection[str]], n_systems: int) -> np.ndarray:
+    """Mean ROUGE of each of the first ``n_systems`` token sequences against
+    every later one: what ``rouge`` gives, as an array of shape (system,
+    ``RougeVariant``, (recall, precision, f1)).
 
-    ``ids`` (int64) holds the sequences' token ids, one sequence after
-    another, and ``rows`` (int64) the sequence of each. A unit's key is a
-    token id (R1) or a token pair (a, b) as a * vocab_size + b (R2, and SU4,
-    whose unigrams are R1's), plus t * vocab_size**2 for the kind t. Units
-    are indexed through a table of all 3 * vocab_size**2 keys: to keep it
-    small, the tokens of no reference may share one id, as a unit holding
-    one never matches.
+    A sequence is a set of the ids of ``sentences`` (each with an ``id`` and
+    its ``tokens``), and holds their tokens in sentence order. Each token
+    becomes an id; a unit's key is a token id (R1) or a token pair (a, b) as
+    a * vocab_size + b (R2, and SU4, whose unigrams are R1's), plus
+    t * vocab_size**2 for the kind t. Units are indexed through a table of
+    all 3 * vocab_size**2 keys: to keep it small, the tokens of no reference
+    share one id, as a unit holding one never matches.
     """
+    referenced = set().union(*sequences[n_systems:])
+    vocab = {t: i for i, t in enumerate(dict.fromkeys(
+        t for s in sentences if s.id in referenced for t in s.tokens))}
+    vocab_size = len(vocab) + 1  # the last id is every other token's
+    tokens = np.array([vocab.get(t, len(vocab)) for s in sentences for t in s.tokens], dtype=np.int64)
+    # sequence x sentence membership, spread to a sequence x token mask
+    mask = np.repeat([[s.id in sequence for s in sentences] for sequence in sequences],
+                     [len(s.tokens) for s in sentences], axis=1)
+    rows, positions = np.nonzero(mask)
+    ids, n_rows = tokens[positions], len(sequences)
     span = vocab_size * vocab_size
     pairs, pair_rows = [], []
     for gap in range(1, 6):
@@ -176,37 +184,21 @@ def silhouette(
     """
     if len(set(assignments)) < 2:
         raise ComputationError("silhouette undefined for k = 1")
-    if metric == "euclidean":  # plain floats, no numpy; imported here, so only this path compiles it
-        from ._pairwise import euclidean_silhouette
+    # imported here, so only a silhouette compiles it
+    from ._pairwise import euclidean_distances, silhouette_scores
 
-        return SilhouetteReport(*euclidean_silhouette(points, assignments))
-    if metric != "cosine_distance":
+    if metric == "euclidean":
+        distances = euclidean_distances(points)
+    elif metric == "cosine_distance":
+        points = np.asarray(points, dtype=float).reshape(len(points), -1)
+        norms = np.linalg.norm(points, axis=1)
+        if np.any(norms == 0.0):
+            raise ComputationError("cosine distance undefined for zero vectors")
+        unit = points / norms[:, None]
+        distances = (1.0 - np.clip(unit @ unit.T, -1.0, 1.0)).tolist()
+    else:
         raise ComputationError(f"unknown silhouette metric {metric!r}")
-    points = np.asarray(points, dtype=float).reshape(len(points), -1)
-    norms = np.linalg.norm(points, axis=1)
-    if np.any(norms == 0.0):
-        raise ComputationError("cosine distance undefined for zero vectors")
-    unit = points / norms[:, None]
-    distances = 1.0 - np.clip(unit @ unit.T, -1.0, 1.0)
-    # return_inverse: a plain np.unique imports numpy.ma (about 15 ms)
-    labels, own = np.unique(np.asarray(assignments, dtype=int), return_inverse=True)
-
-    # Each cluster's columns are copied to a C-contiguous block: its row sums
-    # then add in the order a 1-D sum of one row's members does, where the
-    # strided block that the mask gives can round differently.
-    sizes = np.bincount(own)
-    sums = np.stack([
-        np.ascontiguousarray(distances[:, own == j]).sum(axis=1) for j in range(len(labels))
-    ])
-    n = points.shape[0]
-    everyone = np.arange(n)
-    a = (sums[own, everyone] - distances[everyone, everyone]) / np.maximum(sizes[own] - 1, 1)
-    means = sums / sizes[:, None]
-    means[own, everyone] = np.inf  # b is the nearest other cluster
-    b = means.min(axis=0)
-    denom = np.maximum(a, b)
-    per_point = np.divide(b - a, denom, out=np.zeros(n), where=(sizes[own] > 1) & (denom > 0))
-    return SilhouetteReport(per_point=tuple(per_point.tolist()), mean=float(np.mean(per_point)))
+    return SilhouetteReport(*silhouette_scores(distances, assignments))
 
 
 def mann_whitney_u(sample_a: Sequence[float], sample_b: Sequence[float]) -> MannWhitneyResult:

@@ -35,7 +35,6 @@ from operator import add
 from pathlib import Path
 from typing import Callable, Collection, Mapping, NamedTuple
 
-from ._numpy import np
 from .annotate import (
     UNLABELED,
     Gazetteer,
@@ -396,6 +395,13 @@ def _cluster_side_term(
 ) -> dict:
     clusters, unclustered = cluster_by_shared_term({sid: terms.get(sid, []) for sid in sentence_ids})
     merged = merge_synonymous_clusters(clusters, synonyms)
+    # the merge keeps a canonical label as it is: a label it renamed is not canonical
+    stray = next((label for label in clusters if label not in merged), None)
+    if stray is not None:
+        raise ValidationError(
+            f"term {stray!r} of topic {topic_id!r}, side {side!r}, in annotations.json "
+            "is not canonical under the config's synonyms"
+        )
     return {
         "clusters": [
             {
@@ -627,31 +633,22 @@ def compute_rouge_table(corpus: list[DebateTopic], gold, selections: Selections)
     for annotation in gold:
         gold_by_comment.setdefault(annotation.comment_id, []).append(annotation.selected_sentence_ids)
 
-    totals = np.zeros((len(Feature), len(RougeVariant), 3))
+    totals = [[[0.0] * 3 for _ in RougeVariant] for _ in Feature]
     scored = 0
     for topic in corpus:
         for comment in topic.comments:
             refs_ids = gold_by_comment.get(comment.id)
             if not refs_ids:
                 continue
-            sentences = comment.sentences
-            # an id for each token of the references, and one shared by all others (rouge_batch)
-            referenced = set().union(*refs_ids)
-            vocab = {t: i for i, t in enumerate(dict.fromkeys(
-                t for s in sentences if s.id in referenced for t in s.tokens))}
-            ids = np.array([vocab.get(t, len(vocab)) for s in sentences for t in s.tokens], dtype=np.int64)
             index: dict[tuple[str, ...], int] = {}
             chosen = [index.setdefault(selections[comment.id][f], len(index)) for f in Feature]
-            # sequence x sentence membership, spread to a sequence x token mask
-            mask = np.repeat(
-                [[s.id in selected for s in sentences] for selected in [*map(set, index), *refs_ids]],
-                [len(s.tokens) for s in sentences],
-                axis=1,
-            )
-            rows, positions = np.nonzero(mask)
-            totals += rouge_batch(ids[positions], rows, len(mask), len(index), len(vocab) + 1)[chosen]
+            scores = rouge_batch(comment.sentences, [*map(set, index), *refs_ids], len(index)).tolist()
+            for feature_totals, j in zip(totals, chosen):
+                for total, score in zip(feature_totals, scores[j]):
+                    total[:] = map(add, total, score)
             scored += 1
-    means = (totals / scored).tolist() if scored else None  # None: no comment has gold
+    # None: no comment has gold
+    means = [[[x / scored for x in total] for total in f] for f in totals] if scored else None
     return {feature.value: {
         variant.value: means and dict(zip(("recall", "precision", "f1"), means[f][v]))
         for v, variant in enumerate(RougeVariant)
@@ -681,22 +678,20 @@ def compute_silhouette_report(
             members = [sid for c in clusters for sid in c["members"]]
             assignments = [j for j, c in enumerate(clusters) for _ in c["members"]]
             if method == "term":
-                # one row per membership: its (row, term) cells counted into one matrix
-                width = len(vocabulary)
-                cells = [
-                    i * width + index[t]
-                    for i, sid in enumerate(members)
-                    for t in terms.get(sid, [])
-                    if t in index
-                ]
-                points = np.bincount(cells, minlength=len(members) * width).reshape(-1, width)
-                empty = np.flatnonzero(~points.any(axis=1))
-                if empty.size:
-                    raise ValidationError(
-                        f"sentence {members[empty[0]]!r} of topic {topic['topic_id']!r}, side "
-                        f"{side!r}, has no term in the config's vocabulary"
-                    )
-                report = silhouette(points.astype(float), assignments, metric="cosine_distance")
+                # one row per membership: the sentence's count of each vocabulary term
+                points = []
+                for sid in members:
+                    row = [0] * len(vocabulary)
+                    for t in terms.get(sid, []):
+                        if t in index:
+                            row[index[t]] += 1
+                    if not any(row):
+                        raise ValidationError(
+                            f"sentence {sid!r} of topic {topic['topic_id']!r}, side "
+                            f"{side!r}, has no term in the config's vocabulary"
+                        )
+                    points.append(row)
+                report = silhouette(points, assignments, metric="cosine_distance")
             else:
                 points = [side_doc["points"][sid] for sid in members]
                 try:

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from debatesum import evalkit
+from debatesum.corpus import Sentence
 from debatesum.errors import ComputationError
 from debatesum.evalkit import (
     RougeVariant,
@@ -178,11 +179,10 @@ ROUGE_SEQUENCES = st.lists(st.sampled_from(("ice", "sea", "carbon", "tax", "the"
 def test_rouge_batch_rows_equal_rouge(systems, references):
     """Each system's (variant, (recall, precision, f1)) block is ``rouge``'s
     score of it against all references, bit for bit."""
-    vocab: dict[str, int] = {}
-    sequences = [*systems, *references]
-    ids = np.array([vocab.setdefault(t, len(vocab)) for seq in sequences for t in seq], dtype=np.int64)
-    rows = np.repeat(np.arange(len(sequences)), [len(seq) for seq in sequences])
-    batch = rouge_batch(ids, rows, len(sequences), len(systems), len(vocab))
+    # one sentence per sequence, each sequence the set of its sentence's id
+    sentences = [Sentence(f"s{i}", i + 1, " ".join(seq), tuple(seq))
+                 for i, seq in enumerate([*systems, *references])]
+    batch = rouge_batch(sentences, [{s.id} for s in sentences], len(systems))
     assert batch.shape == (len(systems), len(RougeVariant), 3)
     for system, row in zip(systems, batch.tolist()):
         for variant, scores in zip(RougeVariant, row):
@@ -282,6 +282,12 @@ CLUSTER_SIZES = st.lists(
 ).filter(lambda sizes: sum(sizes) <= 400)
 
 
+# term-count rows whose self-distances 1 - clip(u.u) are not all 0.0: the
+# scorer takes each point's diagonal entry out of its own cluster's sum, and
+# here leaving it in changes the scores' bits
+NONZERO_DIAGONAL = dict(sizes=[2, 3], dim=3, metric="cosine_distance", seed=0)
+
+
 @settings(max_examples=60, deadline=None, database=None)
 @given(
     sizes=CLUSTER_SIZES,
@@ -291,6 +297,7 @@ CLUSTER_SIZES = st.lists(
 )
 @example(sizes=[1, 9, 129], dim=3, metric="euclidean", seed=0)
 @example(sizes=[1, 9, 129], dim=3, metric="cosine_distance", seed=0)
+@example(**NONZERO_DIAGONAL)
 def test_silhouette_bitwise_equals_per_point_loop(sizes, dim, metric, seed):
     rng = np.random.default_rng(seed)
     labels = rng.choice(50, size=len(sizes), replace=False)
@@ -300,6 +307,8 @@ def test_silhouette_bitwise_equals_per_point_loop(sizes, dim, metric, seed):
         points[points.sum(axis=1) == 0, 0] = 1.0
     else:
         points = rng.normal(scale=rng.choice([1e-3, 1.0, 1e3]), size=(len(assignments), dim))
+    if dict(sizes=sizes, dim=dim, metric=metric, seed=seed) == NONZERO_DIAGONAL:
+        assert np.diag(distance_matrix(points, metric)).any()
     expected = per_point_silhouette(points, assignments, metric)
     report = silhouette(points, assignments, metric)
     assert report.per_point == expected.per_point

@@ -804,6 +804,28 @@ class TestCli:
         err = capsys.readouterr().err
         assert "of topic 't" in err and "has no term in the config's vocabulary" in err
 
+    def test_annotations_canonicalized_under_other_synonyms_exit_3_at_cluster(self, tmp_path, capsys):
+        # before, cluster exited 0 with clusters the synonym merge had renamed to
+        # 'carbon dioxide', and label exited 3 one command later
+        config_path = make_config(tmp_path, clustering_method="term")
+        for command in (["annotate"], ["select"]):
+            assert main([*command, "--config", str(config_path)]) == 0
+        path = tmp_path / "out" / "annotations.json"
+        doc = read_json(path)
+        rewritten = 0
+        for topic in doc["topics"]:
+            for sentence in topic["sentences"]:
+                for a in sentence["annotations"]:
+                    if a["canonical"] == "carbon dioxide":
+                        a["canonical"], rewritten = "co2", rewritten + 1
+        assert rewritten
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["cluster", "--method", "term", "--config", str(config_path)]) == 3
+        err = capsys.readouterr().err
+        assert "term 'co2' of topic 't" in err and "is not canonical" in err
+        assert not (tmp_path / "out" / "clusters.json").exists()
+
     def test_term_cluster_label_compared_as_written_exit_3(self, tmp_path, capsys):
         # a term is the string the artifacts hold: before, two spaces read as one,
         # and label exited 0 and wrote the normalized label

@@ -2,8 +2,9 @@
 numpy, and so do X-means, the silhouette of its clusters and an x-means
 ``pipeline`` without gold or embeddings; no command loads numpy.ma or
 dataclasses, each command loads only its own stage's algorithm modules, only
-the commands that select sentences load the selection module, only the
-commands that read an artifact load its checks, importing one module loads
+the commands that select sentences load the selection module, only they
+and the evaluation load ``debatesum._numpy``, only the commands that read an
+artifact load its checks, importing one module loads
 only the modules it imports, ``pipeline`` hashes its manifest without mapping
 OpenSSL, and no command loads numpy's random module, which maps OpenSSL
 through hmac."""
@@ -197,6 +198,9 @@ def test_no_command_loads_dataclasses_and_only_selection_loads_saliency(modules_
     assert [c for c, modules in loaded.items() if "dataclasses" in modules] == []
     # numpy imports inspect itself, so only a command that loads numpy has it
     assert [c for c, modules in loaded.items() if "inspect" in modules and "numpy" not in modules] == []
+    # array work is the selection's and the evaluation's alone: pipeline.py does none
+    assert [c for c, modules in loaded.items() if "debatesum._numpy" in modules
+            and not {"debatesum.saliency", "debatesum.evalkit"} & modules] == []
     assert {c for c, modules in loaded.items() if "debatesum.saliency" in modules} == {
         "select", "eval rouge", "pipeline",
     }
