@@ -3,8 +3,8 @@
 numpy adds a row of floats in pairwise order (``pairwise_sum`` in its
 ``loops_utils.h.src``), and ``pairwise_sum`` does the same in Python, so the
 silhouette scores, and the artifacts that hold them, have the bits numpy gave
-them. ``evalkit.silhouette`` imports this module for both metrics; of the
-cosine silhouette, only the distance matrix is numpy's.
+them. ``evalkit.silhouette`` imports this module for both metrics, and
+``_cosine`` for the cosine distances.
 """
 
 from __future__ import annotations
@@ -42,18 +42,24 @@ def _add_rows(u: Sequence[float], v: Sequence[float]) -> list[float]:
     return list(map(add, u, v))
 
 
+def point_rows(points: Sequence) -> list:
+    """``points`` as a list of rows: one row of numbers per point, or one
+    number per point; a numpy array serves too."""
+    points = points.tolist() if hasattr(points, "tolist") else list(points)
+    if not isinstance(points[0], (list, tuple)):  # one number per point
+        points = [[x] for x in points]
+    return points
+
+
 def euclidean_distances(points: Sequence) -> list[Sequence[float]]:
-    """The full matrix of euclidean distances between ``points`` (one row of
-    numbers per point, or one number per point; a numpy array serves too).
+    """The full matrix of euclidean distances between ``points`` (``point_rows``).
 
     Each pair's distance is the square root of its squared differences summed
     pairwise, for every pair at once: a value of ``pairwise_sum`` is then one
     row of floats. A squared difference is never -0.0, so numpy's ``0.0 +``
     before the reduction leaves the sum as it is.
     """
-    points = points.tolist() if hasattr(points, "tolist") else list(points)
-    if not isinstance(points[0], (list, tuple)):  # one number per point
-        points = [[x] for x in points]
+    points = point_rows(points)
     n = len(points)
     # each pair i < j once, row after row, then (0, 0): its distance is numpy's
     # diagonal 0.0, and with it an itemgetter of the pairs always gives a tuple

@@ -5,10 +5,11 @@ skip-bigrams with up to four intervening words plus unigrams. Scores against
 multiple references aggregate by mean.
 No stemming or stopword removal happens here: tokens are compared as given.
 
-The silhouette adds plain floats in numpy's pairwise order (``_pairwise``),
-so its scores keep the bits numpy gave them; only the cosine distance matrix
-is numpy's. Other float sums add left to right, as builtin ``sum()`` of
-floats compensates from Python 3.12 on.
+Everything runs in plain Python floats and ints, and every float sum adds in
+a fixed order: the silhouette in numpy's pairwise order (``_pairwise``), so
+its scores keep the bits numpy gave them, and the cosine distances' norms
+and dot products in ascending coordinate order (``_cosine``). Other float sums add left to right,
+as builtin ``sum()`` of floats compensates from Python 3.12 on.
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ import math
 from collections import Counter
 from enum import Enum
 from functools import reduce
-from operator import add
+from itertools import chain, compress, repeat
+from operator import add, and_, eq, mul
 from typing import Collection, NamedTuple, Sequence
 
-from ._numpy import np
 from .errors import ComputationError
 
 
@@ -82,11 +83,14 @@ def _recall_precision_f1(match: int, total_sys: int, total_ref: int) -> tuple[fl
     return recall, precision, f1
 
 
+def _column_means(scores: Sequence[Sequence[float]]) -> list[float]:
+    """The mean over references of rows of scores, such as (recall,
+    precision, f1) triples, each column added left to right."""
+    return [reduce(add, column, 0.0) / len(scores) for column in zip(*scores)]
+
+
 def _mean_score(variant: RougeVariant, scores: Sequence[tuple[float, float, float]]) -> RougeScore:
-    """The mean over references of (recall, precision, f1) triples, each
-    column added left to right."""
-    recall, precision, f1 = (reduce(add, column, 0.0) / len(scores) for column in zip(*scores))
-    return RougeScore(variant=variant, recall=recall, precision=precision, f1=f1)
+    return RougeScore(variant, *_column_means(scores))
 
 
 def rouge(
@@ -110,67 +114,68 @@ def rouge(
     ])
 
 
-def rouge_batch(sentences: Sequence, sequences: Sequence[Collection[str]], n_systems: int) -> np.ndarray:
+def _levels(units: list) -> list[set]:
+    """The multiset ``units`` as its levels: level k holds the units that occur
+    more than k times. The clipped overlap of two multisets, the sum over
+    units of the smaller count, is the sum over k of their level k's common
+    units (``_overlap``)."""
+    levels = [set(units)]
+    while len(levels[-1]) != len(units):
+        ordered = sorted(units)
+        # every occurrence of a unit after its first
+        units = list(compress(ordered[1:], map(eq, ordered, ordered[1:])))
+        levels.append(set(units))
+    return levels
+
+
+def _overlap(a: list[set], b: list[set]) -> int:
+    return sum(map(len, map(and_, a, b)))
+
+
+def rouge_batch(
+    sentences: Sequence, sequences: Sequence[Collection[str]], n_systems: int
+) -> list[list[list[float]]]:
     """Mean ROUGE of each of the first ``n_systems`` token sequences against
-    every later one: what ``rouge`` gives, as an array of shape (system,
+    every later one: what ``rouge`` gives, as nested lists (system,
     ``RougeVariant``, (recall, precision, f1)).
 
     A sequence is a set of the ids of ``sentences`` (each with an ``id`` and
     its ``tokens``), and holds their tokens in sentence order. Each token
-    becomes an id; a unit's key is a token id (R1) or a token pair (a, b) as
-    a * vocab_size + b (R2, and SU4, whose unigrams are R1's), plus
-    t * vocab_size**2 for the kind t. Units are indexed through a table of
-    all 3 * vocab_size**2 keys: to keep it small, the tokens of no reference
-    share one id, as a unit holding one never matches.
+    becomes an id below v, the number of distinct tokens plus one, and a token
+    pair (a, b) the id a * v + b. A sequence's units of each kind (tokens,
+    bigrams, and the skip-bigrams of SU4, whose unigrams are R1's) are
+    ``_levels`` and a total.
     """
-    referenced = set().union(*sequences[n_systems:])
-    vocab = {t: i for i, t in enumerate(dict.fromkeys(
-        t for s in sentences if s.id in referenced for t in s.tokens))}
-    vocab_size = len(vocab) + 1  # the last id is every other token's
-    tokens = np.array([vocab.get(t, len(vocab)) for s in sentences for t in s.tokens], dtype=np.int64)
-    # sequence x sentence membership, spread to a sequence x token mask
-    mask = np.repeat([[s.id in sequence for s in sentences] for sequence in sequences],
-                     [len(s.tokens) for s in sentences], axis=1)
-    rows, positions = np.nonzero(mask)
-    ids, n_rows = tokens[positions], len(sequences)
-    span = vocab_size * vocab_size
-    pairs, pair_rows = [], []
-    for gap in range(1, 6):
-        same = rows[:-gap] == rows[gap:]  # both tokens in one sequence
-        pairs.append(ids[:-gap][same] * vocab_size + ids[gap:][same])
-        pair_rows.append(rows[:-gap][same])
-    # row n_rows holds one key of each kind, so no kind's run of units is empty
-    keys = np.concatenate([ids, pairs[0] + span, *(k + 2 * span for k in pairs), [0, span, 2 * span]])
-    key_rows = np.concatenate([rows, pair_rows[0], *pair_rows, [n_rows] * 3])
-    present = np.zeros(3 * span + 1, dtype=bool)  # + 1: span is 0 when there are no tokens
-    present[keys] = True
-    units = np.flatnonzero(present)
-    unit_of = np.empty(len(present), dtype=np.intp)
-    unit_of[units] = np.arange(len(units))
-    counts = np.bincount(
-        key_rows * len(units) + unit_of[keys], minlength=(n_rows + 1) * len(units)
-    ).reshape(n_rows + 1, len(units))
-    # units sort by kind: each kind's units are one run of columns
-    starts = np.searchsorted(units, [0, span, 2 * span])
-    totals = np.add.reduceat(counts[:n_rows], starts, axis=1)
-    minima = np.minimum(counts[:n_systems, None], counts[None, n_systems:n_rows])
-    match = np.add.reduceat(minima, starts, axis=-1)
-    totals[:, 2] += totals[:, 0]  # SU4 counts the unigrams too
-    match[..., 2] += match[..., 0]
-    system_totals, ref_totals = totals[:n_systems, None], totals[None, n_systems:]
-    scores = np.zeros((*match.shape, 3))  # system, reference, variant, (recall, precision, f1)
-    recall, precision, f1 = scores[..., 0], scores[..., 1], scores[..., 2]
-    np.divide(match, ref_totals, out=recall, where=ref_totals > 0)
-    np.divide(match, system_totals, out=precision, where=system_totals > 0)
-    np.divide(2 * precision * recall, precision + recall, out=f1, where=precision + recall != 0)
-    total = scores[:, 0]
-    for ref in range(1, n_rows - n_systems):  # added in order, as _mean_score adds
-        total = total + scores[:, ref]
-    return total / (n_rows - n_systems)
+    distinct = dict.fromkeys(chain.from_iterable(s.tokens for s in sentences))
+    vocab = {t: i for i, t in enumerate(distinct)}
+    encoded = [list(map(vocab.__getitem__, s.tokens)) for s in sentences]
+    v = len(vocab) + 1
+    rows = []
+    for sequence in sequences:
+        tokens = list(chain.from_iterable(compress(encoded, [s.id in sequence for s in sentences])))
+        scaled = list(map(mul, tokens, repeat(v)))
+        bigrams = list(map(add, scaled, tokens[1:]))
+        skips = bigrams.copy()  # the pairs at gaps 1 to 5
+        for gap in range(2, 6):
+            skips += map(add, scaled, tokens[gap:])
+        n = len(tokens)
+        rows.append((_levels(tokens), _levels(bigrams), _levels(skips),
+                     (n, len(bigrams), len(skips) + n)))  # SU4 counts the unigrams too
+    out = []
+    for r1, r2, su4, system_totals in rows[:n_systems]:
+        per_reference = []  # per reference, the (recall, precision, f1) of each variant in a row
+        for ref_r1, ref_r2, ref_su4, ref_totals in rows[n_systems:]:
+            unigrams = _overlap(r1, ref_r1)
+            matches = (unigrams, _overlap(r2, ref_r2), _overlap(su4, ref_su4) + unigrams)
+            per_reference.append(list(chain.from_iterable(
+                map(_recall_precision_f1, matches, system_totals, ref_totals))))
+        means = _column_means(per_reference)  # as ``rouge`` averages them
+        out.append([means[0:3], means[3:6], means[6:9]])
+    return out
 
 
 def silhouette(
-    points: np.ndarray,
+    points: Sequence,
     assignments: Sequence[int],
     metric: str = "euclidean",
 ) -> SilhouetteReport:
@@ -180,7 +185,8 @@ def silhouette(
     smallest mean distance to any other cluster. Points in singleton clusters
     score 0 by convention. At least two nonempty clusters are required.
     ``points`` holds one row per point, or one number per point; a euclidean
-    distance beyond the float range is an error.
+    distance beyond the float range is an error, and so is a cosine distance
+    to a zero or non-finite vector.
     """
     if len(set(assignments)) < 2:
         raise ComputationError("silhouette undefined for k = 1")
@@ -190,12 +196,9 @@ def silhouette(
     if metric == "euclidean":
         distances = euclidean_distances(points)
     elif metric == "cosine_distance":
-        points = np.asarray(points, dtype=float).reshape(len(points), -1)
-        norms = np.linalg.norm(points, axis=1)
-        if np.any(norms == 0.0):
-            raise ComputationError("cosine distance undefined for zero vectors")
-        unit = points / norms[:, None]
-        distances = (1.0 - np.clip(unit @ unit.T, -1.0, 1.0)).tolist()
+        from ._cosine import cosine_distances
+
+        distances = cosine_distances(points)
     else:
         raise ComputationError(f"unknown silhouette metric {metric!r}")
     return SilhouetteReport(*silhouette_scores(distances, assignments))
@@ -207,30 +210,30 @@ def mann_whitney_u(sample_a: Sequence[float], sample_b: Sequence[float]) -> Mann
     The z statistic uses the tie-corrected variance; two samples with no
     variation at all give z = 0, p = 1. Effect size r = |z| / sqrt(n_a + n_b).
     """
-    a = np.asarray(sample_a, dtype=float)
-    b = np.asarray(sample_b, dtype=float)
-    if a.size == 0 or b.size == 0:
+    a, b = list(map(float, sample_a)), list(map(float, sample_b))
+    if not a or not b:
         raise ComputationError("Mann-Whitney needs two nonempty samples")
-    n_a, n_b = a.size, b.size
+    n_a, n_b = len(a), len(b)
     n = n_a + n_b
-    combined = np.concatenate([a, b])
+    combined = a + b
 
-    order = np.argsort(combined, kind="stable")
-    ranks = np.empty(n, dtype=float)
-    sorted_values = combined[order]
+    order = sorted(range(n), key=combined.__getitem__)  # stable: ties keep sample order
+    ranks = [0.0] * n
     i = 0
     tie_correction = 0.0
     while i < n:
         j = i
-        while j + 1 < n and sorted_values[j + 1] == sorted_values[i]:
+        while j + 1 < n and combined[order[j + 1]] == combined[order[i]]:
             j += 1
         midrank = (i + j) / 2.0 + 1.0
-        ranks[order[i : j + 1]] = midrank
+        for k in order[i : j + 1]:
+            ranks[k] = midrank
         t = j - i + 1
         tie_correction += t**3 - t
         i = j + 1
 
-    rank_sum_a = float(ranks[:n_a].sum())
+    # midranks are halves of integers, so their sum is exact in any order
+    rank_sum_a = reduce(add, ranks[:n_a], 0.0)
     u_a = rank_sum_a - n_a * (n_a + 1) / 2.0
     u_b = n_a * n_b - u_a
 

@@ -642,7 +642,7 @@ def compute_rouge_table(corpus: list[DebateTopic], gold, selections: Selections)
                 continue
             index: dict[tuple[str, ...], int] = {}
             chosen = [index.setdefault(selections[comment.id][f], len(index)) for f in Feature]
-            scores = rouge_batch(comment.sentences, [*map(set, index), *refs_ids], len(index)).tolist()
+            scores = rouge_batch(comment.sentences, [*map(set, index), *refs_ids], len(index))
             for feature_totals, j in zip(totals, chosen):
                 for total, score in zip(feature_totals, scores[j]):
                     total[:] = map(add, total, score)

@@ -15,6 +15,10 @@ Features (raw scores):
 Per comment, each feature is min-max normalized to [0,1]; selection keeps the
 top ceil(ratio * n) sentences by raw score of the chosen feature, ties going
 to the earlier position.
+
+Everything runs in plain Python floats. An embedding is an ``array('d')``; a
+mean adds its vectors in sequence, and a norm or a dot product adds its
+products in coordinate order, so every COS_STT bit is fixed by the inputs.
 """
 
 from __future__ import annotations
@@ -22,12 +26,11 @@ from __future__ import annotations
 import math
 from collections import Counter
 from functools import cached_property, reduce
-from itertools import accumulate, chain
-from operator import add
+from itertools import repeat
+from operator import add, mul, truediv
 from pathlib import Path
-from typing import Collection, NamedTuple
+from typing import Collection, NamedTuple, Sequence
 
-from ._numpy import np
 from .corpus import (
     LLR_THRESHOLD_P001,
     Comment,
@@ -50,22 +53,22 @@ class TopicSignature(NamedTuple):
 class Lexicons:
     """Static lexical resources used by the feature scorers.
 
-    ``embeddings`` may be None, which disables COS_STT (scored 0 and dropped
-    from the CB mean). The COS_STT columns of the last topic scored are kept
-    (``title_cosines``).
+    ``embeddings`` (token -> vector, each a sequence of floats of one length)
+    may be None, which disables COS_STT (scored 0 and dropped from the CB
+    mean). Each title's mean embedding and norm are kept
+    (``title_embedding``), since every comment of a topic reads them.
     """
 
     def __init__(
         self,
         conjunctive_adverbs: frozenset[tuple[str, ...]],
         climate_terms: Collection[tuple[str, ...]],
-        embeddings: dict[str, np.ndarray] | None = None,
+        embeddings: dict[str, Sequence[float]] | None = None,
     ):
         self.conjunctive_adverbs = conjunctive_adverbs
         self.climate_terms = climate_terms
         self.embeddings = embeddings
-        self._cosines_topic: DebateTopic | None = None
-        self._cosines: dict[int, list[float]] = {}
+        self._titles: dict[tuple[str, ...], tuple[list[float], float] | None] = {}
 
     @cached_property
     def climate_tokens(self) -> frozenset[str]:
@@ -77,26 +80,13 @@ class Lexicons:
         """The distinct token counts of the conjunctive adverbs."""
         return frozenset(len(entry) for entry in self.conjunctive_adverbs)
 
-    @cached_property
-    def embedding_rows(self) -> tuple[dict[str, int], np.ndarray]:
-        """Token -> row of one matrix of the embeddings, whose extra last row
-        is all -0.0 (``_title_cosines`` pads with it)."""
-        vectors = self.embeddings
-        dim = len(next(iter(vectors.values()))) if vectors else 0
-        matrix = np.vstack([*vectors.values(), np.full(dim, -0.0)])
-        return {token: i for i, token in enumerate(vectors)}, matrix
-
-    def title_cosines(self, comment: Comment, topic: DebateTopic) -> list[float]:
-        """The COS_STT column of ``comment``: its part of
-        ``_title_cosines(topic, self)``, which is kept for the last topic asked
-        for (by identity), since every comment of a topic reads it. A comment
-        not in ``topic.comments`` is scored on its own."""
-        if self._cosines_topic is not topic:
-            self._cosines_topic, self._cosines = topic, _title_cosines(topic, self)
-        column = self._cosines.get(id(comment))
-        if column is None:
-            column = _title_cosines(topic._replace(comments=(comment,)), self)[id(comment)]
-        return list(column)
+    def title_embedding(self, title_tokens: tuple[str, ...]) -> tuple[list[float], float] | None:
+        """The mean embedding of a title and its norm; None if no title token
+        has a vector."""
+        if title_tokens not in self._titles:
+            mean = _mean_embedding(title_tokens, self.embeddings)
+            self._titles[title_tokens] = None if mean is None else (mean, math.sqrt(_dot(mean, mean)))
+        return self._titles[title_tokens]
 
 
 class CommentScores(NamedTuple):
@@ -112,15 +102,18 @@ class CommentScores(NamedTuple):
         return self.cb if feature is Feature.CB else self.raw[feature]
 
 
-def load_embeddings(path: str | Path) -> dict[str, np.ndarray]:
-    """Plain-text vectors: token followed by d floats per line.
+def load_embeddings(path: str | Path) -> dict[str, Sequence[float]]:
+    """Plain-text vectors: token followed by d floats per line, each vector
+    kept as an ``array('d')``.
 
     A first line of exactly two integers is treated as a "count dim" header
     and skipped. A file with no vector (empty, blank lines only, or only the
     header) is a ParseError: it would score COS_STT 0 everywhere and still
     count it in CB's mean.
     """
-    vectors: dict[str, np.ndarray] = {}
+    from array import array  # an extension module: only a run with embeddings maps it
+
+    vectors: dict[str, Sequence[float]] = {}
     dim: int | None = None
     lines = read_text(path).splitlines()
     start = 0
@@ -138,18 +131,18 @@ def load_embeddings(path: str | Path) -> dict[str, np.ndarray]:
         parts = line.split()
         token = parts[0].lower()
         try:
-            vec = np.array([float(x) for x in parts[1:]], dtype=float)
+            vec = array("d", map(float, parts[1:]))
         except ValueError as exc:
             raise ParseError(f"bad embedding value: {exc}", source=str(path), line=lineno) from exc
-        if vec.size == 0:
+        if not vec:
             raise ParseError("embedding line has no values", source=str(path), line=lineno)
-        if not np.isfinite(vec).all():
+        if not all(map(math.isfinite, vec)):
             raise ParseError("embedding value is not finite", source=str(path), line=lineno)
         if dim is None:
-            dim = vec.size
-        elif vec.size != dim:
+            dim = len(vec)
+        elif len(vec) != dim:
             raise ParseError(
-                f"embedding dimension {vec.size} != {dim}", source=str(path), line=lineno
+                f"embedding dimension {len(vec)} != {dim}", source=str(path), line=lineno
             )
         vectors[token] = vec
     if not vectors:
@@ -222,17 +215,23 @@ def extract_topic_signatures(
     return signatures
 
 
-def _mean_embeddings(grid: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """The mean of each row of ``grid``, a row holding ``counts`` vectors and
-    then the all -0.0 padding, which leaves every sum unchanged.
+def _mean_embedding(
+    tokens: tuple[str, ...], embeddings: dict[str, Sequence[float]]
+) -> list[float] | None:
+    """The mean of the vectors of ``tokens`` that have one, added in sequence
+    from the first; None if no token has one."""
+    vectors = [v for v in map(embeddings.get, tokens) if v is not None]
+    if not vectors:
+        return None
+    total = vectors[0]
+    for vector in vectors[1:]:
+        total = list(map(add, total, vector))
+    return list(map(truediv, total, repeat(len(vectors))))
 
-    Each row's vectors add in sequence, at any width and dimension, so a
-    row's mean depends on its own vectors alone.
-    """
-    sums = grid[:, 0].copy()
-    for j in range(1, grid.shape[1]):
-        sums += grid[:, j]
-    return sums / counts
+
+def _dot(u: Sequence[float], v: Sequence[float]) -> float:
+    """u . v, its products added in coordinate order."""
+    return reduce(add, map(mul, u, v), 0.0)
 
 
 def _starts_with_conjunctive_adverb(tokens: tuple[str, ...], lexicons: Lexicons) -> bool:
@@ -258,47 +257,24 @@ def _set_cosines(
     ]
 
 
-def _title_cosines(topic: DebateTopic, lexicons: Lexicons) -> dict[int, list[float]]:
-    """``id`` of each comment of ``topic`` -> cosine(mean embedding of sentence,
-    mean embedding of title) per sentence, clipped to [-1, 1]; 0 where either
-    has no embedded token.
+def _title_cosines(
+    comment: Comment, title: tuple[list[float], float] | None, embeddings: dict[str, Sequence[float]]
+) -> list[float]:
+    """cosine(mean embedding of sentence, mean embedding of title) per sentence
+    of ``comment``, clipped to [-1, 1]; 0 where either has no embedded token.
+    ``title`` is the title's mean and norm (``Lexicons.title_embedding``).
 
-    One gather per topic puts the title's and every sentence's vectors in the
-    rows of one grid padded with -0.0 (``_mean_embeddings``). The norms and the
-    title dots are stacked products, ``E[:, None, :] @ E[:, :, None]`` and
-    ``E[:, None, :] @ t[:, None]``: each row is one vector-dot of the same loop
-    as the 1-d ``s @ s`` and ``s @ t`` of a sentence, so they are bit-equal to
-    taking them one sentence at a time; the division and the clip stay per
-    sentence in Python floats.
+    A sentence's cosine depends on its own tokens and the title alone.
     """
-    index, matrix = lexicons.embedding_rows
-    comments = topic.comments
-    rows = [
-        [index[t] for t in tokens if t in index]
-        for tokens in (topic.title_tokens, *(s.tokens for c in comments for s in c.sentences))
-    ]
-    bounds = list(accumulate((len(c.sentences) for c in comments), initial=1))
-    spans = list(zip(comments, bounds, bounds[1:]))  # each comment's rows
-    if not rows[0]:
-        return {id(c): [0.0] * (hi - lo) for c, lo, hi in spans}
-    lengths = np.array([len(r) for r in rows])
-    width = int(lengths.max())
-    padded = np.full((len(rows), width), len(matrix) - 1)  # the all -0.0 row
-    padded[np.arange(width) < lengths[:, None]] = np.fromiter(
-        chain.from_iterable(rows), np.intp, lengths.sum()
-    )
-    means = _mean_embeddings(matrix[padded], np.maximum(lengths, 1)[:, None])
-    stacked = means[:, None, :]
-    norms = np.sqrt(stacked @ means[:, :, None]).ravel().tolist()
-    dots = (stacked @ means[0][:, None]).ravel().tolist()
-    columns = {}
-    for c, lo, hi in spans:
-        column = []
-        for i in range(lo, hi):
-            denom = norms[i] * norms[0]
-            column.append(max(-1.0, min(1.0, dots[i] / denom)) if rows[i] and denom else 0.0)
-        columns[id(c)] = column
-    return columns
+    if title is None:
+        return [0.0] * len(comment.sentences)
+    title_mean, title_norm = title
+    column = []
+    for s in comment.sentences:
+        mean = _mean_embedding(s.tokens, embeddings)
+        denom = math.sqrt(_dot(mean, mean)) * title_norm if mean is not None else 0.0
+        column.append(max(-1.0, min(1.0, _dot(mean, title_mean) / denom)) if denom else 0.0)
+    return column
 
 
 def score_comment(
@@ -346,8 +322,11 @@ def score_comment(
             if feature in wanted:
                 raw[feature] = _set_cosines(sentences, norms, terms)
     if Feature.COS_STT in wanted:
+        embeddings = lexicons.embeddings
         raw[Feature.COS_STT] = (
-            lexicons.title_cosines(comment, topic) if lexicons.embeddings is not None else [0.0] * n
+            _title_cosines(comment, lexicons.title_embedding(topic.title_tokens), embeddings)
+            if embeddings is not None
+            else [0.0] * n
         )
 
     normalized = {}

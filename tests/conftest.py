@@ -17,15 +17,6 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 SAMPLE_DIR = REPO_ROOT / "data" / "sample"
 
 
-def pytest_report_header() -> str:
-    """The OpenBLAS kernel numpy picks on this CPU, so that a run whose numeric
-    pins break says which kernel it ran on."""
-    probe = subprocess.run([sys.executable, "-c", "import numpy"], capture_output=True, text=True,
-                           env={**os.environ, "OPENBLAS_VERBOSE": "2"})
-    core = re.search(r"Core: (\S+)", probe.stdout + probe.stderr)
-    return f"OpenBLAS core: {core.group(1) if core else 'unknown'}"
-
-
 def forced_kernels() -> tuple[str, ...]:
     """OpenBLAS cores that this CPU runs and that differ in their SIMD kernels:
     Nehalem (SSE4.2) and Haswell (AVX2), each where the CPU has the feature."""

@@ -4,11 +4,13 @@
 ``np.random.default_rng``: the tests that compare X-means with it compare
 two implementations and two streams. ``numpy_silhouette`` is the euclidean
 silhouette in numpy arrays and reductions, which ``evalkit.silhouette`` must
-equal bit for bit in plain floats.
+equal bit for bit in plain floats, and ``numpy_rouge_batch`` is the ROUGE
+table in numpy counts, which ``evalkit.rouge_batch`` must equal bit for bit.
 """
 
 import math
 from pathlib import Path
+from typing import Collection, Sequence
 
 import numpy as np
 
@@ -194,13 +196,24 @@ def select_salient(
 
 
 def distance_matrix(points: np.ndarray, metric: str) -> np.ndarray:
-    """All pairwise distances of ``points`` (one row per point) in numpy."""
+    """All pairwise distances of ``points`` (one row per point) in numpy.
+
+    A cosine distance's norm adds every coordinate's square, and its dot
+    product every coordinate's product, zeros included, in coordinate order
+    from 0.0: one coordinate at a time, not ``np.linalg.norm`` or
+    ``unit @ unit.T``, which add in another order."""
     if metric == "euclidean":
         diff = points[:, None, :] - points[None, :, :]
         return np.sqrt(np.sum(diff**2, axis=2))
-    norms = np.linalg.norm(points, axis=1)
+    squares = np.zeros(len(points))
+    for column in points.T:
+        squares += column * column
+    norms = np.sqrt(squares)
     unit = points / norms[:, None]
-    return 1.0 - np.clip(unit @ unit.T, -1.0, 1.0)
+    dots = np.zeros((len(unit), len(unit)))
+    for column in unit.T:
+        dots += np.multiply.outer(column, column)
+    return 1.0 - np.clip(dots, -1.0, 1.0)
 
 
 def numpy_silhouette(points, assignments) -> SilhouetteReport:
@@ -239,3 +252,60 @@ def compensated_sum(values, start=0):
             compensation += (x - t) + total
         total = t
     return total + compensation if compensation and math.isfinite(compensation) else total
+
+
+def numpy_rouge_batch(sentences: Sequence, sequences: Sequence[Collection[str]], n_systems: int):
+    """``evalkit.rouge_batch`` in numpy, as an array of shape (system,
+    ``RougeVariant``, (recall, precision, f1)).
+
+    Each token becomes an id; a unit's key is a token id (R1) or a token pair
+    (a, b) as a * vocab_size + b (R2, and SU4, whose unigrams are R1's), plus
+    t * vocab_size**2 for the kind t. Units are indexed through a table of
+    all 3 * vocab_size**2 keys: to keep it small, the tokens of no reference
+    share one id, as a unit holding one never matches. Counts are clipped
+    with ``np.minimum`` and summed per kind with ``np.add.reduceat``.
+    """
+    referenced = set().union(*sequences[n_systems:])
+    vocab = {t: i for i, t in enumerate(dict.fromkeys(
+        t for s in sentences if s.id in referenced for t in s.tokens))}
+    vocab_size = len(vocab) + 1  # the last id is every other token's
+    tokens = np.array([vocab.get(t, len(vocab)) for s in sentences for t in s.tokens], dtype=np.int64)
+    # sequence x sentence membership, spread to a sequence x token mask
+    mask = np.repeat([[s.id in sequence for s in sentences] for sequence in sequences],
+                     [len(s.tokens) for s in sentences], axis=1)
+    rows, positions = np.nonzero(mask)
+    ids, n_rows = tokens[positions], len(sequences)
+    span = vocab_size * vocab_size
+    pairs, pair_rows = [], []
+    for gap in range(1, 6):
+        same = rows[:-gap] == rows[gap:]  # both tokens in one sequence
+        pairs.append(ids[:-gap][same] * vocab_size + ids[gap:][same])
+        pair_rows.append(rows[:-gap][same])
+    # row n_rows holds one key of each kind, so no kind's run of units is empty
+    keys = np.concatenate([ids, pairs[0] + span, *(k + 2 * span for k in pairs), [0, span, 2 * span]])
+    key_rows = np.concatenate([rows, pair_rows[0], *pair_rows, [n_rows] * 3])
+    present = np.zeros(3 * span + 1, dtype=bool)  # + 1: span is 0 when there are no tokens
+    present[keys] = True
+    units = np.flatnonzero(present)
+    unit_of = np.empty(len(present), dtype=np.intp)
+    unit_of[units] = np.arange(len(units))
+    counts = np.bincount(
+        key_rows * len(units) + unit_of[keys], minlength=(n_rows + 1) * len(units)
+    ).reshape(n_rows + 1, len(units))
+    # units sort by kind: each kind's units are one run of columns
+    starts = np.searchsorted(units, [0, span, 2 * span])
+    totals = np.add.reduceat(counts[:n_rows], starts, axis=1)
+    minima = np.minimum(counts[:n_systems, None], counts[None, n_systems:n_rows])
+    match = np.add.reduceat(minima, starts, axis=-1)
+    totals[:, 2] += totals[:, 0]  # SU4 counts the unigrams too
+    match[..., 2] += match[..., 0]
+    system_totals, ref_totals = totals[:n_systems, None], totals[None, n_systems:]
+    scores = np.zeros((*match.shape, 3))  # system, reference, variant, (recall, precision, f1)
+    recall, precision, f1 = scores[..., 0], scores[..., 1], scores[..., 2]
+    np.divide(match, ref_totals, out=recall, where=ref_totals > 0)
+    np.divide(match, system_totals, out=precision, where=system_totals > 0)
+    np.divide(2 * precision * recall, precision + recall, out=f1, where=precision + recall != 0)
+    total = scores[:, 0]
+    for ref in range(1, n_rows - n_systems):  # added in order, as the references' mean adds
+        total = total + scores[:, ref]
+    return total / (n_rows - n_systems)

@@ -23,7 +23,7 @@ from debatesum.evalkit import (
     skip_bigram_counts,
 )
 
-from oracles import compensated_sum, distance_matrix, numpy_silhouette
+from oracles import compensated_sum, distance_matrix, numpy_rouge_batch, numpy_silhouette
 
 
 # ---------------------------------------------------------------------------
@@ -183,13 +183,46 @@ def test_rouge_batch_rows_equal_rouge(systems, references):
     sentences = [Sentence(f"s{i}", i + 1, " ".join(seq), tuple(seq))
                  for i, seq in enumerate([*systems, *references])]
     batch = rouge_batch(sentences, [{s.id} for s in sentences], len(systems))
-    assert batch.shape == (len(systems), len(RougeVariant), 3)
-    for system, row in zip(systems, batch.tolist()):
+    assert [[len(scores) for scores in row] for row in batch] == [[3] * len(RougeVariant)] * len(systems)
+    for system, row in zip(systems, batch):
         for variant, scores in zip(RougeVariant, row):
             expected = rouge(system, references, variant)
             assert list(map(float.hex, scores)) == [
                 float.hex(expected.recall), float.hex(expected.precision), float.hex(expected.f1)
             ], variant
+
+
+def hex_table(table) -> list:
+    return [[list(map(float.hex, scores)) for scores in row] for row in table]
+
+
+# few token types, so that tokens, bigrams and skip-bigrams repeat within a
+# sequence and the clipped counts differ from set overlaps
+REPEATING = st.lists(st.sampled_from(("ice", "sea", "the")), max_size=12)
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(
+    texts=st.lists(st.one_of(ROUGE_SEQUENCES, REPEATING), min_size=1, max_size=7),
+    data=st.data(),
+)
+@example(texts=[[], ["ice"]], data=None)  # an empty and a one-token sentence
+@example(texts=[["the", "ice", "the", "sea", "the", "ice"], ["sea", "the", "sea"]], data=None)
+def test_rouge_batch_equals_the_numpy_oracle(texts, data):
+    """The plain-Python table equals numpy's counts and divisions bit for bit:
+    each sequence is a set of sentences, systems and references may share
+    sentences, and a reference may equal a system."""
+    sentences = [Sentence(f"s{i}", i + 1, " ".join(t), tuple(t)) for i, t in enumerate(texts)]
+    ids = [s.id for s in sentences]
+    if data is None:  # each sentence alone, then all of them, as a system and as a reference
+        systems, references = [{i} for i in ids] + [set(ids)], [set(ids), {ids[-1]}]
+    else:
+        subsets = st.sets(st.sampled_from(ids))
+        systems = data.draw(st.lists(subsets, min_size=1, max_size=5))
+        references = data.draw(st.lists(st.one_of(subsets, st.sampled_from(systems)), min_size=1, max_size=3))
+    sequences = [*systems, *references]
+    expected = numpy_rouge_batch(sentences, sequences, len(systems)).tolist()
+    assert hex_table(rouge_batch(sentences, sequences, len(systems))) == hex_table(expected)
 
 
 class TestSilhouette:
@@ -346,9 +379,51 @@ def test_plain_float_silhouette_bitwise_equals_numpy(sizes, dim, flat, scale, se
     assert hexes(report) == hexes(numpy_silhouette(points, assignments))
 
 
+@settings(max_examples=40, deadline=None, database=None)
+@given(dim=st.sampled_from([1, 7, 8, 9, 61, 128, 129, 200, 300]), seed=st.integers(0, 2**32 - 1))
+def test_cosine_silhouette_of_sparse_float_rows_equals_the_oracle(dim, seed):
+    """Rows of floats, most coordinates zero, of 1 to 300 dimensions: a norm
+    adds only the nonzero squares, in coordinate order, as the oracle adds
+    the whole row."""
+    rng = np.random.default_rng(seed)
+    points = rng.normal(size=(12, dim)) * (rng.random((12, dim)) < 0.3)
+    points[np.abs(points).sum(axis=1) == 0, 0] = 1.0
+    assignments = [i % 3 for i in range(12)]
+    expected = per_point_silhouette(points, assignments, "cosine_distance")
+    assert hexes(silhouette(points.tolist(), assignments, "cosine_distance")) == hexes(expected)
+
+
 def test_distance_beyond_float_range_rejected():
     with pytest.raises(ComputationError, match="float range"):
         silhouette([[0.0, 1.0], [1e200, 1.0], [5.0, 5.0], [6.0, 5.0]], [0, 0, 1, 1])
+
+
+COSINE_ROWS = [[1, 1], [1, 1], [2, 2], [3, 1]]
+
+
+@pytest.mark.parametrize("big", [[1e200, 1e200], [2.0**1000, 2.0**1000], [2.0**-1000, 2.0**-1000]])
+def test_cosine_rows_beyond_the_squares_range_count_as_their_direction(big):
+    # the squares of 1e200 and 2**1000 overflow, those of 2**-1000 underflow; each row is
+    # scaled by a power of two first, so the first row counts as (1, 1), with no
+    # warning (RuntimeWarnings are errors here)
+    report = silhouette([big, *COSINE_ROWS[1:]], [0, 0, 1, 1], metric="cosine_distance")
+    assert hexes(report) == hexes(silhouette(COSINE_ROWS, [0, 0, 1, 1], metric="cosine_distance"))
+
+
+@pytest.mark.parametrize("shift", [-900, -40, -1, 1, 40, 900])
+def test_cosine_silhouette_is_unchanged_by_power_of_two_scaling(shift):
+    rng = random.Random(shift)
+    rows = [[rng.uniform(-3.0, 3.0) for _ in range(5)] for _ in range(12)]
+    assignments = [i % 3 for i in range(12)]
+    scaled = [[math.ldexp(x, shift * (i % 2)) for x in row] for i, row in enumerate(rows)]
+    assert hexes(silhouette(scaled, assignments, metric="cosine_distance")) == hexes(
+        silhouette(rows, assignments, metric="cosine_distance"))
+
+
+@pytest.mark.parametrize("row", [[math.inf, 1.0], [math.nan, 1.0]])
+def test_cosine_of_a_non_finite_vector_rejected(row):
+    with pytest.raises(ComputationError, match="cosine distance undefined"):
+        silhouette([row, [1.0, 0.0], [0.0, 1.0]], [0, 1, 1], metric="cosine_distance")
 
 
 class TestMannWhitney:

@@ -1,8 +1,10 @@
 """``score_comment``'s columns and every ``select_salient`` result equal the
 per-sentence loop they replaced, kept here as the oracle, on tied columns
-too; a call for one feature returns the full call's columns."""
+too; a call for one feature returns the full call's columns. The oracle's
+COS_STT adds each norm's and dot product's products in coordinate order."""
 
 import math
+from array import array
 from collections import Counter
 
 import numpy as np
@@ -48,6 +50,11 @@ def _mean_embedding(tokens, embeddings):
     return np.mean(vecs, axis=0)
 
 
+def _dot(u, v):
+    """u . v, the running sum of its products from 0.0, in coordinate order."""
+    return float(np.cumsum(np.concatenate([[0.0], u * v]))[-1])
+
+
 def oracle_scores(comment, topic, lexicons, signatures):
     """sentence id -> (raw, normalized, cb), computed sentence by sentence."""
     n = len(comment.sentences)
@@ -83,10 +90,9 @@ def oracle_scores(comment, topic, lexicons, signatures):
         if embeddings is not None and title_emb is not None:
             sent_emb = _mean_embedding(sentence.tokens, embeddings)
             if sent_emb is not None:
-                denom = float(np.linalg.norm(sent_emb) * np.linalg.norm(title_emb))
-                raw[Feature.COS_STT] = (
-                    0.0 if denom == 0.0 else float(np.clip(sent_emb @ title_emb / denom, -1.0, 1.0))
-                )
+                denom = math.sqrt(_dot(sent_emb, sent_emb)) * math.sqrt(_dot(title_emb, title_emb))
+                cosine = _dot(sent_emb, title_emb) / denom if denom else 0.0
+                raw[Feature.COS_STT] = float(np.clip(cosine, -1.0, 1.0))
         raws[sentence.id] = raw
     available = [f for f in BASE_FEATURES if f is not Feature.COS_STT or embeddings is not None]
     lo = {f: min(raws[s.id][f] for s in comment.sentences) for f in BASE_FEATURES}
@@ -140,14 +146,14 @@ def assert_matches_oracle(texts, title, signature_terms, embeddings, ratio=0.2):
 
 vectors = st.lists(
     st.floats(min_value=-4.0, max_value=4.0, allow_nan=False), min_size=3, max_size=3
-).map(np.array)
+).map(lambda v: array("d", v))
 words = st.lists(st.sampled_from(VOCAB), max_size=8).map(" ".join)
 
 EMBEDDINGS = {
-    "carbon": np.array([0.5, -1.25, 2.0]),
-    "ice": np.array([0.1, 0.2, 0.3]),
-    "warming": np.array([-3.0, 0.7, 0.0]),
-    "sea": np.array([1e-3, 2.5, -0.4]),
+    "carbon": array("d", [0.5, -1.25, 2.0]),
+    "ice": array("d", [0.1, 0.2, 0.3]),
+    "warming": array("d", [-3.0, 0.7, 0.0]),
+    "sea": array("d", [1e-3, 2.5, -0.4]),
 }
 
 
@@ -172,8 +178,8 @@ EMBEDDINGS = {
 @example(["", "ice ice ice ice", "sea sea"], "ice sea", {"ice"}, {}, 0.5)  # embeddings without hits
 # means whose value depends on the order the vectors add in
 @example(["carbon sea ice", "ice sea carbon", "sea carbon zzz ice"], "ice carbon", {"ice"},
-         {"carbon": np.array([1e16, 1.0, 3.0]), "sea": np.array([-1e16, 1.0, 2.0]),
-          "ice": np.array([1.0, 1e16, -2.0])}, 0.5)
+         {"carbon": array("d", [1e16, 1.0, 3.0]), "sea": array("d", [-1e16, 1.0, 2.0]),
+          "ice": array("d", [1.0, 1e16, -2.0])}, 0.5)
 def test_columns_and_selections_equal_the_per_sentence_loop(
     texts, title, signature_terms, embeddings, ratio
 ):

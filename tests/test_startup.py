@@ -1,13 +1,11 @@
-"""What a fresh interpreter loads: stages without numeric work start without
-numpy, and so do X-means, the silhouette of its clusters and an x-means
-``pipeline`` without gold or embeddings; no command loads numpy.ma or
-dataclasses, each command loads only its own stage's algorithm modules, only
-the commands that select sentences load the selection module, only they
-and the evaluation load ``debatesum._numpy``, only the commands that read an
-artifact load its checks, importing one module loads
-only the modules it imports, ``pipeline`` hashes its manifest without mapping
-OpenSSL, and no command loads numpy's random module, which maps OpenSSL
-through hmac."""
+"""What a fresh interpreter loads: no command loads numpy, and a
+``pipeline`` with gold and embeddings writes its golden bytes where numpy
+cannot be imported; no command loads dataclasses, each command loads only its
+own stage's algorithm modules, only the commands that select sentences load
+the selection module, only the commands that read an artifact load its
+checks, importing one module loads only the modules it imports, and
+``pipeline`` hashes its manifest without mapping OpenSSL, which hmac, and so
+numpy's random module, would map."""
 
 import hashlib
 import json
@@ -21,7 +19,8 @@ import pytest
 from debatesum import pipeline
 from debatesum.cli import main
 
-from conftest import REPO_ROOT, make_config, src_env
+from conftest import REPO_ROOT, SAMPLE_DIR, make_config, src_env
+from test_golden_artifacts import GOLDEN
 
 RUN_COMMAND = """
 import sys
@@ -71,62 +70,6 @@ def modules_loaded(script: str, *args: str) -> set[str]:
     return set(fresh_stdout(script, *args).splitlines()[-1].split())
 
 
-def test_numpy_loads_only_for_numeric_stages(tmp_path):
-    config = str(make_config(tmp_path, embeddings_path=None))
-    loaded = {"import + load_config": modules_loaded(LOAD_CONFIG, config)}
-    for command in (
-        ["annotate"],
-        ["select"],
-        ["cluster", "--method", "term"],
-        ["label", "--method", "tfidf"],
-        ["align"],
-        ["chart"],
-        ["cluster", "--method", "xmeans"],
-        ["eval", "silhouette"],
-        ["eval", "rouge"],
-    ):
-        loaded[" ".join(command)] = modules_loaded(RUN_COMMAND, *command, "--config", config)
-    # numpy.ma (about 15 ms to import) serves no command
-    assert [command for command, modules in loaded.items() if "numpy.ma" in modules] == []
-    assert {command: "numpy" in modules for command, modules in loaded.items()} == {
-        "import + load_config": False,
-        "annotate": False,
-        "select": False,
-        "cluster --method term": False,
-        "label --method tfidf": False,
-        "align": False,
-        "chart": False,
-        "cluster --method xmeans": False,  # plain floats
-        "eval silhouette": False,  # of the x-means clusters: plain floats
-        "eval rouge": True,
-    }
-
-
-def test_x_means_pipeline_without_gold_or_embeddings_loads_no_numpy(tmp_path):
-    # numpy serves only the ROUGE table (gold), COS_STT (embeddings) and the
-    # cosine silhouette of term clusters
-    config = str(make_config(tmp_path, embeddings_path=None, gold_path=None))
-    assert "numpy" not in modules_loaded(RUN_COMMAND, "pipeline", "--config", config)
-
-
-def test_silhouette_loads_numpy_only_for_term_clusters(tmp_path):
-    # the euclidean silhouette of x-means clusters adds plain floats in numpy's
-    # order; the cosine silhouette of term clusters and the pipeline use numpy
-    config = str(make_config(tmp_path, embeddings_path=None))
-    loaded = {}
-    for method in ("xmeans", "term"):
-        for command in (["annotate"], ["select"], ["cluster", "--method", method]):
-            assert main([*command, "--config", config]) == 0
-        silhouette = modules_loaded(RUN_COMMAND, "eval", "silhouette", "--config", config)
-        loaded[f"eval silhouette ({method})"] = silhouette
-    loaded["pipeline"] = modules_loaded(RUN_COMMAND, "pipeline", "--config", config)
-    assert {command: "numpy" in modules for command, modules in loaded.items()} == {
-        "eval silhouette (xmeans)": False,
-        "eval silhouette (term)": True,
-        "pipeline": True,
-    }
-
-
 # the modules of the stage algorithms, which the CLI imports when a stage first calls one
 ALGORITHMS = {
     "term_clustering", "vector_clustering", "labeling", "alignment", "chart", "evalkit",
@@ -170,7 +113,6 @@ def test_each_command_loads_only_its_own_algorithms(modules_by_command):
     loaded = {}
     for command in COMMANDS[:8]:  # the stage commands
         modules = modules_by_command[" ".join(command)]
-        assert "numpy.ma" not in modules, command
         loaded[" ".join(command)] = {m for m in ALGORITHMS if f"debatesum.{m}" in modules}
     allowed = {
         "annotate": set(),
@@ -196,11 +138,7 @@ def test_no_command_loads_dataclasses_and_only_selection_loads_saliency(modules_
     # dataclasses imports inspect, ast, dis and tokenize: about 11 ms per process
     loaded = modules_by_command
     assert [c for c, modules in loaded.items() if "dataclasses" in modules] == []
-    # numpy imports inspect itself, so only a command that loads numpy has it
-    assert [c for c, modules in loaded.items() if "inspect" in modules and "numpy" not in modules] == []
-    # array work is the selection's and the evaluation's alone: pipeline.py does none
-    assert [c for c, modules in loaded.items() if "debatesum._numpy" in modules
-            and not {"debatesum.saliency", "debatesum.evalkit"} & modules] == []
+    assert [c for c, modules in loaded.items() if "inspect" in modules] == []
     assert {c for c, modules in loaded.items() if "debatesum.saliency" in modules} == {
         "select", "eval rouge", "pipeline",
     }
@@ -231,18 +169,108 @@ def test_pipeline_never_maps_openssl(pipeline_runs):
     assert {"hashlib", "_hashlib"} & loaded == set()
 
 
+RATINGS = {"samples": {"a": [1.0, 2.5, 2.5, 4.0], "b": [2.5, 3.0]}, "ratings": [[1, 2, None], [1, 3, 2]]}
+
+
+def test_numpy_loads_only_for_numeric_stages(tmp_path):
+    # every numeric stage runs in plain floats now, the ROUGE table and the
+    # Mann-Whitney statistics too: numpy is a test dependency only
+    config = str(make_config(tmp_path, embeddings_path=None))
+    loaded = {"import + load_config": modules_loaded(LOAD_CONFIG, config)}
+    for command in (
+        ["annotate"],
+        ["select"],
+        ["cluster", "--method", "term"],
+        ["label", "--method", "tfidf"],
+        ["align"],
+        ["chart"],
+        ["cluster", "--method", "xmeans"],
+        ["eval", "silhouette"],
+        ["eval", "rouge"],
+    ):
+        loaded[" ".join(command)] = modules_loaded(RUN_COMMAND, *command, "--config", config)
+    ratings = tmp_path / "ratings.json"
+    ratings.write_text(json.dumps(RATINGS), encoding="utf-8")
+    loaded["eval stats"] = modules_loaded(
+        RUN_COMMAND, "eval", "stats", "--ratings", str(ratings), "--out", str(tmp_path / "stats.json"))
+    assert {command: "numpy" in modules for command, modules in loaded.items()} == {
+        "import + load_config": False,
+        "annotate": False,
+        "select": False,
+        "cluster --method term": False,
+        "label --method tfidf": False,
+        "align": False,
+        "chart": False,
+        "cluster --method xmeans": False,
+        "eval silhouette": False,  # of the x-means clusters
+        "eval rouge": False,
+        "eval stats": False,
+    }
+
+
+def test_x_means_pipeline_without_gold_or_embeddings_loads_no_numpy(tmp_path):
+    config = str(make_config(tmp_path, embeddings_path=None, gold_path=None))
+    loaded = modules_loaded(RUN_COMMAND, "pipeline", "--config", config)
+    assert "numpy" not in loaded
+    # embeddings are arrays of doubles, whose module maps a shared library: only
+    # a run that reads embeddings loads it
+    assert "array" not in loaded
+
+
+def test_silhouette_loads_numpy_only_for_term_clusters(tmp_path):
+    # the euclidean silhouette of x-means clusters and, now, the cosine
+    # silhouette of term clusters both run in plain floats
+    config = str(make_config(tmp_path, embeddings_path=None))
+    loaded = {}
+    for method in ("xmeans", "term"):
+        for command in (["annotate"], ["select"], ["cluster", "--method", method]):
+            assert main([*command, "--config", config]) == 0
+        silhouette = modules_loaded(RUN_COMMAND, "eval", "silhouette", "--config", config)
+        loaded[f"eval silhouette ({method})"] = silhouette
+    loaded["pipeline"] = modules_loaded(RUN_COMMAND, "pipeline", "--config", config)
+    assert {command: "numpy" in modules for command, modules in loaded.items()} == {
+        "eval silhouette (xmeans)": False,
+        "eval silhouette (term)": False,
+        "pipeline": False,
+    }
+
+
+def test_no_command_loads_numpy(modules_by_command, pipeline_runs):
+    # with gold and embeddings too: COS_STT and the ROUGE table of the gold run
+    loaded = dict(modules_by_command)
+    loaded.update({f"pipeline ({method})": modules for method, (modules, _) in pipeline_runs.items()})
+    assert [command for command, modules in loaded.items() if "numpy" in modules] == []
+
+
+# numpy set to None in ``sys.modules``: every import of it raises ImportError
+WITHOUT_NUMPY = """
+import sys
+sys.modules["numpy"] = None
+from debatesum.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_pipeline_writes_its_golden_bytes_where_numpy_cannot_be_imported(tmp_path):
+    # the sample config with term clusters: COS_STT, the ROUGE table of the gold
+    # and the cosine silhouette all run
+    raw = json.loads((SAMPLE_DIR / "config.json").read_text(encoding="utf-8"))
+    for key in ("corpus_path", "gold_path", "gazetteer_path", "synonyms_path", "embeddings_path"):
+        raw[key] = str(SAMPLE_DIR / raw[key])
+    raw.update(clustering_method="term", labeling_method="mi", output_dir=str(tmp_path / "out"))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    fresh_stdout(WITHOUT_NUMPY, "pipeline", "--config", str(config))
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in (tmp_path / "out").iterdir() if p.name != "manifest.json"}
+    assert written == GOLDEN[("term", "mi")]
+
+
 def test_x_means_and_silhouette_never_load_numpy_random(pipeline_runs, modules_by_command):
     # numpy's random module imports secrets, hmac, hashlib and _hashlib, which maps
     # OpenSSL: about 6 MiB resident; X-means draws from debatesum._pcg64 instead,
-    # and the pipeline loads numpy here only for the ROUGE table of its gold
-    loaded = {
-        "pipeline (xmeans)": pipeline_runs["xmeans"][0],
-        "cluster --method xmeans": modules_by_command["cluster --method xmeans"],
-        "eval silhouette": modules_by_command["eval silhouette"],
-    }
-    assert {c: "numpy" in modules for c, modules in loaded.items()} == {
-        "pipeline (xmeans)": True, "cluster --method xmeans": False, "eval silhouette": False,
-    }
+    # and no command loads any of them
+    loaded = {**modules_by_command, **{f"pipeline ({m})": mods for m, (mods, _) in pipeline_runs.items()}}
     unwanted = {"numpy.random", "secrets", "hmac", "hashlib", "_hashlib"}
     assert {c: unwanted & modules for c, modules in loaded.items()} == {c: set() for c in loaded}
     package = REPO_ROOT / "src" / "debatesum"

@@ -1,11 +1,14 @@
-"""COS_STT, computed once per topic, equals a per-sentence computation, kept
-here as the oracle, bit for bit: each mean adds the sentence's (or the title's)
-own vectors in sequence. Checked on topics whose comments have different
-numbers of embedded tokens (so the topic's grid is wider than most sentences),
-on sentences and titles with no embedded token, and on 1-, 2-, 8- and
-9-dimensional vectors."""
+"""COS_STT equals a per-sentence computation in numpy, kept here as the
+oracle, bit for bit: each mean adds the sentence's (or the title's) own
+vectors in sequence, and each norm and dot product adds its products in
+coordinate order from 0.0, not in the order a BLAS kernel picks. Checked on
+topics whose comments have different numbers of embedded tokens, on
+sentences and titles with no embedded token, on 1-, 2-, 8-, 9- and
+300-dimensional vectors, and on vectors read from an embeddings file."""
 
 import math
+import random
+from array import array
 from functools import reduce
 from operator import add
 
@@ -15,7 +18,7 @@ from hypothesis import strategies as st
 
 from conftest import make_comment, make_topic
 
-from debatesum.saliency import Feature, Lexicons, score_comment
+from debatesum.saliency import Feature, Lexicons, load_embeddings, score_comment
 
 VOCAB = ("carbon", "ice", "sea", "level", "warming", "the", "zzz", "qqq")
 LEXICONS = dict(conjunctive_adverbs=frozenset(), climate_terms=frozenset())
@@ -25,8 +28,13 @@ LEXICONS = dict(conjunctive_adverbs=frozenset(), climate_terms=frozenset())
 
 
 def oracle_mean_embedding(tokens, lexicons):
-    vectors = [lexicons.embeddings[t] for t in tokens if t in lexicons.embeddings]
+    vectors = [np.asarray(lexicons.embeddings[t]) for t in tokens if t in lexicons.embeddings]
     return reduce(add, vectors) / len(vectors) if vectors else None
+
+
+def dot(u, v):
+    """u . v, the running sum of its products from 0.0, in coordinate order."""
+    return float(np.cumsum(np.concatenate([[0.0], u * v]))[-1])
 
 
 def oracle_title_cosines(comment, topic, lexicons):
@@ -36,14 +44,14 @@ def oracle_title_cosines(comment, topic, lexicons):
     sentence_embs = [oracle_mean_embedding(s.tokens, lexicons) for s in comment.sentences]
     if title_emb is None:
         return [0.0] * len(comment.sentences)
-    title_norm = math.sqrt(title_emb @ title_emb)
+    title_norm = math.sqrt(dot(title_emb, title_emb))
     cosines = []
     for sent_emb in sentence_embs:
         if sent_emb is None:
             cosines.append(0.0)
             continue
-        denom = math.sqrt(sent_emb @ sent_emb) * title_norm
-        cosine = float(sent_emb @ title_emb) / denom if denom else 0.0
+        denom = math.sqrt(dot(sent_emb, sent_emb)) * title_norm
+        cosine = dot(sent_emb, title_emb) / denom if denom else 0.0
         cosines.append(max(-1.0, min(1.0, cosine)))
     return cosines
 
@@ -98,7 +106,7 @@ VALUES = st.one_of(
 @st.composite
 def embeddings_of(draw):
     dim = draw(st.sampled_from((1, 2, 8, 9)))
-    vector = st.lists(VALUES, min_size=dim, max_size=dim).map(np.array)
+    vector = st.lists(VALUES, min_size=dim, max_size=dim).map(lambda v: array("d", v))
     # at least one token keeps its embedding; "qqq" never has one
     return draw(st.dictionaries(st.sampled_from(VOCAB[:-1]), vector, min_size=1))
 
@@ -110,15 +118,15 @@ cases = st.integers(1, 3).flatmap(lambda n: st.tuples(
              min_size=n, max_size=n),  # comments of each topic, as sentence texts
 ))
 
-WIDE_1D = {"carbon": np.array([1e16]), "ice": np.array([1.0]), "sea": np.array([-1e16]),
-           "level": np.array([1e-300]), "warming": np.array([-1.0])}
+WIDE_1D = {"carbon": array("d", [1e16]), "ice": array("d", [1.0]), "sea": array("d", [-1e16]),
+           "level": array("d", [1e-300]), "warming": array("d", [-1.0])}
 
 
 @settings(max_examples=150, deadline=None, database=None)
 @given(case=cases, embeddings=embeddings_of())
-# 1-d: the second comment's nine embedded tokens make the topic's grid wider than
-# the first comment's seven, which add to 1 in sequence but to 0 in the eight-way
-# blocks numpy uses to reduce a row of nine or more
+# 1-d: the second comment's nine embedded tokens, beside the first comment's seven,
+# which add to 1 in sequence but to 0 in the eight-way blocks numpy uses to reduce
+# a row of nine or more
 @example(
     case=(["qqq warming"],
           [[["carbon ice level ice sea ice qqq qqq level"],
@@ -129,9 +137,9 @@ WIDE_1D = {"carbon": np.array([1e16]), "ice": np.array([1.0]), "sea": np.array([
 @example(
     case=(["qqq zzz", "sea ice"],
           [[["carbon"]], [["sea"], ["carbon ice sea level warming carbon ice sea level", "qqq"]]]),
-    embeddings={"carbon": np.array([0.5, -1.25]), "ice": np.array([0.1, 0.2]),
-                "sea": np.array([1e16, -1e16]), "level": np.array([-3.0, 0.7]),
-                "warming": np.array([1.0, 1e16])},
+    embeddings={"carbon": array("d", [0.5, -1.25]), "ice": array("d", [0.1, 0.2]),
+                "sea": array("d", [1e16, -1e16]), "level": array("d", [-3.0, 0.7]),
+                "warming": array("d", [1.0, 1e16])},
 )
 def test_per_topic_cos_stt_equals_the_per_comment_computation(case, embeddings):
     assert_columns_match_the_oracle(case, embeddings)
@@ -155,3 +163,33 @@ def test_without_embeddings_every_column_is_zero():
     for topic in topics:
         for comment in topic.comments:
             assert cos_stt(comment, topic, lexicons) == [0.0] * len(comment.sentences)
+
+
+# 3-d vectors under which the order of a dot product's adds shows: "carbon carbon
+# the" under the title "ice warming" gives -0x1.12ec3b92cc456p-2 with its products
+# added in coordinate order, where numpy's ``@`` gave ...455p-2
+VECTORS_3D = {"carbon": array("d", [0.5, -1.25, 2.0]), "ice": array("d", [0.1, 0.2, 0.3]),
+              "warming": array("d", [-3.0, 0.7, 0.0]), "sea": array("d", [1e-3, 2.5, -0.4])}
+
+
+def test_cos_stt_adds_in_coordinate_order():
+    (topic,) = build_topics((["ice warming"], [[["carbon carbon the"]]]))
+    lexicons = Lexicons(**LEXICONS, embeddings=VECTORS_3D)
+    column = cos_stt(topic.comments[0], topic, lexicons)
+    assert hexes(column) == ["-0x1.12ec3b92cc456p-2"]
+    assert hexes(column) == hexes(oracle_title_cosines(topic.comments[0], topic, lexicons))
+
+
+def test_300_dimensional_vectors_from_a_file_equal_the_oracle(tmp_path):
+    rng = random.Random(300)
+    path = tmp_path / "vectors.txt"
+    path.write_text("".join(
+        word + "".join(f" {rng.uniform(-1.0, 1.0)!r}" for _ in range(300)) + "\n" for word in VOCAB[:-1]
+    ), encoding="utf-8")
+    embeddings = load_embeddings(path)
+    assert {type(v) for v in embeddings.values()} == {array}
+    assert {len(v) for v in embeddings.values()} == {300}
+    case = (["carbon warming sea", "qqq"],
+            [[["carbon ice sea level the", "zzz warming warming"], ["qqq", "ice"]],
+             [["sea sea level", "carbon the ice warming level zzz sea"]]])
+    assert_columns_match_the_oracle(case, embeddings)
