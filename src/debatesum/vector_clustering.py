@@ -33,21 +33,23 @@ coordinates are dense. Any other rows, a plain list copy of a similarity
 matrix included, are centered and decomposed as given, in time cubic in
 their width.
 
-Everything is deterministic given (inputs, seed): k-means++ draws from
-numpy's ``default_rng`` stream (SeedSequence, then PCG64), which ``_pcg64``
-reproduces bit for bit without numpy; split seeds lie on the cluster's
-principal axis, and ties resolve by lowest index.
+Everything is deterministic given (inputs, seed): k-means++ draws only
+through ``random.Random(seed).random()``, whose sequence Python promises to
+keep across versions (the ``random`` module's notes on reproducibility);
+split seeds lie on the cluster's principal axis, and ties resolve by lowest
+index.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import random
+from bisect import bisect_right
 from math import copysign, fsum, sqrt
 from operator import add, mul, sub
 from typing import Mapping, NamedTuple, Sequence
 
-from ._pcg64 import Generator
 from .annotate import Term
 from .errors import ComputationError
 
@@ -549,27 +551,29 @@ def _lloyd(
     return assignments, centroids, iterations
 
 
-def _kmeans_plusplus_init(points: Rows, weights: list[float], k: int, rng: Generator) -> Rows:
+def _draw(rng: random.Random, mass: list[float]) -> int:
+    """An index into ``mass`` (nonnegative) drawn by one ``rng.random()``:
+    uniformly when every mass is equal, all zero included, else where the draw
+    falls on the normalized cumulative sum, so that no index of zero mass is
+    ever drawn."""
+    uniform = rng.random()
+    if all(m == mass[0] for m in mass):
+        return int(uniform * len(mass))
+    cdf = list(itertools.accumulate(mass))
+    return bisect_right([c / cdf[-1] for c in cdf], uniform)
+
+
+def _kmeans_plusplus_init(points: Rows, weights: list[float], k: int, rng: random.Random) -> Rows:
     """k-means++ seeds drawn with probability proportional to weight times the
     squared distance to the nearest seed; equal weights draw the first seed
     uniformly, as the unweighted algorithm does."""
-    n = len(points)
-    if all(w == weights[0] for w in weights):
-        chosen = [rng.integers(n)]
-    else:
-        total = fsum(weights)
-        chosen = [rng.choice(n, p=[w / total for w in weights])]
+    chosen = [_draw(rng, weights)]
     closest: list[float] = []
     for _ in range(1, k):
         seed = points[chosen[-1]]
         distances = [_sq_dist(p, seed) for p in points]
         closest = list(map(min, closest, distances)) if closest else distances
-        mass = list(map(mul, weights, closest))
-        total = fsum(mass)
-        if total == 0.0:
-            chosen.append(rng.integers(n))
-        else:
-            chosen.append(rng.choice(n, p=[x / total for x in mass]))
+        chosen.append(_draw(rng, list(map(mul, weights, closest))))
     return [points[i] for i in chosen]
 
 
@@ -622,16 +626,16 @@ def _try_split(
     members: Rows,
     weights: list[float],
     centroid: list[float],
-    restart_seed: tuple[int, ...],
+    rng: random.Random,
     floor: float,
 ) -> Rows | None:
     """Local weighted 2-means on one cluster of distinct points; returns the
     two child centroids when the split improves the local BIC, else None.
 
     The first candidate seeding splits the centroid along the cluster's
-    principal axis at +/- a fixed fraction of the radius; a few deterministic
-    k-means++ restarts guard against its symmetric local optima, and the
-    lowest-distortion split enters the BIC comparison; a zero-distortion
+    principal axis at +/- a fixed fraction of the radius; a few k-means++
+    restarts drawn from ``rng`` guard against its symmetric local optima, and
+    the lowest-distortion split enters the BIC comparison; a zero-distortion
     split ends the search. Both BICs floor the pooled variance at ``floor``;
     the parent's measures the members' spread about ``centroid``.
     """
@@ -650,14 +654,10 @@ def _try_split(
     axis = _principal_direction(members, weights, centroid, distances.index(farthest))
     offset = [SPLIT_SEED_FRACTION * sqrt(farthest) * x for x in axis]
 
-    def restarts():
-        rng = Generator(restart_seed)
-        for _ in range(SPLIT_RESTARTS):
-            yield _kmeans_plusplus_init(members, weights, 2, rng)
-
+    restarts = (_kmeans_plusplus_init(members, weights, 2, rng) for _ in range(SPLIT_RESTARTS))
     axis_seeds = [list(map(add, centroid, offset)), list(map(sub, centroid, offset))]
     best: tuple[float, list[int], Rows] | None = None
-    for seeds in itertools.chain([axis_seeds], restarts()):
+    for seeds in itertools.chain([axis_seeds], restarts):
         assignments, centroids, _ = _lloyd(members, weights, seeds, MAX_ITER)
         distortion = _distortion(members, weights, centroids, assignments)
         if best is None or distortion < best[0]:
@@ -682,14 +682,18 @@ def xmeans(
     identical rows always share a cluster; k_min and k_max are clamped to the
     number of distinct rows and the assignments are expanded back to every
     row. Each round tries to split every current cluster with a local 2-means
-    (principal-axis seeding plus deterministic restarts, see _try_split); a
+    (principal-axis seeding plus k-means++ restarts, see _try_split); a
     split is kept iff the children's local BIC beats the parent's, with the
     pooled variance floored at VARIANCE_FLOOR times the input's variance.
     Rounds end when nothing splits or k reaches k_max, and every accepted
-    round is followed by a global Lloyd refinement pass.
+    round is followed by a global Lloyd refinement pass. Every k-means++ draw,
+    the initial seeding's and each split's, comes from one
+    ``random.Random(seed)`` in that fixed order; ``seed`` must be nonnegative.
     """
     points = _rows(points, "X-means input")
     n = len(points)
+    if seed < 0:  # random.Random(-s) would repeat the stream of s
+        raise ComputationError(f"seed must be nonnegative, got {seed}")
     if not 1 <= k_min <= k_max:
         raise ComputationError(f"need 1 <= k_min <= k_max, got {k_min}, {k_max}")
     if k_max > n:
@@ -702,7 +706,7 @@ def xmeans(
     spread = _distortion(distinct, weights, _centroids(distinct, weights, everyone, 1), everyone)
     floor = VARIANCE_FLOOR * spread / n
 
-    rng = Generator(seed)
+    rng = random.Random(seed)
     history: list[float] = []
     centroids = _kmeans_plusplus_init(distinct, weights, k_min, rng)
     assignments, centroids, iterations = _lloyd(
@@ -710,7 +714,6 @@ def xmeans(
     )
     k = k_min
 
-    round_index = 0
     while k < k_max:
         new_centroids: Rows = []
         split_count = 0
@@ -722,7 +725,7 @@ def xmeans(
                     list(itertools.compress(distinct, mask)),
                     list(itertools.compress(weights, mask)),
                     centroids[j],
-                    restart_seed=(seed, round_index, j),
+                    rng,
                     floor=floor,
                 )
             if children is None:
@@ -733,7 +736,6 @@ def xmeans(
         if split_count == 0:
             break
         k += split_count
-        round_index += 1
         assignments, centroids, its = _lloyd(
             distinct, weights, new_centroids, MAX_ITER, history=history
         )

@@ -1,14 +1,16 @@
 """Reference implementations and helpers that only tests call.
 
-``kmeans`` is k-means++ and Lloyd in numpy, seeded from numpy's own
-``np.random.default_rng``: the tests that compare X-means with it compare
-two implementations and two streams. ``numpy_silhouette`` is the euclidean
-silhouette in numpy arrays and reductions, which ``evalkit.silhouette`` must
-equal bit for bit in plain floats, and ``numpy_rouge_batch`` is the ROUGE
-table in numpy counts, which ``evalkit.rouge_batch`` must equal bit for bit.
+``kmeans`` is k-means++ and Lloyd in numpy. It draws from the stream X-means
+draws from, ``random.Random(seed).random()``, by X-means' rule, so the tests
+that compare X-means with it compare two implementations of one sequence of
+draws. ``numpy_silhouette`` is the euclidean silhouette in numpy arrays and
+reductions, which ``evalkit.silhouette`` must equal bit for bit in plain
+floats, and ``numpy_rouge_batch`` is the ROUGE table in numpy counts, which
+``evalkit.rouge_batch`` must equal bit for bit.
 """
 
 import math
+import random
 from pathlib import Path
 from typing import Collection, Sequence
 
@@ -78,19 +80,23 @@ def _lloyd(points, centroids, max_iter):
     return assignments, centroids, iterations, history
 
 
+def _draw(rng, mass) -> int:
+    """One ``rng.random()`` as an index into ``mass``: uniform when all of it
+    is equal, else searched on the normalized cumulative sum."""
+    uniform = rng.random()
+    if np.all(mass == mass[0]):
+        return int(uniform * len(mass))
+    cdf = np.cumsum(mass)
+    return int(np.searchsorted(cdf / cdf[-1], uniform, side="right"))
+
+
 def _kmeans_plusplus_init(points, k, rng):
-    """k-means++ seeds from numpy's own generator: the first uniform, each
-    next one with probability proportional to the squared distance to the
-    nearest seed."""
-    n = points.shape[0]
-    chosen = [int(rng.integers(n))]
+    """k-means++ seeds: the first uniform, each next one with probability
+    proportional to the squared distance to the nearest seed."""
+    chosen = [_draw(rng, np.ones(points.shape[0]))]
     closest = ((points - points[chosen[0]]) ** 2).sum(axis=1)
     for _ in range(1, k):
-        total = float(closest.sum())
-        if total == 0.0:
-            chosen.append(int(rng.integers(n)))
-        else:
-            chosen.append(int(rng.choice(n, p=closest / total)))
+        chosen.append(_draw(rng, closest))
         closest = np.minimum(closest, ((points - points[chosen[-1]]) ** 2).sum(axis=1))
     return points[chosen].copy()
 
@@ -134,7 +140,7 @@ def kmeans(
         raise ComputationError(f"k must be >= 1, got {k}")
     if k > n:
         raise ComputationError(f"k={k} exceeds point count n={n}")
-    centroids = _kmeans_plusplus_init(points, k, np.random.default_rng(seed))
+    centroids = _kmeans_plusplus_init(points, k, random.Random(seed))
     assignments, centroids, iterations, history = _lloyd(points, centroids, MAX_ITER)
     try:
         bic = _bic(points, assignments, centroids, k)

@@ -1,6 +1,5 @@
 """Generated corpora, end to end: ``pipeline`` exits 0 with no RuntimeWarning,
-the stage commands run one by one write the same bytes, and an x-means
-``pipeline`` writes the same bytes under two OpenBLAS kernels.
+and the stage commands run one by one write the same bytes.
 
 The corpora hold the inputs that real debates bring and that the sample does
 not: one-sentence sides, comments with no ontology term, identical
@@ -12,13 +11,10 @@ import tempfile
 import warnings
 from pathlib import Path
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (
-    SAMPLE_DIR, assert_staged_run_matches_pipeline, forced_kernels, run_pipeline_under_kernel,
-)
+from conftest import SAMPLE_DIR, assert_staged_run_matches_pipeline
 
 from debatesum.cli import main
 from debatesum.corpus import Feature, read_json, salient_count
@@ -126,19 +122,3 @@ def test_generated_corpus_runs_and_staged_commands_write_the_pipelines_bytes(cor
         if options["gold"]:
             staged = read_json(work / "out" / "evaluation_rouge.json")["rouge"]
             assert staged == read_json(work / "full" / "evaluation.json")["rouge"]
-
-
-@pytest.mark.skipif(not forced_kernels(), reason="no OpenBLAS kernel to force on this CPU")
-@settings(max_examples=4, deadline=None, database=None)
-@given(corpus=corpora(), options=CONFIGS.filter(lambda options: options["methods"][0] == "xmeans"))
-def test_generated_x_means_bytes_do_not_depend_on_the_blas_kernel(corpus, options):
-    """The kernel OpenBLAS picks and the first one forced (see
-    ``test_golden_artifacts``) write the same bytes."""
-    with tempfile.TemporaryDirectory() as tmp:
-        work = Path(tmp)
-        config_path = write_inputs(work, corpus, options)
-        written = [
-            run_pipeline_under_kernel(config_path, work / f"out-{kernel}", kernel)[0]
-            for kernel in (None, forced_kernels()[0])
-        ]
-    assert written[0] == written[1]

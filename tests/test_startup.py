@@ -268,8 +268,9 @@ def test_pipeline_writes_its_golden_bytes_where_numpy_cannot_be_imported(tmp_pat
 
 def test_x_means_and_silhouette_never_load_numpy_random(pipeline_runs, modules_by_command):
     # numpy's random module imports secrets, hmac, hashlib and _hashlib, which maps
-    # OpenSSL: about 6 MiB resident; X-means draws from debatesum._pcg64 instead,
-    # and no command loads any of them
+    # OpenSSL: about 6 MiB resident; X-means draws from random.Random(seed).random()
+    # instead, whose sequence Python promises to keep across versions, and no
+    # command loads any of them
     loaded = {**modules_by_command, **{f"pipeline ({m})": mods for m, (mods, _) in pipeline_runs.items()}}
     unwanted = {"numpy.random", "secrets", "hmac", "hashlib", "_hashlib"}
     assert {c: unwanted & modules for c, modules in loaded.items()} == {c: set() for c in loaded}

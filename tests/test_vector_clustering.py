@@ -1,4 +1,5 @@
 import math
+import random
 import time
 import warnings
 
@@ -10,11 +11,11 @@ from hypothesis import strategies as st
 import oracles
 from oracles import bic_score, compensated_sum, kmeans
 
-from debatesum import _pcg64, vector_clustering
-from debatesum._pcg64 import Generator
+from debatesum import vector_clustering
 from debatesum.errors import ComputationError
 from debatesum.vector_clustering import (
     ClusteringResult,
+    _draw,
     _kmeans_plusplus_init,
     _lloyd,
     build_similarity_matrix,
@@ -269,7 +270,7 @@ class TestKmeans:
         # X-means' own Lloyd, seeded with the same draws, stops in the same place
         plain = points.tolist()
         weights = [1.0] * len(plain)
-        seeds = _kmeans_plusplus_init(plain, weights, 4, Generator(0))
+        seeds = _kmeans_plusplus_init(plain, weights, 4, random.Random(0))
         assignments, centroids, iterations = _lloyd(plain, weights, seeds, 300)
         assert iterations == result.iterations
         assert assignments == result.assignments.tolist()
@@ -362,6 +363,45 @@ class TestXmeans:
         with pytest.raises(ComputationError):
             xmeans([[0.0, 0.0]] * 5, k_min=1, k_max=9, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, -7, -(2**70)])
+    def test_negative_seed_rejected(self, seed):
+        # random.Random(-s) draws what random.Random(s) draws
+        with pytest.raises(ComputationError, match="seed must be nonnegative"):
+            xmeans([[0.0], [1.0], [5.0]], k_min=1, k_max=3, seed=seed)
+
+
+class FixedDraw:
+    """Stands in for ``random.Random``: ``random()`` always returns ``value``."""
+
+    def __init__(self, value: float) -> None:
+        self.value = value
+
+    def random(self) -> float:
+        return self.value
+
+
+EXTREME_DRAWS = [0.0, 1.0 - 2.0**-53]  # the least and the greatest random() returns
+
+
+@settings(deadline=None, database=None)
+@given(
+    mass=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e300)), min_size=1, max_size=64),
+    trailing_zeros=st.integers(0, 4),
+    uniform=st.sampled_from(EXTREME_DRAWS),
+)
+def test_a_draw_stays_below_n_and_off_zero_mass(mass, trailing_zeros, uniform):
+    mass = mass + [0.0] * trailing_zeros
+    index = _draw(FixedDraw(uniform), mass)
+    assert 0 <= index < len(mass)
+    if any(mass):
+        assert mass[index] > 0.0
+
+
+@pytest.mark.parametrize("n", [1, 3, 2**16 + 1])
+@pytest.mark.parametrize("value", [0.0, 2.5])
+def test_an_equal_mass_draw_spans_every_index(n, value):
+    assert [_draw(FixedDraw(u), [value] * n) for u in EXTREME_DRAWS] == [0, n - 1]
+
 
 @st.composite
 def duplicated_rows(draw):
@@ -434,8 +474,7 @@ def test_results_do_not_depend_on_version_specific_float_sums(monkeypatch):
     def refuse(*args):
         raise AssertionError("a float sum whose rounding depends on the Python version")
 
-    for module in (vector_clustering, _pcg64):
-        monkeypatch.setattr(module, "sum", compensated_sum, raising=False)
+    monkeypatch.setattr(vector_clustering, "sum", compensated_sum, raising=False)
     monkeypatch.setattr(math, "dist", refuse)
     monkeypatch.setattr(math, "hypot", refuse)
     assert run() == before
