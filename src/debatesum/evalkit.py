@@ -5,11 +5,11 @@ skip-bigrams with up to four intervening words plus unigrams. Scores against
 multiple references aggregate by mean.
 No stemming or stopword removal happens here: tokens are compared as given.
 
-Everything runs in plain Python floats and ints, and every float sum adds in
-a fixed order: the silhouette in numpy's pairwise order (``_pairwise``), so
-its scores keep the bits numpy gave them, and the cosine distances' norms
-and dot products in ascending coordinate order (``_cosine``). Other float sums add left to right,
-as builtin ``sum()`` of floats compensates from Python 3.12 on.
+Everything runs in plain Python floats and ints. The silhouette's sums are
+``math.fsum``, correctly rounded, and no longer match numpy's to the bit;
+the cosine distances' dot products add in ascending coordinate order
+(``_cosine``). Other float sums add left to right, as builtin ``sum()`` of
+floats compensates from Python 3.12 on.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from collections import Counter
 from enum import Enum
 from functools import reduce
 from itertools import chain, compress, repeat
-from operator import add, and_, eq, mul
+from operator import add, and_, eq, mul, sub
 from typing import Collection, NamedTuple, Sequence
 
 from .errors import ComputationError
@@ -187,21 +187,63 @@ def silhouette(
     ``points`` holds one row per point, or one number per point; a euclidean
     distance beyond the float range is an error, and so is a cosine distance
     to a zero or non-finite vector.
+
+    A euclidean distance is the square root of its squares' ``math.fsum``,
+    and a cosine distance 1 minus the similarity of ``_cosine``; each is
+    computed once per pair of distinct points. Every sum over points is a
+    ``math.fsum``: correctly rounded, so no score depends on the order of the
+    points or the numbering of the clusters.
     """
     if len(set(assignments)) < 2:
         raise ComputationError("silhouette undefined for k = 1")
-    # imported here, so only a silhouette compiles it
-    from ._pairwise import euclidean_distances, silhouette_scores
+    points = points.tolist() if hasattr(points, "tolist") else list(points)
+    if not isinstance(points[0], (list, tuple)):  # one number per point
+        points = [[x] for x in points]
+    clusters: dict = {}
+    for i, label in enumerate(assignments):
+        clusters.setdefault(label, []).append(i)
+    groups = list(clusters.values())
+    per_point = [0.0] * len(points)
+    try:
+        # the distances between the distinct points, and each point's number among them
+        if metric == "euclidean":
+            index: dict[tuple, int] = {}
+            of_point = [index.setdefault(tuple(point), len(index)) for point in points]
+            rows = [list(map(float, point)) for point in index]
+            distances = [[0.0] * len(rows) for _ in rows]
+            for i, u in enumerate(rows):
+                for j in range(i + 1, len(rows)):
+                    squares = [x * x for x in map(sub, u, rows[j])]
+                    distances[i][j] = distances[j][i] = math.sqrt(math.fsum(squares))
+        elif metric == "cosine_distance":
+            from ._cosine import similarities, unit_vectors  # only a cosine silhouette compiles it
 
-    if metric == "euclidean":
-        distances = euclidean_distances(points)
-    elif metric == "cosine_distance":
-        from ._cosine import cosine_distances
-
-        distances = cosine_distances(points)
-    else:
-        raise ComputationError(f"unknown silhouette metric {metric!r}")
-    return SilhouetteReport(*silhouette_scores(distances, assignments))
+            of_point, units = unit_vectors(points)
+            if None in units:
+                raise ComputationError("cosine distance undefined for zero or non-finite vectors")
+            distances = [[1.0 - s for s in row] for row in similarities(units)]
+        else:
+            raise ComputationError(f"unknown silhouette metric {metric!r}")
+        if not all(map(math.isfinite, chain.from_iterable(distances))):
+            raise OverflowError  # a distance past the float range, or NaN
+        members = [[of_point[i] for i in group] for group in groups]
+        for c, group in enumerate(groups):
+            if len(group) == 1:
+                continue  # a singleton scores 0
+            others = members[:c] + members[c + 1 :]
+            for p in group:
+                row = distances[of_point[p]]
+                # fsum rounds once, after adding exactly, so taking the point's own
+                # distance back out leaves a's sum without a trace
+                own = [*map(row.__getitem__, members[c]), -row[of_point[p]]]
+                a = math.fsum(own) / (len(group) - 1)
+                b = min(math.fsum(map(row.__getitem__, m)) / len(m) for m in others)
+                denom = max(a, b)
+                if denom > 0:
+                    per_point[p] = (b - a) / denom
+    except OverflowError:  # math.fsum's, or a distance past the float range
+        raise ComputationError("silhouette distances exceed the float range") from None
+    return SilhouetteReport(tuple(per_point), math.fsum(per_point) / len(per_point))
 
 
 def mann_whitney_u(sample_a: Sequence[float], sample_b: Sequence[float]) -> MannWhitneyResult:

@@ -28,9 +28,9 @@ from __future__ import annotations
 import re
 import sys
 from collections import Counter
-from functools import cached_property, reduce
+from functools import cached_property
 from importlib import import_module
-from math import gcd
+from math import fsum, gcd
 from operator import add
 from pathlib import Path
 from typing import Callable, Collection, Mapping, NamedTuple
@@ -709,7 +709,7 @@ def compute_silhouette_report(
                 }
             )
     overall = (
-        reduce(add, (e["mean_silhouette"] for e in entries), 0.0) / len(entries) if entries else None
+        fsum(e["mean_silhouette"] for e in entries) / len(entries) if entries else None
     )
     return {"method": method, "per_clustering": entries, "mean": overall}
 

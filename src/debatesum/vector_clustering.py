@@ -47,9 +47,10 @@ import math
 import random
 from bisect import bisect_right
 from math import copysign, fsum, sqrt
-from operator import add, mul, sub
+from operator import add, itemgetter, mul, sub
 from typing import Mapping, NamedTuple, Sequence
 
+from ._cosine import similarities, unit_vectors
 from .annotate import Term
 from .errors import ComputationError
 
@@ -149,33 +150,20 @@ def build_term_vectors(
 
 def build_similarity_matrix(counts) -> SimilarityMatrix:
     """Pairwise cosine similarities of the rows of ``counts``: n rows of n
-    floats, exactly symmetric, with a unit diagonal, each clipped to [-1, 1]."""
-    n = len(counts)
-    if n < 2:
+    floats, exactly symmetric, with a unit diagonal, each clipped to [-1, 1]
+    (``_cosine``). Copies of a row keep their computed similarity."""
+    if len(counts) < 2:
         raise ComputationError("similarity matrix needs at least 2 vectors")
-    unit, bad = [], []
-    for i, row in enumerate(counts):
-        pairs = [(j, float(x)) for j, x in enumerate(row) if x]
-        norm = sqrt(fsum([x * x for _, x in pairs]))
-        if norm == 0.0:
-            bad.append(i)
-        unit.append([(j, x / norm) for j, x in pairs] if norm else [])
+    of_row, units = unit_vectors(counts)
+    bad = [i for i, d in enumerate(of_row) if units[d] is None]
     if bad:
-        raise ComputationError(f"zero vectors in similarity input: rows {bad}")
-    postings: dict[int, list[tuple[int, float]]] = {}
-    for i, pairs in enumerate(unit):
-        for j, x in pairs:
-            postings.setdefault(j, []).append((i, x))
-    matrix = []
-    for i, pairs in enumerate(unit):
-        row = [0.0] * n
-        for j, x in pairs:  # a pair's products add in term order, so (i, k) equals (k, i)
-            for k, y in postings[j]:
-                row[k] += x * y
-        row = [1.0 if v > 1.0 else -1.0 if v < -1.0 else v for v in row]
+        raise ComputationError(f"zero or non-finite vectors in similarity input: rows {bad}")
+    distinct = similarities(units)
+    pick = itemgetter(*of_row)  # n >= 2 rows, so it gives a tuple
+    matrix = [list(pick(distinct[d])) for d in of_row]
+    for i, row in enumerate(matrix):
         row[i] = 1.0
-        matrix.append(row)
-    return SimilarityMatrix(matrix, unit)
+    return SimilarityMatrix(matrix, [units[d] for d in of_row])
 
 
 def _term_space(unit: list[list[tuple[int, float]]], terms: list[int]):

@@ -4,8 +4,9 @@
 draws from, ``random.Random(seed).random()``, by X-means' rule, so the tests
 that compare X-means with it compare two implementations of one sequence of
 draws. ``numpy_silhouette`` is the euclidean silhouette in numpy arrays and
-reductions, which ``evalkit.silhouette`` must equal bit for bit in plain
-floats, and ``numpy_rouge_batch`` is the ROUGE table in numpy counts, which
+reductions, which ``evalkit.silhouette`` must match to a stated tolerance:
+its sums are ``math.fsum``, and no longer numpy's to the bit.
+``numpy_rouge_batch`` is the ROUGE table in numpy counts, which
 ``evalkit.rouge_batch`` must equal bit for bit.
 """
 

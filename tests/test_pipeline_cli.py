@@ -365,7 +365,8 @@ class TestCli:
         err = capsys.readouterr().err
         assert "clusters.json" in err and member in err
 
-    @pytest.mark.parametrize("big", [1e200, 1e308])
+    # (1e154, 1e154): each square is finite, and only their sum overflows
+    @pytest.mark.parametrize("big", [1e200, 1e308, pytest.param((1e154, 1e154), id="1e154x2")])
     def test_distance_beyond_the_float_range_exit_4(self, tmp_path, capsys, big):
         # before, a finite but huge point made eval silhouette exit 0 and write NaN
         config_path = make_config(tmp_path)
@@ -374,7 +375,8 @@ class TestCli:
         doc = read_json(clusters)
         side = doc["topics"][0]["sides"]["agree"]
         pair = next(c for c in side["clusters"] if len(c["members"]) == 2)
-        side["points"][pair["members"][0]][0] = big
+        coordinates = big if isinstance(big, tuple) else (big,)
+        side["points"][pair["members"][0]][: len(coordinates)] = coordinates
         clusters.write_text(json.dumps(doc), encoding="utf-8")
         capsys.readouterr()
         assert main(["eval", "silhouette", "--config", str(config_path)]) == 4
@@ -1175,12 +1177,14 @@ def test_consistency_without_labels_judges_pairs_by_their_clusters_own_labels(tm
             check_consistency(docs, paths)
 
 
-def test_overall_silhouette_mean_adds_left_to_right(monkeypatch):
-    # builtin sum() of floats compensates from Python 3.12 on: it would give 0.1 here
-    monkeypatch.setattr(pipeline, "silhouette", lambda *args, **kwargs: SilhouetteReport((), 0.1))
+def test_overall_silhouette_mean_is_an_fsum(monkeypatch):
+    # correctly rounded, 1 + 2**-53 + 2**-106 is 1 + 2**-52; adding left to right,
+    # or with builtin sum(), which compensates from Python 3.12 on, gives 1.0
+    means = iter([1.0, 2.0**-53, 2.0**-106] + [0.0] * 7)
+    monkeypatch.setattr(pipeline, "silhouette", lambda *args, **kwargs: SilhouetteReport((), next(means)))
     monkeypatch.setattr(pipeline, "sum", compensated_sum, raising=False)
     side = {"clusters": [{"members": ["a"]}, {"members": ["b"]}], "points": {"a": [0.0], "b": [1.0]}}
     topics = [{"topic_id": f"t{i}", "sides": {"agree": side, "disagree": side}} for i in range(5)]
     report = pipeline.compute_silhouette_report({"method": "xmeans", "topics": topics}, {}, None, None)
     assert len(report["per_clustering"]) == 10
-    assert report["mean"] == 0.9999999999999999 / 10
+    assert report["mean"] == (1.0 + 2.0**-52) / 10 != 1.0 / 10

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -92,6 +92,43 @@ class TestSimilarityMatrix:
     def test_zero_vector_rejected_by_row_index(self):
         with pytest.raises(ComputationError, match=r"rows \[1\]"):
             build_similarity_matrix(self.vectors([[1, 2], [0, 0]]))
+
+
+def double_loop_similarities(rows):
+    """Cosine similarities by a plain double loop, and the unit vectors: a
+    math.fsum norm per row, and a dot product that adds every coordinate's
+    product of two unit vectors in coordinate order from 0.0, clipped to
+    [-1, 1]; 1.0 on the diagonal alone."""
+    units = []
+    for row in rows:
+        norm = math.sqrt(math.fsum(x * x for x in row))
+        units.append([x / norm for x in row])
+    matrix = []
+    for i, u in enumerate(units):
+        similarities = []
+        for j, v in enumerate(units):
+            dot = 0.0
+            for x, y in zip(u, v):
+                dot += x * y
+            similarities.append(1.0 if i == j else min(1.0, max(-1.0, dot)))
+        matrix.append(similarities)
+    return matrix, units
+
+
+COUNT_ROWS = st.integers(1, 10).flatmap(lambda dim: st.lists(
+    st.lists(st.integers(0, 9), min_size=dim, max_size=dim).filter(any), min_size=2, max_size=12))
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(rows=COUNT_ROWS)
+@example(rows=[[2, 1, 1, 1], [0, 1, 0, 0], [2, 1, 1, 1]])  # the copies' similarity is 1 - 3 * 2**-53
+def test_similarity_matrix_bitwise_equals_the_double_loop(rows):
+    rows = [[float(x) for x in row] for row in rows]
+    matrix = build_similarity_matrix(rows)
+    expected, units = double_loop_similarities(rows)
+    assert [list(map(float.hex, row)) for row in matrix] == [
+        list(map(float.hex, row)) for row in expected]
+    assert matrix.unit == [[(c, x) for c, x in enumerate(unit) if x] for unit in units]
 
 
 class TestPca:
